@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race race-concurrency vet ci bench perfbench serve-bench cluster-bench largen-bench stream-bench fuzz fuzz-stream fuzz-smoke cover alloc-gate serve-smoke cluster-smoke distributed-smoke largen-smoke stream-smoke
+.PHONY: all build test race race-concurrency vet ci bench perfbench serve-bench cluster-bench largen-bench stream-bench fuzz fuzz-stream fuzz-smoke cover alloc-gate serve-smoke cluster-smoke distributed-smoke largen-smoke stream-smoke bench-smoke
 
 # Coverage ratchet: global statement coverage must not fall below this floor
 # (current coverage minus a 1% buffer). Raise it as coverage grows.
@@ -31,9 +31,10 @@ race-concurrency:
 	$(GO) test -race -count=2 -run 'TestIngest|TestRegistryRollForward' ./serve/
 
 # Allocation-regression gate: the warm PCG/CG solve path (pooled workspace
-# + held destination), the serving predict hot path (pooled scratch, pooled
-# batcher jobs), the steady-state distributed superstep (pooled message
-# and vector buffers), the approximate engine's warm certificate
+# + held destination), the serving predict hot path (the model's batch core
+# and the server's uncached predict step: admission, evaluation, cache
+# scatter and put), the steady-state distributed PCG iteration (pooled
+# message and vector buffers), the approximate engine's warm certificate
 # evaluation, and the streaming warm label-refresh path must stay at
 # exactly zero heap allocations per op.
 alloc-gate:
@@ -87,7 +88,7 @@ perfbench:
 	$(GO) run ./cmd/perfbench -suite serve -out results/BENCH_serve.json
 	$(GO) run ./cmd/perfbench -suite cluster -repeats 1 -out results/BENCH_cluster.json
 
-# Refreshes just the serving-path load test (batched x cached grid over
+# Refreshes just the serving-path load test (cache off and on over
 # 1/4/16/64 clients) after hot-path changes.
 serve-bench:
 	$(GO) run ./cmd/perfbench -suite serve -out results/BENCH_serve.json
@@ -116,8 +117,8 @@ largen-smoke:
 	$(GO) run ./cmd/perfbench -suite largen -ln 0 -lcmp 40000 -llab 200 -lknn 8 -repeats 1 -out /tmp/BENCH_largen_smoke.json
 
 # End-to-end smoke of the serving subsystem: boots sslserve on a free port,
-# fits a model over HTTP, runs a batched predict, checks /readyz, and drains
-# on the SIGTERM path.
+# fits a model over HTTP, runs concurrent multi-point predicts, checks
+# /readyz, and drains on the SIGTERM path.
 serve-smoke:
 	$(GO) test -count=1 -run TestServeSmoke -v ./cmd/sslserve/
 
@@ -142,3 +143,9 @@ stream-smoke:
 # the same problem, bitwise-identical across shard counts and transports.
 distributed-smoke:
 	$(GO) run ./examples/distributed
+
+# Smoke of the repository benchmark harness (bench/, its own module): runs
+# every workload at tiny size, untraced and traced, and checks each declared
+# metric is printed and every sampled answer is correct. Leaves no files.
+bench-smoke:
+	cd bench && $(GO) test -count=1 ./...

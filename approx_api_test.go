@@ -162,7 +162,6 @@ func TestWithApproxValidation(t *testing.T) {
 		"inf tol":         {WithApprox(math.Inf(1))},
 		"negative budget": {WithApproxAnchors(-5), WithApprox(1)},
 		"soft criterion":  {WithApprox(1), WithLambda(0.5)},
-		"distributed":     {WithApprox(1), WithDistributed(2)},
 		"cluster shards":  {WithApprox(1), WithClusterShards(2)},
 	}
 	for name, opts := range cases {

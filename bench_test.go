@@ -14,7 +14,6 @@ import (
 	"runtime"
 	"testing"
 
-	"repro/internal/cluster"
 	"repro/internal/coil"
 	"repro/internal/core"
 	"repro/internal/experiments"
@@ -245,26 +244,6 @@ func BenchmarkKernels(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				if _, err := builder.Build(ds.X); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkDistributedPropagation ablates serial vs partitioned propagation
-// (the cluster engine with growing worker counts).
-func BenchmarkDistributedPropagation(b *testing.B) {
-	p := benchProblem(b, 200, 200, 15)
-	sys, err := core.BuildPropagationSystem(p)
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, workers := range []int{1, 2, 4} {
-		b.Run(fmt.Sprintf("workers%d", workers), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, _, err := cluster.SolveLocal(sys, cluster.LocalOptions{Workers: workers}); err != nil {
 					b.Fatal(err)
 				}
 			}

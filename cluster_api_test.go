@@ -157,9 +157,6 @@ func TestClusterOptionValidation(t *testing.T) {
 	if _, err := Fit(x, y, nil, WithClusterShards(-1)); !errors.Is(err, ErrParam) {
 		t.Fatalf("negative shards: want ErrParam, got %v", err)
 	}
-	if _, err := Fit(x, y, nil, WithDistributed(2), WithClusterShards(2)); !errors.Is(err, ErrParam) {
-		t.Fatalf("mixed engines: want ErrParam, got %v", err)
-	}
 	if _, err := Fit(x, y, nil, WithSolver(SolverCluster)); !errors.Is(err, ErrParam) {
 		t.Fatalf("WithSolver(SolverCluster): want ErrParam, got %v", err)
 	}

@@ -192,7 +192,7 @@ func runClusterSuite(out string, p clusterParams) {
 			cacheSize = 8192
 		}
 		fleet, err := serve.NewFleet(p.replicas, serve.Config{
-			NoBatch: true, Workers: 1, QueueDepth: 1 << 16, CacheSize: cacheSize,
+			Workers: 1, QueueDepth: 1 << 16, CacheSize: cacheSize,
 		})
 		if err != nil {
 			log.Fatal(err)

@@ -68,7 +68,7 @@ var suiteRegistry = []suiteDef{
 	{
 		Name:       "serve",
 		DefaultOut: "results/BENCH_serve.json",
-		Desc:       "HTTP serving throughput, batched vs unbatched, with anchor pruning",
+		Desc:       "HTTP serving throughput, cached vs uncached, with anchor pruning",
 		Run: func(out string, a suiteArgs) {
 			runServeSuite(out, serveParams{
 				anchors: a.svAnch, d: a.svD,

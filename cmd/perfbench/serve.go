@@ -3,7 +3,6 @@ package main
 import (
 	"bytes"
 	"encoding/json"
-	"expvar"
 	"fmt"
 	"log"
 	"net"
@@ -21,10 +20,8 @@ import (
 
 // The serve suite measures the serving subsystem end to end over loopback
 // HTTP: concurrent clients firing single-point predict requests at a hot
-// model, with the micro-batcher on versus off. On a single-core host the
-// batching win is purely mechanical — coalesced requests run through the
-// tiled SIMD batch kernel instead of one scalar anchor scan per request —
-// so any speedup here is cache and vector efficiency, not parallelism.
+// model, with the prediction cache off versus on. Every uncached point is
+// evaluated inline on its request's handler goroutine.
 
 // serveParams sizes the load test.
 type serveParams struct {
@@ -34,37 +31,32 @@ type serveParams struct {
 	warmup   int // untimed requests per configuration
 }
 
-// serveMeasurement is one (clients, batching, caching) load configuration.
+// serveMeasurement is one (clients, caching) load configuration.
 type serveMeasurement struct {
-	Clients        int     `json:"clients"`
-	Batched        bool    `json:"batched"`
-	Cache          bool    `json:"cache"`
-	Requests       int     `json:"requests"`
-	Seconds        float64 `json:"seconds"`
-	RPS            float64 `json:"rps"`
-	P50Us          float64 `json:"p50_us"`
-	P99Us          float64 `json:"p99_us"`
-	Batches        int64   `json:"batches,omitempty"`
-	BatchOccupancy float64 `json:"batch_occupancy,omitempty"`
+	Clients  int     `json:"clients"`
+	Cache    bool    `json:"cache"`
+	Requests int     `json:"requests"`
+	Seconds  float64 `json:"seconds"`
+	RPS      float64 `json:"rps"`
+	P50Us    float64 `json:"p50_us"`
+	P99Us    float64 `json:"p99_us"`
 }
 
-// serveSpeedup compares configurations at one client count: batching vs the
-// inline path (both cache-off, the PR-5-comparable columns) and the full
-// hot path (cache on) against the recorded pre-hot-path baseline.
+// serveSpeedup compares configurations at one client count: the cached hot
+// path against the uncached compute path and against the recorded
+// pre-hot-path baseline.
 type serveSpeedup struct {
-	Clients            int     `json:"clients"`
-	BatchedRPS         float64 `json:"batched_rps"`
-	UnbatchedRPS       float64 `json:"unbatched_rps"`
-	Speedup            float64 `json:"speedup_batched_vs_unbatched"`
-	CachedUnbatchedRPS float64 `json:"cached_unbatched_rps"`
-	BaselineRPS        float64 `json:"baseline_unbatched_rps,omitempty"`
-	SpeedupVsBaseline  float64 `json:"speedup_cached_vs_baseline,omitempty"`
+	Clients           int     `json:"clients"`
+	UncachedRPS       float64 `json:"uncached_rps"`
+	CachedRPS         float64 `json:"cached_rps"`
+	BaselineRPS       float64 `json:"baseline_uncached_rps,omitempty"`
+	SpeedupVsBaseline float64 `json:"speedup_cached_vs_baseline,omitempty"`
 }
 
-// serveBaselineRPS is the unbatched (cache-off, pre-hot-path) throughput
-// recorded by the serving-subsystem PR on this suite's parameters — the
-// reference the hot-path acceptance criterion (>= 10x unbatched at 16
-// clients) is measured against.
+// serveBaselineRPS is the cache-off, pre-hot-path throughput recorded by
+// the serving-subsystem PR on this suite's parameters — the reference the
+// hot-path acceptance criterion (>= 10x at 16 clients) is measured
+// against.
 var serveBaselineRPS = map[int]float64{
 	1:  777.87,
 	4:  771.53,
@@ -85,16 +77,8 @@ type serveReport struct {
 	Notes      string             `json:"notes"`
 }
 
-// serveCounter reads one graphssl.serve expvar counter.
-func serveCounter(name string) int64 {
-	if v, ok := expvar.Get(name).(*expvar.Int); ok {
-		return v.Value()
-	}
-	return 0
-}
-
 // benchModel builds the served model directly (no quadratic fit at bench
-// time): every point is a labeled anchor, so each unbatched predict scans
+// time): every point is a labeled anchor, so each uncached predict scans
 // all of them.
 func benchModel(p serveParams) *serve.Model {
 	rng := randx.New(97)
@@ -147,7 +131,7 @@ func runServeLoad(base string, client *http.Client, p serveParams, clients int, 
 		}
 	}
 
-	// Warmup (connections, batcher, branch predictors).
+	// Warmup (connections, pools, branch predictors).
 	var budget atomic.Int64
 	budget.Store(int64(p.warmup))
 	var wg sync.WaitGroup
@@ -173,8 +157,6 @@ func runServeLoad(base string, client *http.Client, p serveParams, clients int, 
 	wg.Wait()
 
 	// Timed run.
-	batches0 := serveCounter("graphssl.serve.batches_total")
-	points0 := serveCounter("graphssl.serve.batched_points_total")
 	budget.Store(int64(p.requests))
 	perClient := make([][]float64, clients)
 	start := time.Now()
@@ -196,7 +178,7 @@ func runServeLoad(base string, client *http.Client, p serveParams, clients int, 
 		}
 		return lat[int(p*float64(len(lat)-1))]
 	}
-	m := serveMeasurement{
+	return serveMeasurement{
 		Clients:  clients,
 		Requests: p.requests,
 		Seconds:  elapsed,
@@ -204,12 +186,6 @@ func runServeLoad(base string, client *http.Client, p serveParams, clients int, 
 		P50Us:    q(0.50),
 		P99Us:    q(0.99),
 	}
-	if batches := serveCounter("graphssl.serve.batches_total") - batches0; batches > 0 {
-		points := serveCounter("graphssl.serve.batched_points_total") - points0
-		m.Batches = batches
-		m.BatchOccupancy = float64(points) / float64(batches)
-	}
-	return m
 }
 
 // benchQueries pre-encodes `count` distinct single-point request bodies
@@ -247,29 +223,23 @@ func runServeSuite(out string, p serveParams) {
 			"requests": p.requests, "warmup": p.warmup,
 		},
 		Notes: "Loopback HTTP load test of the serving subsystem: N concurrent " +
-			"clients firing single-point predicts at one hot model. batched=true " +
-			"runs the request-coalescing micro-batcher (64-point flush, adaptive " +
-			"500µs window); batched=false evaluates each request inline through " +
-			"the per-point SIMD scan. cache=true enables the version-keyed " +
-			"prediction cache (the 64 distinct query bodies fit it, so warm " +
-			"traffic is all hits — the steady-state ceiling for hot repeated " +
-			"queries); cache=false measures the compute path itself. Anchors all " +
-			"labeled, so every uncached unbatched predict scans all of them. " +
-			"baseline_unbatched_rps is the pre-hot-path serving PR's measurement " +
-			"on identical parameters.",
+			"clients firing single-point predicts at one hot model; each uncached " +
+			"point is evaluated inline through the tiled SIMD batch kernel. " +
+			"cache=true enables the version-keyed prediction cache (the 64 " +
+			"distinct query bodies fit it, so warm traffic is all hits — the " +
+			"steady-state ceiling for hot repeated queries); cache=false measures " +
+			"the compute path itself. Anchors all labeled, so every uncached " +
+			"predict scans all of them. baseline_uncached_rps is the pre-hot-path " +
+			"serving PR's measurement on identical parameters.",
 	}
 
-	type combo struct{ batched, cache bool }
-	byClients := map[int]map[combo]float64{}
-	for _, cfg := range []combo{{false, false}, {true, false}, {false, true}, {true, true}} {
+	byClients := map[int]map[bool]float64{}
+	for _, cache := range []bool{false, true} {
 		cacheSize := -1 // disabled
-		if cfg.cache {
+		if cache {
 			cacheSize = 8192
 		}
 		srv := serve.NewServer(serve.Config{
-			NoBatch:    !cfg.batched,
-			MaxBatch:   64,
-			BatchDelay: 500 * time.Microsecond,
 			QueueDepth: 1 << 16,
 			Workers:    1,
 			CacheSize:  cacheSize,
@@ -288,14 +258,14 @@ func runServeSuite(out string, p serveParams) {
 
 		for _, clients := range []int{1, 4, 16, 64} {
 			m := runServeLoad(base, client, p, clients, queries)
-			m.Batched, m.Cache = cfg.batched, cfg.cache
+			m.Cache = cache
 			report.Results = append(report.Results, m)
 			if byClients[clients] == nil {
-				byClients[clients] = map[combo]float64{}
+				byClients[clients] = map[bool]float64{}
 			}
-			byClients[clients][cfg] = m.RPS
-			fmt.Printf("serve  clients %2d  batched %-5v  cache %-5v  %8.1f rps  p50 %7.0f µs  p99 %7.0f µs  occupancy %.1f\n",
-				clients, cfg.batched, cfg.cache, m.RPS, m.P50Us, m.P99Us, m.BatchOccupancy)
+			byClients[clients][cache] = m.RPS
+			fmt.Printf("serve  clients %2d  cache %-5v  %8.1f rps  p50 %7.0f µs  p99 %7.0f µs\n",
+				clients, cache, m.RPS, m.P50Us, m.P99Us)
 		}
 		client.CloseIdleConnections()
 		_ = hs.Close()
@@ -304,16 +274,10 @@ func runServeSuite(out string, p serveParams) {
 
 	for _, clients := range []int{1, 4, 16, 64} {
 		rps := byClients[clients]
-		sp := serveSpeedup{
-			Clients:            clients,
-			BatchedRPS:         rps[combo{true, false}],
-			UnbatchedRPS:       rps[combo{false, false}],
-			Speedup:            rps[combo{true, false}] / rps[combo{false, false}],
-			CachedUnbatchedRPS: rps[combo{false, true}],
-		}
+		sp := serveSpeedup{Clients: clients, UncachedRPS: rps[false], CachedRPS: rps[true]}
 		if base := serveBaselineRPS[clients]; base > 0 {
 			sp.BaselineRPS = base
-			sp.SpeedupVsBaseline = sp.CachedUnbatchedRPS / base
+			sp.SpeedupVsBaseline = sp.CachedRPS / base
 		}
 		report.Speedups = append(report.Speedups, sp)
 	}

@@ -1,13 +1,12 @@
 // Command sslserve runs the model-serving HTTP server: fit graph-SSL models
-// over JSON, hot-swap them in a registry, and answer batched out-of-sample
-// predictions.
+// over JSON, hot-swap them in a registry, and answer multi-point
+// out-of-sample predictions.
 //
 // Usage:
 //
-//	sslserve [-addr :8080] [-replicas 1] [-max-batch 64] [-batch-delay 500us]
-//	         [-queue 1024] [-workers 1] [-no-batch]
-//	         [-cache-size 8192] [-model-budget 0] [-max-queue-wait 0]
-//	         [-predict-timeout 10s] [-fit-timeout 120s]
+//	sslserve [-addr :8080] [-replicas 1] [-queue 1024] [-workers 1]
+//	         [-cache-size 8192] [-model-budget 0] [-ingest-queue 4096]
+//	         [-ingest-batch 256] [-fit-timeout 120s] [-drain-timeout 30s]
 //
 // With -replicas n > 1 the process serves a replicated fleet: n registries
 // behind a consistent-hash router, with fits run once on the leader and
@@ -19,14 +18,15 @@
 //	GET    /v1/models         list published models
 //	GET    /v1/models/{name}  describe one model
 //	DELETE /v1/models/{name}  unpublish a model
-//	POST   /v1/predict        batched inductive prediction
+//	POST   /v1/predict        multi-point inductive prediction
+//	POST   /v1/ingest         append points to a streaming model
 //	GET    /healthz           process liveness
 //	GET    /readyz            readiness (503 while draining)
 //	GET    /debug/vars        expvar metrics (graphssl.serve.*)
 //
 // On SIGINT/SIGTERM the server drains gracefully: readiness flips to 503,
-// in-flight requests finish, the batcher completes every admitted job, and
-// only then does the process exit.
+// in-flight requests finish, the streaming ingest workers apply every
+// admitted point, and only then does the process exit.
 package main
 
 import (
@@ -61,39 +61,29 @@ func run(ctx context.Context, args []string, logw io.Writer, ready func(addr str
 	fs := flag.NewFlagSet("sslserve", flag.ContinueOnError)
 	fs.SetOutput(logw)
 	var (
-		addr           = fs.String("addr", ":8080", "listen address")
-		replicas       = fs.Int("replicas", 1, "serving replicas behind the consistent-hash router")
-		maxBatch       = fs.Int("max-batch", 64, "batch flush size in points")
-		batchDelay     = fs.Duration("batch-delay", 500*time.Microsecond, "max wait before a partial batch flushes")
-		queueDepth     = fs.Int("queue", 1024, "admission queue depth in points (excess gets 429)")
-		workers        = fs.Int("workers", 1, "evaluation workers (<=0 = all cores)")
-		noBatch        = fs.Bool("no-batch", false, "disable the micro-batcher (evaluate each request inline)")
-		cacheSize      = fs.Int("cache-size", 8192, "prediction cache entries (negative disables)")
-		modelBudget    = fs.Int("model-budget", 0, "max in-flight uncached points per model (0 = unlimited)")
-		maxQueueWait   = fs.Duration("max-queue-wait", 0, "shed when estimated queue drain exceeds this (0 = predict timeout)")
-		ingestQueue    = fs.Int("ingest-queue", 4096, "max in-flight streaming ingest points per model (excess gets 429)")
-		ingestBatch    = fs.Int("ingest-batch", 256, "points folded per streaming refresh cycle")
-		predictTimeout = fs.Duration("predict-timeout", 10*time.Second, "per-request predict timeout")
-		fitTimeout     = fs.Duration("fit-timeout", 120*time.Second, "per-request fit timeout")
-		drainTimeout   = fs.Duration("drain-timeout", 30*time.Second, "shutdown drain budget")
+		addr         = fs.String("addr", ":8080", "listen address")
+		replicas     = fs.Int("replicas", 1, "serving replicas behind the consistent-hash router")
+		queueDepth   = fs.Int("queue", 1024, "max uncached points under evaluation (excess gets 429)")
+		workers      = fs.Int("workers", 1, "evaluation workers (<=0 = all cores)")
+		cacheSize    = fs.Int("cache-size", 8192, "prediction cache entries (negative disables)")
+		modelBudget  = fs.Int("model-budget", 0, "max in-flight uncached points per model (0 = unlimited)")
+		ingestQueue  = fs.Int("ingest-queue", 4096, "max in-flight streaming ingest points per model (excess gets 429)")
+		ingestBatch  = fs.Int("ingest-batch", 256, "points folded per streaming refresh cycle")
+		fitTimeout   = fs.Duration("fit-timeout", 120*time.Second, "per-request fit timeout")
+		drainTimeout = fs.Duration("drain-timeout", 30*time.Second, "shutdown drain budget")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
 
 	cfg := serve.Config{
-		MaxBatch:       *maxBatch,
-		BatchDelay:     *batchDelay,
-		QueueDepth:     *queueDepth,
-		Workers:        *workers,
-		NoBatch:        *noBatch,
-		CacheSize:      *cacheSize,
-		ModelBudget:    *modelBudget,
-		MaxQueueWait:   *maxQueueWait,
-		IngestQueue:    *ingestQueue,
-		IngestBatch:    *ingestBatch,
-		PredictTimeout: *predictTimeout,
-		FitTimeout:     *fitTimeout,
+		QueueDepth:  *queueDepth,
+		Workers:     *workers,
+		CacheSize:   *cacheSize,
+		ModelBudget: *modelBudget,
+		IngestQueue: *ingestQueue,
+		IngestBatch: *ingestBatch,
+		FitTimeout:  *fitTimeout,
 	}
 	// A single replica serves the plain server; more get the replicated
 	// fleet behind the consistent-hash router. Both share the drain shape.
@@ -132,7 +122,7 @@ func run(ctx context.Context, args []string, logw io.Writer, ready func(addr str
 	}
 
 	// Graceful drain: stop being ready, let in-flight handlers finish,
-	// then drain the batcher so no admitted work is dropped.
+	// then drain the ingest workers so no admitted point is dropped.
 	fmt.Fprintln(logw, "sslserve: draining")
 	drain()
 	sctx, cancel := context.WithTimeout(context.Background(), *drainTimeout)

@@ -13,9 +13,9 @@ import (
 )
 
 // TestServeSmoke boots the server on an ephemeral port, fits a model over
-// HTTP, runs a batched predict, checks readiness, and then drains it the
-// way SIGTERM would (context cancellation), asserting in-flight requests
-// are not dropped.
+// HTTP, runs concurrent multi-point predicts, checks readiness, and then
+// drains it the way SIGTERM would (context cancellation), asserting
+// in-flight requests are not dropped.
 func TestServeSmoke(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
@@ -71,7 +71,7 @@ func TestServeSmoke(t *testing.T) {
 		t.Fatalf("fit: %d %s", resp.StatusCode, fitOut.String())
 	}
 
-	// Batched predict: several clients in flight at once.
+	// Multi-point predicts: several clients in flight at once.
 	var wg sync.WaitGroup
 	for c := 0; c < 8; c++ {
 		wg.Add(1)

@@ -60,11 +60,14 @@
 //
 // # Distributed fits
 //
-// WithDistributed(p) runs label propagation across p in-process partitions.
-// FitDistributed with WithClusterShards(s) shards graph construction and
-// the solve across TCP worker processes, for fits that exceed one machine;
-// the serve package's Fleet replicates the resulting snapshots behind a
-// router.
+// WithClusterShards(s) cuts the hard-criterion solve into s edge-cut-aware
+// shards and runs the sharded PCG engine over in-process workers;
+// FitDistributed runs the same engine across TCP worker processes started
+// with StartClusterWorker. The result is bitwise-identical across shard
+// counts and transports, and a crashed worker's shards are rebound to
+// survivors. The paper's label-propagation iteration (Eq. 5) stays on one
+// machine as WithSolver(SolverPropagation), parallel under WithWorkers. The
+// serve package's Fleet replicates the resulting snapshots behind a router.
 //
 // The experiment harnesses that regenerate the paper's figures live in
 // internal/experiments and are driven by cmd/sslrepro; cmd/perfbench

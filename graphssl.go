@@ -101,7 +101,6 @@ type config struct {
 	maxIter     int
 	precond     Precond         // CG preconditioner; zero value = auto
 	workers     int             // parallel compute layer: 0 = GOMAXPROCS, 1 = serial
-	distributed int             // >0: legacy local Jacobi engine with this many workers
 	clusterSet  bool            // WithCluster was given (addrs may still be invalid)
 	clusterAddr []string        // worker addresses for the sharded PCG engine
 	shards      int             // >0: shard-count override (or in-process fleet size)
@@ -196,20 +195,11 @@ func WithMaxIter(n int) Option {
 // runtime.GOMAXPROCS(0); n == 1 forces the serial path. For any fixed
 // input, the fitted result is bitwise-identical across worker counts.
 //
-// WithWorkers is orthogonal to WithDistributed: the former parallelizes the
-// numerical kernels in-process, the latter partitions the propagation solve
-// across the cluster engine's workers.
+// WithWorkers is orthogonal to WithCluster and WithClusterShards: the former
+// parallelizes the numerical kernels in-process, the latter partition the
+// hard-criterion solve across the cluster engine's workers.
 func WithWorkers(n int) Option {
 	return optionFunc(func(c *config) { c.workers = n })
-}
-
-// WithDistributed solves the hard criterion with the block-partitioned
-// local Jacobi propagation engine using the given worker count. Only valid
-// with λ = 0. New code should prefer WithCluster or WithClusterShards, the
-// sharded PCG engine with fault recovery; WithDistributed is kept for the
-// historical in-process path.
-func WithDistributed(workers int) Option {
-	return optionFunc(func(c *config) { c.distributed = workers })
 }
 
 // WithCluster solves the hard criterion on a fleet of cluster workers (see
@@ -257,8 +247,8 @@ func withClusterDialer(d cluster.Dialer) Option {
 // tol = 0 (the default) disables the engine entirely: every fitted score
 // is bitwise-identical to a fit without this option. tol must be ≥ 0 and
 // finite. The engine applies to the hard criterion (λ = 0) on
-// single-machine fits; combining WithApprox with WithLambda(>0),
-// WithDistributed, or the cluster options is an error.
+// single-machine fits; combining WithApprox with WithLambda(>0) or the
+// cluster options is an error.
 func WithApprox(tol float64) Option {
 	return optionFunc(func(c *config) { c.approxTol = tol })
 }
@@ -398,10 +388,10 @@ func (r *Result) Snapshot(x [][]float64, y []float64) (*ModelSnapshot, error) {
 		return nil, fmt.Errorf("graphssl: zero-dimensional snapshot inputs: %w", ErrParam)
 	}
 	snap := &ModelSnapshot{
-		X:         make([][]float64, len(x)),
-		Y:         append([]float64(nil), y...),
-		Labeled:   append([]int(nil), r.Labeled...),
-		Scores:    append([]float64(nil), r.Scores...),
+		X:           make([][]float64, len(x)),
+		Y:           append([]float64(nil), y...),
+		Labeled:     append([]int(nil), r.Labeled...),
+		Scores:      append([]float64(nil), r.Scores...),
 		Kernel:      r.Kernel,
 		Bandwidth:   r.Bandwidth,
 		KNN:         r.KNN,
@@ -455,7 +445,7 @@ func fit(x [][]float64, y []float64, labeled []int, opts []Option) (*Result, *Re
 	var sol *core.Solution
 	var approxInfo *ApproxInfo
 	solveStart := time.Now()
-	if cfg.distributed > 0 || cfg.clusterSet || cfg.shards != 0 {
+	if cfg.clusterSet || cfg.shards != 0 {
 		sol, err = solveDistributed(p, cfg, x, y)
 		if err != nil {
 			return nil, cfg.report, err
@@ -606,16 +596,12 @@ func solveApprox(p *core.Problem, cfg config, x [][]float64, y []float64, bw flo
 	}, info, nil
 }
 
-// solveDistributed routes the hard criterion through one of the two
-// cluster engines: the legacy in-process Jacobi sweep (WithDistributed) or
-// the sharded, fault-tolerant PCG coordinator (WithCluster /
-// WithClusterShards). The returned solution carries the full score vector.
+// solveDistributed routes the hard criterion through the sharded,
+// fault-tolerant PCG coordinator (WithCluster / WithClusterShards). The
+// returned solution carries the full score vector.
 func solveDistributed(p *core.Problem, cfg config, x [][]float64, y []float64) (*core.Solution, error) {
 	if cfg.lambda != 0 {
 		return nil, fmt.Errorf("graphssl: distributed propagation requires λ=0: %w", ErrParam)
-	}
-	if cfg.distributed > 0 && (cfg.clusterSet || cfg.shards != 0) {
-		return nil, fmt.Errorf("graphssl: WithDistributed and the cluster options are mutually exclusive: %w", ErrParam)
 	}
 	if cfg.clusterSet && len(cfg.clusterAddr) == 0 {
 		return nil, fmt.Errorf("graphssl: WithCluster needs at least one worker address: %w", ErrParam)
@@ -630,59 +616,41 @@ func solveDistributed(p *core.Problem, cfg config, x [][]float64, y []float64) (
 	if err != nil {
 		return nil, translateCoreErr(err)
 	}
-	var sol *core.Solution
-	if cfg.distributed > 0 {
-		fu, res, err := cluster.SolveLocal(sys, cluster.LocalOptions{
-			Workers:       cfg.distributed,
-			Tol:           cfg.tol,
-			MaxSupersteps: cfg.maxIter,
+	addrs := cfg.clusterAddr
+	dialer := cfg.dialer
+	if len(addrs) == 0 {
+		// WithClusterShards alone: an in-process fleet with one logical
+		// worker per shard.
+		addrs = make([]string, cfg.shards)
+		for i := range addrs {
+			addrs[i] = fmt.Sprintf("inproc-%d", i)
+		}
+		if dialer == nil {
+			dialer = cluster.InProcessDialer()
+		}
+	}
+	fu, res, err := cluster.SolvePCG(sys, addrs, cluster.PCGOptions{
+		Shards:  cfg.shards,
+		Tol:     cfg.tol,
+		MaxIter: cfg.maxIter,
+		Dialer:  dialer,
+	})
+	if err != nil {
+		return nil, fmt.Errorf("graphssl: cluster solve: %w", err)
+	}
+	sol := &core.Solution{
+		FUnlabeled: fu,
+		Method:     SolverCluster,
+		Iterations: res.Iterations,
+		Residual:   res.Residual,
+	}
+	if r := cfg.report; r != nil && (res.Restarts > 0 || res.Rebinds > 0) {
+		r.Fallbacks = append(r.Fallbacks, Fallback{
+			From: SolverCluster,
+			To:   SolverCluster,
+			Reason: fmt.Sprintf("recovered from worker failure: %d restart(s), %d shard rebind(s)",
+				res.Restarts, res.Rebinds),
 		})
-		if err != nil {
-			return nil, fmt.Errorf("graphssl: distributed solve: %w", err)
-		}
-		sol = &core.Solution{
-			FUnlabeled: fu,
-			Method:     SolverPropagation,
-			Iterations: res.Supersteps,
-			Residual:   res.MaxDelta,
-		}
-	} else {
-		addrs := cfg.clusterAddr
-		dialer := cfg.dialer
-		if len(addrs) == 0 {
-			// WithClusterShards alone: an in-process fleet with one logical
-			// worker per shard.
-			addrs = make([]string, cfg.shards)
-			for i := range addrs {
-				addrs[i] = fmt.Sprintf("inproc-%d", i)
-			}
-			if dialer == nil {
-				dialer = cluster.InProcessDialer()
-			}
-		}
-		fu, res, err := cluster.SolvePCG(sys, addrs, cluster.PCGOptions{
-			Shards:  cfg.shards,
-			Tol:     cfg.tol,
-			MaxIter: cfg.maxIter,
-			Dialer:  dialer,
-		})
-		if err != nil {
-			return nil, fmt.Errorf("graphssl: cluster solve: %w", err)
-		}
-		sol = &core.Solution{
-			FUnlabeled: fu,
-			Method:     SolverCluster,
-			Iterations: res.Iterations,
-			Residual:   res.Residual,
-		}
-		if r := cfg.report; r != nil && (res.Restarts > 0 || res.Rebinds > 0) {
-			r.Fallbacks = append(r.Fallbacks, Fallback{
-				From: SolverCluster,
-				To:   SolverCluster,
-				Reason: fmt.Sprintf("recovered from worker failure: %d restart(s), %d shard rebind(s)",
-					res.Restarts, res.Rebinds),
-			})
-		}
 	}
 	full := make([]float64, len(x))
 	for i, l := range p.Labeled() {
@@ -704,8 +672,9 @@ func FitDistributed(x [][]float64, y []float64, labeled []int, addrs []string, o
 }
 
 // ClusterWorker is a running distributed-fit worker: a propagation service
-// listening on a TCP address, serving shard setup, superstep, and gather
-// RPCs for FitDistributed coordinators. Close is graceful and idempotent.
+// listening on a TCP address, serving the shard bind, PCG iteration, and
+// gather RPCs for FitDistributed coordinators. Close is graceful and
+// idempotent.
 type ClusterWorker = cluster.Worker
 
 // StartClusterWorker starts a cluster worker listening on addr
@@ -814,8 +783,8 @@ func prepare(x [][]float64, y []float64, labeled []int, opts []Option) (*core.Pr
 		if cfg.lambda != 0 {
 			return nil, cfg, 0, nil, fmt.Errorf("graphssl: WithApprox requires the hard criterion (λ=0), got λ=%v: %w", cfg.lambda, ErrParam)
 		}
-		if cfg.distributed > 0 || cfg.clusterSet || cfg.shards != 0 {
-			return nil, cfg, 0, nil, fmt.Errorf("graphssl: WithApprox and the distributed/cluster options are mutually exclusive: %w", ErrParam)
+		if cfg.clusterSet || cfg.shards != 0 {
+			return nil, cfg, 0, nil, fmt.Errorf("graphssl: WithApprox and the cluster options are mutually exclusive: %w", ErrParam)
 		}
 	}
 

@@ -5,6 +5,7 @@ import (
 	"math"
 	"testing"
 
+	"repro/internal/cluster"
 	"repro/internal/randx"
 	"repro/internal/stats"
 )
@@ -164,11 +165,12 @@ func TestFitDistributed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Fit(x, y, nil, WithDistributed(3), WithTolerance(1e-12))
+	res, err := FitDistributed(x, y, nil, []string{"w0", "w1", "w2"},
+		withClusterDialer(cluster.InProcessDialer()), WithTolerance(1e-12))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Solver != SolverPropagation || res.Iterations <= 0 {
+	if res.Solver != SolverCluster || res.Iterations <= 0 {
 		t.Fatalf("distributed metadata wrong: %+v", res)
 	}
 	for i := range ref.UnlabeledScores {
@@ -186,7 +188,8 @@ func TestFitDistributed(t *testing.T) {
 
 func TestFitDistributedRejectsSoft(t *testing.T) {
 	x, y := twoClusters(15, 10, 4)
-	if _, err := Fit(x, y, nil, WithDistributed(2), WithLambda(1)); !errors.Is(err, ErrParam) {
+	if _, err := FitDistributed(x, y, nil, []string{"w0", "w1"},
+		withClusterDialer(cluster.InProcessDialer()), WithLambda(1)); !errors.Is(err, ErrParam) {
 		t.Fatalf("want ErrParam, got %v", err)
 	}
 }

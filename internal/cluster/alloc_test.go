@@ -2,89 +2,62 @@ package cluster
 
 import "testing"
 
-// TestZeroAllocSuperstep gates the warm superstep loop: once the pooled
-// args, replies, and runner sessions are primed, a full halo-exchange
-// superstep (fill halos, dispatch the round, fold the replies) must not
-// allocate. Measured over the direct in-process transport — net/rpc's gob
-// codec allocates by design, so the TCP path is exercised for correctness
-// elsewhere while this pins the coordinator and worker hot paths.
+// TestZeroAllocSuperstep gates the warm distributed PCG iteration: once the
+// pooled args, replies, and runner sessions are primed, one iteration — the
+// Mul round (direction update, halo fill, pᵀAp fold) and the Update round
+// (step, re-precondition, reduction fold) — must not allocate. Measured over
+// the direct in-process transport: net/rpc's gob codec allocates by design,
+// so the TCP path is exercised for correctness elsewhere while this pins the
+// coordinator and worker hot paths.
 func TestZeroAllocSuperstep(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are meaningless under the race detector")
 	}
 	_, sys := testSystem(t, 81, 48, 12)
-	plan, err := NewPlan(sys.W, 2, true)
+	addrs := []string{"za0", "za1"}
+	opts := PCGOptions{Dialer: InProcessDialer()}
+	opts.fill(len(addrs))
+	plan, err := NewPlan(sys.W, opts.Shards, true)
 	if err != nil {
 		t.Fatal(err)
 	}
-	addrs := []string{"za0", "za1"}
-	p := newPool(addrs, InProcessDialer())
-	defer p.close()
-
-	n := len(plan.Shards)
-	done := make(chan *pcall, n)
-	calls := make([]*pcall, n)
-	for s := range plan.Shards {
-		blk := extractShard(sys, plan, s, false)
-		sh := &plan.Shards[s]
-		calls[s] = &pcall{
-			method: "Propagation.Setup",
-			args: &SetupArgs{
-				Shard: s, Epoch: 1, Lo: sh.Lo, Hi: sh.Hi, M: plan.M,
-				D: blk.d, B: blk.b, RowPtr: blk.rowptr, Cols: blk.cols, Vals: blk.vals,
-				Halo: sh.Halo,
-			},
-			reply: &SetupReply{},
-			shard: s,
-			addr:  addrs[s%len(addrs)],
-		}
+	co := &pcgCoord{sys: sys, plan: plan, opts: opts, pool: newPool(addrs, opts.Dialer), epoch: 1}
+	defer co.pool.close()
+	co.init(addrs)
+	if err := co.bind([]bool{true, true}); err != nil {
+		t.Fatal(err)
 	}
-	if fails := p.round(calls, done, 0); len(fails) > 0 {
-		t.Fatalf("setup failed: %v", fails[0].err)
+	x0 := make([]float64, plan.M)
+	if err := co.start(x0); err != nil {
+		t.Fatal(err)
 	}
 
-	f := make([]float64, plan.M)
-	stepArgs := make([]*StepArgs, n)
-	stepReplies := make([]*StepReply, n)
-	for s := range plan.Shards {
-		stepArgs[s] = &StepArgs{Shard: s, Epoch: 1, Halo: make([]float64, len(plan.Shards[s].Halo))}
-		stepReplies[s] = &StepReply{}
-		calls[s].method = "Propagation.Step"
-		calls[s].args = stepArgs[s]
-		calls[s].reply = stepReplies[s]
-	}
-	seq := int64(0)
-	failed := false
+	var stepErr error
 	superstep := func() {
-		seq++
-		for s := range plan.Shards {
-			a := stepArgs[s]
-			a.Seq = seq
-			for k, h := range plan.Shards[s].Halo {
-				a.Halo[k] = f[h]
-			}
-		}
-		if fails := p.round(calls, done, 0); len(fails) > 0 {
-			failed = true
+		if stepErr != nil {
 			return
 		}
-		for s := range plan.Shards {
-			sh := &plan.Shards[s]
-			copy(f[sh.Lo:sh.Hi], stepReplies[s].Values)
+		if co.converged() {
+			// Restart from zero so every measured round runs a live Krylov
+			// recurrence rather than iterating at the rounding floor.
+			if stepErr = co.start(x0); stepErr != nil {
+				return
+			}
 		}
+		stepErr = co.iterate(co.seq == 0)
 	}
 	// Prime reply capacities and runner sessions.
 	for i := 0; i < 5; i++ {
 		superstep()
 	}
-	if failed {
-		t.Fatal("warm-up superstep failed")
+	if stepErr != nil {
+		t.Fatalf("warm-up iteration failed: %v", stepErr)
 	}
 	avg := testing.AllocsPerRun(200, superstep)
-	if failed {
-		t.Fatal("measured superstep failed")
+	if stepErr != nil {
+		t.Fatalf("measured iteration failed: %v", stepErr)
 	}
 	if avg != 0 {
-		t.Fatalf("warm superstep allocates %.1f objects/op, want 0", avg)
+		t.Fatalf("warm PCG iteration allocates %.1f objects/op, want 0", avg)
 	}
 }

@@ -205,39 +205,27 @@ func TestDuplicateDeliveryBitwise(t *testing.T) {
 	}
 }
 
-// TestJacobiWorkerCrashTyped pins the fail-fast engine: a crashed worker
-// surfaces as ErrWorker, and duplicated deliveries leave the answer
-// bitwise-unchanged.
-func TestJacobiWorkerCrashTyped(t *testing.T) {
+// TestCrashWithoutRecoveryTyped pins the fail-fast configuration: with
+// recovery off (MaxRestarts < 0) a crashed worker surfaces as ErrWorker on
+// the first failure — no rebind, and never a solution.
+func TestCrashWithoutRecoveryTyped(t *testing.T) {
 	_, sys := buildSystem(t, 71, 40, 10)
-	ffree, _, err := cluster.SolveRPC(sys, addrs(2), cluster.RPCOptions{
-		Tol:    1e-12,
-		Dialer: cluster.InProcessDialer(),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	crash := func(addr, method string, n int) chaostest.Fault {
 		if addr == "w1" && n == 3 {
 			return chaostest.Close
 		}
 		return chaostest.None
 	}
-	if _, _, err := cluster.SolveRPC(sys, addrs(2), cluster.RPCOptions{
-		Tol:    1e-12,
-		Dialer: chaostest.Dialer(cluster.InProcessDialer(), crash, 0),
-	}); !errors.Is(err, cluster.ErrWorker) {
+	opts := chaosOpts(chaostest.Dialer(cluster.InProcessDialer(), crash, 0))
+	opts.MaxRestarts = -1
+	f, res, err := cluster.SolvePCG(sys, addrs(2), opts)
+	if !errors.Is(err, cluster.ErrWorker) {
 		t.Fatalf("want ErrWorker, got %v", err)
 	}
-	dup := func(addr, method string, n int) chaostest.Fault { return chaostest.Duplicate }
-	fdup, _, err := cluster.SolveRPC(sys, addrs(2), cluster.RPCOptions{
-		Tol:    1e-12,
-		Dialer: chaostest.Dialer(cluster.InProcessDialer(), dup, 0),
-	})
-	if err != nil {
-		t.Fatal(err)
+	if f != nil {
+		t.Fatal("failed solve must not return a solution")
 	}
-	if !mat.VecEqual(fdup, ffree, 0) {
-		t.Fatal("duplicated delivery changed the Jacobi solution")
+	if res.Restarts != 0 || res.Rebinds != 0 {
+		t.Fatalf("recovery ran with MaxRestarts < 0: %+v", res)
 	}
 }

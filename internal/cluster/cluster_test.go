@@ -51,50 +51,6 @@ func testSystem(t *testing.T, seed int64, nTotal, nLabeled int) (*core.Problem, 
 	return p, sys
 }
 
-func TestPartition(t *testing.T) {
-	blocks, err := Partition(10, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(blocks) != 3 {
-		t.Fatalf("blocks = %v", blocks)
-	}
-	total := 0
-	prevHi := 0
-	for _, b := range blocks {
-		if b.Lo != prevHi {
-			t.Fatalf("blocks not contiguous: %v", blocks)
-		}
-		if b.Len() < 3 || b.Len() > 4 {
-			t.Fatalf("unbalanced block %v", b)
-		}
-		total += b.Len()
-		prevHi = b.Hi
-	}
-	if total != 10 {
-		t.Fatalf("blocks cover %d, want 10", total)
-	}
-}
-
-func TestPartitionClampsWorkers(t *testing.T) {
-	blocks, err := Partition(2, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(blocks) != 2 {
-		t.Fatalf("want 2 blocks, got %d", len(blocks))
-	}
-}
-
-func TestPartitionErrors(t *testing.T) {
-	if _, err := Partition(0, 1); !errors.Is(err, ErrParam) {
-		t.Fatal("m=0 must error")
-	}
-	if _, err := Partition(5, 0); !errors.Is(err, ErrParam) {
-		t.Fatal("p=0 must error")
-	}
-}
-
 func TestBuildPropagationSystem(t *testing.T) {
 	p, sys := testSystem(t, 1, 12, 5)
 	if sys.M() != p.M() {
@@ -110,56 +66,16 @@ func TestBuildPropagationSystem(t *testing.T) {
 	}
 }
 
-func TestSolveLocalMatchesSerial(t *testing.T) {
-	p, sys := testSystem(t, 3, 30, 10)
-	want, err := core.SolveHard(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, workers := range []int{1, 2, 5, 16} {
-		f, res, err := SolveLocal(sys, LocalOptions{Workers: workers, Tol: 1e-12})
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		if !mat.VecEqual(f, want.FUnlabeled, 1e-8) {
-			t.Fatalf("workers=%d: distributed result differs from serial", workers)
-		}
-		if res.Supersteps <= 0 {
-			t.Fatal("supersteps not reported")
-		}
-	}
-}
-
-func TestSolveLocalDeterministicAcrossWorkerCounts(t *testing.T) {
-	_, sys := testSystem(t, 5, 25, 8)
-	f1, r1, err := SolveLocal(sys, LocalOptions{Workers: 1, Tol: 1e-12})
-	if err != nil {
-		t.Fatal(err)
-	}
-	f4, r4, err := SolveLocal(sys, LocalOptions{Workers: 4, Tol: 1e-12})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Jacobi schedule ⇒ bitwise identical iterates and identical superstep
-	// counts regardless of the worker count.
-	if r1.Supersteps != r4.Supersteps {
-		t.Fatalf("superstep counts differ: %d vs %d", r1.Supersteps, r4.Supersteps)
-	}
-	if !mat.VecEqual(f1, f4, 0) {
-		t.Fatal("results not bitwise identical across worker counts")
-	}
-}
-
-func TestSolveLocalValidation(t *testing.T) {
-	if _, _, err := SolveLocal(nil, LocalOptions{}); !errors.Is(err, ErrParam) {
-		t.Fatal("nil system must error")
-	}
-}
-
-func TestSolveLocalMaxSuperstepsExceeded(t *testing.T) {
+// TestSolvePCGMaxIterExceeded checks that an exhausted iteration budget
+// fails with ErrNotConverged rather than returning an unconverged iterate.
+func TestSolvePCGMaxIterExceeded(t *testing.T) {
 	_, sys := testSystem(t, 7, 40, 2)
-	if _, _, err := SolveLocal(sys, LocalOptions{Tol: 1e-14, MaxSupersteps: 2}); !errors.Is(err, ErrNotConverged) {
+	f, _, err := SolvePCG(sys, []string{"a", "b"}, PCGOptions{Tol: 1e-14, MaxIter: 2, Dialer: InProcessDialer()})
+	if !errors.Is(err, ErrNotConverged) {
 		t.Fatalf("want ErrNotConverged, got %v", err)
+	}
+	if f != nil {
+		t.Fatal("unconverged solve must not return a solution")
 	}
 }
 
@@ -185,70 +101,10 @@ func TestResidualAtSolution(t *testing.T) {
 	}
 }
 
-func TestSolveRPCMatchesSerial(t *testing.T) {
-	p, sys := testSystem(t, 11, 24, 8)
-	want, err := core.SolveHard(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Three real TCP workers on ephemeral localhost ports.
-	var addrs []string
-	for i := 0; i < 3; i++ {
-		w, err := StartWorker("127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer func() {
-			if err := w.Close(); err != nil {
-				t.Errorf("close worker: %v", err)
-			}
-		}()
-		addrs = append(addrs, w.Addr())
-	}
-	f, res, err := SolveRPC(sys, addrs, RPCOptions{Tol: 1e-12})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !mat.VecEqual(f, want.FUnlabeled, 1e-8) {
-		t.Fatal("RPC result differs from serial solve")
-	}
-	if res.Workers != 3 || res.Supersteps <= 0 {
-		t.Fatalf("result metadata wrong: %+v", res)
-	}
-}
-
-func TestSolveRPCAgreesWithLocal(t *testing.T) {
-	_, sys := testSystem(t, 13, 18, 6)
-	w, err := StartWorker("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer w.Close()
-	// With the identity ordering the halo-exchange engine runs the exact
-	// arithmetic of the serial Jacobi sweep: bitwise equality.
-	fr, _, err := SolveRPC(sys, []string{w.Addr()}, RPCOptions{Tol: 1e-12, NoRCM: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	fl, _, err := SolveLocal(sys, LocalOptions{Workers: 1, Tol: 1e-12})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !mat.VecEqual(fr, fl, 0) {
-		t.Fatal("RPC and local engines must agree bitwise (same schedule)")
-	}
-	// With RCM the summation order changes, so agreement is to tolerance.
-	frcm, _, err := SolveRPC(sys, []string{w.Addr()}, RPCOptions{Tol: 1e-12})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !mat.VecEqual(frcm, fl, 1e-8) {
-		t.Fatal("RCM-ordered RPC solve differs from local beyond tolerance")
-	}
-}
-
-func TestSolveRPCWorkerReuse(t *testing.T) {
-	// One worker pool must be reusable across problems (Setup rebinds).
+// TestSolvePCGWorkerReuse checks that one worker serves consecutive solves
+// of different problems: each solve's Bind replaces the shard's previous
+// block.
+func TestSolvePCGWorkerReuse(t *testing.T) {
 	w, err := StartWorker("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -260,7 +116,7 @@ func TestSolveRPCWorkerReuse(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		f, _, err := SolveRPC(sys, []string{w.Addr()}, RPCOptions{Tol: 1e-12})
+		f, _, err := SolvePCG(sys, []string{w.Addr()}, PCGOptions{Tol: 1e-12})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -270,7 +126,9 @@ func TestSolveRPCWorkerReuse(t *testing.T) {
 	}
 }
 
-func TestSolveRPCDialFailure(t *testing.T) {
+// TestSolvePCGDialFailure checks that an unreachable worker fails the solve
+// with ErrWorker once no worker is left to rebind its shard to.
+func TestSolvePCGDialFailure(t *testing.T) {
 	_, sys := testSystem(t, 15, 10, 4)
 	// Reserve a port and close it so the dial fails fast.
 	w, err := StartWorker("127.0.0.1:0")
@@ -281,15 +139,15 @@ func TestSolveRPCDialFailure(t *testing.T) {
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := SolveRPC(sys, []string{addr}, RPCOptions{}); !errors.Is(err, ErrWorker) {
+	if _, _, err := SolvePCG(sys, []string{addr}, PCGOptions{}); !errors.Is(err, ErrWorker) {
 		t.Fatalf("want ErrWorker, got %v", err)
 	}
 }
 
 func TestWorkerFailureMidSession(t *testing.T) {
 	// A worker dying between calls must surface as an RPC error on the
-	// next call over the same connection — the failure SolveRPC reports as
-	// ErrWorker.
+	// next call over the same connection — the failure SolvePCG absorbs by
+	// rebinding, or reports as ErrWorker once its restarts are spent.
 	_, sys := testSystem(t, 19, 12, 4)
 	w, err := StartWorker("127.0.0.1:0")
 	if err != nil {
@@ -304,37 +162,27 @@ func TestWorkerFailureMidSession(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	blk := extractShard(sys, plan, 0, false)
+	blk := extractShard(sys, plan, 0)
 	sh := &plan.Shards[0]
-	args := &SetupArgs{
-		Shard: 0, Epoch: 1, Lo: sh.Lo, Hi: sh.Hi, M: plan.M,
-		D: blk.d, B: blk.b, RowPtr: blk.rowptr, Cols: blk.cols, Vals: blk.vals, Halo: sh.Halo,
+	args := &BindArgs{
+		Shard: 0, Epoch: 1, Lo: sh.Lo, Hi: sh.Hi, M: plan.M, Quantum: plan.Quantum,
+		RowPtr: blk.rowptr, Cols: blk.cols, Vals: blk.vals, B: blk.b, Halo: sh.Halo, Boundary: sh.Boundary,
 	}
-	if err := client.Call("Propagation.Setup", args, &SetupReply{}); err != nil {
+	if err := client.Call("Propagation.Bind", args, &BindReply{}); err != nil {
 		t.Fatal(err)
 	}
-	var reply StepReply
-	step := &StepArgs{Shard: 0, Epoch: 1, Seq: 1}
-	if err := client.Call("Propagation.Step", step, &reply); err != nil {
-		t.Fatalf("healthy step failed: %v", err)
+	var reply ReduceReply
+	start := &StartArgs{Shard: 0, Epoch: 1, X0: make([]float64, sh.Len())}
+	if err := client.Call("Propagation.Start", start, &reply); err != nil {
+		t.Fatalf("healthy start failed: %v", err)
 	}
 	// Kill the worker, including the live session.
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
-	step.Seq = 2
-	if err := client.Call("Propagation.Step", step, &reply); err == nil {
-		t.Fatal("step after worker death must error")
-	}
-}
-
-func TestSolveRPCValidation(t *testing.T) {
-	_, sys := testSystem(t, 17, 10, 4)
-	if _, _, err := SolveRPC(nil, []string{"x"}, RPCOptions{}); !errors.Is(err, ErrParam) {
-		t.Fatal("nil system must error")
-	}
-	if _, _, err := SolveRPC(sys, nil, RPCOptions{}); !errors.Is(err, ErrParam) {
-		t.Fatal("no workers must error")
+	var mul MulReply
+	if err := client.Call("Propagation.Mul", &MulArgs{Shard: 0, Epoch: 1, Seq: 1}, &mul); err == nil {
+		t.Fatal("mul after worker death must error")
 	}
 }
 
@@ -355,7 +203,7 @@ func TestWorkerNoGoroutineLeak(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, _, err := SolveRPC(sys, []string{w.Addr()}, RPCOptions{Tol: 1e-8}); err != nil {
+		if _, _, err := SolvePCG(sys, []string{w.Addr()}, PCGOptions{Tol: 1e-8}); err != nil {
 			t.Fatal(err)
 		}
 		if err := w.Close(); err != nil {
@@ -369,63 +217,45 @@ func TestWorkerNoGoroutineLeak(t *testing.T) {
 	}
 }
 
+// TestWorkerServiceValidation feeds Bind malformed blocks: every shape,
+// index, and ordering defect a coordinator (or a corrupted payload) could
+// ship is rejected with ErrParam before anything is installed.
 func TestWorkerServiceValidation(t *testing.T) {
 	svc := NewWorkerService()
-	var reply StepReply
-	if err := svc.Step(&StepArgs{Shard: 0, Epoch: 1, Seq: 1}, &reply); !errors.Is(err, ErrParam) {
-		t.Fatal("step before setup must error")
+	good := func() *BindArgs {
+		return &BindArgs{
+			Shard: 0, Epoch: 1, Lo: 0, Hi: 2, M: 4, Quantum: 2,
+			RowPtr: []int{0, 2, 3}, Cols: []int{0, 2, 1}, Vals: []float64{2, -1, 2},
+			B: []float64{1, 1}, Halo: []int{3}, Boundary: []int{1},
+		}
 	}
-	bad := &SetupArgs{Lo: 2, Hi: 1, M: 5}
-	if err := svc.Setup(bad, &SetupReply{}); !errors.Is(err, ErrParam) {
-		t.Fatal("inverted block must error")
+	cases := map[string]func(a *BindArgs){
+		"block past m":        func(a *BindArgs) { a.Hi = 5 },
+		"negative lo":         func(a *BindArgs) { a.Lo = -2 },
+		"short rhs":           func(a *BindArgs) { a.B = a.B[:1] },
+		"rowptr length":       func(a *BindArgs) { a.RowPtr = []int{0, 3} },
+		"rowptr not at zero":  func(a *BindArgs) { a.RowPtr = []int{1, 2, 3} },
+		"rowptr decreasing":   func(a *BindArgs) { a.RowPtr = []int{0, 4, 3} },
+		"cols/vals mismatch":  func(a *BindArgs) { a.Vals = a.Vals[:2] },
+		"column out of range": func(a *BindArgs) { a.Cols = []int{0, 7, 1} },
+		"halo inside block":   func(a *BindArgs) { a.Halo = []int{1} },
+		"halo out of range":   func(a *BindArgs) { a.Halo = []int{4} },
+		"halo not ascending":  func(a *BindArgs) { a.Halo = []int{3, 2}; a.Cols = []int{0, 3, 1} },
+		"boundary outside":    func(a *BindArgs) { a.Boundary = []int{2} },
+		"boundary unsorted":   func(a *BindArgs) { a.Boundary = []int{1, 0} },
 	}
-	badLen := &SetupArgs{Lo: 0, Hi: 2, M: 5, D: []float64{1}, B: []float64{1, 2}, RowPtr: []int{0, 0, 0}}
-	if err := svc.Setup(badLen, &SetupReply{}); !errors.Is(err, ErrParam) {
-		t.Fatal("inconsistent lengths must error")
+	for name, mutate := range cases {
+		a := good()
+		mutate(a)
+		if err := svc.Bind(a, &BindReply{}); !errors.Is(err, ErrParam) {
+			t.Errorf("%s: got %v, want ErrParam", name, err)
+		}
 	}
-	badDeg := &SetupArgs{Lo: 0, Hi: 1, M: 5, D: []float64{0}, B: []float64{1}, RowPtr: []int{0, 0}}
-	if err := svc.Setup(badDeg, &SetupReply{}); !errors.Is(err, ErrParam) {
-		t.Fatal("zero degree must error")
+	if err := svc.Bind(good(), &BindReply{}); err != nil {
+		t.Fatalf("well-formed block rejected: %v", err)
 	}
-	badCSR := &SetupArgs{Lo: 0, Hi: 1, M: 5, D: []float64{1}, B: []float64{1}, RowPtr: []int{0, 1}, Cols: []int{7}, Vals: []float64{1}}
-	if err := svc.Setup(badCSR, &SetupReply{}); !errors.Is(err, ErrParam) {
-		t.Fatal("out-of-range local column must error")
-	}
-	badHalo := &SetupArgs{Lo: 0, Hi: 1, M: 5, D: []float64{1}, B: []float64{1}, RowPtr: []int{0, 0}, Halo: []int{0}}
-	if err := svc.Setup(badHalo, &SetupReply{}); !errors.Is(err, ErrParam) {
-		t.Fatal("halo index inside the block must error")
-	}
-	good := &SetupArgs{Shard: 0, Epoch: 5, Lo: 0, Hi: 1, M: 2, D: []float64{1}, B: []float64{1}, RowPtr: []int{0, 0}}
-	if err := svc.Setup(good, &SetupReply{}); err != nil {
-		t.Fatal(err)
-	}
-	// A stale rebind (older epoch) must be fenced off.
-	stale := *good
-	stale.Epoch = 3
-	if err := svc.Setup(&stale, &SetupReply{}); !errors.Is(err, ErrStale) {
-		t.Fatalf("stale rebind: got %v", err)
-	}
-	if err := svc.Step(&StepArgs{Shard: 0, Epoch: 4, Seq: 1}, &reply); !errors.Is(err, ErrStale) {
-		t.Fatal("step at an old epoch must be stale")
-	}
-	if err := svc.Step(&StepArgs{Shard: 0, Epoch: 5, Seq: 1, Halo: []float64{9}}, &reply); !errors.Is(err, ErrParam) {
-		t.Fatal("wrong halo length must error")
-	}
-	if err := svc.Step(&StepArgs{Shard: 0, Epoch: 5, Seq: 3}, &reply); !errors.Is(err, ErrStale) {
-		t.Fatal("out-of-order seq must be stale")
-	}
-	if err := svc.Step(&StepArgs{Shard: 0, Epoch: 5, Seq: 1}, &reply); err != nil {
-		t.Fatal(err)
-	}
-	if reply.Values[0] != 1 { // (B + 0)/D = 1
-		t.Fatalf("step value = %v, want 1", reply.Values[0])
-	}
-	// Duplicate delivery of the same step replays the cached reply.
-	var dup StepReply
-	if err := svc.Step(&StepArgs{Shard: 0, Epoch: 5, Seq: 1}, &dup); err != nil {
-		t.Fatal(err)
-	}
-	if dup.Values[0] != reply.Values[0] || dup.MaxDelta != reply.MaxDelta {
-		t.Fatal("duplicate step reply differs from original")
+	var gat GatherReply
+	if err := svc.Gather(&GatherArgs{Shard: 0, Epoch: 1}, &gat); err != nil || len(gat.X) != 2 {
+		t.Fatalf("gather after bind: %v %v", gat.X, err)
 	}
 }

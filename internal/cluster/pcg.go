@@ -243,44 +243,7 @@ func (co *pcgCoord) run(x0 []float64, needBind []bool) ([]float64, error) {
 			return nil, fmt.Errorf("cluster: pcg exhausted %d iterations (‖r‖/‖b‖ = %.3e): %w",
 				co.opts.MaxIter, co.relres(), ErrNotConverged)
 		}
-		var beta float64
-		if iterInRun > 0 {
-			beta = co.rho / co.rhoPrev
-		}
-		for _, g := range co.bset {
-			co.pB[g] = co.zB[g] + beta*co.pB[g]
-		}
-		co.seq++
-		for s := range co.plan.Shards {
-			a := co.mulArgs[s]
-			a.Epoch, a.Seq, a.Beta = co.epoch, co.seq, beta
-			for k, h := range co.plan.Shards[s].Halo {
-				a.Halo[k] = co.pB[h]
-			}
-			co.setCall(s, "Propagation.Mul", a, co.mulReplies[s])
-		}
-		if fails := co.pool.round(co.calls, co.done, co.opts.StepTimeout); len(fails) > 0 {
-			return nil, roundFailErr("mul", fails)
-		}
-		pi, err := co.foldPi()
-		if err != nil {
-			return nil, err
-		}
-		if pi <= 0 || math.IsNaN(pi) {
-			return nil, fmt.Errorf("cluster: pcg breakdown pᵀAp = %g: %w", pi, ErrNotConverged)
-		}
-		alpha := co.rho / pi
-		co.seq++
-		for s := range co.plan.Shards {
-			a := co.updArgs[s]
-			a.Epoch, a.Seq, a.Alpha = co.epoch, co.seq, alpha
-			co.setCall(s, "Propagation.Update", a, co.redReplies[s])
-		}
-		if fails := co.pool.round(co.calls, co.done, co.opts.StepTimeout); len(fails) > 0 {
-			return nil, roundFailErr("update", fails)
-		}
-		co.rhoPrev = co.rho
-		if err := co.scatterReduce(); err != nil {
+		if err := co.iterate(iterInRun == 0); err != nil {
 			return nil, err
 		}
 		co.res.Iterations++
@@ -293,6 +256,53 @@ func (co *pcgCoord) run(x0 []float64, needBind []bool) ([]float64, error) {
 	}
 }
 
+// iterate runs one PCG iteration as two synchronized rounds: Mul advances
+// every shard's search direction (β = 0 on the first iteration after a
+// start) and returns the pᵀAp partials, then Update steps x and r by α and
+// returns the next reduction partials. Once the pooled args and replies are
+// warm, an iteration allocates nothing; CI gates it with
+// testing.AllocsPerRun.
+func (co *pcgCoord) iterate(first bool) error {
+	var beta float64
+	if !first {
+		beta = co.rho / co.rhoPrev
+	}
+	for _, g := range co.bset {
+		co.pB[g] = co.zB[g] + beta*co.pB[g]
+	}
+	co.seq++
+	for s := range co.plan.Shards {
+		a := co.mulArgs[s]
+		a.Epoch, a.Seq, a.Beta = co.epoch, co.seq, beta
+		for k, h := range co.plan.Shards[s].Halo {
+			a.Halo[k] = co.pB[h]
+		}
+		co.setCall(s, "Propagation.Mul", a, co.mulReplies[s])
+	}
+	if fails := co.pool.round(co.calls, co.done, co.opts.StepTimeout); len(fails) > 0 {
+		return roundFailErr("mul", fails)
+	}
+	pi, err := co.foldPi()
+	if err != nil {
+		return err
+	}
+	if pi <= 0 || math.IsNaN(pi) {
+		return fmt.Errorf("cluster: pcg breakdown pᵀAp = %g: %w", pi, ErrNotConverged)
+	}
+	alpha := co.rho / pi
+	co.seq++
+	for s := range co.plan.Shards {
+		a := co.updArgs[s]
+		a.Epoch, a.Seq, a.Alpha = co.epoch, co.seq, alpha
+		co.setCall(s, "Propagation.Update", a, co.redReplies[s])
+	}
+	if fails := co.pool.round(co.calls, co.done, co.opts.StepTimeout); len(fails) > 0 {
+		return roundFailErr("update", fails)
+	}
+	co.rhoPrev = co.rho
+	return co.scatterReduce()
+}
+
 // bind ships the marked shards' blocks at the current epoch.
 func (co *pcgCoord) bind(needBind []bool) error {
 	var sub []*pcall
@@ -300,7 +310,7 @@ func (co *pcgCoord) bind(needBind []bool) error {
 		if !needBind[s] {
 			continue
 		}
-		blk := extractShard(co.sys, co.plan, s, true)
+		blk := extractShard(co.sys, co.plan, s)
 		sh := &co.plan.Shards[s]
 		args := &BindArgs{
 			Shard:    s,

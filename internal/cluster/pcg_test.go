@@ -143,20 +143,28 @@ func TestSolvePCGTransportBitwise(t *testing.T) {
 	}
 }
 
-// TestSolvePCGAgreesWithJacobiEngines cross-checks the three distributed
-// engines against each other on the same system.
-func TestSolvePCGAgreesWithJacobiEngines(t *testing.T) {
-	_, sys := testSystem(t, 53, 36, 9)
+// TestSolvePCGAgreesWithOracles checks the distributed engine against the
+// dense-Cholesky oracle and against the paper's label-propagation
+// iteration (Eq. 5) on the same problem.
+func TestSolvePCGAgreesWithOracles(t *testing.T) {
+	p, sys := testSystem(t, 53, 36, 9)
 	fp, _, err := SolvePCG(sys, eightAddrs()[:2], PCGOptions{Tol: 1e-12, Dialer: InProcessDialer()})
 	if err != nil {
 		t.Fatal(err)
 	}
-	fl, _, err := SolveLocal(sys, LocalOptions{Workers: 2, Tol: 1e-12})
+	chol, err := core.SolveHard(p, core.WithMethod(core.MethodCholesky))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !mat.VecEqual(fp, fl, 1e-8) {
-		t.Fatal("PCG and Jacobi engines disagree beyond tolerance")
+	if !mat.VecEqual(fp, chol.FUnlabeled, 1e-8) {
+		t.Fatal("PCG and dense Cholesky disagree beyond tolerance")
+	}
+	prop, err := core.SolveHard(p, core.WithMethod(core.MethodPropagation), core.WithTolerance(1e-12))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !mat.VecEqual(fp, prop.FUnlabeled, 1e-8) {
+		t.Fatal("PCG and label propagation disagree beyond tolerance")
 	}
 }
 

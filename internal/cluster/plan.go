@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sort"
 
+	"repro/internal/core"
 	"repro/internal/sparse"
 )
 
@@ -31,20 +32,23 @@ func ChunkQuantum(m int) int {
 // rows (aligned to chunk boundaries), the halo it reads, and the boundary
 // it exports.
 type Shard struct {
-	// Block is the permuted row range [Lo, Hi) this shard owns.
-	Block
+	// Lo and Hi bound the permuted row range [Lo, Hi) this shard owns.
+	Lo, Hi int
 	// ChunkLo and ChunkHi bound the global chunk indices [ChunkLo, ChunkHi)
 	// covered by the block.
 	ChunkLo, ChunkHi int
 	// Halo lists, ascending, the permuted row indices outside [Lo, Hi)
 	// whose values the block's rows read during a matrix-vector product.
-	// Halo exchange ships exactly these entries each superstep instead of
+	// Halo exchange ships exactly these entries each iteration instead of
 	// the full iterate.
 	Halo []int
 	// Boundary lists, ascending, the block's own rows that appear in some
 	// other shard's halo — the entries this shard must export each step.
 	Boundary []int
 }
+
+// Len returns the shard's row count.
+func (sh *Shard) Len() int { return sh.Hi - sh.Lo }
 
 // PlanStats quantifies the quality of a partition.
 type PlanStats struct {
@@ -150,7 +154,8 @@ func NewPlan(w *sparse.CSR, shards int, useRCM bool) (*Plan, error) {
 	}
 	for s := 0; s < shards; s++ {
 		plan.Shards[s] = Shard{
-			Block:   Block{Lo: min(bounds[s]*q, m), Hi: min(bounds[s+1]*q, m)},
+			Lo:      min(bounds[s]*q, m),
+			Hi:      min(bounds[s+1]*q, m),
 			ChunkLo: bounds[s],
 			ChunkHi: bounds[s+1],
 		}
@@ -239,4 +244,75 @@ func (p *Plan) shardOwning(idx int) int {
 		}
 	}
 	return lo
+}
+
+// entryKV is one matrix entry during block extraction.
+type entryKV struct {
+	col int
+	val float64
+}
+
+// sortEntries orders entries by column. Rows are short (graph degree), so
+// insertion sort beats sort.Slice and allocates nothing.
+func sortEntries(e []entryKV) {
+	for i := 1; i < len(e); i++ {
+		for j := i; j > 0 && e[j].col < e[j-1].col; j-- {
+			e[j], e[j-1] = e[j-1], e[j]
+		}
+	}
+}
+
+// shardBlock is the extracted, locally-indexed slice of A = D − W for one
+// shard: rows [Lo, Hi) in the plan's permuted order with the diagonal
+// merged, each row's entries sorted by global permuted column — so row sums
+// run in a shard-count-independent order, which is half of the
+// bitwise-determinism argument — and columns translated to local indexing
+// (own entries in [0, rows), halo reads at rows+haloPos), plus the matching
+// right-hand side.
+type shardBlock struct {
+	rowptr []int
+	cols   []int
+	vals   []float64
+	b      []float64
+}
+
+// extractShard builds shard s's block of the PCG operator.
+func extractShard(sys *core.PropagationSystem, plan *Plan, s int) *shardBlock {
+	sh := &plan.Shards[s]
+	rows := sh.Len()
+	blk := &shardBlock{
+		rowptr: make([]int, rows+1),
+		b:      make([]float64, rows),
+	}
+	var scratch []entryKV
+	for nr := sh.Lo; nr < sh.Hi; nr++ {
+		orig := plan.Perm[nr]
+		colsW, valsW := sys.W.RowNNZ(orig)
+		scratch = scratch[:0]
+		diag := sys.D[orig]
+		for c, j := range colsW {
+			nj := plan.Inv[j]
+			if nj == nr {
+				diag -= valsW[c]
+				continue
+			}
+			scratch = append(scratch, entryKV{col: nj, val: -valsW[c]})
+		}
+		scratch = append(scratch, entryKV{col: nr, val: diag})
+		sortEntries(scratch)
+		for _, e := range scratch {
+			var lc int
+			if e.col >= sh.Lo && e.col < sh.Hi {
+				lc = e.col - sh.Lo
+			} else {
+				lc = rows + sort.SearchInts(sh.Halo, e.col)
+			}
+			blk.cols = append(blk.cols, lc)
+			blk.vals = append(blk.vals, e.val)
+		}
+		r := nr - sh.Lo
+		blk.b[r] = sys.B[orig]
+		blk.rowptr[r+1] = len(blk.cols)
+	}
+	return blk
 }

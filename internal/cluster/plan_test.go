@@ -7,55 +7,6 @@ import (
 	"repro/internal/sparse"
 )
 
-func TestPartitionEdgeCases(t *testing.T) {
-	// Fewer rows than workers: clamp, never an empty block.
-	blocks, err := Partition(3, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(blocks) != 3 {
-		t.Fatalf("m<p: got %d blocks, want 3", len(blocks))
-	}
-	for _, b := range blocks {
-		if b.Len() != 1 {
-			t.Fatalf("m<p: block %+v not a single row", b)
-		}
-	}
-	// Single row.
-	blocks, err = Partition(1, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(blocks) != 1 || blocks[0].Lo != 0 || blocks[0].Hi != 1 {
-		t.Fatalf("single row: %+v", blocks)
-	}
-	// Huge m: coverage and contiguity without overflow.
-	const huge = 1 << 40
-	blocks, err = Partition(huge, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	prev := 0
-	total := 0
-	for _, b := range blocks {
-		if b.Lo != prev || b.Len() < 1 {
-			t.Fatalf("huge m: discontiguous blocks %+v", blocks)
-		}
-		total += b.Len()
-		prev = b.Hi
-	}
-	if total != huge {
-		t.Fatalf("huge m: cover %d, want %d", total, huge)
-	}
-	// m == 0 is an error, as is p == 0.
-	if _, err := Partition(0, 4); !errors.Is(err, ErrParam) {
-		t.Fatal("m=0 must error")
-	}
-	if _, err := Partition(10, 0); !errors.Is(err, ErrParam) {
-		t.Fatal("p=0 must error")
-	}
-}
-
 func TestChunkQuantum(t *testing.T) {
 	cases := []struct{ m, want int }{
 		{0, 1}, {1, 1}, {63, 1}, {64, 1}, {65, 2}, {128, 2}, {129, 3}, {6400, 100},

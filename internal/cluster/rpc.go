@@ -2,10 +2,8 @@ package cluster
 
 import (
 	"fmt"
-	"math"
 	"net"
 	"net/rpc"
-	"sort"
 	"sync"
 
 	"repro/internal/precond"
@@ -14,16 +12,11 @@ import (
 
 // Wire protocol
 //
-// Two solve protocols share one RPC service ("Propagation"):
-//
-//   - Jacobi propagation (Setup/Step): the worker holds its block of the
-//     fixed-point system f ← D⁻¹(B + W f) and the current block iterate;
-//     each superstep ships only the halo entries the block reads and
-//     returns the updated block.
-//   - Distributed PCG (Bind/Start/Mul/Update/Gather): block-row conjugate
-//     gradient on A = D − W with a per-chunk additive-Schwarz
-//     preconditioner. Reductions return per-chunk partial sums so the
-//     coordinator can fold them in a fixed, shard-count-independent order.
+// One RPC service ("Propagation") carries the distributed PCG solve
+// (Bind/Start/Mul/Update/Gather): block-row conjugate gradient on A = D − W
+// with a per-chunk additive-Schwarz preconditioner. Reductions return
+// per-chunk partial sums so the coordinator can fold them in a fixed,
+// shard-count-independent order.
 //
 // Every call carries (Shard, Epoch) and the stepped calls a sequence
 // number. Epochs order rebinds: a call whose epoch is older than the
@@ -34,63 +27,27 @@ import (
 // cached reply instead of re-executing, so at-least-once transports cannot
 // corrupt the iteration.
 
-// SetupArgs ships one worker's block of the propagation system: rows
-// [Lo, Hi) of W in CSR form with columns pre-translated to local indexing
-// (own rows first, then halo slots), plus the matching diagonal and
-// labeled-mass entries.
-type SetupArgs struct {
-	Shard int
-	Epoch int64
-	Lo    int
-	Hi    int
-	M     int // total unknowns, for validation
-	D     []float64
-	B     []float64
-	RowPtr []int // len Hi-Lo+1, offsets into Cols/Vals
-	// Cols uses local indexing: c < Hi-Lo refers to own row Lo+c; c >=
-	// Hi-Lo refers to halo entry Halo[c-(Hi-Lo)].
-	Cols []int
-	Vals []float64
-	// Halo lists, ascending, the global indices outside [Lo, Hi) the block
-	// reads; Step ships values for exactly these indices, in this order.
-	Halo []int
-}
-
-// SetupReply is empty; Setup errors carry all the information.
-type SetupReply struct{}
-
-// StepArgs carries one superstep's halo values for a block.
-type StepArgs struct {
-	Shard int
-	Epoch int64
-	// Seq is the 1-based superstep number; a duplicate of the last executed
-	// step returns the cached reply, anything else out of order is stale.
-	Seq  int64
-	Halo []float64
-}
-
-// StepReply returns the worker's updated block and its largest update.
-type StepReply struct {
-	Values   []float64
-	MaxDelta float64
-}
-
 // BindArgs ships one shard's block of the PCG system A = D − W: rows
-// [Lo, Hi) in CSR form with local column indexing (like SetupArgs), the
-// right-hand side, and the plan's halo/boundary index lists. Quantum is the
-// plan's chunk size; the block must be chunk-aligned.
+// [Lo, Hi) in CSR form with local column indexing, the right-hand side,
+// and the plan's halo/boundary index lists. Quantum is the plan's chunk
+// size; the block must be chunk-aligned.
 type BindArgs struct {
 	Shard   int
 	Epoch   int64
 	Lo      int
 	Hi      int
-	M       int
+	M       int // total unknowns, for validation
 	Quantum int
-	RowPtr  []int
-	Cols    []int
-	Vals    []float64
-	B       []float64
-	Halo    []int
+	RowPtr  []int // len Hi-Lo+1, offsets into Cols/Vals
+	// Cols uses local indexing: c < Hi-Lo refers to own row Lo+c; c >=
+	// Hi-Lo refers to halo entry Halo[c-(Hi-Lo)].
+	Cols []int
+	Vals []float64
+	B    []float64
+	// Halo lists, ascending, the global indices outside [Lo, Hi) the block
+	// reads; Start and Mul ship values for exactly these indices, in this
+	// order.
+	Halo []int
 	// Boundary lists, ascending, the block rows other shards read; replies
 	// export z at exactly these rows.
 	Boundary []int
@@ -150,21 +107,6 @@ type GatherReply struct {
 	X []float64
 }
 
-// jacBlock is one bound Jacobi-propagation block.
-type jacBlock struct {
-	epoch        int64
-	lo, hi, m    int
-	d, b         []float64
-	rowptr, cols []int
-	vals         []float64
-	halo         []int
-	f            []float64 // current block iterate
-	next         []float64
-	xfull        []float64 // [own f | halo] read vector
-	seq          int64     // last executed superstep (0 = none yet)
-	cachedDelta  float64
-}
-
 // pcgChunk is one preconditioner chunk of a PCG block: a local row range
 // and the chunk-diagonal factorization applied to it.
 type pcgChunk struct {
@@ -194,13 +136,12 @@ type pcgBlock struct {
 // crashed worker's blocks to survivors).
 type WorkerService struct {
 	mu  sync.Mutex
-	jac map[int]*jacBlock
 	pcg map[int]*pcgBlock
 }
 
 // NewWorkerService returns an empty worker.
 func NewWorkerService() *WorkerService {
-	return &WorkerService{jac: map[int]*jacBlock{}, pcg: map[int]*pcgBlock{}}
+	return &WorkerService{pcg: map[int]*pcgBlock{}}
 }
 
 // validHalo checks a halo index list: ascending, within [0, m), outside
@@ -233,99 +174,6 @@ func validCSRBlock(rowptr, cols []int, vals []float64, rows, width int) error {
 			return fmt.Errorf("cluster: block CSR column %d outside [0,%d): %w", c, width, ErrParam)
 		}
 	}
-	return nil
-}
-
-// Setup installs (or, with a newer epoch, rebinds) a Jacobi-propagation
-// block. A Setup whose epoch is older than the installed block's is a stale
-// rebind and rejected.
-func (w *WorkerService) Setup(args *SetupArgs, _ *SetupReply) error {
-	if args.Hi <= args.Lo || args.Lo < 0 || args.Hi > args.M {
-		return fmt.Errorf("cluster: worker setup block [%d,%d) of %d invalid: %w", args.Lo, args.Hi, args.M, ErrParam)
-	}
-	rows := args.Hi - args.Lo
-	if len(args.D) != rows || len(args.B) != rows {
-		return fmt.Errorf("cluster: worker setup slice lengths inconsistent: %w", ErrParam)
-	}
-	for _, d := range args.D {
-		if d <= 0 {
-			return fmt.Errorf("cluster: worker setup nonpositive degree: %w", ErrParam)
-		}
-	}
-	if err := validCSRBlock(args.RowPtr, args.Cols, args.Vals, rows, rows+len(args.Halo)); err != nil {
-		return err
-	}
-	if err := validHalo(args.Halo, args.Lo, args.Hi, args.M); err != nil {
-		return err
-	}
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if prev, ok := w.jac[args.Shard]; ok && args.Epoch < prev.epoch {
-		return fmt.Errorf("cluster: setup shard %d epoch %d < bound epoch %d: %w",
-			args.Shard, args.Epoch, prev.epoch, ErrStale)
-	}
-	blk := &jacBlock{
-		epoch:  args.Epoch,
-		lo:     args.Lo,
-		hi:     args.Hi,
-		m:      args.M,
-		d:      append([]float64(nil), args.D...),
-		b:      append([]float64(nil), args.B...),
-		rowptr: append([]int(nil), args.RowPtr...),
-		cols:   append([]int(nil), args.Cols...),
-		vals:   append([]float64(nil), args.Vals...),
-		halo:   append([]int(nil), args.Halo...),
-		f:      make([]float64, rows),
-		next:   make([]float64, rows),
-		xfull:  make([]float64, rows+len(args.Halo)),
-	}
-	w.jac[args.Shard] = blk
-	return nil
-}
-
-// Step computes the block's Jacobi update for one superstep.
-func (w *WorkerService) Step(args *StepArgs, reply *StepReply) error {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	blk, ok := w.jac[args.Shard]
-	if !ok {
-		return fmt.Errorf("cluster: step on unbound shard %d: %w", args.Shard, ErrParam)
-	}
-	if args.Epoch != blk.epoch {
-		return fmt.Errorf("cluster: step shard %d epoch %d, bound %d: %w", args.Shard, args.Epoch, blk.epoch, ErrStale)
-	}
-	if len(args.Halo) != len(blk.halo) {
-		return fmt.Errorf("cluster: step with %d halo values, want %d: %w", len(args.Halo), len(blk.halo), ErrParam)
-	}
-	switch {
-	case args.Seq == blk.seq && blk.seq > 0:
-		// Duplicate delivery of the executed step: replay the cached state.
-		reply.Values = append(reply.Values[:0], blk.f...)
-		reply.MaxDelta = blk.cachedDelta
-		return nil
-	case args.Seq != blk.seq+1:
-		return fmt.Errorf("cluster: step shard %d seq %d, expected %d: %w", args.Shard, args.Seq, blk.seq+1, ErrStale)
-	}
-	rows := blk.hi - blk.lo
-	copy(blk.xfull[:rows], blk.f)
-	copy(blk.xfull[rows:], args.Halo)
-	var maxDelta float64
-	for r := 0; r < rows; r++ {
-		s := blk.b[r]
-		for c := blk.rowptr[r]; c < blk.rowptr[r+1]; c++ {
-			s += blk.vals[c] * blk.xfull[blk.cols[c]]
-		}
-		v := s / blk.d[r]
-		blk.next[r] = v
-		if d := math.Abs(v - blk.f[r]); d > maxDelta {
-			maxDelta = d
-		}
-	}
-	blk.f, blk.next = blk.next, blk.f
-	blk.seq = args.Seq
-	blk.cachedDelta = maxDelta
-	reply.Values = append(reply.Values[:0], blk.f...)
-	reply.MaxDelta = maxDelta
 	return nil
 }
 
@@ -601,25 +449,6 @@ func (w *WorkerService) Gather(args *GatherArgs, reply *GatherReply) error {
 	return nil
 }
 
-// haloOf computes the sorted external read set of rows [lo, hi) of w.
-func haloOf(w *sparse.CSR, lo, hi int) []int {
-	seen := map[int]struct{}{}
-	for r := lo; r < hi; r++ {
-		cols, _ := w.RowNNZ(r)
-		for _, j := range cols {
-			if j < lo || j >= hi {
-				seen[j] = struct{}{}
-			}
-		}
-	}
-	halo := make([]int, 0, len(seen))
-	for j := range seen {
-		halo = append(halo, j)
-	}
-	sort.Ints(halo)
-	return halo
-}
-
 // Worker is a running TCP worker process hosting a WorkerService.
 type Worker struct {
 	ln      net.Listener
@@ -672,8 +501,9 @@ func (w *Worker) Addr() string { return w.ln.Addr().String() }
 
 // Close stops accepting connections, terminates live sessions, and waits
 // for the serving goroutines to exit. Coordinators with in-flight calls
-// observe an RPC error — the failure mode the solvers surface as ErrWorker
-// (SolveRPC) or absorb via rebind (SolvePCG).
+// observe an RPC error — the failure SolvePCG absorbs by rebinding the
+// worker's shards, or surfaces as ErrWorker once its restart budget is
+// spent.
 func (w *Worker) Close() error {
 	err := w.ln.Close()
 	w.mu.Lock()

@@ -64,7 +64,7 @@ func InProcessDialer() Dialer {
 }
 
 // directCaller dispatches calls as plain method invocations. The method
-// switch keeps the warm superstep path allocation-free (no reflection).
+// switch keeps the warm iteration path allocation-free (no reflection).
 type directCaller struct {
 	svc  *WorkerService
 	mu   sync.Mutex
@@ -81,10 +81,6 @@ func (d *directCaller) Call(method string, args, reply any) error {
 		return errCallerClosed
 	}
 	switch method {
-	case "Propagation.Setup":
-		return d.svc.Setup(args.(*SetupArgs), reply.(*SetupReply))
-	case "Propagation.Step":
-		return d.svc.Step(args.(*StepArgs), reply.(*StepReply))
 	case "Propagation.Bind":
 		return d.svc.Bind(args.(*BindArgs), reply.(*BindReply))
 	case "Propagation.Start":
@@ -271,7 +267,7 @@ type roundErr struct {
 // error — and the round keeps draining, so pooled args/replies are never
 // left aliased by an abandoned call. Failed addresses are marked dead.
 // The zero timeout means no deadline (and allocates nothing, which keeps
-// the warm superstep loop gate-clean).
+// the warm iteration loop gate-clean).
 func (p *pool) round(calls []*pcall, done chan *pcall, timeout time.Duration) []roundErr {
 	for _, c := range calls {
 		c.err = nil
@@ -306,6 +302,12 @@ func (p *pool) round(calls []*pcall, done chan *pcall, timeout time.Duration) []
 		}
 	}
 	return fails
+}
+
+// roundFailErr folds a round's failures into one typed worker error.
+func roundFailErr(stage string, fails []roundErr) error {
+	return fmt.Errorf("cluster: %s round: %d failure(s), first on %s (shard %d): %w: %v",
+		stage, len(fails), fails[0].addr, fails[0].shard, ErrWorker, fails[0].err)
 }
 
 // close shuts every runner down and waits for their goroutines.

@@ -151,8 +151,8 @@ func WithWorkers(n int) SolveOption {
 	return solveOptionFunc(func(c *solveConfig) { c.workers = n })
 }
 
-// WithContext attaches a context to the solve. Iterative backends (CG,
-// propagation, Jacobi sweeps) check it once per iteration and abort with
+// WithContext attaches a context to the solve. Iterative backends (CG/PCG
+// and propagation) check it once per iteration and abort with
 // ctx.Err() within one sweep of cancellation; direct backends check it
 // between pipeline stages. Cancellation is terminal — it never triggers a
 // fallback.

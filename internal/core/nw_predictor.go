@@ -400,7 +400,7 @@ const (
 // estimates to dst and per-point outcomes to status (both sized len(qs)).
 // Results are bitwise-identical to per-point Predict calls at every worker
 // count; the brute path additionally tiles queries against anchor blocks,
-// the cache- and SIMD-level win that makes server-side micro-batching pay.
+// the cache- and SIMD-level win behind multi-point predict requests.
 func (p *NWPredictor) PredictBatch(dst []float64, status []NWStatus, qs [][]float64, workers int) {
 	p.PredictBatchBounds(dst, status, nil, qs, workers, nil)
 }

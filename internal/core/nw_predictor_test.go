@@ -197,7 +197,7 @@ func TestNWPredictorErrors(t *testing.T) {
 }
 
 // Benchmarks comparing the per-point scan against the tiled batch kernel —
-// the single-core mechanism behind the serving micro-batcher.
+// the single-core mechanism behind multi-point serving requests.
 func BenchmarkNWPredict(b *testing.B) {
 	for _, cfg := range []struct {
 		nAnchor, d int

@@ -172,54 +172,3 @@ func TestCGWorkersBitwiseIdentical(t *testing.T) {
 		}
 	}
 }
-
-func TestJacobiWorkersBitwiseIdentical(t *testing.T) {
-	// Strictly diagonally dominant system.
-	const n = 200
-	rng := rand.New(rand.NewSource(17))
-	coo := NewCOO(n, n)
-	for i := 0; i < n; i++ {
-		var off float64
-		for j := 0; j < n; j++ {
-			if i == j {
-				continue
-			}
-			if rng.Float64() < 0.05 {
-				v := rng.NormFloat64()
-				off += absf(v)
-				_ = coo.Add(i, j, v)
-			}
-		}
-		_ = coo.Add(i, i, off+1+rng.Float64())
-	}
-	a := coo.ToCSR()
-	b := make([]float64, n)
-	for i := range b {
-		b[i] = rng.NormFloat64()
-	}
-	ref, refRes, err := JacobiWorkers(a, b, 1e-12, 0, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, workers := range []int{0, 3} {
-		x, res, err := JacobiWorkers(a, b, 1e-12, 0, workers)
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		if res.Iterations != refRes.Iterations {
-			t.Fatalf("workers=%d: %d iterations, want %d", workers, res.Iterations, refRes.Iterations)
-		}
-		for i := range ref {
-			if x[i] != ref[i] {
-				t.Fatalf("workers=%d: x[%d] differs (must be bitwise-identical)", workers, i)
-			}
-		}
-	}
-}
-
-func absf(v float64) float64 {
-	if v < 0 {
-		return -v
-	}
-	return v
-}

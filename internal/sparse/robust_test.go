@@ -55,14 +55,6 @@ func TestIterativeSolversCancelMidSolve(t *testing.T) {
 			_, r, err := CG(a, b, CGOptions{Ctx: ctx, Tol: 1e-14})
 			return r, err
 		}},
-		{"jacobi", func(ctx context.Context) (SolveResult, error) {
-			_, r, err := JacobiCtx(ctx, a, b, 1e-14, 100000, 1)
-			return r, err
-		}},
-		{"gauss-seidel", func(ctx context.Context) (SolveResult, error) {
-			_, r, err := GaussSeidelCtx(ctx, a, b, 1e-14, 100000, 1)
-			return r, err
-		}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -135,25 +127,6 @@ func TestCGStagnationDetectionPassiveOnHealthyRuns(t *testing.T) {
 	for i := range x1 {
 		if x1[i] != x2[i] {
 			t.Fatalf("iterate differs at %d: %v vs %v", i, x1[i], x2[i])
-		}
-	}
-}
-
-func TestJacobiNilCtxUnchanged(t *testing.T) {
-	rng := rand.New(rand.NewSource(19))
-	a := randSPDCSR(rng, 30)
-	b := randVec(rng, 30)
-	x1, r1, err1 := Jacobi(a, b, 1e-10, 10000)
-	x2, r2, err2 := JacobiCtx(context.Background(), a, b, 1e-10, 10000, 1)
-	if err1 != nil || err2 != nil {
-		t.Fatalf("errs: %v / %v", err1, err2)
-	}
-	if r1.Iterations != r2.Iterations {
-		t.Fatalf("iteration counts differ: %d vs %d", r1.Iterations, r2.Iterations)
-	}
-	for i := range x1 {
-		if x1[i] != x2[i] {
-			t.Fatalf("iterate differs at %d", i)
 		}
 	}
 }

@@ -6,7 +6,6 @@ import (
 	"math"
 
 	"repro/internal/mat"
-	"repro/internal/parallel"
 )
 
 var (
@@ -136,10 +135,6 @@ const (
 	wsCGDirection
 	wsCGMatVec
 	wsCGInvDiag
-	wsCGSolution
-	wsSweepPrev // Jacobi / Gauss–Seidel sweep buffers reuse the tail slots
-	wsSweepNext
-	wsSweepResidual
 )
 
 // CG solves A x = b for a symmetric positive definite CSR matrix using the
@@ -276,231 +271,6 @@ func PCG(a *CSR, b []float64, opts PCGOptions) ([]float64, SolveResult, error) {
 		return x, SolveResult{Iterations: opts.MaxIter, Residual: res}, nil
 	}
 	return x, SolveResult{Iterations: opts.MaxIter, Residual: res}, ErrNotConverged
-}
-
-// Jacobi solves A x = b by Jacobi iteration x ← D⁻¹(b − R x). It converges
-// when A is strictly diagonally dominant, which holds for the hard
-// criterion's D22−W22 system whenever every unlabeled node has positive
-// similarity to a labeled node. It runs on all available cores; see
-// JacobiWorkers.
-func Jacobi(a *CSR, b []float64, tol float64, maxIter int) ([]float64, SolveResult, error) {
-	return JacobiWorkers(a, b, tol, maxIter, 0)
-}
-
-// JacobiWorkers is Jacobi with an explicit worker count (<= 0 selects
-// GOMAXPROCS, 1 runs serially). Every sweep reads the frozen previous
-// iterate and writes disjoint rows of the next one, so the schedule is
-// embarrassingly parallel and the iterates are bitwise-identical across
-// worker counts.
-func JacobiWorkers(a *CSR, b []float64, tol float64, maxIter, workers int) ([]float64, SolveResult, error) {
-	return JacobiCtx(nil, a, b, tol, maxIter, workers)
-}
-
-// JacobiCtx is JacobiWorkers with cooperative cancellation: a done context
-// aborts with ctx.Err() within one sweep. A nil context never cancels.
-// Scratch vectors come from the pooled solver workspace, so repeated calls
-// reach a zero steady-state-allocation regime.
-func JacobiCtx(ctx context.Context, a *CSR, b []float64, tol float64, maxIter, workers int) ([]float64, SolveResult, error) {
-	n := a.rows
-	if a.cols != n || len(b) != n {
-		return nil, SolveResult{}, ErrShape
-	}
-	if tol <= 0 {
-		tol = 1e-10
-	}
-	if maxIter <= 0 {
-		maxIter = 10000
-	}
-	ws := GetWorkspace(n)
-	defer ws.Release()
-	diag := ws.vec(wsCGInvDiag, n)
-	a.DiagTo(diag)
-	for _, d := range diag {
-		if d == 0 {
-			return nil, SolveResult{}, ErrZeroDiagonal
-		}
-	}
-	bnorm := mat.Norm2(b)
-	if bnorm == 0 {
-		bnorm = 1
-	}
-	// Both ping-pong iterates live in the workspace; the converged iterate is
-	// copied into a fresh caller-owned slice on return (the only per-solve
-	// allocation besides the workspace's first warm-up).
-	x := ws.vec(wsSweepPrev, n)
-	for i := range x {
-		x[i] = 0
-	}
-	next := ws.vec(wsSweepNext, n)
-	r := ws.vec(wsSweepResidual, n)
-	out := func(v []float64) []float64 {
-		o := make([]float64, n)
-		copy(o, v)
-		return o
-	}
-	// One closure for every sweep: it reads x through the captured variable,
-	// which the swap below retargets, so the per-iteration loop allocates
-	// nothing.
-	sweep := func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			cols, vals := a.RowNNZ(i)
-			s := b[i]
-			for k, j := range cols {
-				if j != i {
-					s -= vals[k] * x[j]
-				}
-			}
-			next[i] = s / diag[i]
-		}
-	}
-	for it := 0; it < maxIter; it++ {
-		if err := ctxErr(ctx); err != nil {
-			return out(x), SolveResult{Iterations: it}, err
-		}
-		parallel.For(workers, n, sweep)
-		x, next = next, x
-		if err := a.MulVecToWorkers(r, x, workers); err != nil {
-			return nil, SolveResult{}, err
-		}
-		for i := range r {
-			r[i] = b[i] - r[i]
-		}
-		res := mat.Norm2(r) / bnorm
-		if res <= tol {
-			return out(x), SolveResult{Iterations: it + 1, Residual: res}, nil
-		}
-	}
-	if err := a.MulVecTo(r, x); err != nil {
-		return nil, SolveResult{}, err
-	}
-	for i := range r {
-		r[i] = b[i] - r[i]
-	}
-	return out(x), SolveResult{Iterations: maxIter, Residual: mat.Norm2(r) / bnorm}, ErrNotConverged
-}
-
-// GaussSeidel solves A x = b by serial forward Gauss–Seidel sweeps. Like
-// Jacobi it converges for strictly diagonally dominant systems, typically in
-// fewer iterations. The serial sweep order is pinned: outputs are
-// bit-for-bit those of the historical implementation.
-func GaussSeidel(a *CSR, b []float64, tol float64, maxIter int) ([]float64, SolveResult, error) {
-	return GaussSeidelCtx(nil, a, b, tol, maxIter, 1)
-}
-
-// GaussSeidelWorkers is Gauss–Seidel with an explicit worker count, the
-// same signature shape as JacobiWorkers (<= 0 selects GOMAXPROCS, 1 runs
-// the pinned serial sweep). Unlike Jacobi — whose iterates are
-// worker-count-invariant — a parallel Gauss–Seidel sweep necessarily
-// changes the update schedule: workers > 1 runs a block-sequential hybrid
-// (Gauss–Seidel ordering inside each of `workers` fixed contiguous blocks,
-// frozen previous-sweep values across blocks). The block layout is a pure
-// function of (n, resolved workers), so any fixed worker count is
-// deterministic run-to-run; all schedules converge to the same fixed point.
-func GaussSeidelWorkers(a *CSR, b []float64, tol float64, maxIter, workers int) ([]float64, SolveResult, error) {
-	return GaussSeidelCtx(nil, a, b, tol, maxIter, workers)
-}
-
-// GaussSeidelCtx is GaussSeidelWorkers with cooperative cancellation: a done
-// context aborts with ctx.Err() within one sweep. A nil context never
-// cancels.
-func GaussSeidelCtx(ctx context.Context, a *CSR, b []float64, tol float64, maxIter, workers int) ([]float64, SolveResult, error) {
-	n := a.rows
-	if a.cols != n || len(b) != n {
-		return nil, SolveResult{}, ErrShape
-	}
-	if tol <= 0 {
-		tol = 1e-10
-	}
-	if maxIter <= 0 {
-		maxIter = 10000
-	}
-	ws := GetWorkspace(n)
-	defer ws.Release()
-	diag := ws.vec(wsCGInvDiag, n)
-	a.DiagTo(diag)
-	for _, d := range diag {
-		if d == 0 {
-			return nil, SolveResult{}, ErrZeroDiagonal
-		}
-	}
-	bnorm := mat.Norm2(b)
-	if bnorm == 0 {
-		bnorm = 1
-	}
-	w := parallel.Workers(workers)
-	if w > n {
-		w = n
-	}
-	x := make([]float64, n)
-	r := ws.vec(wsSweepResidual, n)
-
-	var (
-		blocks []parallel.Block
-		prev   []float64
-		sweep  func(bi int, blk parallel.Block)
-	)
-	if w > 1 {
-		blocks = parallel.Split(n, w)
-		prev = ws.vec(wsSweepPrev, n)
-		sweep = func(_ int, blk parallel.Block) {
-			for i := blk.Lo; i < blk.Hi; i++ {
-				cols, vals := a.RowNNZ(i)
-				s := b[i]
-				for k, j := range cols {
-					if j == i {
-						continue
-					}
-					if j >= blk.Lo && j < blk.Hi {
-						// In-block: Gauss–Seidel order (rows above i in this
-						// block already hold this sweep's values).
-						s -= vals[k] * x[j]
-					} else {
-						// Cross-block: frozen previous-sweep snapshot, so
-						// concurrent block writes never race with reads.
-						s -= vals[k] * prev[j]
-					}
-				}
-				x[i] = s / diag[i]
-			}
-		}
-	}
-	for it := 0; it < maxIter; it++ {
-		if err := ctxErr(ctx); err != nil {
-			return x, SolveResult{Iterations: it}, err
-		}
-		if w == 1 {
-			for i := 0; i < n; i++ {
-				cols, vals := a.RowNNZ(i)
-				s := b[i]
-				for k, j := range cols {
-					if j != i {
-						s -= vals[k] * x[j]
-					}
-				}
-				x[i] = s / diag[i]
-			}
-		} else {
-			copy(prev, x)
-			parallel.ForBlocks(w, blocks, sweep)
-		}
-		if err := a.MulVecToWorkers(r, x, workers); err != nil {
-			return nil, SolveResult{}, err
-		}
-		for i := range r {
-			r[i] = b[i] - r[i]
-		}
-		res := mat.Norm2(r) / bnorm
-		if res <= tol {
-			return x, SolveResult{Iterations: it + 1, Residual: res}, nil
-		}
-	}
-	if err := a.MulVecTo(r, x); err != nil {
-		return nil, SolveResult{}, err
-	}
-	for i := range r {
-		r[i] = b[i] - r[i]
-	}
-	return x, SolveResult{Iterations: maxIter, Residual: mat.Norm2(r) / bnorm}, ErrNotConverged
 }
 
 // SpectralRadiusEstimate estimates the spectral radius of the matrix by

@@ -127,51 +127,6 @@ func TestCGIndefiniteFails(t *testing.T) {
 	}
 }
 
-func TestJacobiSolves(t *testing.T) {
-	rng := rand.New(rand.NewSource(47))
-	for trial := 0; trial < 5; trial++ {
-		n := 2 + rng.Intn(20)
-		a := randSPDCSR(rng, n)
-		b := randVec(rng, n)
-		x, _, err := Jacobi(a, b, 1e-10, 0)
-		if err != nil {
-			t.Fatalf("trial %d: %v", trial, err)
-		}
-		checkSolve(t, "Jacobi", a, x, b)
-	}
-}
-
-func TestGaussSeidelSolves(t *testing.T) {
-	rng := rand.New(rand.NewSource(49))
-	for trial := 0; trial < 5; trial++ {
-		n := 2 + rng.Intn(20)
-		a := randSPDCSR(rng, n)
-		b := randVec(rng, n)
-		x, _, err := GaussSeidel(a, b, 1e-10, 0)
-		if err != nil {
-			t.Fatalf("trial %d: %v", trial, err)
-		}
-		checkSolve(t, "GaussSeidel", a, x, b)
-	}
-}
-
-func TestGaussSeidelFasterThanJacobi(t *testing.T) {
-	rng := rand.New(rand.NewSource(51))
-	a := randSPDCSR(rng, 30)
-	b := randVec(rng, 30)
-	_, rj, err := Jacobi(a, b, 1e-10, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, rg, err := GaussSeidel(a, b, 1e-10, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rg.Iterations > rj.Iterations {
-		t.Fatalf("Gauss–Seidel (%d it) slower than Jacobi (%d it)", rg.Iterations, rj.Iterations)
-	}
-}
-
 func TestIterativeSolversAgreeWithDense(t *testing.T) {
 	rng := rand.New(rand.NewSource(53))
 	a := randSPDCSR(rng, 15)
@@ -187,13 +142,6 @@ func TestIterativeSolversAgreeWithDense(t *testing.T) {
 	if !mat.VecEqual(xcg, want, 1e-7) {
 		t.Fatal("CG disagrees with dense solve")
 	}
-	xgs, _, err := GaussSeidel(a, b, 1e-12, 100000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !mat.VecEqual(xgs, want, 1e-6) {
-		t.Fatal("Gauss–Seidel disagrees with dense solve")
-	}
 }
 
 func TestZeroDiagonalErrors(t *testing.T) {
@@ -202,27 +150,8 @@ func TestZeroDiagonalErrors(t *testing.T) {
 	_ = coo.Add(1, 0, 1)
 	a := coo.ToCSR()
 	b := []float64{1, 1}
-	if _, _, err := Jacobi(a, b, 0, 0); !errors.Is(err, ErrZeroDiagonal) {
-		t.Fatalf("Jacobi: want ErrZeroDiagonal, got %v", err)
-	}
-	if _, _, err := GaussSeidel(a, b, 0, 0); !errors.Is(err, ErrZeroDiagonal) {
-		t.Fatalf("GaussSeidel: want ErrZeroDiagonal, got %v", err)
-	}
 	if _, _, err := CG(a, b, CGOptions{Precondition: true}); !errors.Is(err, ErrZeroDiagonal) {
 		t.Fatalf("CG: want ErrZeroDiagonal, got %v", err)
-	}
-}
-
-func TestJacobiNotConverged(t *testing.T) {
-	// Not diagonally dominant: Jacobi diverges or stalls within 3 iterations.
-	coo := NewCOO(2, 2)
-	_ = coo.Add(0, 0, 1)
-	_ = coo.Add(0, 1, 5)
-	_ = coo.Add(1, 0, 5)
-	_ = coo.Add(1, 1, 1)
-	a := coo.ToCSR()
-	if _, _, err := Jacobi(a, []float64{1, 1}, 1e-12, 3); !errors.Is(err, ErrNotConverged) {
-		t.Fatalf("want ErrNotConverged, got %v", err)
 	}
 }
 

@@ -5,12 +5,11 @@ import (
 	"sync"
 )
 
-// Workspace is a reusable bundle of solver scratch vectors. The iterative
-// solvers (CG/PCG, Jacobi, Gauss–Seidel) draw their residual, direction,
-// and sweep buffers from one, so a caller that holds a Workspace across
-// repeated solves — a λ sweep, a multi-RHS loop — does zero steady-state
-// heap allocation: every buffer is grown once to the largest size seen and
-// then reused.
+// Workspace is a reusable bundle of solver scratch vectors. The CG/PCG
+// engine draws its residual, direction, and preconditioner buffers from
+// one, so a caller that holds a Workspace across repeated solves — a λ
+// sweep, a multi-RHS loop — does zero steady-state heap allocation: every
+// buffer is grown once to the largest size seen and then reused.
 //
 // A Workspace is not goroutine-safe; concurrent solves need one each.
 // Buffer contents are undefined between solves — solvers fully overwrite

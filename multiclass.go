@@ -29,7 +29,7 @@ type MulticlassResult struct {
 //
 // labels holds non-negative class ids aligned with labeled; labeled = nil
 // uses the paper's layout (first len(labels) points labeled). All Fit
-// options apply except the distributed ones (WithDistributed, WithCluster,
+// options apply except the distributed ones (WithCluster,
 // WithClusterShards).
 func FitMulticlass(x [][]float64, labels []int, labeled []int, normalize bool, opts ...Option) (*MulticlassResult, error) {
 	y := make([]float64, len(labels)) // placeholder responses for prepare
@@ -37,7 +37,7 @@ func FitMulticlass(x [][]float64, labels []int, labeled []int, normalize bool, o
 	if err != nil {
 		return nil, err
 	}
-	if cfg.distributed > 0 || cfg.clusterSet || cfg.shards != 0 {
+	if cfg.clusterSet || cfg.shards != 0 {
 		return nil, fmt.Errorf("graphssl: multiclass does not support distributed fits: %w", ErrParam)
 	}
 	mp, err := core.BuildMulticlass(p, labels)

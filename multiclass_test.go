@@ -69,7 +69,7 @@ func TestFitMulticlassValidation(t *testing.T) {
 	if _, err := FitMulticlass(nil, labels, nil, false); !errors.Is(err, ErrParam) {
 		t.Fatal("empty x must error")
 	}
-	if _, err := FitMulticlass(x, labels, nil, false, WithDistributed(2)); !errors.Is(err, ErrParam) {
+	if _, err := FitMulticlass(x, labels, nil, false, WithCluster("w0", "w1")); !errors.Is(err, ErrParam) {
 		t.Fatal("distributed must error")
 	}
 	single := make([]int, len(labels)) // one class only

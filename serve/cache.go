@@ -12,8 +12,8 @@ import (
 // longer matches) and age out of the bounded shards FIFO-style as new
 // traffic fills them. This relies on Registry versions being monotonic per
 // name for the process lifetime, including across Delete: a deleted name
-// refit later resumes from its highest version ever, so orphaned entries of
-// the dead model can never match the new one's key.
+// refit later gets a version above every one it held, so orphaned entries
+// of the dead model can never match the new one's key.
 //
 // Exactness contract: a hit returns the stored score verbatim, and the
 // store only ever holds scores the predictor computed for bit-identical

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"sync"
 	"time"
 )
 
@@ -30,6 +31,10 @@ type Fleet struct {
 	replicas []*Server
 	ring     *Ring
 	mux      *http.ServeMux
+	// writeMu orders the fan-out of fleet writes, so every replica applies
+	// the same Store/Delete sequence and draws the same versions from its
+	// registry's counter.
+	writeMu sync.Mutex
 }
 
 // NewFleet builds a fleet of n freshly created replicas sharing one
@@ -94,23 +99,17 @@ func (f *Fleet) Close() {
 
 // handleFit fits once on the leader and publishes the model to every
 // replica. Registry versions stay aligned across replicas because every
-// write goes through the fleet.
+// write goes through the fleet, one fan-out at a time.
 func (f *Fleet) handleFit(w http.ResponseWriter, r *http.Request) {
 	leader := f.replicas[0]
 	name, m, _, start, ok := leader.buildModel(w, r)
 	if !ok {
 		return
 	}
-	var lead *Entry
-	for i, s := range f.replicas {
-		e, err := s.registry.Store(name, m)
-		if err != nil {
-			fail(w, err)
-			return
-		}
-		if i == 0 {
-			lead = e
-		}
+	lead, err := f.publish(name, m)
+	if err != nil {
+		fail(w, err)
+		return
 	}
 	setModelVersion(lead.Name, lead.Version)
 	writeJSON(w, http.StatusOK, fitResponse{
@@ -121,11 +120,31 @@ func (f *Fleet) handleFit(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
+// publish stores m under name on every replica and returns the leader's
+// entry. Fan-outs hold writeMu, so concurrent fits apply one Store sequence
+// on every replica.
+func (f *Fleet) publish(name string, m *Model) (*Entry, error) {
+	f.writeMu.Lock()
+	defer f.writeMu.Unlock()
+	var lead *Entry
+	for i, s := range f.replicas {
+		e, err := s.registry.Store(name, m)
+		if err != nil {
+			return nil, err
+		}
+		if i == 0 {
+			lead = e
+		}
+	}
+	return lead, nil
+}
+
 // handleDelete unpublishes the model from every replica.
 func (f *Fleet) handleDelete(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("name")
 	var firstErr error
 	deleted := false
+	f.writeMu.Lock()
 	for _, s := range f.replicas {
 		if err := s.registry.Delete(name); err != nil {
 			if firstErr == nil {
@@ -136,6 +155,7 @@ func (f *Fleet) handleDelete(w http.ResponseWriter, r *http.Request) {
 		s.budgets.Delete(name)
 		deleted = true
 	}
+	f.writeMu.Unlock()
 	if !deleted {
 		fail(w, firstErr)
 		return

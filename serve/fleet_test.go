@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"sync"
 	"testing"
 )
 
@@ -97,11 +98,40 @@ func TestFleetFitReplicatesOnce(t *testing.T) {
 			t.Fatalf("replica %d not at version 2", i)
 		}
 	}
+
+	// Concurrent publications of distinct names leave every replica
+	// holding the leader's model at the leader's version: fan-outs are
+	// serialized, so each replica's version counter sees the same Store
+	// sequence.
+	m := smallModel(t)
+	names := []string{"c0", "c1", "c2", "c3", "c4", "c5", "c6", "c7"}
+	var wg sync.WaitGroup
+	for _, name := range names {
+		wg.Add(1)
+		go func(name string) {
+			defer wg.Done()
+			for k := 0; k < 50; k++ {
+				if _, err := f.publish(name, m); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}(name)
+	}
+	wg.Wait()
+	for _, name := range names {
+		lead, err := f.Replica(0).Registry().Load(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 1; i < f.Len(); i++ {
+			if e, _ := f.Replica(i).Registry().Load(name); e == nil || e.Version != lead.Version {
+				t.Fatalf("%s: replica %d diverged from the leader at version %d", name, i, lead.Version)
+			}
+		}
+	}
 }
 
-// TestFleetPredictRoutesAndAgrees sends predictions through the router:
-// every response must carry the same scores as a single server (the models
-// are replicated bits), and identical bodies must hit one replica's cache.
 func TestFleetPredictRoutesAndAgrees(t *testing.T) {
 	f, ts := testFleet(t, 3, Config{Workers: 1})
 	x, y, labeled := testData(73, 80, 3, 30)

@@ -1,12 +1,11 @@
 package serve
 
 import (
-	"context"
 	"encoding/json"
+	"errors"
 	"math"
 	"net/http"
 	"testing"
-	"time"
 
 	graphssl "repro"
 )
@@ -232,43 +231,45 @@ func TestServerCacheDeleteRefit(t *testing.T) {
 	}
 }
 
-// TestServerShedQueue forces the queue-wait estimate over the limit and
-// checks the 429 + counter. White-box: the EWMA and depth are seeded
-// directly so the test is deterministic.
+// TestServerShedQueue checks points-bounded admission end to end: an
+// uncached request carrying more points than QueueDepth is rejected with
+// 429 + Retry-After and counted in rejected_total, leaving no points
+// admitted, while a fully cached request of the same size is still served.
 func TestServerShedQueue(t *testing.T) {
-	srv, ts := testServer(t, Config{MaxQueueWait: time.Millisecond, QueueDepth: 1 << 20})
+	srv, ts := testServer(t, Config{QueueDepth: 2})
 	x, y, labeled := testData(59, 60, 3, 20)
 	fitOverHTTP(t, ts.URL, "q", x, y, labeled, 1.2)
 
-	// Seed: 1µs/point EWMA at depth 100000 => 100ms estimated wait >> 1ms.
-	srv.batcher.perPointNs.Store(math.Float64bits(1000))
-	srv.batcher.depth.Add(100000)
-	defer srv.batcher.depth.Add(-100000)
-
-	shed0 := srvShedQueue.Value()
-	resp, body := postJSON(t, ts.URL+"/v1/predict", predictRequest{Model: "q", Points: [][]float64{{9, 9, 9}}})
+	big := [][]float64{{1, 1, 1}, {2, 2, 2}, {3, 3, 3}}
+	rej0 := srvRejected.Value()
+	resp, body := postJSON(t, ts.URL+"/v1/predict", predictRequest{Model: "q", Points: big})
 	if resp.StatusCode != http.StatusTooManyRequests {
-		t.Fatalf("overloaded queue: %d %s", resp.StatusCode, body)
+		t.Fatalf("over queue depth: %d %s", resp.StatusCode, body)
 	}
 	if resp.Header.Get("Retry-After") == "" {
 		t.Fatal("shed response missing Retry-After")
 	}
-	if srvShedQueue.Value() != shed0+1 {
-		t.Fatal("shed_queue counter did not move")
+	if srvRejected.Value() != rej0+1 {
+		t.Fatal("rejected_total counter did not move")
+	}
+	if d := srv.inflight.Load(); d != 0 {
+		t.Fatalf("rejected request leaked %d admitted points", d)
 	}
 
-	// A fully cached request bypasses shedding: warm one point with the
-	// queue healthy, then re-request it with the queue saturated.
-	srv.batcher.depth.Add(-100000)
-	warm := [][]float64{x[0]}
-	resp, _ = postJSON(t, ts.URL+"/v1/predict", predictRequest{Model: "q", Points: warm})
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("warmup: %d", resp.StatusCode)
+	// Warm the cache within the bound, then re-request all three points:
+	// a full cache hit is served however small the bound.
+	for _, pts := range [][][]float64{big[:2], big[2:]} {
+		resp, body = postJSON(t, ts.URL+"/v1/predict", predictRequest{Model: "q", Points: pts})
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("within queue depth: %d %s", resp.StatusCode, body)
+		}
 	}
-	srv.batcher.depth.Add(100000)
-	resp, body = postJSON(t, ts.URL+"/v1/predict", predictRequest{Model: "q", Points: warm})
+	resp, body = postJSON(t, ts.URL+"/v1/predict", predictRequest{Model: "q", Points: big})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("cached request shed: %d %s", resp.StatusCode, body)
+	}
+	if srvRejected.Value() != rej0+1 {
+		t.Fatal("cached request counted as rejected")
 	}
 }
 
@@ -276,7 +277,7 @@ func TestServerShedQueue(t *testing.T) {
 // more uncached points than the model's budget is rejected, cached points
 // do not count against it, and other models are unaffected.
 func TestServerShedBudget(t *testing.T) {
-	_, ts := testServer(t, Config{ModelBudget: 2, NoBatch: true})
+	_, ts := testServer(t, Config{ModelBudget: 2})
 	x, y, labeled := testData(61, 60, 3, 20)
 	fitOverHTTP(t, ts.URL, "b1", x, y, labeled, 1.2)
 	fitOverHTTP(t, ts.URL, "b2", x, y, labeled, 1.2)
@@ -368,40 +369,22 @@ func TestServerTopM(t *testing.T) {
 	}
 }
 
-// TestBatcherAdaptiveFlush pins the lone-client latency fix: with a long
-// flush window, a solitary request must still complete promptly because the
-// dispatcher flushes as soon as the queue is idle and nothing else is
-// admitted — it must not sit out the delay window.
-func TestBatcherAdaptiveFlush(t *testing.T) {
-	m := batchModel(t)
-	b := NewBatcher(64, 200*time.Millisecond, 1024, 1)
-	defer b.Close()
-	qs := [][]float64{make([]float64, m.Dim())}
-	// Warm one round trip, then time.
-	res, err := b.Do(context.Background(), m, qs)
+// batchModel builds a model big enough that batched evaluation does real
+// work, with well-spread anchors so nothing is isolated.
+func batchModel(t *testing.T) *Model {
+	t.Helper()
+	x, y, labeled := testData(21, 200, 6, 80)
+	snap := fitSnapshot(t, x, y, labeled, graphssl.WithBandwidth(1.5))
+	m, err := NewModel(snap)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res.Release()
-	start := time.Now()
-	for i := 0; i < 5; i++ {
-		res, err := b.Do(context.Background(), m, qs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		res.Release()
-	}
-	if elapsed := time.Since(start); elapsed > 100*time.Millisecond {
-		t.Fatalf("5 solo requests took %v with a 200ms window — adaptive flush broken", elapsed)
-	}
-	if b.EstimatedWait() != 0 {
-		t.Fatalf("EstimatedWait = %v with an empty queue", b.EstimatedWait())
-	}
+	return m
 }
 
 // TestZeroAllocServe gates the serving hot path at zero heap allocations
-// per operation: the model's batch core and the batcher round trip (run by
-// the CI alloc gate).
+// per operation: the model's batch core and the server's uncached predict
+// step (run by the CI alloc gate).
 func TestZeroAllocServe(t *testing.T) {
 	if raceEnabled {
 		t.Skip("alloc counts are meaningless under the race detector (sync.Pool drops puts)")
@@ -427,39 +410,39 @@ func TestZeroAllocServe(t *testing.T) {
 		}
 	})
 
-	t.Run("predictSerial", func(t *testing.T) {
-		m.predictSerial(dst, st, bounds, qs)
-		if n := testing.AllocsPerRun(100, func() {
-			m.predictSerial(dst, st, bounds, qs)
-		}); n != 0 {
-			t.Fatalf("predictSerial: %v allocs/op", n)
-		}
-	})
-
-	t.Run("batcherDo", func(t *testing.T) {
-		b := NewBatcher(64, 100*time.Millisecond, 1024, 1)
-		defer b.Close()
-		ctx := context.Background()
-		res, err := b.Do(ctx, m, qs) // warm job pool + dispatcher buffers
+	t.Run("predictMisses", func(t *testing.T) {
+		srv := NewServer(Config{})
+		defer srv.Close()
+		e, err := srv.Registry().Store("alloc", m)
 		if err != nil {
 			t.Fatal(err)
 		}
-		res.Release()
-		if n := testing.AllocsPerRun(100, func() {
-			res, err := b.Do(ctx, m, qs)
-			if err != nil {
+		sc := new(reqScratch)
+		sc.size(len(qs))
+		step := func() {
+			sc.missPts, sc.missIdx = sc.missPts[:0], sc.missIdx[:0]
+			for i, q := range qs {
+				sc.missPts = append(sc.missPts, q)
+				sc.missIdx = append(sc.missIdx, i)
+			}
+			if err := srv.predictMisses(e, sc); err != nil {
 				t.Fatal(err)
 			}
-			res.Release()
-		}); n != 0 {
-			t.Fatalf("batcher Do: %v allocs/op", n)
+		}
+		step() // warm the pools and the cache entries put overwrites
+		if n := testing.AllocsPerRun(100, step); n != 0 {
+			t.Fatalf("predictMisses: %v allocs/op", n)
+		}
+		if d := srv.inflight.Load(); d != 0 {
+			t.Fatalf("admitted points not released: %d", d)
 		}
 	})
 }
 
-// TestModelPredictBounds checks PredictBatch parity after the bounds
-// refactor: public batch results equal the serial path bit for bit, and
-// malformed points still compact correctly around good ones.
+// TestModelPredictBounds checks the batch core against the per-point
+// path: predictInto equals Model.Predict bit for bit, malformed points
+// compact correctly around good ones, and an exact model reports no
+// truncation bound.
 func TestModelPredictBounds(t *testing.T) {
 	x, y, labeled := testData(71, 90, 4, 40)
 	snap := fitSnapshot(t, x, y, labeled, graphssl.WithBandwidth(1.4))
@@ -481,19 +464,13 @@ func TestModelPredictBounds(t *testing.T) {
 	if st[1] != psBadPoint || st[3] != psBadPoint {
 		t.Fatalf("statuses: %v", st)
 	}
-	sdst := make([]float64, len(qs))
-	sst := make([]pointStatus, len(qs))
-	sbounds := make([]float64, len(qs))
-	m.predictSerial(sdst, sst, sbounds, qs)
-	for i := range qs {
-		if st[i] != sst[i] {
-			t.Fatalf("point %d: batch status %d != serial %d", i, st[i], sst[i])
+	for i, q := range qs {
+		v, err := m.Predict(q)
+		if !errors.Is(err, st[i].err()) {
+			t.Fatalf("point %d: batch status %d, per-point error %v", i, st[i], err)
 		}
-		if math.Float64bits(dst[i]) != math.Float64bits(sdst[i]) {
-			t.Fatalf("point %d: batch %v != serial %v", i, dst[i], sdst[i])
-		}
-		if bounds[i] != sbounds[i] {
-			t.Fatalf("point %d: batch bound %v != serial %v", i, bounds[i], sbounds[i])
+		if math.Float64bits(dst[i]) != math.Float64bits(v) {
+			t.Fatalf("point %d: batch %v != per-point %v", i, dst[i], v)
 		}
 		if bounds[i] != 0 {
 			t.Fatalf("point %d: exact model reported bound %v", i, bounds[i])

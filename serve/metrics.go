@@ -18,19 +18,16 @@ var (
 	srvPoints        = expvar.NewInt("graphssl.serve.points_total")
 	srvErrors        = expvar.NewInt("graphssl.serve.errors_total")
 	srvRejected      = expvar.NewInt("graphssl.serve.rejected_total")
-	srvBatches       = expvar.NewInt("graphssl.serve.batches_total")
-	srvBatchedPoints = expvar.NewInt("graphssl.serve.batched_points_total")
 	srvCacheHits     = expvar.NewInt("graphssl.serve.cache_hits")
 	srvCacheMisses   = expvar.NewInt("graphssl.serve.cache_misses")
-	srvShedQueue     = expvar.NewInt("graphssl.serve.shed_queue")
 	srvShedBudget    = expvar.NewInt("graphssl.serve.shed_budget")
 	srvAnchorsPruned = expvar.NewInt("graphssl.serve.anchors_pruned")
 	srvModelVersion  = expvar.NewMap("graphssl.serve.model_version")
 	srvFleetRoutes   = expvar.NewMap("graphssl.serve.fleet_routes")
 
-	// liveBatchers tracks every open Batcher so queue depth can be
-	// reported as a live gauge.
-	liveBatchers sync.Map // *Batcher -> struct{}
+	// liveServers tracks every open Server so queue depth can be reported
+	// as a live gauge.
+	liveServers sync.Map // *Server -> struct{}
 
 	qpsWin slidingRate
 	latWin latencyRing
@@ -44,18 +41,11 @@ func init() {
 	}))
 	expvar.Publish("graphssl.serve.queue_depth", expvar.Func(func() any {
 		var total int64
-		liveBatchers.Range(func(k, _ any) bool {
-			total += k.(*Batcher).Depth()
+		liveServers.Range(func(k, _ any) bool {
+			total += k.(*Server).inflight.Load()
 			return true
 		})
 		return total
-	}))
-	expvar.Publish("graphssl.serve.batch_occupancy", expvar.Func(func() any {
-		b, p := srvBatches.Value(), srvBatchedPoints.Value()
-		if b == 0 {
-			return 0.0
-		}
-		return float64(p) / float64(b)
 	}))
 }
 
@@ -74,13 +64,6 @@ func countError() { srvErrors.Add(1) }
 // countRejected records one request turned away by admission control.
 func countRejected() { srvRejected.Add(1) }
 
-// countBatch records one dispatched batch of jobs carrying points in total.
-func countBatch(jobs, points int) {
-	srvBatches.Add(1)
-	srvBatchedPoints.Add(int64(points))
-	_ = jobs
-}
-
 // countCache records the cache outcome split of one predict request.
 func countCache(hits, misses int) {
 	if hits > 0 {
@@ -90,9 +73,6 @@ func countCache(hits, misses int) {
 		srvCacheMisses.Add(int64(misses))
 	}
 }
-
-// countShedQueue records one request shed by the queue-wait estimate.
-func countShedQueue() { srvShedQueue.Add(1) }
 
 // countShedBudget records one request shed by a per-model point budget.
 func countShedBudget() { srvShedBudget.Add(1) }

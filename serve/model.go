@@ -334,38 +334,6 @@ func (m *Model) PredictBatch(qs [][]float64) ([]float64, []error) {
 	return dst, errs
 }
 
-// predictSerial evaluates qs one point at a time through the per-point
-// path — the unbatched serving baseline. Results are bitwise-identical to
-// predictInto; only the throughput differs. bounds may be nil.
-func (m *Model) predictSerial(dst []float64, st []pointStatus, bounds []float64, qs [][]float64) {
-	s := m.pred.GetScratch()
-	var pruned int64
-	for i, q := range qs {
-		dst[i] = 0
-		if bounds != nil {
-			bounds[i] = 0
-		}
-		st[i] = psOK
-		if !m.checkPoint(q) {
-			st[i] = psBadPoint
-			continue
-		}
-		v, err := m.pred.Predict(q, s)
-		p, bound := s.LastStats()
-		pruned += int64(p)
-		if err != nil {
-			st[i] = psIsolated
-			continue
-		}
-		dst[i] = v
-		if bounds != nil {
-			bounds[i] = bound
-		}
-	}
-	m.pred.PutScratch(s)
-	countPruned(pruned)
-}
-
 // predictScratch holds the reusable buffers of one predictInto call; pooled
 // so the warm batch path stays allocation-free.
 type predictScratch struct {
@@ -392,7 +360,7 @@ func (ps *predictScratch) size(n int) {
 	}
 }
 
-// predictInto is the allocation-free batch core used by the batcher: dst,
+// predictInto is the allocation-free batch core of every predict path: dst,
 // st, and (optionally nil) bounds are caller-owned slices sized len(qs).
 // Malformed points are screened before the compute pass and never reach the
 // predictor. Every entry of dst/st/bounds is written, so callers may hand

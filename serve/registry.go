@@ -7,8 +7,8 @@ import (
 	"sync/atomic"
 )
 
-// Entry is one published model: a name, a monotonically increasing version
-// (bumped on every Store under the same name), and the immutable model.
+// Entry is one published model: a name, a version (drawn from the
+// registry's monotonic counter on every Store), and the immutable model.
 type Entry struct {
 	Name    string
 	Version int64
@@ -22,17 +22,20 @@ type Entry struct {
 // contention with writers. Internally the registry is copy-on-write: writers
 // serialize on a mutex, build a fresh map, and publish it atomically.
 //
-// Versions are monotonic per name for the registry's lifetime, surviving
-// Delete: re-storing a deleted name continues from the highest version ever
-// assigned to it, never back at 1. Anything keyed on (name, version) — the
-// server's prediction cache in particular — therefore can never confuse a
-// new model with a same-named predecessor.
+// Versions come from one counter per registry that every Store bumps, so
+// they are monotonic per name for the registry's lifetime, surviving
+// Delete: re-storing a deleted name gets a version above every one it held
+// before, never 1 again. Anything keyed on (name, version) — the server's
+// prediction cache in particular — therefore can never confuse a new model
+// with a same-named predecessor. The counter is the registry's only
+// version state, so create/delete churn over many names leaves nothing
+// behind.
 //
 // The zero Registry is ready to use.
 type Registry struct {
-	mu   sync.Mutex // serializes writers and guards last
-	cur  atomic.Pointer[map[string]*Entry]
-	last map[string]int64 // highest version ever assigned per name
+	mu      sync.Mutex // serializes writers and guards version
+	cur     atomic.Pointer[map[string]*Entry]
+	version int64 // last version assigned by Store
 }
 
 // maxNameLen bounds model names (they appear in URLs and metrics).
@@ -76,10 +79,11 @@ func (r *Registry) Load(name string) (*Entry, error) {
 
 // Store publishes model under name, replacing any previous model atomically
 // (hot swap: concurrent Loads see either the old entry or the new one,
-// never a torn state). It returns the published entry; its Version is 1 for
-// a never-before-seen name and highest-ever+1 otherwise — including after a
-// Delete, so a (name, version) pair uniquely identifies one stored model for
-// the registry's lifetime.
+// never a torn state). It returns the published entry; its Version is one
+// above the last version the registry assigned under any name — so it
+// exceeds every version the name held before, including across a Delete,
+// and a (name, version) pair uniquely identifies one stored model for the
+// registry's lifetime.
 func (r *Registry) Store(name string, m *Model) (*Entry, error) {
 	if !validName(name) {
 		return nil, fmt.Errorf("serve: model name %q: %w", name, ErrName)
@@ -94,21 +98,17 @@ func (r *Registry) Store(name string, m *Model) (*Entry, error) {
 	for k, v := range old {
 		next[k] = v
 	}
-	if r.last == nil {
-		r.last = make(map[string]int64)
-	}
-	version := r.last[name] + 1
-	r.last[name] = version
-	e := &Entry{Name: name, Version: version, Model: m}
+	r.version++
+	e := &Entry{Name: name, Version: r.version, Model: m}
 	next[name] = e
 	r.cur.Store(&next)
 	return e, nil
 }
 
 // Delete removes the model published under name. In-flight requests that
-// already loaded the entry finish normally. The name's version watermark is
-// retained, so a later Store under the same name continues the sequence
-// instead of restarting at 1.
+// already loaded the entry finish normally. The version counter is
+// untouched, so a later Store under the same name continues above every
+// version the name held instead of restarting at 1.
 func (r *Registry) Delete(name string) error {
 	r.mu.Lock()
 	defer r.mu.Unlock()

@@ -9,7 +9,7 @@ import (
 	graphssl "repro"
 )
 
-// smallModel builds a trivial servable model for registry and batcher tests.
+// smallModel builds a trivial servable model for registry tests.
 func smallModel(t *testing.T) *Model {
 	t.Helper()
 	snap := &graphssl.ModelSnapshot{
@@ -104,6 +104,39 @@ func TestRegistryVersionMonotonicAcrossDelete(t *testing.T) {
 	}
 	if r.Len() != 0 {
 		t.Fatalf("len = %d", r.Len())
+	}
+
+	// Interleaved create/delete churn over two names: each name's versions
+	// keep climbing, and no (name, version) pair is ever handed out twice.
+	last := map[string]int64{"a": 3}
+	seen := map[Entry]bool{}
+	for round := 0; round < 4; round++ {
+		for _, name := range []string{"a", "b", "a"} {
+			e, err := r.Store(name, smallModel(t))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if e.Version <= last[name] {
+				t.Fatalf("round %d: %q version %d after %d", round, name, e.Version, last[name])
+			}
+			key := Entry{Name: e.Name, Version: e.Version}
+			if seen[key] {
+				t.Fatalf("round %d: (%q, %d) assigned twice", round, name, e.Version)
+			}
+			seen[key] = true
+			last[name] = e.Version
+		}
+		if err := r.Delete("a"); err != nil {
+			t.Fatal(err)
+		}
+		if round%2 == 1 {
+			if err := r.Delete("b"); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if r.Len() != 0 {
+		t.Fatalf("len after churn = %d", r.Len())
 	}
 }
 

@@ -1,8 +1,8 @@
 // Package serve is the model-serving subsystem: it freezes fitted
 // graph-SSL models into immutable snapshots with an inductive out-of-sample
 // Predict, keeps them in a concurrency-safe registry with atomic hot-swap,
-// and exposes them over an HTTP JSON API with request-coalescing
-// micro-batching, admission control, and graceful drain.
+// and exposes them over an HTTP JSON API with a version-keyed prediction
+// cache, admission control, and graceful drain.
 //
 // The inductive extension is the Nadaraya–Watson form of paper Eq. 6,
 //
@@ -22,9 +22,9 @@
 // Concurrency model: a Model is immutable and safe for unbounded concurrent
 // readers. The Registry publishes a copy-on-write map through an atomic
 // pointer, so lookups on the request path never take a lock and Swap
-// replaces a model under traffic with zero downtime. The Batcher coalesces
-// concurrent predict requests into tiled batch evaluations — the cache- and
-// SIMD-level batching win — behind a bounded queue whose overflow surfaces
+// replaces a model under traffic with zero downtime. Each predict request
+// evaluates its uncached points inline, through the model's tiled SIMD batch
+// kernel, behind a points-bounded admission counter whose overflow surfaces
 // as HTTP 429.
 package serve
 
@@ -44,8 +44,10 @@ var (
 	ErrName = errors.New("serve: invalid model name")
 	// ErrNotFound is returned when a named model is not in the registry.
 	ErrNotFound = errors.New("serve: model not found")
-	// ErrOverloaded is returned when the batcher's admission queue is
-	// full; callers should retry after backing off (HTTP 429).
+	// ErrOverloaded is returned when admitting a request's points would
+	// exceed an in-flight point bound (the server's QueueDepth, a model's
+	// ModelBudget, or a streaming model's ingest queue); callers should
+	// retry after backing off (HTTP 429).
 	ErrOverloaded = errors.New("serve: prediction queue full")
 	// ErrDraining is returned for work submitted after shutdown began.
 	ErrDraining = errors.New("serve: server draining")

@@ -19,23 +19,13 @@ import (
 // Config tunes a Server. The zero value selects the defaults noted on each
 // field.
 type Config struct {
-	// MaxBatch is the batch flush size in points (default 64).
-	MaxBatch int
-	// BatchDelay is how long a partial batch waits for company before it
-	// flushes anyway (default 500µs).
-	BatchDelay time.Duration
-	// QueueDepth bounds the admitted-but-unfinished points; requests
-	// beyond it get 429 (default 1024).
+	// QueueDepth bounds the uncached points under evaluation across all
+	// predict requests; a request that would exceed it gets 429 (default
+	// 1024).
 	QueueDepth int
-	// Workers bounds batch-evaluation parallelism (default 1; <= 0
+	// Workers bounds predict-evaluation parallelism (default 1; <= 0
 	// selects GOMAXPROCS). Worker count never changes results.
 	Workers int
-	// NoBatch disables the micro-batcher: every request is evaluated
-	// inline, point by point, without the tiled batch kernel — the
-	// baseline the batching win is measured against.
-	NoBatch bool
-	// PredictTimeout bounds one predict request (default 10s).
-	PredictTimeout time.Duration
 	// FitTimeout bounds one fit request (default 120s).
 	FitTimeout time.Duration
 	// MaxBodyBytes bounds request bodies (default 64 MiB).
@@ -50,11 +40,6 @@ type Config struct {
 	// ModelBudget bounds the uncached points one model may have in flight;
 	// requests beyond it get 429 (default 0 = unlimited).
 	ModelBudget int
-	// MaxQueueWait sheds predict requests when the batch queue's estimated
-	// drain time (depth x measured per-point service time) exceeds it
-	// (default PredictTimeout). Shedding early returns a cheap 429 instead
-	// of queueing work that would time out anyway.
-	MaxQueueWait time.Duration
 	// IngestQueue bounds the in-flight (admitted but not yet applied)
 	// points per streaming model; ingest requests beyond it get 429
 	// (default 4096).
@@ -66,20 +51,11 @@ type Config struct {
 }
 
 func (c *Config) fillDefaults() {
-	if c.MaxBatch <= 0 {
-		c.MaxBatch = 64
-	}
-	if c.BatchDelay <= 0 {
-		c.BatchDelay = 500 * time.Microsecond
-	}
 	if c.QueueDepth <= 0 {
 		c.QueueDepth = 1024
 	}
 	if c.Workers == 0 {
 		c.Workers = 1
-	}
-	if c.PredictTimeout <= 0 {
-		c.PredictTimeout = 10 * time.Second
 	}
 	if c.FitTimeout <= 0 {
 		c.FitTimeout = 120 * time.Second
@@ -93,9 +69,6 @@ func (c *Config) fillDefaults() {
 	if c.CacheSize == 0 {
 		c.CacheSize = 8192
 	}
-	if c.MaxQueueWait <= 0 {
-		c.MaxQueueWait = c.PredictTimeout
-	}
 	if c.IngestQueue <= 0 {
 		c.IngestQueue = 4096
 	}
@@ -105,18 +78,17 @@ func (c *Config) fillDefaults() {
 }
 
 // Server is the HTTP serving layer: a model registry behind a JSON API with
-// micro-batched prediction, admission control, and a drain switch for
-// graceful shutdown. Create with NewServer, mount Handler on an
-// http.Server, and on shutdown call BeginDrain, then http.Server.Shutdown,
-// then Close.
+// cached prediction, admission control, and a drain switch for graceful
+// shutdown. Create with NewServer, mount Handler on an http.Server, and on
+// shutdown call BeginDrain, then http.Server.Shutdown, then Close.
 type Server struct {
 	cfg      Config
 	registry *Registry
-	batcher  *Batcher
 	cache    *predCache
-	budgets  sync.Map // model name -> *atomic.Int64 in-flight uncached points
-	ingests  sync.Map // model name -> *ingestState for streaming models
-	inFleet  bool     // set by NewFleet: streaming fits are single-server only
+	inflight atomic.Int64 // uncached points under evaluation, capped at cfg.QueueDepth
+	budgets  sync.Map     // model name -> *atomic.Int64 in-flight uncached points
+	ingests  sync.Map     // model name -> *ingestState for streaming models
+	inFleet  bool         // set by NewFleet: streaming fits are single-server only
 	draining atomic.Bool
 	mux      *http.ServeMux
 }
@@ -125,9 +97,7 @@ type Server struct {
 func NewServer(cfg Config) *Server {
 	cfg.fillDefaults()
 	s := &Server{cfg: cfg, registry: &Registry{}, cache: newPredCache(cfg.CacheSize)}
-	if !cfg.NoBatch {
-		s.batcher = NewBatcher(cfg.MaxBatch, cfg.BatchDelay, cfg.QueueDepth, cfg.Workers)
-	}
+	liveServers.Store(s, struct{}{})
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/predict", s.handlePredict)
 	mux.HandleFunc("POST /v1/ingest", s.handleIngest)
@@ -157,15 +127,13 @@ func (s *Server) BeginDrain() { s.draining.Store(true) }
 // Draining reports whether BeginDrain was called.
 func (s *Server) Draining() bool { return s.draining.Load() }
 
-// Close drains and stops the batcher and every ingest worker, waiting
-// for every admitted job. Call after http.Server.Shutdown has returned
-// (no handlers in flight).
+// Close drains and stops every ingest worker, waiting for its admitted
+// points. Call after http.Server.Shutdown has returned (no handlers in
+// flight).
 func (s *Server) Close() {
 	s.BeginDrain()
-	if s.batcher != nil {
-		s.batcher.Close()
-	}
 	s.closeIngests()
+	liveServers.Delete(s)
 }
 
 // httpError is the JSON error envelope.
@@ -295,64 +263,34 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 	defer sc.release()
 	sc.size(n)
 	scores, bounds, st := sc.scores[:n], sc.bounds[:n], sc.st[:n]
-	missPts, missIdx := sc.missPts[:0], sc.missIdx[:0]
+	sc.missPts, sc.missIdx = sc.missPts[:0], sc.missIdx[:0]
 	for i, pt := range req.Points {
 		if v, b, cst, ok := s.cache.get(e.Name, e.Version, pt); ok {
 			scores[i], bounds[i], st[i] = v, b, cst
 		} else {
-			missPts = append(missPts, pt)
-			missIdx = append(missIdx, i)
+			sc.missPts = append(sc.missPts, pt)
+			sc.missIdx = append(sc.missIdx, i)
 		}
 	}
-	sc.missPts = missPts // keep the grown slice pooled
-	countCache(n-len(missPts), len(missPts))
+	misses := len(sc.missPts)
+	countCache(n-misses, misses)
 
-	if len(missPts) > 0 {
+	if misses > 0 {
 		// Admission control gates only uncached work: a full cache hit costs
 		// nothing worth shedding.
-		if s.batcher != nil {
-			if wait := s.batcher.EstimatedWait(); wait > s.cfg.MaxQueueWait {
-				countShedQueue()
-				fail(w, fmt.Errorf("serve: estimated queue wait %v exceeds %v: %w", wait.Round(time.Millisecond), s.cfg.MaxQueueWait, ErrOverloaded))
-				return
-			}
-		}
 		if s.cfg.ModelBudget > 0 {
 			ctr := s.modelCounter(e.Name)
-			if ctr.Add(int64(len(missPts))) > int64(s.cfg.ModelBudget) {
-				ctr.Add(-int64(len(missPts)))
+			if ctr.Add(int64(misses)) > int64(s.cfg.ModelBudget) {
+				ctr.Add(-int64(misses))
 				countShedBudget()
 				fail(w, fmt.Errorf("serve: model %q exceeds its in-flight budget of %d points: %w", e.Name, s.cfg.ModelBudget, ErrOverloaded))
 				return
 			}
-			defer ctr.Add(-int64(len(missPts)))
+			defer ctr.Add(-int64(misses))
 		}
-		mdst, mbounds, mst := sc.mdst[:len(missPts)], sc.mbounds[:len(missPts)], sc.mst[:len(missPts)]
-		if s.batcher != nil {
-			ctx, cancel := context.WithTimeout(r.Context(), s.cfg.PredictTimeout)
-			res, err := s.batcher.Do(ctx, e.Model, missPts)
-			cancel()
-			if err != nil {
-				if errors.Is(err, context.Canceled) {
-					err = fmt.Errorf("serve: request canceled: %w", err)
-				}
-				fail(w, err)
-				return
-			}
-			copy(mdst, res.Scores())
-			copy(mst, res.Status())
-			copy(mbounds, res.Bounds())
-			res.Release()
-		} else {
-			e.Model.predictSerial(mdst, mst, mbounds, missPts)
-		}
-		for k, i := range missIdx {
-			scores[i], bounds[i], st[i] = mdst[k], mbounds[k], mst[k]
-			// Bad points are request-shaped, not model-shaped; don't cache
-			// them.
-			if mst[k] != psBadPoint {
-				s.cache.put(e.Name, e.Version, missPts[k], mdst[k], mbounds[k], mst[k])
-			}
+		if err := s.predictMisses(e, sc); err != nil {
+			fail(w, err)
+			return
 		}
 	}
 
@@ -370,6 +308,47 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 	}
 	countRequest(n, time.Since(start))
 	writeJSON(w, http.StatusOK, resp)
+}
+
+// predictMisses evaluates a request's uncached points (sc.missPts, at
+// response positions sc.missIdx) inline on the handler goroutine through
+// the model's tiled batch kernel, then scatters the results into the
+// response buffers and the cache. Admission is bounded in points, not
+// requests: work that would lift the server's uncached points under
+// evaluation past QueueDepth is refused with ErrOverloaded without
+// blocking, so latency stays bounded under overload. The warm path
+// allocates nothing; CI gates it with testing.AllocsPerRun.
+func (s *Server) predictMisses(e *Entry, sc *reqScratch) error {
+	k := len(sc.missPts)
+	if !s.admit(int64(k)) {
+		return fmt.Errorf("serve: %d uncached points would exceed the in-flight limit of %d: %w", k, s.cfg.QueueDepth, ErrOverloaded)
+	}
+	mdst, mbounds, mst := sc.mdst[:k], sc.mbounds[:k], sc.mst[:k]
+	e.Model.predictInto(mdst, mst, mbounds, sc.missPts, s.cfg.Workers)
+	s.inflight.Add(-int64(k))
+	for j, i := range sc.missIdx {
+		sc.scores[i], sc.bounds[i], sc.st[i] = mdst[j], mbounds[j], mst[j]
+		// Bad points are request-shaped, not model-shaped; don't cache
+		// them.
+		if mst[j] != psBadPoint {
+			s.cache.put(e.Name, e.Version, sc.missPts[j], mdst[j], mbounds[j], mst[j])
+		}
+	}
+	return nil
+}
+
+// admit reserves n points of the QueueDepth budget, failing without
+// blocking when it is exhausted.
+func (s *Server) admit(n int64) bool {
+	for {
+		cur := s.inflight.Load()
+		if cur+n > int64(s.cfg.QueueDepth) {
+			return false
+		}
+		if s.inflight.CompareAndSwap(cur, cur+n) {
+			return true
+		}
+	}
 }
 
 // modelCounter returns the in-flight point counter for a model name,

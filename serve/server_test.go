@@ -14,8 +14,8 @@ import (
 	graphssl "repro"
 )
 
-// testServer boots a server over httptest. Callers own ts.Close and
-// srv.Close ordering (handlers first, batcher second).
+// testServer boots a server over httptest, closing the listener (handlers
+// first) and then the server when the test ends.
 func testServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
 	t.Helper()
 	srv := NewServer(cfg)
@@ -328,15 +328,12 @@ func TestServerConcurrentClients(t *testing.T) {
 	}
 	for _, key := range []string{
 		"graphssl.serve.requests_total",
-		"graphssl.serve.batches_total",
 		"graphssl.serve.qps",
 		"graphssl.serve.latency_us",
 		"graphssl.serve.model_version",
 		"graphssl.serve.queue_depth",
-		"graphssl.serve.batch_occupancy",
 		"graphssl.serve.cache_hits",
 		"graphssl.serve.cache_misses",
-		"graphssl.serve.shed_queue",
 		"graphssl.serve.shed_budget",
 		"graphssl.serve.anchors_pruned",
 	} {
@@ -346,27 +343,5 @@ func TestServerConcurrentClients(t *testing.T) {
 	}
 	if srv.Registry().Len() != 1 {
 		t.Fatalf("registry len = %d", srv.Registry().Len())
-	}
-}
-
-// TestServerNoBatch checks the unbatched path used by benchmarking.
-func TestServerNoBatch(t *testing.T) {
-	_, ts := testServer(t, Config{NoBatch: true})
-	x, y, labeled := testData(47, 80, 3, 30)
-	fitOverHTTP(t, ts.URL, "nb", x, y, labeled, 1.2)
-	want, unl, err := graphssl.NadarayaWatson(x, y, labeled, graphssl.WithBandwidth(1.2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp, body := postJSON(t, ts.URL+"/v1/predict", predictRequest{Model: "nb", Points: [][]float64{x[unl[0]]}})
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("predict: %d %s", resp.StatusCode, body)
-	}
-	var pr predictResponse
-	if err := json.Unmarshal(body, &pr); err != nil {
-		t.Fatal(err)
-	}
-	if math.Float64bits(pr.Scores[0]) != math.Float64bits(want[0]) {
-		t.Fatalf("unbatched: %v != %v", pr.Scores[0], want[0])
 	}
 }
