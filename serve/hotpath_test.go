@@ -273,6 +273,52 @@ func TestServerShedQueue(t *testing.T) {
 	}
 }
 
+// TestBatcherOverload checks the admission bound in front of inline
+// evaluation at the unit level: an uncached request over QueueDepth points
+// fails fast with ErrOverloaded and leaves no points admitted, and one
+// within the bound is still evaluated.
+func TestBatcherOverload(t *testing.T) {
+	m := batchModel(t)
+	srv := NewServer(Config{QueueDepth: 8})
+	defer srv.Close()
+	e, err := srv.Registry().Store("overload", m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	big := make([][]float64, 16)
+	for i := range big {
+		big[i] = make([]float64, m.Dim())
+	}
+	misses := func(pts [][]float64) *reqScratch {
+		sc := new(reqScratch)
+		sc.size(len(pts))
+		for i, q := range pts {
+			sc.missPts = append(sc.missPts, q)
+			sc.missIdx = append(sc.missIdx, i)
+		}
+		return sc
+	}
+	if err := srv.predictMisses(e, misses(big)); !errors.Is(err, ErrOverloaded) {
+		t.Fatalf("oversized request: %v", err)
+	}
+	if d := srv.inflight.Load(); d != 0 {
+		t.Fatalf("rejected request leaked depth %d", d)
+	}
+	// Within budget still works.
+	sc := misses(big[:8])
+	if err := srv.predictMisses(e, sc); err != nil {
+		t.Fatal(err)
+	}
+	for i, s := range sc.st[:8] {
+		if s != psOK {
+			t.Fatalf("point %d: status %d", i, s)
+		}
+	}
+	if d := srv.inflight.Load(); d != 0 {
+		t.Fatalf("admitted points not released: %d", d)
+	}
+}
+
 // TestServerShedBudget checks the per-model point budget: one request with
 // more uncached points than the model's budget is rejected, cached points
 // do not count against it, and other models are unaffected.
