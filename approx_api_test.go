@@ -190,3 +190,36 @@ func TestApproxSnapshotCarriesBound(t *testing.T) {
 		t.Fatalf("snapshot bound %v, want %v", snap.ApproxBound, res.ApproxBound)
 	}
 }
+
+// TestApproxCertificateDominatesLargeN is the end-to-end soundness check of
+// the Nyström certificate at sizes where the exact fit still runs: n = 10k
+// and 40k uniform points in the unit square, one label per 200 points, the
+// Epanechnikov kernel at h = 0.05 on an 8-NN graph. The WithApprox(1e18) fit
+// must keep the Nyström answer, and its certified sup-norm bound must
+// dominate the measured distance to the exact fit.
+func TestApproxCertificateDominatesLargeN(t *testing.T) {
+	for _, n := range []int{10000, 40000} {
+		x, y, labeled := approxFixture(n, 200, 1031)
+		base := []Option{WithKernel(Epanechnikov), WithBandwidth(0.05), WithKNN(8)}
+		exact, err := Fit(x, y, labeled, base...)
+		if err != nil {
+			t.Fatalf("n=%d exact fit: %v", n, err)
+		}
+		var rep Report
+		approx, err := Fit(x, y, labeled, append([]Option{WithApprox(1e18), WithDiagnostics(&rep)}, base...)...)
+		if err != nil {
+			t.Fatalf("n=%d approx fit: %v", n, err)
+		}
+		if approx.Solver != SolverNystrom {
+			t.Fatalf("n=%d: solver %v, want nystrom (report %+v)", n, approx.Solver, rep.Approx)
+		}
+		var actual float64
+		for i := range approx.Scores {
+			actual = math.Max(actual, math.Abs(approx.Scores[i]-exact.Scores[i]))
+		}
+		t.Logf("n=%d anchors=%d bound=%.4g actual=%.4g", n, approx.ApproxAnchors, approx.ApproxBound, actual)
+		if !(approx.ApproxBound >= actual) {
+			t.Fatalf("n=%d: certified bound %g below measured error %g", n, approx.ApproxBound, actual)
+		}
+	}
+}

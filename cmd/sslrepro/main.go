@@ -108,7 +108,7 @@ func run(args []string, stdout io.Writer) error {
 			}
 			return res.WriteMarkdown(out)
 		case "toy":
-			return runToy(out, *seed)
+			return runToy(out, *seed, *format)
 		case "mfast":
 			r := *reps
 			if r == 0 {
@@ -136,6 +136,9 @@ func run(args []string, stdout io.Writer) error {
 			rows, err := experiments.RunBaselines(experiments.BaselinesDefaultConfig(r, *seed))
 			if err != nil {
 				return err
+			}
+			if *format == "csv" {
+				return experiments.WriteBaselineCSV(rows, out)
 			}
 			fmt.Fprintf(out, "### baselines — mean RMSE on Model 1 (n=200, m=50, %d reps)\n\n", r)
 			fmt.Fprintln(out, "| method | RMSE | stderr |")
@@ -173,6 +176,9 @@ func run(args []string, stdout io.Writer) error {
 			if err != nil {
 				return err
 			}
+			if *format == "csv" {
+				return experiments.WriteSignificanceCSV(rows, out)
+			}
 			fmt.Fprintf(out, "### significance — paired hard-vs-soft RMSE, Model 1 (n=200, m=50, %d paired reps)\n\n", r)
 			fmt.Fprintln(out, "| λ | RMSE hard | RMSE soft | paired test (hard−soft) |")
 			fmt.Fprintln(out, "|---|---|---|---|")
@@ -190,6 +196,9 @@ func run(args []string, stdout io.Writer) error {
 			if err != nil {
 				return err
 			}
+			if *format == "csv" {
+				return experiments.WriteDiagCSV(rows, out)
+			}
 			fmt.Fprintf(out, "### diag — Theorem II.1 proof quantities (avg over %d reps)\n\n", r)
 			fmt.Fprintln(out, "| n | unlabeled-mass ratio | hard–NW gap | contraction ρ |")
 			fmt.Fprintln(out, "|---|---|---|---|")
@@ -206,6 +215,13 @@ func run(args []string, stdout io.Writer) error {
 			pts, err := experiments.RunCOIL6(experiments.COIL6DefaultConfig(*perClass, r, *seed))
 			if err != nil {
 				return err
+			}
+			if *format == "csv" {
+				fmt.Fprintln(out, "lambda,accuracy_mean,accuracy_stderr,reps")
+				for _, p := range pts {
+					fmt.Fprintf(out, "%g,%.6f,%.6f,%d\n", p.X, p.Mean, p.StdErr, p.Reps)
+				}
+				return nil
 			}
 			fmt.Fprintf(out, "### coil6 — 6-class accuracy, 20%% labeled (avg over %d split-experiments)\n\n", pts[0].Reps)
 			fmt.Fprintln(out, "| λ | accuracy | stderr |")
@@ -243,7 +259,7 @@ func writeSweep(res *experiments.SweepResult, format string, out io.Writer) erro
 // runToy demonstrates the paper's Section III toy example numerically: with
 // identical inputs the hard criterion predicts exactly the labeled mean on
 // unlabeled points.
-func runToy(out io.Writer, seed int64) error {
+func runToy(out io.Writer, seed int64, format string) error {
 	const n, m = 20, 10
 	rng := randx.New(seed)
 	ds, err := synth.GenerateToy(rng, n, m, 0.7)
@@ -280,6 +296,10 @@ func runToy(out io.Writer, seed int64) error {
 		if d := math.Abs(v - mean); d > maxDev {
 			maxDev = d
 		}
+	}
+	if format == "csv" {
+		_, err = fmt.Fprintf(out, "n,m,label_mean,max_dev\n%d,%d,%.6f,%.6g\n", n, m, mean, maxDev)
+		return err
 	}
 	_, err = fmt.Fprintf(out,
 		"### toy (Section III)\n\nn=%d m=%d identical inputs; labeled mean ȳ = %.4f\n"+

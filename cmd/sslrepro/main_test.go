@@ -132,3 +132,30 @@ func TestRunErrors(t *testing.T) {
 		t.Fatal("bad flag must error")
 	}
 }
+
+// TestRunCSVFormat: -format csv must yield plain CSV, never a markdown table,
+// for the experiments that print row tables.
+func TestRunCSVFormat(t *testing.T) {
+	cases := []struct{ exp, header string }{
+		{"baselines", "method,rmse_mean,rmse_stderr,reps"},
+		{"significance", "lambda,rmse_hard,rmse_soft,t,df,p,mean_diff"},
+		{"diag", "n,mass_ratio,hard_nw_gap,contraction_rate,reps"},
+		{"coil6", "lambda,accuracy_mean,accuracy_stderr,reps"},
+		{"toy", "n,m,label_mean,max_dev"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.exp, func(t *testing.T) {
+			var sb strings.Builder
+			if err := run([]string{"-exp", tc.exp, "-reps", "2", "-perclass", "5", "-format", "csv"}, &sb); err != nil {
+				t.Fatal(err)
+			}
+			out := sb.String()
+			if first, _, _ := strings.Cut(out, "\n"); first != tc.header {
+				t.Fatalf("header %q, want %q", first, tc.header)
+			}
+			if strings.Contains(out, "|") {
+				t.Fatalf("markdown in csv output:\n%s", out)
+			}
+		})
+	}
+}

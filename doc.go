@@ -70,6 +70,7 @@
 // serve package's Fleet replicates the resulting snapshots behind a router.
 //
 // The experiment harnesses that regenerate the paper's figures live in
-// internal/experiments and are driven by cmd/sslrepro; cmd/perfbench
-// benchmarks the hot paths (run it with -list for the suite registry).
+// internal/experiments and are driven by cmd/sslrepro; the bench module
+// (bench/, declared by BENCHMARK.json) measures fit, predict and ingest end
+// to end and layer by layer.
 package graphssl

@@ -99,8 +99,8 @@ type Result struct {
 	// selected anchor; they score 0 and inflate the residual bound.
 	Isolated int
 	// Per-stage wall times of the pipeline (coarsening, reduced
-	// build+solve, NW extension, certificate), for diagnostics and the
-	// perfbench largen suite.
+	// build+solve, NW extension, certificate), surfaced in the public
+	// Report's ApproxInfo.
 	TreeNs, ReducedNs, ExtendNs, CertifyNs int64
 }
 

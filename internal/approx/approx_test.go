@@ -13,8 +13,8 @@ import (
 )
 
 // testProblem builds an n-point planar problem with every step-th point
-// labeled by a smooth response, the standard large-n fixture of the
-// perfbench suites.
+// labeled by a smooth response, the standard large-n fixture (the root
+// package's certificate test fits the same layout at n = 10k and 40k).
 func testProblem(t *testing.T, n, step int, k *kernel.K, knn int, seed int64) (*core.Problem, [][]float64) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))

@@ -232,20 +232,6 @@ func NewPlan(w *sparse.CSR, shards int, useRCM bool) (*Plan, error) {
 	return plan, nil
 }
 
-// shardOwning returns the index of the shard whose row range contains idx.
-func (p *Plan) shardOwning(idx int) int {
-	lo, hi := 0, len(p.Shards)-1
-	for lo < hi {
-		mid := (lo + hi + 1) / 2
-		if p.Shards[mid].Lo <= idx {
-			lo = mid
-		} else {
-			hi = mid - 1
-		}
-	}
-	return lo
-}
-
 // entryKV is one matrix entry during block extraction.
 type entryKV struct {
 	col int

@@ -88,8 +88,8 @@ type NWPredictor struct {
 
 // nwMinIndexAnchors is the minimum anchor count before a compact-support
 // predictor builds a spatial index; below it the brute scan is already
-// cheap. It must equal the historical NadarayaWatsonPoints cutoff so the
-// point estimator keeps choosing the same paths.
+// cheap. The indexes prune only exact zeros, so the cutoff trades index
+// build time against scan time and never changes an estimate.
 const nwMinIndexAnchors = 64
 
 // NewNWPredictor freezes an inductive estimator over the given anchors and

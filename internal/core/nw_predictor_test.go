@@ -7,6 +7,7 @@ import (
 	"sort"
 	"testing"
 
+	"repro/internal/graph"
 	"repro/internal/kernel"
 	"repro/internal/randx"
 )
@@ -36,6 +37,154 @@ func predCase(seed int64, nAnchor, nQuery, d int) (anchors [][]float64, values [
 	}
 	queries = draw(nQuery)
 	return anchors, values, queries
+}
+
+// nwGraphCase draws a labeled/unlabeled split with interleaved labeled
+// indices (not the labeled-first layout) to exercise the ascending-order
+// anchor layout.
+func nwGraphCase(seed int64, n, nLabeled, d int) (x [][]float64, labeled []int, y []float64) {
+	rng := randx.New(seed)
+	x = make([][]float64, n)
+	for i := range x {
+		xi := make([]float64, d)
+		for j := range xi {
+			v := rng.Norm()
+			if rng.Float64() < 0.4 {
+				v = math.Round(v) // exact ties
+			}
+			xi[j] = v
+		}
+		x[i] = xi
+	}
+	stride := n / nLabeled
+	if stride < 1 {
+		stride = 1
+	}
+	for i := 0; len(labeled) < nLabeled; i = (i + stride) % n {
+		dup := false
+		for _, l := range labeled {
+			if l == i {
+				dup = true
+				break
+			}
+		}
+		if dup {
+			i++
+			continue
+		}
+		labeled = append(labeled, i)
+		y = append(y, rng.Bernoulli(0.5))
+	}
+	return x, labeled, y
+}
+
+// labeledAnchors returns the labeled points and responses in ascending node
+// order, the anchor layout under which the predictor matches the graph
+// estimator bitwise.
+func labeledAnchors(x [][]float64, labeled []int, y []float64) ([][]float64, []float64) {
+	order := make([]int, len(labeled))
+	for i := range order {
+		order[i] = i
+	}
+	sort.Slice(order, func(a, b int) bool { return labeled[order[a]] < labeled[order[b]] })
+	ax := make([][]float64, len(labeled))
+	av := make([]float64, len(labeled))
+	for p, o := range order {
+		ax[p], av[p] = x[labeled[o]], y[o]
+	}
+	return ax, av
+}
+
+// TestNWPredictorMatchesGraph checks the transductive contract: a predictor
+// over the labeled points in ascending node order is bitwise-identical to
+// NadarayaWatson on a default-built graph at every unlabeled point, for
+// compact kernels (grid and KD-tree lookup) and the Gaussian (brute scan),
+// at several dimensions and worker counts.
+func TestNWPredictorMatchesGraph(t *testing.T) {
+	cases := []struct {
+		name       string
+		k          *kernel.K
+		n, nLab, d int
+		path       string
+	}{
+		{"epan-grid", kernel.MustNew(kernel.Epanechnikov, 2.0), 300, 128, 2, "grid"},
+		{"uniform-grid", kernel.MustNew(kernel.Uniform, 1.5), 260, 100, 3, "grid"},
+		{"epan-kdtree", kernel.MustNew(kernel.Epanechnikov, 3.0), 220, 90, 8, "kdtree"},
+		{"epan-small-brute", kernel.MustNew(kernel.Epanechnikov, 2.0), 80, 20, 2, "brute"},
+		{"gaussian-brute", kernel.MustNew(kernel.Gaussian, 1.0), 150, 70, 2, "brute"},
+	}
+	for _, tc := range cases {
+		x, labeled, y := nwGraphCase(int64(100+tc.n), tc.n, tc.nLab, tc.d)
+		b, err := graph.NewBuilder(tc.k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		g, err := b.Build(x)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		p, err := NewProblem(g, labeled, y)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ref, refErr := NadarayaWatson(p)
+		unl := p.Unlabeled()
+		qs := make([][]float64, len(unl))
+		for r, u := range unl {
+			qs[r] = x[u]
+		}
+		ax, av := labeledAnchors(x, labeled, y)
+		for _, w := range []int{1, 4, 0} {
+			pred, err := NewNWPredictor(ax, av, tc.k, 0, w)
+			if err != nil {
+				t.Fatalf("%s workers=%d: %v", tc.name, w, err)
+			}
+			if pred.Path() != tc.path {
+				t.Fatalf("%s: path %q, want %q", tc.name, pred.Path(), tc.path)
+			}
+			got := make([]float64, len(qs))
+			status := make([]NWStatus, len(qs))
+			pred.PredictBatch(got, status, qs, w)
+			isolated := false
+			for _, st := range status {
+				isolated = isolated || st == NWIsolated
+			}
+			if refErr != nil {
+				if !errors.Is(refErr, ErrIsolated) || !isolated {
+					t.Fatalf("%s workers=%d: graph NW failed (%v) but no query was isolated", tc.name, w, refErr)
+				}
+				continue
+			}
+			for i := range unl {
+				if status[i] != NWOK {
+					t.Fatalf("%s workers=%d: point %d status %d", tc.name, w, unl[i], status[i])
+				}
+				if got[i] != ref[i] {
+					t.Fatalf("%s workers=%d: estimate %d = %v, want %v (must be bitwise-identical)",
+						tc.name, w, i, got[i], ref[i])
+				}
+			}
+		}
+	}
+}
+
+// TestNWPredictorIsolated: a far-away point under a compact kernel has no
+// labeled anchor in its support and must surface ErrIsolated.
+func TestNWPredictorIsolated(t *testing.T) {
+	x := [][]float64{{0, 0}, {0.5, 0}, {100, 100}}
+	k := kernel.MustNew(kernel.Epanechnikov, 1.0)
+	pred, err := NewNWPredictor(x[:2], []float64{1, 0}, k, 0, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := pred.Predict(x[2], nil); !errors.Is(err, ErrIsolated) {
+		t.Fatalf("want ErrIsolated, got %v", err)
+	}
+	status := make([]NWStatus, 1)
+	pred.PredictBatch(make([]float64, 1), status, x[2:], 1)
+	if status[0] != NWIsolated {
+		t.Fatalf("batch status %d, want NWIsolated", status[0])
+	}
 }
 
 // TestNWPredictorBatchMatchesPredict checks the batch contract: PredictBatch

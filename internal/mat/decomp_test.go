@@ -243,102 +243,6 @@ func TestSolveSPDFallsBackToLU(t *testing.T) {
 	}
 }
 
-func TestQRSolveExact(t *testing.T) {
-	rng := rand.New(rand.NewSource(14))
-	for trial := 0; trial < 10; trial++ {
-		n := 2 + rng.Intn(8)
-		a := randSPD(rng, n)
-		b := make([]float64, n)
-		for i := range b {
-			b[i] = rng.NormFloat64()
-		}
-		x, err := LeastSquares(a, b)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if r := residual(a, x, b); r > 1e-9 {
-			t.Fatalf("trial %d: residual %g", trial, r)
-		}
-	}
-}
-
-func TestQRLeastSquaresOverdetermined(t *testing.T) {
-	// Fit y = 2 + 3x with exact data; LS must recover coefficients.
-	xs := []float64{0, 1, 2, 3, 4}
-	a := NewDense(len(xs), 2)
-	b := make([]float64, len(xs))
-	for i, x := range xs {
-		a.Set(i, 0, 1)
-		a.Set(i, 1, x)
-		b[i] = 2 + 3*x
-	}
-	coef, err := LeastSquares(a, b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !VecEqual(coef, []float64{2, 3}, 1e-12) {
-		t.Fatalf("coef = %v", coef)
-	}
-}
-
-func TestQRLeastSquaresNoisyNormalEquations(t *testing.T) {
-	// QR least-squares solution must satisfy the normal equations AᵀA x = Aᵀ b.
-	rng := rand.New(rand.NewSource(16))
-	a := randDense(rng, 12, 4)
-	b := make([]float64, 12)
-	for i := range b {
-		b[i] = rng.NormFloat64()
-	}
-	x, err := LeastSquares(a, b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ata, _ := Mul(a.T(), a)
-	atb, _ := MulTVec(a, b)
-	lhs, _ := MulVec(ata, x)
-	if !VecEqual(lhs, atb, 1e-9) {
-		t.Fatal("QR solution violates normal equations")
-	}
-}
-
-func TestQRShapeErrors(t *testing.T) {
-	if _, err := NewQR(NewDense(2, 3)); err == nil {
-		t.Fatal("m<n must error")
-	}
-	f, _ := NewQR(NewDense(3, 2))
-	if _, err := f.Solve([]float64{1}); err == nil {
-		t.Fatal("wrong b length must error")
-	}
-}
-
-func TestQRRankDeficient(t *testing.T) {
-	a, _ := NewDenseData(3, 2, []float64{1, 2, 2, 4, 3, 6}) // col2 = 2*col1
-	f, err := NewQR(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := f.Solve([]float64{1, 2, 3}); !errors.Is(err, ErrSingular) {
-		t.Fatalf("want ErrSingular, got %v", err)
-	}
-}
-
-func TestQRRUpperTriangular(t *testing.T) {
-	rng := rand.New(rand.NewSource(18))
-	a := randDense(rng, 6, 4)
-	f, err := NewQR(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r := f.R()
-	for i := 1; i < 4; i++ {
-		for j := 0; j < i; j++ {
-			if r.At(i, j) != 0 {
-				t.Fatalf("R not upper triangular at (%d,%d)", i, j)
-			}
-		}
-	}
-}
-
 func TestCond1Identity(t *testing.T) {
 	c, err := Cond1(Eye(5))
 	if err != nil {

@@ -1,9 +1,9 @@
 // Package mat implements the dense and decompositional linear algebra used
 // throughout the reproduction: a row-major dense matrix type, BLAS-style
-// primitives, LU / Cholesky / QR factorizations, and a symmetric eigensolver.
+// primitives, LU and Cholesky factorizations, and a symmetric eigensolver.
 //
 // The package is deliberately small and stdlib-only. It favours clarity and
-// numerical robustness (partial pivoting, Householder reflections, scaled
+// numerical robustness (partial pivoting, positive-pivot checks, scaled
 // norms) over peak throughput; matrices in the paper's experiments are at
 // most a few thousand rows.
 //

@@ -19,7 +19,6 @@
 package parallel
 
 import (
-	"context"
 	"fmt"
 	"runtime"
 	"sync"
@@ -131,93 +130,6 @@ func ForBlocks(workers int, blocks []Block, fn func(i int, b Block)) {
 	if fatal != nil {
 		panic(fatal)
 	}
-}
-
-// ForBlocksCtx is ForBlocks with cooperative cancellation: the context is
-// checked before every block is claimed, and once it is done no further
-// blocks start. Blocks already in flight run to completion (they own their
-// output range; abandoning one midway would leave partial writes), so the
-// call returns within one block's worth of work after cancellation. The
-// returned error is ctx.Err() if the loop was cut short, nil otherwise.
-// Because cancellation only ever skips *trailing* blocks and the caller
-// discards the output on error, the deterministic-decomposition contract is
-// unaffected on the success path.
-func ForBlocksCtx(ctx context.Context, workers int, blocks []Block, fn func(i int, b Block)) error {
-	if ctx == nil {
-		ForBlocks(workers, blocks, fn)
-		return nil
-	}
-	workers = Workers(workers)
-	if len(blocks) == 0 {
-		return ctx.Err()
-	}
-	if workers > len(blocks) {
-		workers = len(blocks)
-	}
-	if workers == 1 {
-		for i, b := range blocks {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-			fn(i, b)
-		}
-		return nil
-	}
-	var (
-		next  int64 = -1
-		wg    sync.WaitGroup
-		once  sync.Once
-		fatal *panicError
-	)
-	body := func() {
-		defer wg.Done()
-		defer func() {
-			if r := recover(); r != nil {
-				buf := make([]byte, 8192)
-				buf = buf[:runtime.Stack(buf, false)]
-				once.Do(func() { fatal = &panicError{value: r, stack: string(buf)} })
-			}
-		}()
-		for ctx.Err() == nil {
-			i := int(atomic.AddInt64(&next, 1))
-			if i >= len(blocks) {
-				return
-			}
-			fn(i, blocks[i])
-		}
-	}
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go body()
-	}
-	wg.Wait()
-	if fatal != nil {
-		panic(fatal)
-	}
-	return ctx.Err()
-}
-
-// ForCtx is For with cooperative cancellation via ForBlocksCtx; see there
-// for the cancellation contract.
-func ForCtx(ctx context.Context, workers, n int, fn func(lo, hi int)) error {
-	if ctx == nil {
-		For(workers, n, fn)
-		return nil
-	}
-	workers = Workers(workers)
-	if n <= 0 {
-		return ctx.Err()
-	}
-	const minParallelSpan = 128
-	if workers == 1 || n < minParallelSpan {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		fn(0, n)
-		return nil
-	}
-	blocks := Split(n, workers*4)
-	return ForBlocksCtx(ctx, workers, blocks, func(_ int, b Block) { fn(b.Lo, b.Hi) })
 }
 
 // For runs fn over [0, n) split into contiguous chunks scheduled across up

@@ -1,8 +1,8 @@
 // Package sparse provides the sparse-matrix substrate used by the graph and
 // solver layers: a COO builder, an immutable CSR matrix with fast
-// matrix-vector products, and classic iterative solvers (conjugate gradient,
-// Jacobi, Gauss–Seidel) for the symmetric positive definite systems that
-// arise from graph Laplacians.
+// matrix-vector products, and the conjugate-gradient solvers (plain and
+// preconditioned) for the symmetric positive definite systems that arise
+// from graph Laplacians.
 package sparse
 
 import (

@@ -4,6 +4,8 @@ import (
 	"context"
 	"errors"
 	"expvar"
+	"fmt"
+	"math"
 	"math/rand"
 	"strconv"
 	"testing"
@@ -209,5 +211,131 @@ func TestReportCapturesErrors(t *testing.T) {
 	}
 	if rep.Err == "" {
 		t.Fatal("report did not capture the fit error")
+	}
+}
+
+// robustBlob draws n points around (center, center) with the given spread.
+func robustBlob(rng *rand.Rand, n int, center, spread float64) [][]float64 {
+	x := make([][]float64, n)
+	for i := range x {
+		x[i] = []float64{center + spread*rng.NormFloat64(), center + spread*rng.NormFloat64()}
+	}
+	return x
+}
+
+// TestRobustPipelineContracts drives Fit through pathological inputs and
+// checks each documented contract: a clean result, a typed error, or a
+// recorded fallback. Every case runs twice, and the rerun must reproduce the
+// outcome, solver, fallback count and scores bit for bit.
+func TestRobustPipelineContracts(t *testing.T) {
+	rng := rand.New(rand.NewSource(42))
+	base := robustBlob(rng, 120, 0, 1)
+	y := make([]float64, 30)
+	labeled := make([]int, 30)
+	for i := range y {
+		y[i] = float64(i % 2)
+		labeled[i] = i
+	}
+	// Repeated rows give zero pairwise distances.
+	dup := append([][]float64(nil), base...)
+	for i := 40; i < 80; i++ {
+		dup[i] = dup[i%20]
+	}
+	// The far blob's Gaussian weights underflow to zero, leaving its
+	// unlabeled nodes unreachable from the labeled cluster.
+	blobs := append(robustBlob(rng, 40, 0, 1), robustBlob(rng, 40, 1e6, 1)...)
+	yb := make([]float64, 10)
+	lb := make([]int, 10)
+	for i := range yb {
+		yb[i] = float64(i % 2)
+		lb[i] = i
+	}
+	var ybar float64
+	for _, v := range y {
+		ybar += v
+	}
+	ybar /= float64(len(y))
+	canceled, cancel := context.WithCancel(context.Background())
+	cancel()
+
+	cases := []struct {
+		name  string
+		x     [][]float64
+		y     []float64
+		lab   []int
+		opts  []Option
+		check func(res *Result, rep *Report, err error) error
+	}{
+		{"duplicate_points", dup, y, labeled, []Option{WithBandwidth(1)},
+			func(_ *Result, _ *Report, err error) error { return err }},
+		{"zero_bandwidth", base, y, labeled, []Option{WithBandwidth(0)},
+			func(_ *Result, _ *Report, err error) error {
+				if !errors.Is(err, ErrParam) {
+					return fmt.Errorf("err = %v, want ErrParam", err)
+				}
+				return nil
+			}},
+		{"disconnected_blobs", blobs, yb, lb, []Option{WithBandwidth(1)},
+			func(_ *Result, _ *Report, err error) error {
+				if !errors.Is(err, ErrIsolated) {
+					return fmt.Errorf("err = %v, want ErrIsolated", err)
+				}
+				return nil
+			}},
+		// λ→∞ drives V+λL toward the singular Laplacian; the solve must
+		// still complete and collapse toward the label mean.
+		{"near_singular_lambda", base, y, labeled, []Option{WithBandwidth(1), WithLambda(1e9)},
+			func(res *Result, _ *Report, err error) error {
+				if err != nil {
+					return err
+				}
+				for i, s := range res.Scores {
+					if math.Abs(s-ybar) > 0.5 {
+						return fmt.Errorf("score %d = %v, more than 0.5 from ȳ = %v", i, s, ybar)
+					}
+				}
+				return nil
+			}},
+		// Jacobi keeps the one-iteration CG budget insufficient, so the auto
+		// chain must finish on the dense fallback and record it.
+		{"stagnating_cg", base, y, labeled, []Option{WithBandwidth(1), WithAutoCutoff(1),
+			WithMaxIter(1), WithTolerance(1e-14), WithPreconditioner(PrecondJacobi)},
+			func(res *Result, rep *Report, err error) error {
+				if err != nil {
+					return err
+				}
+				if res.Solver != SolverCholesky || len(rep.Fallbacks) != 1 {
+					return fmt.Errorf("solver %v with fallbacks %+v, want cholesky after one fallback", res.Solver, rep.Fallbacks)
+				}
+				return nil
+			}},
+		{"canceled_context", base, y, labeled, []Option{WithBandwidth(1), WithContext(canceled)},
+			func(_ *Result, rep *Report, err error) error {
+				if !errors.Is(err, context.Canceled) || len(rep.Fallbacks) != 0 {
+					return fmt.Errorf("err = %v with fallbacks %+v, want context.Canceled and none", err, rep.Fallbacks)
+				}
+				return nil
+			}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			var rep, rep2 Report
+			res, err := Fit(tc.x, tc.y, tc.lab, append([]Option{WithDiagnostics(&rep)}, tc.opts...)...)
+			if cerr := tc.check(res, &rep, err); cerr != nil {
+				t.Fatal(cerr)
+			}
+			res2, err2 := Fit(tc.x, tc.y, tc.lab, append([]Option{WithDiagnostics(&rep2)}, tc.opts...)...)
+			if fmt.Sprint(err) != fmt.Sprint(err2) || rep.Solver != rep2.Solver || len(rep.Fallbacks) != len(rep2.Fallbacks) {
+				t.Fatalf("rerun differs: err %v / %v, solver %v / %v, fallbacks %d / %d",
+					err, err2, rep.Solver, rep2.Solver, len(rep.Fallbacks), len(rep2.Fallbacks))
+			}
+			if res != nil {
+				for i := range res.Scores {
+					if res.Scores[i] != res2.Scores[i] {
+						t.Fatalf("rerun score %d = %v, want %v", i, res2.Scores[i], res.Scores[i])
+					}
+				}
+			}
+		})
 	}
 }
