@@ -16,6 +16,7 @@ test:
 
 vet:
 	$(GO) vet ./...
+	cd bench && $(GO) vet ./...
 
 race:
 	$(GO) test -race ./...

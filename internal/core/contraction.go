@@ -49,20 +49,3 @@ func ContractionRate(sys *PropagationSystem, maxIter int) (float64, error) {
 	}
 	return rho, nil
 }
-
-// PredictedSupersteps returns the number of propagation supersteps needed
-// to reduce the error by the factor tol at contraction rate rho, i.e.
-// ⌈log(tol)/log(rho)⌉. It returns 1 for rho ≤ 0 and math.MaxInt for
-// rho ≥ 1.
-func PredictedSupersteps(rho, tol float64) int {
-	if tol <= 0 || tol >= 1 {
-		return 1
-	}
-	if rho <= 0 {
-		return 1
-	}
-	if rho >= 1 {
-		return math.MaxInt
-	}
-	return int(math.Ceil(math.Log(tol) / math.Log(rho)))
-}

@@ -66,7 +66,8 @@ func TestContractionRatePredictsPropagationCost(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	predicted := PredictedSupersteps(rho, 1e-10)
+	// Supersteps to shrink the error by 1e-10 at contraction rate ρ.
+	predicted := int(math.Ceil(math.Log(1e-10) / math.Log(rho)))
 	// Run the actual propagation and compare orders of magnitude.
 	fu, res, err := propagateForTest(sys, 1e-10)
 	if err != nil {
@@ -89,21 +90,6 @@ func propagateForTest(sys *PropagationSystem, tol float64) ([]float64, int, erro
 	hs := &hardSystem{b: sys.B, w22: sys.W, d22: sys.D}
 	f, res, err := propagate(nil, hs, tol, 0, 1)
 	return f, res.Iterations, err
-}
-
-func TestPredictedSupersteps(t *testing.T) {
-	if PredictedSupersteps(0.5, 1e-3) != 10 {
-		t.Fatalf("got %d, want 10 (0.5^10 ≈ 1e-3)", PredictedSupersteps(0.5, 1e-3))
-	}
-	if PredictedSupersteps(0, 1e-3) != 1 {
-		t.Fatal("rho=0 must predict 1")
-	}
-	if PredictedSupersteps(1, 1e-3) != math.MaxInt {
-		t.Fatal("rho=1 must predict MaxInt")
-	}
-	if PredictedSupersteps(0.5, 2) != 1 {
-		t.Fatal("tol>=1 must predict 1")
-	}
 }
 
 func TestContractionRateValidation(t *testing.T) {

@@ -216,7 +216,7 @@ type Solution struct {
 	// direct backends.
 	Precond string
 	// PrecondSetup is the wall time spent building the preconditioner and
-	// any reordering (reporting only; zero for the built-in Jacobi path).
+	// any reordering (reporting only; zero for Jacobi).
 	PrecondSetup time.Duration
 	// Trace documents the backend pipeline for MethodAuto solves (health
 	// probe, plan, attempts, fallbacks); nil for explicitly chosen
@@ -286,6 +286,21 @@ func buildHardSystem(p *Problem) (*hardSystem, error) {
 	return &hardSystem{a: aCoo.ToCSR(), b: b, w22: w22Coo.ToCSR(), d22: d22, pos: pos}, nil
 }
 
+// explicitMethod rejects the methods WithMethod cannot select for a
+// runBackend solve: the engines that live above core, and unknown values.
+func explicitMethod(m Method) error {
+	switch m {
+	case MethodCholesky, MethodLU, MethodCG:
+		return nil
+	case MethodCluster:
+		return fmt.Errorf("core: the cluster backend is driven by the distributed fit options, not WithMethod: %w", ErrParam)
+	case MethodNystrom:
+		return fmt.Errorf("core: the Nyström backend is driven by the WithApprox fit option, not WithMethod: %w", ErrParam)
+	default:
+		return fmt.Errorf("core: unknown method %d: %w", int(m), ErrParam)
+	}
+}
+
 // SolveHard computes the hard-criterion solution (Eq. 5):
 // f_U = (D22 − W22)⁻¹ W21 Y, with f fixed to Y on labeled nodes.
 func SolveHard(p *Problem, opts ...SolveOption) (*Solution, error) {
@@ -307,24 +322,13 @@ func SolveHard(p *Problem, opts ...SolveOption) (*Solution, error) {
 	switch cfg.method {
 	case MethodAuto:
 		fu, res, method, trace, err = runChain(cfg.ctx, sys.a, sys.b, cfg)
-	case MethodCholesky:
-		var ch *mat.Cholesky
-		ch, err = mat.NewCholesky(sys.a.ToDense())
-		if err == nil {
-			fu, err = ch.Solve(sys.b)
-		}
-	case MethodLU:
-		fu, err = mat.SolveLU(sys.a.ToDense(), sys.b)
-	case MethodCG:
-		fu, res, cgOut, err = solveCG(cfg.ctx, sys.a, sys.b, cfg, 0)
 	case MethodPropagation:
 		fu, res, err = propagate(cfg.ctx, sys, cfg.tol, cfg.maxIter, cfg.workers)
-	case MethodCluster:
-		return nil, fmt.Errorf("core: the cluster backend is driven by the distributed fit options, not WithMethod: %w", ErrParam)
-	case MethodNystrom:
-		return nil, fmt.Errorf("core: the Nyström backend is driven by the WithApprox fit option, not WithMethod: %w", ErrParam)
 	default:
-		return nil, fmt.Errorf("core: unknown method %d: %w", int(cfg.method), ErrParam)
+		if err := explicitMethod(cfg.method); err != nil {
+			return nil, err
+		}
+		fu, res, cgOut, err = runBackend(cfg.ctx, cfg.method, sys.a, sys.b, cfg, 0)
 	}
 	if err == nil && !finiteVec(fu) {
 		err = fmt.Errorf("core: %v produced non-finite values: %w", method, mat.ErrSingular)

@@ -292,7 +292,7 @@ func runChain(ctx context.Context, a *sparse.CSR, b []float64, cfg solveConfig) 
 			cgSeen++
 		}
 		start := time.Now()
-		x, res, out, err := runBackend(ctx, m, a, b, attemptCfg)
+		x, res, out, err := runBackend(ctx, m, a, b, attemptCfg, chainStagnationWindow)
 		att := Attempt{
 			Method:       m,
 			Iterations:   res.Iterations,
@@ -323,14 +323,16 @@ func runChain(ctx context.Context, a *sparse.CSR, b []float64, cfg solveConfig) 
 	return nil, sparse.SolveResult{}, MethodAuto, trace, fmt.Errorf("core: all backends failed (%v): %w", trace.Plan, lastErr)
 }
 
-// runBackend executes one backend of the chain. The CG head runs with
-// stagnation and divergence detection so pathological systems fail fast and
-// escalate, and resolves its preconditioner through solveCG (IC(0)+RCM
-// above the cutoff by default); direct backends densify and factorize.
-func runBackend(ctx context.Context, m Method, a *sparse.CSR, b []float64, cfg solveConfig) ([]float64, sparse.SolveResult, cgOutcome, error) {
+// runBackend executes one backend: for the auto chain, and for an
+// explicit WithMethod in SolveHard and SolveSoft. CG resolves its
+// preconditioner through solveCG (IC(0)+RCM above the cutoff by default)
+// and runs with the given stagnation window — chainStagnationWindow in the
+// chain, so pathological systems fail fast and escalate, and 0 (off) for
+// an explicit method; direct backends densify and factorize.
+func runBackend(ctx context.Context, m Method, a *sparse.CSR, b []float64, cfg solveConfig, stagnationWindow int) ([]float64, sparse.SolveResult, cgOutcome, error) {
 	switch m {
 	case MethodCG:
-		return solveCG(ctx, a, b, cfg, chainStagnationWindow)
+		return solveCG(ctx, a, b, cfg, stagnationWindow)
 	case MethodCholesky:
 		ch, err := mat.NewCholesky(a.ToDense())
 		if err != nil {

@@ -4,19 +4,16 @@ import (
 	"fmt"
 
 	"repro/internal/mat"
-	"repro/internal/parallel"
 )
 
 // HardFactorization is a reusable factorization of the hard criterion's
 // system matrix D22−W22 for a fixed graph and labeled set. It amortizes the
 // O(m³) factorization across many right-hand sides — one per class in
-// one-vs-rest multiclass, or one per response column in multi-output
-// regression.
+// one-vs-rest multiclass.
 type HardFactorization struct {
 	p    *Problem
 	chol *mat.Cholesky
 	lu   *mat.LU
-	sys  *hardSystem
 }
 
 // NewHardFactorization builds and factors the system once. Cholesky is
@@ -27,7 +24,7 @@ func NewHardFactorization(p *Problem) (*HardFactorization, error) {
 		return nil, err
 	}
 	dense := sys.a.ToDense()
-	f := &HardFactorization{p: p, sys: sys}
+	f := &HardFactorization{p: p}
 	if chol, err := mat.NewCholesky(dense); err == nil {
 		f.chol = chol
 		return f, nil
@@ -40,9 +37,6 @@ func NewHardFactorization(p *Problem) (*HardFactorization, error) {
 	return f, nil
 }
 
-// M returns the number of unlabeled unknowns.
-func (f *HardFactorization) M() int { return len(f.sys.b) }
-
 // SolveY computes the hard solution for a new response vector y on the
 // same labeled set (len(y) = Problem.N()). Only the right-hand side W21·y
 // is rebuilt; the factorization is reused.
@@ -50,11 +44,11 @@ func (f *HardFactorization) SolveY(y []float64) (*Solution, error) {
 	if len(y) != f.p.N() {
 		return nil, fmt.Errorf("core: SolveY with %d responses, want %d: %w", len(y), f.p.N(), ErrParam)
 	}
-	b, err := f.rhs(y)
-	if err != nil {
-		return nil, err
-	}
-	var fu []float64
+	b := f.rhs(y)
+	var (
+		fu  []float64
+		err error
+	)
 	if f.chol != nil {
 		fu, err = f.chol.Solve(b)
 	} else {
@@ -80,23 +74,13 @@ func (f *HardFactorization) SolveY(y []float64) (*Solution, error) {
 }
 
 // rhs assembles W21·y for an arbitrary response vector on the labeled set.
-func (f *HardFactorization) rhs(y []float64) ([]float64, error) {
-	b := make([]float64, f.p.M())
-	f.rhsInto(b, make([]float64, f.p.g.N()), y)
-	return b, nil
-}
-
-// rhsInto assembles W21·y into b using yAt (length N of the graph) as the
-// label-scatter scratch. Both buffers are fully overwritten, so multi-RHS
-// loops reuse them across columns without reallocating.
-func (f *HardFactorization) rhsInto(b, yAt, y []float64) {
-	w := f.p.g.Weights()
-	for i := range yAt {
-		yAt[i] = 0
-	}
+func (f *HardFactorization) rhs(y []float64) []float64 {
+	yAt := make([]float64, f.p.g.N())
 	for k, l := range f.p.labeled {
 		yAt[l] = y[k]
 	}
+	w := f.p.g.Weights()
+	b := make([]float64, f.p.M())
 	for k, u := range f.p.unlabeled {
 		cols, vals := w.RowNNZ(u)
 		var s float64
@@ -107,63 +91,5 @@ func (f *HardFactorization) rhsInto(b, yAt, y []float64) {
 		}
 		b[k] = s
 	}
-}
-
-// solveTo solves the factored system into dst without allocating.
-func (f *HardFactorization) solveTo(dst, b []float64) error {
-	if f.chol != nil {
-		return f.chol.SolveTo(dst, b)
-	}
-	return f.lu.SolveTo(dst, b)
-}
-
-// SolveColumns solves the hard criterion for every column of Y
-// (N()×k responses), returning an M()×k matrix of unlabeled scores.
-// It runs on all available cores; see SolveColumnsWorkers.
-func (f *HardFactorization) SolveColumns(y *mat.Dense) (*mat.Dense, error) {
-	return f.SolveColumnsWorkers(y, 0)
-}
-
-// SolveColumnsWorkers is SolveColumns with an explicit worker count (<= 0
-// selects GOMAXPROCS, 1 runs serially). Columns are independent solves
-// against the shared read-only factorization, so the result is
-// bitwise-identical for every worker count. This is what lets one-vs-rest
-// multiclass scale with cores: one right-hand side per class.
-func (f *HardFactorization) SolveColumnsWorkers(y *mat.Dense, workers int) (*mat.Dense, error) {
-	rows, k := y.Dims()
-	if rows != f.p.N() {
-		return nil, fmt.Errorf("core: SolveColumns with %d rows, want %d: %w", rows, f.p.N(), ErrParam)
-	}
-	out := mat.NewDense(f.M(), k)
-	blocks := parallel.Split(k, parallel.Workers(workers))
-	errs := make([]error, len(blocks))
-	parallel.ForBlocks(workers, blocks, func(bi int, blk parallel.Block) {
-		// Per-block scratch reused across the block's columns — the response
-		// column, the label scatter, the right-hand side, and the solved
-		// scores — so a w-worker solve of k columns allocates O(w) buffers,
-		// not O(k). The arithmetic is identical to SolveY's column by column.
-		col := make([]float64, rows)
-		yAt := make([]float64, f.p.g.N())
-		b := make([]float64, f.M())
-		fu := make([]float64, f.M())
-		for c := blk.Lo; c < blk.Hi; c++ {
-			for i := 0; i < rows; i++ {
-				col[i] = y.At(i, c)
-			}
-			f.rhsInto(b, yAt, col)
-			if err := f.solveTo(fu, b); err != nil {
-				errs[bi] = fmt.Errorf("core: SolveColumns column %d: %w: %w", c, ErrSolver, err)
-				return
-			}
-			for i, v := range fu {
-				out.Set(i, c, v)
-			}
-		}
-	})
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	return out, nil
+	return b
 }

@@ -31,9 +31,6 @@ func TestHardFactorizationMatchesSolveHard(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if fact.M() != p.M() {
-		t.Fatalf("M = %d", fact.M())
-	}
 	got, err := fact.SolveY(y)
 	if err != nil {
 		t.Fatal(err)
@@ -99,48 +96,6 @@ func TestHardFactorizationSolveYValidation(t *testing.T) {
 	}
 	if _, err := fact.SolveY([]float64{1, 2}); !errors.Is(err, ErrParam) {
 		t.Fatal("wrong y length must error")
-	}
-}
-
-func TestHardFactorizationSolveColumns(t *testing.T) {
-	rng := randx.New(605)
-	pts := make([]float64, 12)
-	for i := range pts {
-		pts[i] = rng.Norm()
-	}
-	g := fullGraph(t, pts, 1)
-	p, err := NewProblemLabeledFirst(g, make([]float64, 5))
-	if err != nil {
-		t.Fatal(err)
-	}
-	fact, err := NewHardFactorization(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Three indicator columns.
-	y := mat.NewDense(5, 3)
-	y.Set(0, 0, 1)
-	y.Set(1, 1, 1)
-	y.Set(2, 2, 1)
-	y.Set(3, 0, 1)
-	y.Set(4, 1, 1)
-	out, err := fact.SolveColumns(y)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r, c := out.Dims(); r != p.M() || c != 3 {
-		t.Fatalf("dims (%d,%d)", r, c)
-	}
-	// Column 0 must equal a scalar solve with that column.
-	sol0, err := fact.SolveY(y.Col(0))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !mat.VecEqual(out.Col(0), sol0.FUnlabeled, 1e-12) {
-		t.Fatal("column solve mismatch")
-	}
-	if _, err := fact.SolveColumns(mat.NewDense(2, 1)); !errors.Is(err, ErrParam) {
-		t.Fatal("wrong row count must error")
 	}
 }
 

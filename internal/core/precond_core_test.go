@@ -91,9 +91,10 @@ func TestSmallAutoSolveKeepsDensePathAndNoPrecond(t *testing.T) {
 	}
 }
 
-// TestSoftSweepPreconditionerPaths: the sweep's IC(0) and unpreconditioned
-// paths must agree with the default warm-Jacobi path and label their
-// solutions.
+// TestSoftSweepPreconditionerPaths: the default sweep runs warm Jacobi;
+// an IC(0) or unpreconditioned sweep falls back to per-λ SolveSoft, so it
+// must match SolveSoft bitwise and report the same preconditioner, and
+// every path must agree with the default.
 func TestSoftSweepPreconditionerPaths(t *testing.T) {
 	p := gaussProblem(t, 9, 14, 50)
 	lambdas := []float64{0, 0.05, 0.5, 2}
@@ -102,28 +103,41 @@ func TestSoftSweepPreconditionerPaths(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ic0, err := SoftSweep(p, lambdas, WithPreconditioner(PrecondIC0))
-	if err != nil {
-		t.Fatal(err)
-	}
-	none, err := SoftSweep(p, lambdas, WithPreconditioner(PrecondNone))
-	if err != nil {
-		t.Fatal(err)
-	}
 	for i, l := range lambdas {
-		closeVecs(t, "ic0 sweep", ic0[i].Solution.F, def[i].Solution.F, 1e-6)
-		closeVecs(t, "none sweep", none[i].Solution.F, def[i].Solution.F, 1e-6)
-		if l == 0 {
-			continue
-		}
-		if got := def[i].Solution.Precond; got != "jacobi" {
+		if got := def[i].Solution.Precond; l > 0 && got != "jacobi" {
 			t.Fatalf("default sweep λ=%v precond %q, want jacobi", l, got)
 		}
-		if got := ic0[i].Solution.Precond; got != "ic0+rcm" {
-			t.Fatalf("ic0 sweep λ=%v precond %q, want ic0+rcm", l, got)
+	}
+	for _, c := range []struct {
+		pc   Precond
+		name string
+	}{
+		{PrecondIC0, "ic0+rcm"},
+		{PrecondNone, "none"},
+	} {
+		opts := []SolveOption{WithMethod(MethodCG), WithPreconditioner(c.pc)}
+		path, err := SoftSweep(p, lambdas, opts...)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if got := none[i].Solution.Precond; got != "none" {
-			t.Fatalf("none sweep λ=%v precond %q, want none", l, got)
+		for i, l := range lambdas {
+			closeVecs(t, c.name+" sweep", path[i].Solution.F, def[i].Solution.F, 1e-6)
+			ref, err := SolveSoft(p, l, opts...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := path[i].Solution
+			if got.Precond != ref.Precond {
+				t.Fatalf("%s sweep λ=%v precond %q, SolveSoft %q", c.name, l, got.Precond, ref.Precond)
+			}
+			if l > 0 && got.Precond != c.name {
+				t.Fatalf("%s sweep λ=%v precond %q", c.name, l, got.Precond)
+			}
+			for k := range ref.F {
+				if got.F[k] != ref.F[k] {
+					t.Fatalf("%s sweep λ=%v: F[%d] differs from SolveSoft", c.name, l, k)
+				}
+			}
 		}
 	}
 }

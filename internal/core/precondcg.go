@@ -21,16 +21,16 @@ type cgOutcome struct {
 	// name identifies the applied preconditioner ("jacobi", "ic0+rcm",
 	// "jacobi+rcm", "none").
 	name string
-	// setup is the wall time of reordering plus factorization (zero for the
-	// built-in Jacobi path, whose setup is one diagonal pass inside CG).
+	// setup is the wall time of reordering plus factorization (zero for
+	// Jacobi, whose setup is one diagonal pass).
 	setup time.Duration
 }
 
 // resolvePrecond maps PrecondAuto onto a concrete choice: Jacobi at or
-// below the dense/iterative cutoff (the historical bit-exact path — those
-// systems rarely reach CG at all), IC(0)+RCM above it, where the health
-// probe has already vouched for conditioning and the factorization cost is
-// amortized by the iteration savings.
+// below the dense/iterative cutoff (those systems rarely reach CG at all),
+// IC(0)+RCM above it, where the health probe has already vouched for
+// conditioning and the factorization cost is amortized by the iteration
+// savings.
 func resolvePrecond(p Precond, n, cutoff int) Precond {
 	if p != PrecondAuto {
 		return p
@@ -45,11 +45,10 @@ func resolvePrecond(p Precond, n, cutoff int) Precond {
 }
 
 // solveCG runs the CG backend on A x = b under cfg's preconditioner choice.
-// The Jacobi and unpreconditioned paths call sparse.CG exactly as the
-// pipeline always has; the IC(0) path permutes the system with RCM, solves
-// P A Pᵀ (P x) = P b with the incomplete-Cholesky PCG, and un-permutes the
-// solution. Every path is deterministic and bitwise-stable across worker
-// counts.
+// The Jacobi and unpreconditioned paths solve A x = b directly; the IC(0)
+// path permutes the system with RCM, solves P A Pᵀ (P x) = P b with the
+// incomplete-Cholesky PCG, and un-permutes the solution. Every path is
+// deterministic and bitwise-stable across worker counts.
 func solveCG(ctx context.Context, a *sparse.CSR, b []float64, cfg solveConfig, stagnationWindow int) ([]float64, sparse.SolveResult, cgOutcome, error) {
 	base := sparse.CGOptions{
 		Tol:              cfg.tol,
@@ -104,9 +103,12 @@ func solveCG(ctx context.Context, a *sparse.CSR, b []float64, cfg solveConfig, s
 		x := make([]float64, n)
 		sparse.UnpermuteVecTo(x, px, perm)
 		return x, res, out, nil
-	default: // PrecondJacobi: the historical path, bit for bit.
-		base.Precondition = true
-		x, res, err := sparse.CG(a, b, base)
+	default: // PrecondJacobi
+		m, err := precond.NewJacobi(a)
+		if err != nil {
+			return nil, sparse.SolveResult{}, cgOutcome{}, err
+		}
+		x, res, err := sparse.PCG(a, b, sparse.PCGOptions{CGOptions: base, M: m})
 		return x, res, cgOutcome{name: "jacobi"}, err
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"math"
 
 	"repro/internal/mat"
+	"repro/internal/precond"
 	"repro/internal/sparse"
 )
 
@@ -17,11 +18,6 @@ const (
 	// already-labeled nodes: the system matrix is untouched, only the
 	// right-hand side moves, and PCG restarts from the previous solution.
 	RefreshLabelValues RefreshKind = iota + 1
-	// RefreshWoodbury applied the low-rank principal-submatrix identity
-	// for a small batch of newly labeled nodes: k extra unit solves
-	// against the unchanged matrix plus a k×k dense solve, no solve of
-	// the new system at all.
-	RefreshWoodbury
 	// RefreshWarmPCG solved the new system with PCG warm-started from the
 	// previous solution (mapped through any renumbering).
 	RefreshWarmPCG
@@ -35,8 +31,6 @@ func (k RefreshKind) String() string {
 	switch k {
 	case RefreshLabelValues:
 		return "label-values"
-	case RefreshWoodbury:
-		return "woodbury"
 	case RefreshWarmPCG:
 		return "warm-pcg"
 	case RefreshFull:
@@ -47,45 +41,42 @@ func (k RefreshKind) String() string {
 }
 
 // RefreshStats documents one online refresh: the ladder rung taken, the
-// iterative work spent, the verified relative residual of the accepted
-// solution, and whether a cheaper rung was abandoned mid-flight.
+// iterative work spent, and the verified relative residual ‖b − A f‖/‖b‖
+// of the accepted solution, recomputed with one SpMV (exactly what
+// Refresher.Residual returns), not PCG's recursively updated residual.
 type RefreshStats struct {
 	Kind       RefreshKind
 	Solves     int
 	Iterations int
 	Residual   float64
-	Escalated  bool
-	Reason     string
 }
 
 // Refresher maintains a hard-criterion solution under streaming label and
 // structure deltas without refitting from scratch. It owns the assembled
-// block system of the current problem, the current solution, and the
-// warm-start buffers (a held workspace plus an in-place destination
-// vector), so repeated small refreshes reuse all solver scratch.
+// block system of the current problem with its Jacobi preconditioner, the
+// current solution, and the warm-start buffers (a held workspace plus an
+// in-place destination vector), so repeated small refreshes reuse all
+// solver scratch.
 //
 // The ladder, cheapest first:
 //
-//  1. UpdateLabelValues — only b changes; warm PCG from the old solution.
-//     Allocation-free once warm.
-//  2. AddLabels with k ≤ woodburyMax — the new system matrix is a
-//     principal submatrix of the old one, so the new solution comes from
-//     the identity (A′)⁻¹ = P′ − P_J (P_JJ)⁻¹ P_Jᵀ evaluated with k unit
-//     solves against the *old* matrix (whose preconditioner and spectrum
-//     the solver has already paid for).
-//  3. AddLabels with larger k, and Rebase after structural edits — warm
-//     PCG on the new system seeded from the previous solution.
+//  1. UpdateLabelValues — only b changes; warm PCG from the old solution
+//     against the unchanged matrix and preconditioner. Allocation-free
+//     once warm.
+//  2. AddLabels, and Rebase after structural edits — warm PCG on the new
+//     system seeded from the previous solution.
 //
-// Every rung ends with an explicit residual check of the accepted
-// solution against the *new* system; a miss escalates to the next rung,
-// and the caller is expected to fall back to an exact refit (RefreshFull)
-// when the ladder is exhausted. After any returned error the refresher
-// state is unspecified and must be rebuilt from a fresh solve.
+// Every rung reports the verified relative residual of the accepted
+// solution against the *new* system; the caller checks it against its
+// tolerance and is expected to fall back to an exact refit (RefreshFull)
+// on a miss or an error. After any returned error the refresher state is
+// unspecified and must be rebuilt from a fresh solve.
 //
 // A Refresher is not safe for concurrent use.
 type Refresher struct {
 	p   *Problem
 	sys *hardSystem
+	jac *precond.Jacobi // preconditioner of sys.a
 
 	f      []float64 // full solution over all nodes
 	fu     []float64 // reduced solution, aligned with p.unlabeled
@@ -94,18 +85,16 @@ type Refresher struct {
 	ws      *sparse.Workspace
 	scratch []float64 // residual-verification buffer, len M
 
-	tol        float64
-	refreshTol float64
-	maxIter    int
-	workers    int
+	tol     float64
+	maxIter int
+	workers int
 }
 
 // NewRefresher adopts an existing solution of p (its full score vector,
 // as produced by SolveHard) and prepares the incremental machinery.
-// tol is the inner PCG tolerance, refreshTol the acceptance threshold on
-// the verified relative residual ‖b − A f‖/‖b‖ of a refreshed solution
-// (≤ 0 selects 1e-8). maxIter ≤ 0 lets PCG choose its default cap.
-func NewRefresher(p *Problem, f []float64, tol, refreshTol float64, maxIter, workers int) (*Refresher, error) {
+// tol is the inner PCG tolerance; maxIter ≤ 0 lets PCG choose its default
+// cap.
+func NewRefresher(p *Problem, f []float64, tol float64, maxIter, workers int) (*Refresher, error) {
 	if p == nil {
 		return nil, fmt.Errorf("core: nil problem: %w", ErrParam)
 	}
@@ -115,29 +104,39 @@ func NewRefresher(p *Problem, f []float64, tol, refreshTol float64, maxIter, wor
 	if tol <= 0 {
 		tol = 1e-10
 	}
-	if refreshTol <= 0 {
-		refreshTol = 1e-8
-	}
 	if workers < 1 {
 		workers = 1
 	}
-	sys, err := buildHardSystem(p)
+	sys, jac, err := buildRefreshSystem(p)
 	if err != nil {
 		return nil, err
 	}
 	r := &Refresher{
-		ws:         sparse.NewWorkspace(),
-		tol:        tol,
-		refreshTol: refreshTol,
-		maxIter:    maxIter,
-		workers:    workers,
+		ws:      sparse.NewWorkspace(),
+		tol:     tol,
+		maxIter: maxIter,
+		workers: workers,
 	}
-	r.commit(p, sys, nil)
+	r.commit(p, sys, jac, nil)
 	copy(r.f, f)
 	for k, u := range p.unlabeled {
 		r.fu[k] = f[u]
 	}
 	return r, nil
+}
+
+// buildRefreshSystem assembles p's hard system and its Jacobi
+// preconditioner.
+func buildRefreshSystem(p *Problem) (*hardSystem, *precond.Jacobi, error) {
+	sys, err := buildHardSystem(p)
+	if err != nil {
+		return nil, nil, err
+	}
+	jac, err := precond.NewJacobi(sys.a)
+	if err != nil {
+		return nil, nil, fmt.Errorf("core: refresh preconditioner: %w: %w", ErrSolver, err)
+	}
+	return sys, jac, nil
 }
 
 // F returns the current full score vector, aliased: callers must not
@@ -148,16 +147,29 @@ func (r *Refresher) F() []float64 { return r.f }
 func (r *Refresher) Problem() *Problem { return r.p }
 
 // Residual recomputes the true relative residual ‖b − A f_U‖/‖b‖ of the
-// current solution (one SpMV; the barrier-style accumulated-perturbation
-// check callers use to decide whether to escalate to a full refit).
+// current solution (one SpMV into the held scratch buffer; the
+// barrier-style accumulated-perturbation check callers use to decide
+// whether to escalate to a full refit). Every rung reports it.
 func (r *Refresher) Residual() float64 {
-	return r.relResidual(r.sys, r.fu)
+	s := r.scratch
+	if err := r.sys.a.MulVecToWorkers(s, r.fu, r.workers); err != nil {
+		return math.Inf(1)
+	}
+	for i := range s {
+		s[i] = r.sys.b[i] - s[i]
+	}
+	bn := mat.Norm2(r.sys.b)
+	if bn == 0 {
+		bn = 1
+	}
+	return mat.Norm2(s) / bn
 }
 
-// commit installs a new problem/system pair and (re)sizes the solution
-// and index buffers. fu2, when non-nil, becomes the reduced solution.
-func (r *Refresher) commit(p *Problem, sys *hardSystem, fu2 []float64) {
-	r.p, r.sys = p, sys
+// commit installs a new problem, system and preconditioner and (re)sizes
+// the solution and index buffers. fu2, when non-nil, becomes the reduced
+// solution.
+func (r *Refresher) commit(p *Problem, sys *hardSystem, jac *precond.Jacobi, fu2 []float64) {
+	r.p, r.sys, r.jac = p, sys, jac
 	n := p.g.N()
 	m := len(sys.b)
 	if cap(r.f) < n {
@@ -195,36 +207,17 @@ func (r *Refresher) commit(p *Problem, sys *hardSystem, fu2 []float64) {
 	}
 }
 
-// relResidual returns ‖b − A x‖/‖b‖ for the given system.
-func (r *Refresher) relResidual(sys *hardSystem, x []float64) float64 {
-	if cap(r.scratch) < len(x) {
-		r.scratch = make([]float64, len(x))
-	}
-	s := r.scratch[:len(x)]
-	if err := sys.a.MulVecToWorkers(s, x, r.workers); err != nil {
-		return math.Inf(1)
-	}
-	for i := range s {
-		s[i] = sys.b[i] - s[i]
-	}
-	bn := mat.Norm2(sys.b)
-	if bn == 0 {
-		bn = 1
-	}
-	return mat.Norm2(s) / bn
-}
-
-// warmOpts assembles the held-buffer PCG options for a warm solve into
-// dst (which doubles as the starting guess).
-func (r *Refresher) warmOpts(dst []float64) sparse.PCGOptions {
+// warmOpts assembles the held-buffer options for a warm PCG solve
+// preconditioned by m into dst (which doubles as the starting guess).
+func (r *Refresher) warmOpts(m *precond.Jacobi, dst []float64) sparse.PCGOptions {
 	return sparse.PCGOptions{
 		CGOptions: sparse.CGOptions{
-			Tol:          r.tol,
-			MaxIter:      r.maxIter,
-			Precondition: true,
-			X0:           dst,
-			Workers:      r.workers,
+			Tol:     r.tol,
+			MaxIter: r.maxIter,
+			X0:      dst,
+			Workers: r.workers,
 		},
+		M:   m,
 		Dst: dst,
 		Ws:  r.ws,
 	}
@@ -267,7 +260,7 @@ func (r *Refresher) UpdateLabelValues(nodes []int, vals []float64) (RefreshStats
 		r.p.y[li] = v
 		r.f[node] = v
 	}
-	_, res, err := sparse.PCG(r.sys.a, r.sys.b, r.warmOpts(r.fu))
+	_, res, err := sparse.PCG(r.sys.a, r.sys.b, r.warmOpts(r.jac, r.fu))
 	st.Solves, st.Iterations = 1, res.Iterations
 	if err != nil {
 		return st, fmt.Errorf("core: label-value refresh: %w: %w", ErrSolver, err)
@@ -275,15 +268,14 @@ func (r *Refresher) UpdateLabelValues(nodes []int, vals []float64) (RefreshStats
 	for k, u := range r.p.unlabeled {
 		r.f[u] = r.fu[k]
 	}
-	st.Residual = res.Residual
+	st.Residual = r.Residual()
 	return st, nil
 }
 
 // AddLabels moves currently-unlabeled nodes into the labeled set with the
-// given responses; the graph is unchanged. Batches of at most woodburyMax
-// take the low-rank rung; larger batches (or a Woodbury residual miss)
-// take a warm PCG solve of the new system.
-func (r *Refresher) AddLabels(nodes []int, vals []float64, woodburyMax int) (RefreshStats, error) {
+// given responses; the graph is unchanged. The new system is solved by
+// warm PCG seeded from the previous solution.
+func (r *Refresher) AddLabels(nodes []int, vals []float64) (RefreshStats, error) {
 	var st RefreshStats
 	if len(nodes) == 0 {
 		st.Kind = RefreshLabelValues
@@ -316,18 +308,7 @@ func (r *Refresher) AddLabels(nodes []int, vals []float64, woodburyMax int) (Ref
 		return st, err
 	}
 
-	if len(nodes) <= woodburyMax {
-		ok, wst, werr := r.woodbury(p2, nodes, vals)
-		if werr != nil {
-			return wst, werr
-		}
-		if ok {
-			return wst, nil
-		}
-		st = wst // carry the escalation note and spent work into the warm rung
-	}
-
-	sys2, err := buildHardSystem(p2)
+	sys2, jac2, err := buildRefreshSystem(p2)
 	if err != nil {
 		return st, err
 	}
@@ -337,133 +318,15 @@ func (r *Refresher) AddLabels(nodes []int, vals []float64, woodburyMax int) (Ref
 	for k, u := range p2.unlabeled {
 		fu2[k] = r.f[u]
 	}
-	_, res, err := sparse.PCG(sys2.a, sys2.b, r.warmOpts(fu2))
+	_, res, err := sparse.PCG(sys2.a, sys2.b, r.warmOpts(jac2, fu2))
 	st.Kind = RefreshWarmPCG
-	st.Solves++
-	st.Iterations += res.Iterations
+	st.Solves, st.Iterations = 1, res.Iterations
 	if err != nil {
 		return st, fmt.Errorf("core: add-labels refresh: %w: %w", ErrSolver, err)
 	}
-	st.Residual = res.Residual
-	r.commit(p2, sys2, fu2)
+	r.commit(p2, sys2, jac2, fu2)
+	st.Residual = r.Residual()
 	return st, nil
-}
-
-// woodbury applies the principal-submatrix inverse identity for a small
-// batch J of newly labeled nodes. With P = A⁻¹ and A′ the old matrix
-// restricted to the remaining unknowns,
-//
-//	(A′)⁻¹ = P_{U′U′} − P_{U′J} (P_{JJ})⁻¹ P_{JU′},
-//
-// so the new solution needs only the k columns P e_j (k unit solves
-// against the old, already-warm system) and a k×k dense solve. Linearity
-// removes even the solve against the new right-hand side: with
-// r_j = (b − A z)_j and z the labels extended by zero,
-// A⁻¹(b − A z − Σ r_j e_j) = f_old − z − Σ r_j P e_j.
-//
-// Returns ok=false (with stats carrying the spent work and the reason)
-// when the verified residual of the candidate misses refreshTol; the
-// caller then escalates to the warm-PCG rung.
-func (r *Refresher) woodbury(p2 *Problem, nodes []int, vals []float64) (bool, RefreshStats, error) {
-	var st RefreshStats
-	st.Kind = RefreshWoodbury
-	m := len(r.sys.b)
-	k := len(nodes)
-
-	z := make([]float64, m)
-	for i, node := range nodes {
-		z[r.sys.pos[node]] = vals[i]
-	}
-	az := make([]float64, m)
-	if err := r.sys.a.MulVecToWorkers(az, z, r.workers); err != nil {
-		return false, st, err
-	}
-
-	// Unit solves t_j = P e_{pos(j)} against the old matrix.
-	t := make([][]float64, k)
-	e := make([]float64, m)
-	for j, node := range nodes {
-		pj := r.sys.pos[node]
-		e[pj] = 1
-		tj := make([]float64, m)
-		_, res, err := sparse.PCG(r.sys.a, e, sparse.PCGOptions{
-			CGOptions: sparse.CGOptions{
-				Tol:          r.tol,
-				MaxIter:      r.maxIter,
-				Precondition: true,
-				Workers:      r.workers,
-			},
-			Dst: tj,
-			Ws:  r.ws,
-		})
-		e[pj] = 0
-		st.Solves++
-		st.Iterations += res.Iterations
-		if err != nil {
-			return false, st, fmt.Errorf("core: woodbury unit solve: %w: %w", ErrSolver, err)
-		}
-		t[j] = tj
-	}
-
-	// h = f_old − z − Σ_j r_j t_j on the old unknowns.
-	h := make([]float64, m)
-	copy(h, r.fu)
-	for i := range h {
-		h[i] -= z[i]
-	}
-	for j, node := range nodes {
-		rj := r.sys.b[r.sys.pos[node]] - az[r.sys.pos[node]]
-		tj := t[j]
-		for i := range h {
-			h[i] -= rj * tj[i]
-		}
-	}
-
-	// Capacitance P_{JJ} and correction μ = (P_{JJ})⁻¹ h_J.
-	pjj := make([]float64, k*k)
-	hj := make([]float64, k)
-	for a, na := range nodes {
-		pa := r.sys.pos[na]
-		hj[a] = h[pa]
-		for b := 0; b < k; b++ {
-			pjj[a*k+b] = t[b][pa]
-		}
-	}
-	capM, err := mat.NewDenseData(k, k, pjj)
-	if err != nil {
-		return false, st, err
-	}
-	mu, err := mat.SolveLU(capM, hj)
-	if err != nil {
-		return false, st, fmt.Errorf("core: woodbury capacitance solve: %w: %w", ErrSolver, err)
-	}
-	for j := 0; j < k; j++ {
-		tj := t[j]
-		mj := mu[j]
-		for i := range h {
-			h[i] -= mj * tj[i]
-		}
-	}
-
-	// Assemble the candidate on the new unknowns and verify it against
-	// the freshly built new system.
-	sys2, err := buildHardSystem(p2)
-	if err != nil {
-		return false, st, err
-	}
-	fu2 := make([]float64, len(sys2.b))
-	for k2, u := range p2.unlabeled {
-		fu2[k2] = h[r.sys.pos[u]]
-	}
-	resid := r.relResidual(sys2, fu2)
-	st.Residual = resid
-	if resid > r.refreshTol {
-		st.Escalated = true
-		st.Reason = fmt.Sprintf("woodbury residual %.3g above tolerance %.3g", resid, r.refreshTol)
-		return false, st, nil
-	}
-	r.commit(p2, sys2, fu2)
-	return true, st, nil
 }
 
 // Rebase replaces the problem after structural edits (point inserts,
@@ -482,7 +345,7 @@ func (r *Refresher) Rebase(p2 *Problem, oldNode []int) (RefreshStats, error) {
 	if len(oldNode) != n2 {
 		return st, fmt.Errorf("core: oldNode length %d, want %d: %w", len(oldNode), n2, ErrParam)
 	}
-	sys2, err := buildHardSystem(p2)
+	sys2, jac2, err := buildRefreshSystem(p2)
 	if err != nil {
 		return st, err
 	}
@@ -526,12 +389,12 @@ func (r *Refresher) Rebase(p2 *Problem, oldNode []int) (RefreshStats, error) {
 	for k2, u := range p2.unlabeled {
 		fu2[k2] = seed[u]
 	}
-	_, res, err := sparse.PCG(sys2.a, sys2.b, r.warmOpts(fu2))
+	_, res, err := sparse.PCG(sys2.a, sys2.b, r.warmOpts(jac2, fu2))
 	st.Solves, st.Iterations = 1, res.Iterations
 	if err != nil {
 		return st, fmt.Errorf("core: rebase refresh: %w: %w", ErrSolver, err)
 	}
-	st.Residual = res.Residual
-	r.commit(p2, sys2, fu2)
+	r.commit(p2, sys2, jac2, fu2)
+	st.Residual = r.Residual()
 	return st, nil
 }

@@ -66,7 +66,7 @@ func TestRefresherUpdateLabelValues(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := NewRefresher(p, solveExactF(t, p), 1e-12, 1e-8, 0, 1)
+	r, err := NewRefresher(p, solveExactF(t, p), 1e-12, 0, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,48 +105,6 @@ func TestRefresherUpdateLabelValues(t *testing.T) {
 	}
 }
 
-func TestRefresherAddLabelsWoodbury(t *testing.T) {
-	g := refreshGraph(t, 100, 2)
-	labeled := []int{0, 10, 20, 30}
-	y := []float64{1, -1, 2, 0}
-	p, err := NewProblem(g, labeled, y)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r, err := NewRefresher(p, solveExactF(t, p), 1e-12, 1e-8, 0, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	nodes := []int{55, 77}
-	vals := []float64{1.5, -0.5}
-	st, err := r.AddLabels(nodes, vals, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Kind != RefreshWoodbury || st.Escalated {
-		t.Fatalf("kind %v escalated=%v (reason %q)", st.Kind, st.Escalated, st.Reason)
-	}
-	if st.Solves != len(nodes) {
-		t.Fatalf("solves %d, want %d unit solves", st.Solves, len(nodes))
-	}
-
-	p2, err := NewProblem(g, append(append([]int{}, labeled...), nodes...), append(append([]float64{}, y...), vals...))
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := solveExactF(t, p2)
-	if d := maxAbsDiff(r.F(), want); d > 1e-7 {
-		t.Fatalf("woodbury solution off by %g", d)
-	}
-	// Labeled entries must be the responses exactly.
-	for i, node := range nodes {
-		if r.F()[node] != vals[i] {
-			t.Fatalf("node %d: F=%v want %v", node, r.F()[node], vals[i])
-		}
-	}
-}
-
 func TestRefresherAddLabelsWarmPCG(t *testing.T) {
 	g := refreshGraph(t, 120, 3)
 	labeled := []int{0, 40}
@@ -155,14 +113,14 @@ func TestRefresherAddLabelsWarmPCG(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := NewRefresher(p, solveExactF(t, p), 1e-12, 1e-8, 0, 1)
+	r, err := NewRefresher(p, solveExactF(t, p), 1e-12, 0, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	nodes := []int{5, 15, 25, 35, 45, 55}
 	vals := []float64{1, 1, -1, -1, 0.5, 2}
-	st, err := r.AddLabels(nodes, vals, 4) // k=6 > woodburyMax=4
+	st, err := r.AddLabels(nodes, vals)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,12 +135,13 @@ func TestRefresherAddLabelsWarmPCG(t *testing.T) {
 		t.Fatalf("warm-pcg solution off by %g", d)
 	}
 
-	// Chaining: another small batch after the rebase takes Woodbury again.
-	st, err = r.AddLabels([]int{99}, []float64{-3}, 4)
+	// Chaining: a single-node batch on the committed system takes the same
+	// rung.
+	st, err = r.AddLabels([]int{99}, []float64{-3})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.Kind != RefreshWoodbury {
+	if st.Kind != RefreshWarmPCG {
 		t.Fatalf("chained kind %v", st.Kind)
 	}
 	p3, err := NewProblem(g,
@@ -204,7 +163,7 @@ func TestRefresherRebase(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := NewRefresher(p, solveExactF(t, p), 1e-12, 1e-8, 0, 1)
+	r, err := NewRefresher(p, solveExactF(t, p), 1e-12, 0, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -236,13 +195,57 @@ func TestRefresherRebase(t *testing.T) {
 	}
 }
 
+// TestRefresherResidualVerified: every rung reports the true relative
+// residual of the solution it accepted, bitwise what Residual recomputes,
+// not PCG's recursively updated estimate.
+func TestRefresherResidualVerified(t *testing.T) {
+	g := refreshGraph(t, 90, 7)
+	labeled := []int{0, 30, 60}
+	y := []float64{1, -2, 0.5}
+	p, err := NewProblem(g, labeled, y)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := NewRefresher(p, solveExactF(t, p), 1e-10, 0, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check := func(rung string, st RefreshStats, err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatalf("%s: %v", rung, err)
+		}
+		if got := r.Residual(); st.Residual != got {
+			t.Fatalf("%s: reported residual %.17g, verified %.17g", rung, st.Residual, got)
+		}
+	}
+	st, err := r.UpdateLabelValues([]int{30}, []float64{3})
+	check("label-values", st, err)
+	st, err = r.AddLabels([]int{15, 45, 75}, []float64{1, -1, 2})
+	check("add-labels", st, err)
+	gNew := refreshGraph(t, 95, 7)
+	p2, err := NewProblem(gNew, r.Problem().Labeled(), r.Problem().Y())
+	if err != nil {
+		t.Fatal(err)
+	}
+	oldNode := make([]int, 95)
+	for i := range oldNode {
+		oldNode[i] = -1
+		if i < 90 {
+			oldNode[i] = i
+		}
+	}
+	st, err = r.Rebase(p2, oldNode)
+	check("rebase", st, err)
+}
+
 func TestRefresherValidation(t *testing.T) {
 	g := refreshGraph(t, 20, 5)
 	p, err := NewProblem(g, []int{0, 5}, []float64{1, -1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := NewRefresher(p, solveExactF(t, p), 1e-10, 1e-8, 0, 1)
+	r, err := NewRefresher(p, solveExactF(t, p), 1e-10, 0, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -252,16 +255,16 @@ func TestRefresherValidation(t *testing.T) {
 	if _, err := r.UpdateLabelValues([]int{0}, []float64{math.NaN()}); err == nil {
 		t.Fatal("NaN label accepted")
 	}
-	if _, err := r.AddLabels([]int{0}, []float64{1}, 4); err == nil {
+	if _, err := r.AddLabels([]int{0}, []float64{1}); err == nil {
 		t.Fatal("re-labeling a labeled node accepted")
 	}
-	if _, err := r.AddLabels([]int{7, 7}, []float64{1, 1}, 4); err == nil {
+	if _, err := r.AddLabels([]int{7, 7}, []float64{1, 1}); err == nil {
 		t.Fatal("duplicate nodes accepted")
 	}
-	if _, err := r.AddLabels([]int{7}, []float64{1, 2}, 4); err == nil {
+	if _, err := r.AddLabels([]int{7}, []float64{1, 2}); err == nil {
 		t.Fatal("length mismatch accepted")
 	}
-	if _, err := NewRefresher(p, []float64{1}, 1e-10, 1e-8, 0, 1); err == nil {
+	if _, err := NewRefresher(p, []float64{1}, 1e-10, 0, 1); err == nil {
 		t.Fatal("short solution vector accepted")
 	}
 }
@@ -277,7 +280,7 @@ func TestZeroAllocRefresh(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := NewRefresher(p, solveExactF(t, p), 1e-10, 1e-8, 0, 1)
+	r, err := NewRefresher(p, solveExactF(t, p), 1e-10, 0, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,10 +1,8 @@
 package core
 
 import (
-	"errors"
 	"fmt"
 	"math"
-	"time"
 
 	"repro/internal/graph"
 	"repro/internal/mat"
@@ -69,20 +67,13 @@ func SolveSoft(p *Problem, lambda float64, opts ...SolveOption) (*Solution, erro
 	switch cfg.method {
 	case MethodAuto:
 		f, res, method, trace, err = runChain(cfg.ctx, a, rhs, cfg)
-	case MethodCholesky:
-		var ch *mat.Cholesky
-		ch, err = mat.NewCholesky(a.ToDense())
-		if err == nil {
-			f, err = ch.Solve(rhs)
-		}
-	case MethodLU:
-		f, err = mat.SolveLU(a.ToDense(), rhs)
-	case MethodCG:
-		f, res, cgOut, err = solveCG(cfg.ctx, a, rhs, cfg, 0)
 	case MethodPropagation:
 		return nil, fmt.Errorf("core: propagation applies to the hard criterion only: %w", ErrParam)
 	default:
-		return nil, fmt.Errorf("core: unknown method %d: %w", int(cfg.method), ErrParam)
+		if err := explicitMethod(cfg.method); err != nil {
+			return nil, err
+		}
+		f, res, cgOut, err = runBackend(cfg.ctx, cfg.method, a, rhs, cfg, 0)
 	}
 	if err == nil && !finiteVec(f) {
 		err = fmt.Errorf("core: %v produced non-finite values: %w", method, mat.ErrSingular)
@@ -170,20 +161,15 @@ type LambdaPathPoint struct {
 // solution is already close and CG converges in a few iterations. λ = 0
 // entries dispatch to SolveHard, exactly as SolveSoft does.
 //
-// MethodAuto and MethodCG resolve to the warm-started CG path (tolerance
-// from WithTolerance, default 1e-10); other explicit methods fall back to
-// per-λ SolveSoft. Results are bitwise-identical across worker counts, and
-// independent of how lambdas interleave zeros (λ = 0 solutions never enter
-// the warm-start chain).
+// The warm path serves MethodAuto and MethodCG with PrecondAuto or
+// PrecondJacobi (tolerance from WithTolerance, default 1e-10); any other
+// method or preconditioner falls back to per-λ SolveSoft. Results are
+// bitwise-identical across worker counts, and independent of how lambdas
+// interleave zeros (λ = 0 solutions never enter the warm-start chain).
 //
-// The CSR wrapper, solver workspace, and warm-start buffer persist across
-// the whole path, so the steady state of a sweep allocates only the
-// per-point result copies. The default preconditioner is the historical
-// warm Jacobi path, kept bit-for-bit reproducible; WithPreconditioner
-// (PrecondIC0) switches to an RCM-reordered IC(0) factorization that is
-// built once and numerically refreshed per λ, which cuts iteration counts
-// severalfold on ill-conditioned paths (small bandwidth, large λ) at the
-// cost of breaking bitwise compatibility with the Jacobi iterates.
+// The CSR wrapper, Jacobi preconditioner, solver workspace, and warm-start
+// buffer persist across the whole path, so the steady state of a sweep
+// allocates only the per-point result copies.
 func SoftSweep(p *Problem, lambdas []float64, opts ...SolveOption) ([]LambdaPathPoint, error) {
 	if len(lambdas) == 0 {
 		return nil, fmt.Errorf("core: empty lambda sweep: %w", ErrParam)
@@ -194,7 +180,8 @@ func SoftSweep(p *Problem, lambdas []float64, opts ...SolveOption) ([]LambdaPath
 		}
 	}
 	cfg := newSolveConfig(opts)
-	if cfg.method != MethodAuto && cfg.method != MethodCG {
+	if (cfg.method != MethodAuto && cfg.method != MethodCG) ||
+		(cfg.precond != PrecondAuto && cfg.precond != PrecondJacobi) {
 		return LambdaPath(p, lambdas, opts...)
 	}
 
@@ -250,32 +237,10 @@ func SoftSweep(p *Problem, lambdas []float64, opts ...SolveOption) ([]LambdaPath
 		return nil, fmt.Errorf("core: lambda sweep assembly: %w", err)
 	}
 
-	// IC(0) sweeps reorder once with RCM and refactor numerically per λ
-	// (fixed pattern, fixed permutation); warm starts then live in permuted
-	// coordinates for the whole path.
-	useIC0 := cfg.precond == PrecondIC0
-	var (
-		perm, posMap []int
-		pa           *sparse.CSR
-		prhs, fbuf   []float64
-		pstate       sweepPrecondState
-	)
-	if useIC0 {
-		perm, err = sparse.RCM(a)
-		if err != nil {
-			return nil, fmt.Errorf("core: lambda sweep reordering: %w", err)
-		}
-		pa, posMap, err = a.PermuteMap(perm)
-		if err != nil {
-			return nil, fmt.Errorf("core: lambda sweep reordering: %w", err)
-		}
-		prhs = make([]float64, nTotal)
-		sparse.PermuteVecTo(prhs, rhs, perm)
-		fbuf = make([]float64, nTotal)
-	}
-
-	// One workspace and one solution buffer persist across the path: each
-	// λ > 0 solve warm-starts from — and overwrites — xbuf.
+	// One preconditioner, workspace and solution buffer persist across the
+	// path: each λ > 0 solve refreshes jac, warm-starts from — and
+	// overwrites — xbuf.
+	var jac *precond.Jacobi // built at the first λ > 0
 	ws := sparse.GetWorkspace(nTotal)
 	defer ws.Release()
 	xbuf := make([]float64, nTotal)
@@ -294,7 +259,15 @@ func SoftSweep(p *Problem, lambdas []float64, opts ...SolveOption) ([]LambdaPath
 		for k := range data {
 			data[k] = l*lapVal[k] + vAdd[k]
 		}
-		popts := sparse.PCGOptions{
+		if jac == nil {
+			jac, err = precond.NewJacobi(a)
+		} else {
+			err = jac.Update(a)
+		}
+		if err != nil {
+			return nil, fmt.Errorf("core: lambda sweep at λ=%v: %w: %w", l, ErrSolver, err)
+		}
+		f, res, err := sparse.PCG(a, rhs, sparse.PCGOptions{
 			CGOptions: sparse.CGOptions{
 				Tol:     cfg.tol,
 				MaxIter: cfg.maxIter,
@@ -302,34 +275,10 @@ func SoftSweep(p *Problem, lambdas []float64, opts ...SolveOption) ([]LambdaPath
 				Workers: cfg.workers,
 				Ctx:     cfg.ctx,
 			},
+			M:   jac,
 			Dst: xbuf,
 			Ws:  ws,
-		}
-		sys, b := a, rhs
-		name := "jacobi"
-		var setup time.Duration
-		switch {
-		case useIC0:
-			setupStart := time.Now()
-			if err := pa.RefillPermuted(a, posMap); err != nil {
-				return nil, fmt.Errorf("core: lambda sweep at λ=%v: %w", l, err)
-			}
-			m, pname, err := pstate.refresh(pa)
-			if err != nil {
-				return nil, fmt.Errorf("core: lambda sweep at λ=%v: %w: %w", l, ErrSolver, err)
-			}
-			popts.M = m
-			name = pname
-			setup = time.Since(setupStart)
-			sys, b = pa, prhs
-		case cfg.precond == PrecondNone:
-			name = "none"
-		default:
-			// PrecondAuto / PrecondJacobi: the historical warm-started
-			// Jacobi-CG arithmetic, bit for bit.
-			popts.Precondition = true
-		}
-		f, res, err := sparse.PCG(sys, b, popts)
+		})
 		if err == nil && !finiteVec(f) {
 			err = fmt.Errorf("core: CG produced non-finite values: %w", mat.ErrSingular)
 		}
@@ -340,79 +289,23 @@ func SoftSweep(p *Problem, lambdas []float64, opts ...SolveOption) ([]LambdaPath
 			return nil, fmt.Errorf("core: lambda sweep at λ=%v: %w: %w", l, ErrSolver, err)
 		}
 		warm = f // f aliases xbuf
-		fvals := f
-		if useIC0 {
-			sparse.UnpermuteVecTo(fbuf, f, perm)
-			fvals = fbuf
-		}
 		fu := make([]float64, p.M())
 		for k, u := range p.unlabeled {
-			fu[k] = fvals[u]
+			fu[k] = f[u]
 		}
-		full := make([]float64, len(fvals))
-		copy(full, fvals)
+		full := make([]float64, len(f))
+		copy(full, f)
 		out = append(out, LambdaPathPoint{Lambda: l, Solution: &Solution{
-			F:            full,
-			FUnlabeled:   fu,
-			Lambda:       l,
-			Method:       MethodCG,
-			Iterations:   res.Iterations,
-			Residual:     res.Residual,
-			Precond:      name,
-			PrecondSetup: setup,
+			F:          full,
+			FUnlabeled: fu,
+			Lambda:     l,
+			Method:     MethodCG,
+			Iterations: res.Iterations,
+			Residual:   res.Residual,
+			Precond:    "jacobi",
 		}})
 	}
 	return out, nil
-}
-
-// sweepPrecondState carries the λ-sweep preconditioner across refills:
-// IC(0) while the factorization holds, Jacobi permanently after a breakdown
-// (a breakdown at one λ means nearby λ are equally hostile, and flapping
-// between preconditioners would waste refactorization work).
-type sweepPrecondState struct {
-	ic     *precond.IC0
-	jac    *precond.Jacobi
-	broken bool
-}
-
-// refresh builds or numerically refreshes the preconditioner for the
-// current values of the permuted sweep matrix.
-func (s *sweepPrecondState) refresh(pa *sparse.CSR) (sparse.Preconditioner, string, error) {
-	if !s.broken {
-		switch {
-		case s.ic == nil:
-			f, err := precond.NewIC0(pa)
-			if err == nil {
-				s.ic = f
-				return f, "ic0+rcm", nil
-			}
-			if !errors.Is(err, precond.ErrBreakdown) {
-				return nil, "", err
-			}
-			s.broken = true
-		default:
-			err := s.ic.Update(pa)
-			if err == nil {
-				return s.ic, "ic0+rcm", nil
-			}
-			if !errors.Is(err, precond.ErrBreakdown) {
-				return nil, "", err
-			}
-			s.broken = true
-		}
-	}
-	if s.jac == nil {
-		j, err := precond.NewJacobi(pa)
-		if err != nil {
-			return nil, "", err
-		}
-		s.jac = j
-		return j, "jacobi+rcm", nil
-	}
-	if err := s.jac.Update(pa); err != nil {
-		return nil, "", err
-	}
-	return s.jac, "jacobi+rcm", nil
 }
 
 // LambdaPath solves the soft criterion for each λ in lambdas (0 allowed; it

@@ -247,6 +247,40 @@ func TestSoftRejectsPropagation(t *testing.T) {
 	}
 }
 
+// TestSolveMethodDispatch: SolveHard and SolveSoft share one dispatcher,
+// which rejects every method WithMethod cannot select with ErrParam.
+func TestSolveMethodDispatch(t *testing.T) {
+	p := softTestProblem(t, 22, 6, 2)
+	hard := func(m Method) error {
+		_, err := SolveHard(p, WithMethod(m))
+		return err
+	}
+	soft := func(m Method) error {
+		_, err := SolveSoft(p, 0.3, WithMethod(m))
+		return err
+	}
+	cases := []struct {
+		name  string
+		solve func(Method) error
+		m     Method
+	}{
+		{"hard/zero", hard, Method(0)},
+		{"hard/unknown", hard, Method(99)},
+		{"hard/cluster", hard, MethodCluster},
+		{"hard/nystrom", hard, MethodNystrom},
+		{"soft/zero", soft, Method(0)},
+		{"soft/unknown", soft, Method(99)},
+		{"soft/cluster", soft, MethodCluster},
+		{"soft/nystrom", soft, MethodNystrom},
+		{"soft/propagation", soft, MethodPropagation},
+	}
+	for _, c := range cases {
+		if err := c.solve(c.m); !errors.Is(err, ErrParam) {
+			t.Fatalf("%s: want ErrParam, got %v", c.name, err)
+		}
+	}
+}
+
 func TestLambdaPathEmpty(t *testing.T) {
 	p := softTestProblem(t, 23, 6, 2)
 	if _, err := LambdaPath(p, nil); !errors.Is(err, ErrParam) {

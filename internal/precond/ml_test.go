@@ -43,7 +43,11 @@ func TestMLPCGMatchesDenseReference(t *testing.T) {
 		}
 	}
 
-	_, jacRes, err := sparse.CG(a, b, sparse.CGOptions{Tol: 1e-10, Precondition: true})
+	jac, err := precond.NewJacobi(a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, jacRes, err := sparse.PCG(a, b, sparse.PCGOptions{CGOptions: sparse.CGOptions{Tol: 1e-10}, M: jac})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -43,8 +43,9 @@ type Preconditioner interface {
 }
 
 // Jacobi is diagonal (point) scaling: M = diag(A), Apply computes
-// dst[i] = r[i] / a_ii. It is exactly the preconditioner the historical
-// CG Precondition flag applied, bit for bit.
+// dst[i] = r[i] / a_ii as invDiag[i]*r[i]. It is the one Jacobi of the
+// solve layer: every Jacobi-preconditioned PCG passes one as
+// sparse.PCGOptions.M.
 type Jacobi struct {
 	invDiag []float64
 }
@@ -178,7 +179,8 @@ func NewIC0(a *sparse.CSR) (*IC0, error) {
 }
 
 // Update refactors from a matrix with the same sparsity pattern, reusing
-// the symbolic structure and all storage. λ sweeps call it once per λ.
+// the symbolic structure and all storage; NewIC0 runs it as its numeric
+// phase.
 func (ic *IC0) Update(a *sparse.CSR) error {
 	n, c := a.Dims()
 	if n != c || n != ic.n {

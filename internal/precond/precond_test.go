@@ -166,7 +166,11 @@ func TestIC0PCGMatchesDenseReference(t *testing.T) {
 		}
 	}
 
-	_, jacRes, err := sparse.CG(a, b, sparse.CGOptions{Tol: 1e-10, Precondition: true})
+	jac, err := precond.NewJacobi(a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, jacRes, err := sparse.PCG(a, b, sparse.PCGOptions{CGOptions: sparse.CGOptions{Tol: 1e-10}, M: jac})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,8 +180,9 @@ func TestIC0PCGMatchesDenseReference(t *testing.T) {
 	}
 }
 
-// TestIC0UpdateMatchesFreshFactorization: the numeric refresh used by λ
-// sweeps must agree bit-for-bit with factoring the new values from scratch.
+// TestIC0UpdateMatchesFreshFactorization: a numeric refresh of an
+// existing factor must agree bit-for-bit with factoring the new values
+// from scratch.
 func TestIC0UpdateMatchesFreshFactorization(t *testing.T) {
 	a1 := tridiag(t, 64, 3)
 	a2 := tridiag(t, 64, 5) // same pattern, different values
@@ -244,6 +249,25 @@ func TestAutoRejectsZeroDiagonal(t *testing.T) {
 	}
 	if _, err := precond.Auto(coo.ToCSR()); err == nil {
 		t.Fatal("Auto accepted a zero-diagonal matrix")
+	}
+}
+
+// TestZeroDiagonalErrors: a zero diagonal entry rules out Jacobi scaling,
+// both when building the preconditioner and when refreshing its values.
+func TestZeroDiagonalErrors(t *testing.T) {
+	coo := sparse.NewCOO(2, 2)
+	if err := coo.AddSym(0, 1, 1); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := precond.NewJacobi(coo.ToCSR()); !errors.Is(err, precond.ErrZeroDiagonal) {
+		t.Fatalf("NewJacobi: want ErrZeroDiagonal, got %v", err)
+	}
+	j, err := precond.NewJacobi(tridiag(t, 2, 3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := j.Update(coo.ToCSR()); !errors.Is(err, precond.ErrZeroDiagonal) {
+		t.Fatalf("Update: want ErrZeroDiagonal, got %v", err)
 	}
 }
 

@@ -189,30 +189,18 @@ func validPerm(perm []int, n int) bool {
 // B[i][j] = A[perm[i]][perm[j]]. perm must be a permutation of [0, rows);
 // the matrix must be square.
 func (m *CSR) Permute(perm []int) (*CSR, error) {
-	b, _, err := m.PermuteMap(perm)
-	return b, err
-}
-
-// PermuteMap is Permute returning additionally posMap, which maps each
-// stored-entry position of the permuted matrix back onto the position of
-// the same entry in the receiver's data array. Sweeps over a fixed sparsity
-// pattern use it to refill a permuted matrix's values in place
-// (permuted.data[k] = original.data[posMap[k]]) without re-permuting the
-// structure.
-func (m *CSR) PermuteMap(perm []int) (*CSR, []int, error) {
 	n := m.rows
 	if m.cols != n {
-		return nil, nil, ErrShape
+		return nil, ErrShape
 	}
 	if !validPerm(perm, n) {
-		return nil, nil, ErrIndex
+		return nil, ErrIndex
 	}
 	inv := InvertPerm(perm)
 	nnz := m.NNZ()
 	indptr := make([]int, n+1)
 	indices := make([]int, nnz)
 	data := make([]float64, nnz)
-	posMap := make([]int, nnz)
 	type ent struct {
 		col, pos int
 	}
@@ -229,28 +217,11 @@ func (m *CSR) PermuteMap(perm []int) (*CSR, []int, error) {
 		for _, e := range row {
 			indices[at] = e.col
 			data[at] = m.data[e.pos]
-			posMap[at] = e.pos
 			at++
 		}
 		indptr[i+1] = at
 	}
-	out := &CSR{rows: n, cols: n, indptr: indptr, indices: indices, data: data}
-	return out, posMap, nil
-}
-
-// RefillPermuted overwrites the receiver's values with src.data[posMap[k]]
-// for every stored position k, where posMap came from src.PermuteMap. It is
-// the numeric half of a permuted sweep: structure stays fixed, values track
-// the source matrix. The receiver must be the matrix PermuteMap returned
-// (same nnz).
-func (m *CSR) RefillPermuted(src *CSR, posMap []int) error {
-	if len(posMap) != len(m.data) || len(src.data) != len(m.data) {
-		return ErrShape
-	}
-	for k, p := range posMap {
-		m.data[k] = src.data[p]
-	}
-	return nil
+	return &CSR{rows: n, cols: n, indptr: indptr, indices: indices, data: data}, nil
 }
 
 // Bandwidth returns the matrix bandwidth max_i,j |i−j| over stored entries

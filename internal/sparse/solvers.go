@@ -43,8 +43,6 @@ type CGOptions struct {
 	Tol float64
 	// MaxIter caps iterations; default 10*n.
 	MaxIter int
-	// Precondition enables Jacobi (diagonal) preconditioning.
-	Precondition bool
 	// X0 is the starting guess; default the zero vector.
 	X0 []float64
 	// Workers parallelizes the matrix-vector products over row ranges:
@@ -76,8 +74,7 @@ type CGOptions struct {
 // workers, context, stagnation/divergence guards).
 type PCGOptions struct {
 	CGOptions
-	// M is the preconditioner; nil runs plain CG (or Jacobi when the
-	// embedded Precondition flag is set, exactly as CG does).
+	// M is the preconditioner; nil runs plain CG.
 	M Preconditioner
 	// Dst, when non-nil, receives the solution (len n) and is returned as
 	// x, so warm repeated solves allocate nothing for the result vector.
@@ -134,25 +131,21 @@ const (
 	wsCGPrecond
 	wsCGDirection
 	wsCGMatVec
-	wsCGInvDiag
 )
 
 // CG solves A x = b for a symmetric positive definite CSR matrix using the
-// conjugate gradient method, optionally with Jacobi preconditioning. It is
-// the unpreconditioned/Jacobi façade over the PCG engine; the iterates are
-// bit-for-bit those of the historical CG implementation.
+// unpreconditioned conjugate gradient method: PCG with no preconditioner.
 func CG(a *CSR, b []float64, opts CGOptions) ([]float64, SolveResult, error) {
 	return PCG(a, b, PCGOptions{CGOptions: opts})
 }
 
 // PCG solves A x = b by preconditioned conjugate gradient. With M == nil it
-// degenerates to CG (identity preconditioner, or Jacobi when
-// opts.Precondition is set). The engine draws every scratch vector from a
-// Workspace, so a caller holding one (plus Dst) across repeated solves —
-// λ sweeps, one-vs-rest right-hand sides — runs with zero steady-state heap
-// allocation. Iterates are bitwise-identical across worker counts: only the
-// matrix-vector products parallelize, with fixed per-row accumulation
-// order.
+// degenerates to CG (identity preconditioner). The engine draws every
+// scratch vector from a Workspace, so a caller holding one (plus Dst)
+// across repeated solves — λ sweeps, one-vs-rest right-hand sides — runs
+// with zero steady-state heap allocation. Iterates are bitwise-identical
+// across worker counts: only the matrix-vector products parallelize, with
+// fixed per-row accumulation order.
 func PCG(a *CSR, b []float64, opts PCGOptions) ([]float64, SolveResult, error) {
 	n := a.rows
 	if a.cols != n || len(b) != n {
@@ -168,18 +161,6 @@ func PCG(a *CSR, b []float64, opts PCGOptions) ([]float64, SolveResult, error) {
 	if ws == nil {
 		ws = GetWorkspace(n)
 		defer ws.Release()
-	}
-
-	var invDiag []float64
-	if opts.M == nil && opts.Precondition {
-		invDiag = ws.vec(wsCGInvDiag, n)
-		a.DiagTo(invDiag)
-		for i, d := range invDiag {
-			if d == 0 {
-				return nil, SolveResult{}, ErrZeroDiagonal
-			}
-			invDiag[i] = 1 / d
-		}
 	}
 
 	x := opts.Dst
@@ -207,14 +188,9 @@ func PCG(a *CSR, b []float64, opts PCGOptions) ([]float64, SolveResult, error) {
 
 	z := ws.vec(wsCGPrecond, n)
 	applyM := func() {
-		switch {
-		case opts.M != nil:
+		if opts.M != nil {
 			opts.M.Apply(z, r)
-		case invDiag != nil:
-			for i := range z {
-				z[i] = invDiag[i] * r[i]
-			}
-		default:
+		} else {
 			copy(z, r)
 		}
 	}

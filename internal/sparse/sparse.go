@@ -20,8 +20,6 @@ var (
 	// ErrNotConverged is returned when an iterative solver exhausts its
 	// iteration budget.
 	ErrNotConverged = errors.New("sparse: iteration did not converge")
-	// ErrZeroDiagonal is returned by solvers that require a nonzero diagonal.
-	ErrZeroDiagonal = errors.New("sparse: zero diagonal entry")
 	// ErrIndex is returned for out-of-range coordinates.
 	ErrIndex = errors.New("sparse: index out of range")
 )

@@ -1,17 +1,26 @@
-package sparse
+package sparse_test
 
-import "testing"
+import (
+	"testing"
+
+	"repro/internal/precond"
+	"repro/internal/sparse"
+)
 
 // zeroAllocSystem builds a 512-unknown SPD tridiagonal system, small enough
 // that SpMV stays on the serial inline path.
-func zeroAllocSystem(t *testing.T) (*CSR, []float64) {
+func zeroAllocSystem(t *testing.T) (*sparse.CSR, []float64) {
 	t.Helper()
 	n := 512
-	coo := NewCOO(n, n)
+	coo := sparse.NewCOO(n, n)
 	for i := 0; i < n; i++ {
-		mustAdd(t, coo, i, i, 2.5)
+		if err := coo.Add(i, i, 2.5); err != nil {
+			t.Fatal(err)
+		}
 		if i+1 < n {
-			mustAddSym(t, coo, i, i+1, -1)
+			if err := coo.AddSym(i, i+1, -1); err != nil {
+				t.Fatal(err)
+			}
 		}
 	}
 	b := make([]float64, n)
@@ -21,18 +30,23 @@ func zeroAllocSystem(t *testing.T) (*CSR, []float64) {
 	return coo.ToCSR(), b
 }
 
-// TestZeroAllocSolve pins the zero-allocation contract of the warm PCG
-// path: with a caller-held Workspace and destination buffer, repeated
-// solves must not touch the heap. CI runs this as an allocation-regression
-// gate.
+// TestZeroAllocSolve pins the zero-allocation contract of the warm
+// Jacobi-preconditioned PCG path: with a caller-held Workspace,
+// preconditioner and destination buffer, repeated solves must not touch
+// the heap. CI runs this as an allocation-regression gate.
 func TestZeroAllocSolve(t *testing.T) {
 	a, b := zeroAllocSystem(t)
 	n := a.Rows()
-	ws := NewWorkspace() // unpooled: no sync.Pool effects in the measurement
+	m, err := precond.NewJacobi(a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ws := sparse.NewWorkspace() // unpooled: no sync.Pool effects in the measurement
 	dst := make([]float64, n)
 	solve := func() {
-		_, _, err := PCG(a, b, PCGOptions{
-			CGOptions: CGOptions{Tol: 1e-10, Precondition: true, X0: dst, Workers: 1},
+		_, _, err := sparse.PCG(a, b, sparse.PCGOptions{
+			CGOptions: sparse.CGOptions{Tol: 1e-10, X0: dst, Workers: 1},
+			M:         m,
 			Dst:       dst,
 			Ws:        ws,
 		})
@@ -51,11 +65,11 @@ func TestZeroAllocSolve(t *testing.T) {
 func TestZeroAllocSolveUnpreconditioned(t *testing.T) {
 	a, b := zeroAllocSystem(t)
 	n := a.Rows()
-	ws := NewWorkspace()
+	ws := sparse.NewWorkspace()
 	dst := make([]float64, n)
 	solve := func() {
-		_, _, err := PCG(a, b, PCGOptions{
-			CGOptions: CGOptions{Tol: 1e-10, X0: dst, Workers: 1},
+		_, _, err := sparse.PCG(a, b, sparse.PCGOptions{
+			CGOptions: sparse.CGOptions{Tol: 1e-10, X0: dst, Workers: 1},
 			Dst:       dst,
 			Ws:        ws,
 		})

@@ -81,8 +81,8 @@ type Health struct {
 // which rung of the escalation ladder produced the accepted solution and
 // how much work it took.
 type RefreshInfo struct {
-	// Kind is the accepted rung: "none", "label-values", "woodbury",
-	// "warm-pcg", or "full-refit".
+	// Kind is the accepted rung: "none", "label-values", "warm-pcg", or
+	// "full-refit".
 	Kind string
 	// Solves and Iterations report the iterative work spent.
 	Solves, Iterations int

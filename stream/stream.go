@@ -12,9 +12,8 @@
 //     each structural refresh;
 //   - internal/core.Refresher maintains the solution through the
 //     escalation ladder: warm right-hand-side restarts for label value
-//     changes, the Woodbury principal-submatrix identity for small
-//     newly-labeled batches, warm-started PCG for everything larger, and
-//     an exact from-scratch refit as the terminal rung.
+//     changes, warm-started PCG for newly labeled points and structural
+//     edits, and an exact from-scratch refit as the terminal rung.
 //
 // The determinism contract carries over from the batch pipeline: after
 // Compact, the state is bitwise-identical to graphssl.Fit on the same
@@ -57,8 +56,8 @@ type Config struct {
 	// MaxIter caps solver iterations (0 = solver default).
 	MaxIter int
 	// RefreshTol is the acceptance threshold on the verified relative
-	// residual of a refreshed solution; a miss escalates one rung, and
-	// ultimately to an exact refit (default 1e-8).
+	// residual ‖b − A f‖/‖b‖ of a refreshed solution; a miss escalates to
+	// an exact refit (default 1e-8).
 	RefreshTol float64
 	// RebuildFrac is the side-buffer fraction triggering an amortized
 	// spatial-index rebuild (default spatial.DefaultRebuildFrac).
@@ -66,9 +65,6 @@ type Config struct {
 	// CompactFrac is the dead-id fraction (dead / live) above which a
 	// refresh escalates to a full compaction (default 0.5).
 	CompactFrac float64
-	// WoodburyMaxK is the largest newly-labeled batch refreshed via the
-	// low-rank identity instead of a warm full solve (default 4).
-	WoodburyMaxK int
 }
 
 func (c *Config) fill() error {
@@ -90,16 +86,13 @@ func (c *Config) fill() error {
 	if c.CompactFrac <= 0 {
 		c.CompactFrac = 0.5
 	}
-	if c.WoodburyMaxK <= 0 {
-		c.WoodburyMaxK = 4
-	}
 	return nil
 }
 
 // RefreshOutcome documents one Refresh (or the refit it escalated to).
 type RefreshOutcome struct {
 	// Kind is the ladder rung that produced the accepted solution:
-	// "none", "label-values", "woodbury", "warm-pcg", or "full-refit".
+	// "none", "label-values", "warm-pcg", or "full-refit".
 	Kind string
 	// Applied work since the previous refresh.
 	Inserts, Deletes, NewLabels, ValueChanges int
@@ -122,13 +115,13 @@ type RefreshOutcome struct {
 
 // Stats is a point-in-time summary of an Ingestor.
 type Stats struct {
-	Live, Dead, Labeled                          int
-	PendingInserts, PendingDeletes               int
-	PendingNewLabels, PendingValueChanges        int
-	Refreshes, LabelRefreshes, WoodburyRefreshes int
-	WarmRefreshes, Compactions, Escalations      int
-	SideRebuilds                                 int
-	Last                                         RefreshOutcome
+	Live, Dead, Labeled                     int
+	PendingInserts, PendingDeletes          int
+	PendingNewLabels, PendingValueChanges   int
+	Refreshes, LabelRefreshes               int
+	WarmRefreshes, Compactions, Escalations int
+	SideRebuilds                            int
+	Last                                    RefreshOutcome
 }
 
 // Ingestor is a live hard-criterion fit under streaming edits. Insert,
@@ -209,7 +202,7 @@ func New(x [][]float64, y []float64, labeled []int, cfg Config) (*Ingestor, erro
 	if err != nil {
 		return nil, fmt.Errorf("stream: overlay: %w", err)
 	}
-	ref, err := core.NewRefresher(p, sol.F, cfg.Tol, cfg.RefreshTol, cfg.MaxIter, cfg.Workers)
+	ref, err := core.NewRefresher(p, sol.F, cfg.Tol, cfg.MaxIter, cfg.Workers)
 	if err != nil {
 		return nil, fmt.Errorf("stream: refresher: %w", err)
 	}
@@ -369,10 +362,9 @@ func (in *Ingestor) Delete(id int) error {
 }
 
 // Label sets (or changes) the response of a live point. Newly labeled
-// points take the Woodbury or warm-PCG rung at the next Refresh; value
-// changes on already-labeled points take the cheapest rung (a warm
-// right-hand-side restart) and are allocation-free once buffers are
-// warm.
+// points take the warm-PCG rung at the next Refresh; value changes on
+// already-labeled points take the cheapest rung (a warm right-hand-side
+// restart) and are allocation-free once buffers are warm.
 func (in *Ingestor) Label(id int, y float64) error {
 	if math.IsNaN(y) || math.IsInf(y, 0) {
 		return fmt.Errorf("stream: non-finite response: %w", graphssl.ErrParam)
@@ -451,8 +443,6 @@ func (in *Ingestor) Refresh() (RefreshOutcome, error) {
 	in.stats.Refreshes++
 	rr.Solves, rr.Iterations = st.Solves, st.Iterations
 	rr.Residual = st.Residual
-	rr.Escalated = st.Escalated
-	rr.Reason = st.Reason
 
 	if err == nil && st.Residual > in.cfg.RefreshTol {
 		err = fmt.Errorf("stream: refreshed residual %.3g above tolerance %.3g", st.Residual, in.cfg.RefreshTol)
@@ -487,8 +477,6 @@ func (in *Ingestor) Refresh() (RefreshOutcome, error) {
 	switch st.Kind {
 	case core.RefreshLabelValues:
 		in.stats.LabelRefreshes++
-	case core.RefreshWoodbury:
-		in.stats.WoodburyRefreshes++
 	case core.RefreshWarmPCG:
 		in.stats.WarmRefreshes++
 	}
@@ -521,9 +509,9 @@ func (in *Ingestor) refreshValues() (core.RefreshStats, error) {
 	return in.ref.UpdateLabelValues(in.nodesBuf, in.lvalsBuf)
 }
 
-// refreshLabels moves newly labeled existing nodes into the labeled set:
-// Woodbury for small batches, warm PCG above WoodburyMaxK. Pending value
-// changes ride along first (same matrix, one extra cheap solve).
+// refreshLabels moves newly labeled existing nodes into the labeled set
+// with a warm PCG solve of the new system. Pending value changes ride
+// along first (same matrix, one extra cheap solve).
 func (in *Ingestor) refreshLabels() (core.RefreshStats, error) {
 	var pre core.RefreshStats
 	if len(in.pendingVals) > 0 {
@@ -546,7 +534,7 @@ func (in *Ingestor) refreshLabels() (core.RefreshStats, error) {
 	if len(in.nodesBuf) == 0 {
 		return pre, nil
 	}
-	st, err := in.ref.AddLabels(in.nodesBuf, in.lvalsBuf, in.cfg.WoodburyMaxK)
+	st, err := in.ref.AddLabels(in.nodesBuf, in.lvalsBuf)
 	st.Solves += pre.Solves
 	st.Iterations += pre.Iterations
 	return st, err
@@ -659,7 +647,7 @@ func (in *Ingestor) compact() ([]int, error) {
 	if err != nil {
 		return nil, fmt.Errorf("stream: overlay: %w", err)
 	}
-	ref, err := core.NewRefresher(p, sol.F, in.cfg.Tol, in.cfg.RefreshTol, in.cfg.MaxIter, in.cfg.Workers)
+	ref, err := core.NewRefresher(p, sol.F, in.cfg.Tol, in.cfg.MaxIter, in.cfg.Workers)
 	if err != nil {
 		return nil, fmt.Errorf("stream: refresher: %w", err)
 	}

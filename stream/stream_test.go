@@ -297,9 +297,10 @@ func TestStreamRefreshTracksExact(t *testing.T) {
 }
 
 // TestStreamLadderKinds exercises each rung: value-only changes take the
-// cheap RHS rung, small labeled batches take Woodbury, big ones warm PCG.
+// cheap RHS rung, newly labeled batches of any size take warm PCG, and
+// every rung reports the verified residual of the solution it accepted.
 func TestStreamLadderKinds(t *testing.T) {
-	in, m := seedStream(t, 80, 10, 2, 0.7, 1, 3, Config{WoodburyMaxK: 4})
+	in, m := seedStream(t, 80, 10, 2, 0.7, 1, 3, Config{})
 
 	// Rung 1: change an existing label's value.
 	if err := in.Label(2, 5); err != nil {
@@ -313,35 +314,31 @@ func TestStreamLadderKinds(t *testing.T) {
 	if out.Kind != "label-values" || out.ValueChanges != 1 {
 		t.Fatalf("value rung: %+v", out)
 	}
-
-	// Rung 2: label two existing unlabeled points (k=2 ≤ WoodburyMaxK).
-	for _, id := range []int{20, 30} {
-		if err := in.Label(id, 1); err != nil {
-			t.Fatal(err)
-		}
-		m.label(id, 1)
-	}
-	out, err = in.Refresh()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out.Kind != "woodbury" || out.NewLabels != 2 {
-		t.Fatalf("woodbury rung: %+v", out)
+	if out.Residual != in.Residual() {
+		t.Fatalf("value rung residual %g, verified %g", out.Residual, in.Residual())
 	}
 
-	// Rung 3: label six more (k=6 > WoodburyMaxK) → warm PCG.
-	for _, id := range []int{40, 45, 50, 55, 60, 65} {
-		if err := in.Label(id, -1); err != nil {
+	// Rung 2: label existing unlabeled points, two and then six at once.
+	for _, batch := range []struct {
+		ids []int
+		y   float64
+	}{{[]int{20, 30}, 1}, {[]int{40, 45, 50, 55, 60, 65}, -1}} {
+		for _, id := range batch.ids {
+			if err := in.Label(id, batch.y); err != nil {
+				t.Fatal(err)
+			}
+			m.label(id, batch.y)
+		}
+		out, err = in.Refresh()
+		if err != nil {
 			t.Fatal(err)
 		}
-		m.label(id, -1)
-	}
-	out, err = in.Refresh()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out.Kind != "warm-pcg" {
-		t.Fatalf("warm rung: %+v", out)
+		if out.Kind != "warm-pcg" || out.NewLabels != len(batch.ids) {
+			t.Fatalf("warm rung, %d labels: %+v", len(batch.ids), out)
+		}
+		if out.Residual != in.Residual() {
+			t.Fatalf("warm rung residual %g, verified %g", out.Residual, in.Residual())
+		}
 	}
 
 	// No pending work → "none" without touching the solver.
@@ -360,7 +357,7 @@ func TestStreamLadderKinds(t *testing.T) {
 	}
 
 	st := in.Stats()
-	if st.LabelRefreshes != 1 || st.WoodburyRefreshes != 1 || st.WarmRefreshes != 1 {
+	if st.LabelRefreshes != 1 || st.WarmRefreshes != 2 {
 		t.Fatalf("stats: %+v", st)
 	}
 	if rep := in.Report(); rep.Refresh == nil || rep.Refresh.Kind != "warm-pcg" {
