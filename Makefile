@@ -60,12 +60,16 @@ fuzz-stream:
 	$(GO) test -run xxx -fuzz FuzzStreamEquivalence -fuzztime $(FUZZTIME) ./stream/
 
 # Short deterministic-budget fuzz pass for CI: replays the checked-in
-# corpora (including the pinned streaming crashers) and fuzzes briefly.
+# corpora (including the pinned streaming crashers) and fuzzes briefly,
+# including the sparse assembly (COO → CSR, transpose) and the edge-list
+# parser.
 fuzz-smoke:
 	$(GO) test -run FuzzFit .
 	$(GO) test -run xxx -fuzz FuzzFit -fuzztime 15s .
 	$(GO) test -run FuzzStreamEquivalence ./stream/
 	$(GO) test -run xxx -fuzz FuzzStreamEquivalence -fuzztime 15s ./stream/
+	$(GO) test -run xxx -fuzz '^FuzzCOOToCSR$$' -fuzztime 10s ./internal/sparse/
+	$(GO) test -run xxx -fuzz '^FuzzReadEdgeList$$' -fuzztime 10s ./internal/graph/
 
 # Global statement coverage with the ratcheted floor check.
 cover:

@@ -234,7 +234,11 @@ type hardSystem struct {
 	pos []int       // pos[nodeIndex] = position among unlabeled, -1 otherwise
 }
 
-// buildHardSystem extracts the block system from the problem.
+// buildHardSystem extracts the block system from the problem. A = D22 − W22
+// and W22 are written straight into CSR, a count pass sizing each row and a
+// fill pass writing it. Unlabeled nodes are ascending, so pos keeps each
+// row's column order, and A's diagonal goes in at its sorted position; a
+// self-loop w_uu meets it there as the single entry deg[u] − w_uu.
 func buildHardSystem(p *Problem) (*hardSystem, error) {
 	if err := p.checkCoverage(); err != nil {
 		return nil, err
@@ -255,15 +259,32 @@ func buildHardSystem(p *Problem) (*hardSystem, error) {
 	}
 
 	deg := w.RowSums()
-	aCoo := sparse.NewCOO(m, m)
-	w22Coo := sparse.NewCOO(m, m)
+	aPtr := make([]int, m+1)
+	wPtr := make([]int, m+1)
+	for k, u := range p.unlabeled {
+		cols, vals := w.RowNNZ(u)
+		nw, loop := 0, false
+		for c, j := range cols {
+			if vals[c] != 0 && !p.isLabeled[j] {
+				nw++
+				loop = loop || j == u
+			}
+		}
+		na := nw
+		if !loop && deg[u] != 0 {
+			na++
+		}
+		aPtr[k+1] = aPtr[k] + na
+		wPtr[k+1] = wPtr[k] + nw
+	}
+	aIdx, aVal := make([]int, aPtr[m]), make([]float64, aPtr[m])
+	wIdx, wVal := make([]int, wPtr[m]), make([]float64, wPtr[m])
 	b := make([]float64, m)
 	d22 := make([]float64, m)
 	for k, u := range p.unlabeled {
 		d22[k] = deg[u]
-		if err := aCoo.Add(k, k, deg[u]); err != nil {
-			return nil, err
-		}
+		at, wt := aPtr[k], wPtr[k]
+		diag := deg[u] != 0 // a zero degree stores no diagonal entry
 		cols, vals := w.RowNNZ(u)
 		for c, j := range cols {
 			v := vals[c]
@@ -274,16 +295,35 @@ func buildHardSystem(p *Problem) (*hardSystem, error) {
 				b[k] += v * yAt[j]
 				continue
 			}
-			// Unlabeled neighbour (possibly u itself via a self-loop).
-			if err := aCoo.Add(k, pos[j], -v); err != nil {
-				return nil, err
+			q := pos[j]
+			wIdx[wt], wVal[wt] = q, v
+			wt++
+			if diag && q > k {
+				aIdx[at], aVal[at] = k, deg[u]
+				at++
+				diag = false
 			}
-			if err := w22Coo.Add(k, pos[j], v); err != nil {
-				return nil, err
+			if q == k {
+				aIdx[at], aVal[at] = k, deg[u]-v
+				diag = false
+			} else {
+				aIdx[at], aVal[at] = q, -v
 			}
+			at++
+		}
+		if diag {
+			aIdx[at], aVal[at] = k, deg[u]
 		}
 	}
-	return &hardSystem{a: aCoo.ToCSR(), b: b, w22: w22Coo.ToCSR(), d22: d22, pos: pos}, nil
+	a, err := sparse.NewCSR(m, m, aPtr, aIdx, aVal)
+	if err != nil {
+		return nil, err
+	}
+	w22, err := sparse.NewCSR(m, m, wPtr, wIdx, wVal)
+	if err != nil {
+		return nil, err
+	}
+	return &hardSystem{a: a, b: b, w22: w22, d22: d22, pos: pos}, nil
 }
 
 // explicitMethod rejects the methods WithMethod cannot select for a

@@ -2,7 +2,9 @@ package core
 
 import (
 	"errors"
+	"fmt"
 	"math"
+	"slices"
 	"testing"
 
 	"repro/internal/graph"
@@ -360,5 +362,143 @@ func TestHardSelfLoopInvariance(t *testing.T) {
 	}
 	if !mat.VecEqual(s1.FUnlabeled, s2.FUnlabeled, 1e-10) {
 		t.Fatalf("self-loops changed the hard solution: %v vs %v", s1.FUnlabeled, s2.FUnlabeled)
+	}
+}
+
+// buildHardSystemCOO is the COO assembly buildHardSystem replaced, kept as
+// its differential oracle. Each coordinate gets at most two entries (a
+// self-loop meets the degree on the diagonal), so the COO sum is order-free.
+func buildHardSystemCOO(p *Problem) (*hardSystem, error) {
+	if err := p.checkCoverage(); err != nil {
+		return nil, err
+	}
+	w := p.g.Weights()
+	m := p.M()
+	pos := make([]int, p.g.N())
+	for i := range pos {
+		pos[i] = -1
+	}
+	for k, u := range p.unlabeled {
+		pos[u] = k
+	}
+	yAt := make([]float64, p.g.N())
+	for k, l := range p.labeled {
+		yAt[l] = p.y[k]
+	}
+	deg := w.RowSums()
+	aCoo := sparse.NewCOO(m, m)
+	w22Coo := sparse.NewCOO(m, m)
+	b := make([]float64, m)
+	d22 := make([]float64, m)
+	for k, u := range p.unlabeled {
+		d22[k] = deg[u]
+		_ = aCoo.Add(k, k, deg[u])
+		cols, vals := w.RowNNZ(u)
+		for c, j := range cols {
+			v := vals[c]
+			if v == 0 {
+				continue
+			}
+			if p.isLabeled[j] {
+				b[k] += v * yAt[j]
+				continue
+			}
+			_ = aCoo.Add(k, pos[j], -v)
+			_ = w22Coo.Add(k, pos[j], v)
+		}
+	}
+	return &hardSystem{a: aCoo.ToCSR(), b: b, w22: w22Coo.ToCSR(), d22: d22, pos: pos}, nil
+}
+
+// TestBuildHardSystemMatchesCOOAssembly compares the direct CSR assembly
+// with the COO oracle bitwise on weighted graphs with self-loops on labeled
+// and unlabeled nodes, labeled neighbours and a non-contiguous unlabeled set,
+// plus unlabeled nodes whose signed weights sum to a zero degree, with and
+// without a self-loop (the COO path stores no zero diagonal entry).
+func TestBuildHardSystemMatchesCOOAssembly(t *testing.T) {
+	sameBits := func(a, b []float64) bool {
+		if len(a) != len(b) {
+			return false
+		}
+		for i := range a {
+			if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+				return false
+			}
+		}
+		return true
+	}
+	sameCSR := func(a, b *sparse.CSR) bool {
+		if a.Rows() != b.Rows() || a.Cols() != b.Cols() || a.NNZ() != b.NNZ() {
+			return false
+		}
+		for i := 0; i < a.Rows(); i++ {
+			ac, av := a.RowNNZ(i)
+			bc, bv := b.RowNNZ(i)
+			if !slices.Equal(ac, bc) || !sameBits(av, bv) {
+				return false
+			}
+		}
+		return true
+	}
+	check := func(label string, w *sparse.COO, labeled []int, y []float64) {
+		t.Helper()
+		g, err := graph.FromWeights(w.ToCSR())
+		if err != nil {
+			t.Fatal(err)
+		}
+		p, err := NewProblem(g, labeled, y)
+		if err != nil {
+			return // every node labeled
+		}
+		got, err := buildHardSystem(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := buildHardSystemCOO(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !sameCSR(got.a, want.a) || !sameCSR(got.w22, want.w22) || !sameBits(got.b, want.b) ||
+			!sameBits(got.d22, want.d22) || !slices.Equal(got.pos, want.pos) {
+			t.Fatalf("%s (labeled %v): direct assembly differs from the COO oracle", label, labeled)
+		}
+	}
+
+	// Node 1 has degree 1 − 1 = 0; node 3 has degree 3 − 3 = 0 with a
+	// self-loop of −3. Components follow positive weights only, so both
+	// {0, 1} and {2, 3, 4} hold a label.
+	zero := sparse.NewCOO(5, 5)
+	_ = zero.AddSym(0, 1, 1)
+	_ = zero.AddSym(1, 2, -1)
+	_ = zero.AddSym(2, 3, 3)
+	_ = zero.Add(3, 3, -3)
+	_ = zero.AddSym(2, 4, 1)
+	check("zero degrees", zero, []int{0, 4}, []float64{1, 2})
+
+	rng := randx.New(157)
+	for trial := 0; trial < 50; trial++ {
+		n := 8 + rng.Intn(25)
+		coo := sparse.NewCOO(n, n)
+		for i := 0; i+1 < n; i++ {
+			_ = coo.AddSym(i, i+1, rng.Float64()*math.Pow(10, float64(rng.Intn(7)-3)))
+		}
+		for e := 0; e < 2*n; e++ {
+			i, j := rng.Intn(n), rng.Intn(n)
+			if j > i+1 {
+				_ = coo.AddSym(i, j, rng.Float64())
+			}
+		}
+		var labeled []int
+		var y []float64
+		for i := 0; i < n; i++ {
+			if i == 0 || rng.Intn(3) == 0 {
+				labeled = append(labeled, i)
+				y = append(y, rng.Norm())
+			}
+			if i < 2 || rng.Intn(3) == 0 { // node 0 is labeled, node 1 may not be
+				_ = coo.Add(i, i, rng.Float64()*math.Pow(10, float64(rng.Intn(5)-2)))
+			}
+		}
+		check(fmt.Sprintf("trial %d (n=%d)", trial, n), coo, labeled, y)
 	}
 }

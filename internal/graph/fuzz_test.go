@@ -16,6 +16,8 @@ func FuzzReadEdgeList(f *testing.F) {
 	f.Add("nodes 2\n0 1 NaN\n")
 	f.Add("nodes -5\n")
 	f.Add("vertices 2\n")
+	// A repeated edge: both mirrored entries must sum in the same order.
+	f.Add("nodes 2\n0 1 0.1\n0 1 0.1\n0 1 0.2\n0 1 1\n0 1 3\n0 1 1\n0 1 0.2\n")
 	f.Fuzz(func(t *testing.T, src string) {
 		g, err := ReadEdgeList(strings.NewReader(src))
 		if err != nil {

@@ -32,13 +32,22 @@ type Graph struct {
 }
 
 // FromWeights wraps a symmetric similarity matrix. The matrix is validated
-// for squareness and symmetry (tolerance 1e-12 of the largest entry).
+// for squareness and symmetry (tolerance 1e-12 of the largest finite |w_ij|).
 func FromWeights(w *sparse.CSR) (*Graph, error) {
 	r, c := w.Dims()
 	if r != c {
 		return nil, fmt.Errorf("graph: weights %dx%d not square: %w", r, c, ErrParam)
 	}
-	if !w.IsSymmetric(1e-12) {
+	var maxAbs float64
+	for i := 0; i < r; i++ {
+		_, vals := w.RowNNZ(i)
+		for _, v := range vals {
+			if a := math.Abs(v); a > maxAbs && !math.IsInf(a, 1) {
+				maxAbs = a
+			}
+		}
+	}
+	if !w.IsSymmetric(1e-12 * maxAbs) {
 		return nil, fmt.Errorf("graph: weights not symmetric: %w", ErrParam)
 	}
 	return &Graph{w: w}, nil

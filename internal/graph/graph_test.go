@@ -41,6 +41,25 @@ func TestFromWeightsValidation(t *testing.T) {
 	}
 }
 
+// TestFromWeightsRelativeSymmetryTolerance: the symmetry check scales with
+// the largest entry, accepting a one-ulp mismatch near 1e6 and rejecting a
+// 50% mismatch among tiny weights.
+func TestFromWeightsRelativeSymmetryTolerance(t *testing.T) {
+	pair := func(wij, wji float64) *sparse.CSR {
+		w, err := sparse.NewCSR(2, 2, []int{0, 1, 2}, []int{1, 0}, []float64{wij, wji})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return w
+	}
+	if _, err := FromWeights(pair(1e6, math.Nextafter(1e6, 2e6))); err != nil {
+		t.Errorf("one-ulp mismatch near 1e6 rejected: %v", err)
+	}
+	if _, err := FromWeights(pair(1e-14, 2e-14)); !errors.Is(err, ErrParam) {
+		t.Errorf("want ErrParam for 1e-14 vs 2e-14, got %v", err)
+	}
+}
+
 func TestFromDenseWeights(t *testing.T) {
 	w, _ := mat.NewDenseData(2, 2, []float64{0, 0.5, 0.5, 0})
 	g, err := FromDenseWeights(w)

@@ -2,6 +2,8 @@ package graph
 
 import (
 	"errors"
+	"fmt"
+	"math"
 	"strings"
 	"testing"
 
@@ -69,6 +71,27 @@ func TestReadEdgeListCommentsAndBlanks(t *testing.T) {
 	}
 	if g.Weight(0, 1) != 0.5 || g.Weight(1, 0) != 0.5 || g.Weight(2, 2) != 1 {
 		t.Fatal("parsed weights wrong")
+	}
+}
+
+// TestReadEdgeListRepeatedEdgeSymmetric: a repeated edge's weights sum in
+// line order into both mirrored entries.
+func TestReadEdgeListRepeatedEdgeSymmetric(t *testing.T) {
+	ws := []float64{0.1, 0.1, 0.2, 1, 3, 1, 0.2}
+	var sb strings.Builder
+	sb.WriteString("nodes 2\n")
+	var want float64
+	for _, w := range ws {
+		fmt.Fprintf(&sb, "0 1 %v\n", w)
+		want += w
+	}
+	g, err := ReadEdgeList(strings.NewReader(sb.String()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	w01, w10 := g.Weight(0, 1), g.Weight(1, 0)
+	if math.Float64bits(w01) != math.Float64bits(w10) || w01 != want {
+		t.Fatalf("w01 = %v, w10 = %v, want both %v", w01, w10, want)
 	}
 }
 

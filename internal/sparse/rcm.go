@@ -1,6 +1,9 @@
 package sparse
 
-import "sort"
+import (
+	"slices"
+	"sort"
+)
 
 // This file implements reverse Cuthill–McKee (RCM) bandwidth-reducing
 // reordering and the symmetric permutation machinery the preconditioned
@@ -201,22 +204,19 @@ func (m *CSR) Permute(perm []int) (*CSR, error) {
 	indptr := make([]int, n+1)
 	indices := make([]int, nnz)
 	data := make([]float64, nnz)
-	type ent struct {
-		col, pos int
-	}
-	var row []ent
+	var row []entry
 	at := 0
 	for i := 0; i < n; i++ {
 		old := perm[i]
 		lo, hi := m.indptr[old], m.indptr[old+1]
 		row = row[:0]
 		for k := lo; k < hi; k++ {
-			row = append(row, ent{col: inv[m.indices[k]], pos: k})
+			row = append(row, entry{col: inv[m.indices[k]], v: m.data[k]})
 		}
-		sort.Slice(row, func(x, y int) bool { return row[x].col < row[y].col })
+		slices.SortFunc(row, cmpCol)
 		for _, e := range row {
 			indices[at] = e.col
-			data[at] = m.data[e.pos]
+			data[at] = e.v
 			at++
 		}
 		indptr[i+1] = at

@@ -6,8 +6,10 @@
 package sparse
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/mat"
@@ -25,7 +27,8 @@ var (
 )
 
 // COO is a coordinate-format builder for sparse matrices. Duplicate entries
-// are summed when converting to CSR.
+// are summed when converting to CSR, in the order they were added, so a
+// stream and its mirror image (AddSym) give bitwise-equal mirrored sums.
 type COO struct {
 	rows, cols int
 	ri, ci     []int
@@ -72,41 +75,65 @@ func (a *COO) AddSym(i, j int, v float64) error {
 }
 
 // ToCSR compiles the builder into an immutable CSR matrix, summing duplicate
-// coordinates.
+// coordinates left to right in insertion order. A stable counting sort
+// groups the entries by row in O(nnz + rows); only a row whose columns were
+// added out of order then gets a stable sort by column.
 func (a *COO) ToCSR() *CSR {
 	nnz := len(a.v)
-	order := make([]int, nnz)
-	for i := range order {
-		order[i] = i
-	}
-	sort.Slice(order, func(x, y int) bool {
-		ix, iy := order[x], order[y]
-		if a.ri[ix] != a.ri[iy] {
-			return a.ri[ix] < a.ri[iy]
-		}
-		return a.ci[ix] < a.ci[iy]
-	})
-
 	indptr := make([]int, a.rows+1)
-	indices := make([]int, 0, nnz)
-	data := make([]float64, 0, nnz)
-	prevRow, prevCol := -1, -1
-	for _, k := range order {
-		r, c, v := a.ri[k], a.ci[k], a.v[k]
-		if r == prevRow && c == prevCol {
-			data[len(data)-1] += v
-			continue
-		}
-		indices = append(indices, c)
-		data = append(data, v)
+	for _, r := range a.ri {
 		indptr[r+1]++
-		prevRow, prevCol = r, c
 	}
 	for i := 0; i < a.rows; i++ {
 		indptr[i+1] += indptr[i]
 	}
-	return &CSR{rows: a.rows, cols: a.cols, indptr: indptr, indices: indices, data: data}
+	next := make([]int, a.rows)
+	copy(next, indptr)
+	indices := make([]int, nnz)
+	data := make([]float64, nnz)
+	for k, r := range a.ri {
+		p := next[r]
+		indices[p], data[p] = a.ci[k], a.v[k]
+		next[r]++
+	}
+
+	// Sort each row by column where needed and merge duplicates in place;
+	// indptr[i+1] is rewritten to the merged end once row i is read.
+	var row []entry
+	at, lo := 0, 0
+	for i := 0; i < a.rows; i++ {
+		hi := indptr[i+1]
+		if !slices.IsSorted(indices[lo:hi]) {
+			row = row[:0]
+			for k := lo; k < hi; k++ {
+				row = append(row, entry{col: indices[k], v: data[k]})
+			}
+			slices.SortStableFunc(row, cmpCol)
+			for k, e := range row {
+				indices[lo+k], data[lo+k] = e.col, e.v
+			}
+		}
+		for k := lo; k < hi; k++ {
+			if k > lo && indices[k] == indices[at-1] {
+				data[at-1] += data[k]
+				continue
+			}
+			indices[at], data[at] = indices[k], data[k]
+			at++
+		}
+		indptr[i+1] = at
+		lo = hi
+	}
+	return &CSR{rows: a.rows, cols: a.cols, indptr: indptr, indices: indices[:at], data: data[:at]}
 }
+
+// entry is one stored value of a row being sorted by column.
+type entry struct {
+	col int
+	v   float64
+}
+
+func cmpCol(x, y entry) int { return cmp.Compare(x.col, y.col) }
 
 // CSR is an immutable compressed-sparse-row matrix.
 type CSR struct {
@@ -318,16 +345,33 @@ func FromDense(d *mat.Dense, dropTol float64) *CSR {
 	return coo.ToCSR()
 }
 
-// Transpose returns the transpose as a new CSR matrix.
+// Transpose returns the transpose as a new CSR matrix, dropping stored zeros
+// (including -0). It is a counting transpose, O(nnz + cols).
 func (m *CSR) Transpose() *CSR {
-	coo := NewCOO(m.cols, m.rows)
-	for i := 0; i < m.rows; i++ {
-		lo, hi := m.indptr[i], m.indptr[i+1]
-		for k := lo; k < hi; k++ {
-			_ = coo.Add(m.indices[k], i, m.data[k])
+	indptr := make([]int, m.cols+1)
+	for k, j := range m.indices {
+		if m.data[k] != 0 {
+			indptr[j+1]++
 		}
 	}
-	return coo.ToCSR()
+	for j := 0; j < m.cols; j++ {
+		indptr[j+1] += indptr[j]
+	}
+	next := make([]int, m.cols)
+	copy(next, indptr)
+	indices := make([]int, indptr[m.cols])
+	data := make([]float64, indptr[m.cols])
+	for i := 0; i < m.rows; i++ {
+		for k := m.indptr[i]; k < m.indptr[i+1]; k++ {
+			if v := m.data[k]; v != 0 {
+				j := m.indices[k]
+				p := next[j]
+				indices[p], data[p] = i, v
+				next[j]++
+			}
+		}
+	}
+	return &CSR{rows: m.cols, cols: m.rows, indptr: indptr, indices: indices, data: data}
 }
 
 // IsSymmetric reports whether the matrix equals its transpose within tol.
