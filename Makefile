@@ -61,8 +61,9 @@ fuzz-stream:
 
 # Short deterministic-budget fuzz pass for CI: replays the checked-in
 # corpora (including the pinned streaming crashers) and fuzzes briefly,
-# including the sparse assembly (COO → CSR, transpose) and the edge-list
-# parser.
+# including the sparse assembly (COO → CSR, transpose), the edge-list
+# parser, the KD-tree against brute force and the health probe against the
+# dense eigensolver.
 fuzz-smoke:
 	$(GO) test -run FuzzFit .
 	$(GO) test -run xxx -fuzz FuzzFit -fuzztime 15s .
@@ -70,6 +71,8 @@ fuzz-smoke:
 	$(GO) test -run xxx -fuzz FuzzStreamEquivalence -fuzztime 15s ./stream/
 	$(GO) test -run xxx -fuzz '^FuzzCOOToCSR$$' -fuzztime 10s ./internal/sparse/
 	$(GO) test -run xxx -fuzz '^FuzzReadEdgeList$$' -fuzztime 10s ./internal/graph/
+	$(GO) test -run xxx -fuzz '^FuzzKDTreeKNN$$' -fuzztime 10s ./internal/spatial/
+	$(GO) test -run xxx -fuzz '^FuzzProbeHealth$$' -fuzztime 10s ./internal/core/
 
 # Global statement coverage with the ratcheted floor check.
 cover:

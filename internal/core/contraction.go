@@ -4,7 +4,7 @@ import (
 	"fmt"
 	"math"
 
-	"repro/internal/mat"
+	"repro/internal/sparse"
 )
 
 // ContractionRate estimates the spectral radius ρ of the propagation
@@ -14,38 +14,19 @@ import (
 // controls the same quantity through the "tiny elements" bound
 // ‖D22⁻¹W22‖ ≤ mM/(n h^d).
 //
-// The estimate uses power iteration; D⁻¹W is nonnegative, so the iteration
-// converges to the Perron root.
+// D⁻¹W is similar to the symmetric D^(−1/2) W D^(−1/2), so the estimate is
+// sparse.LanczosRadius on that matrix, with maxIter capping its steps
+// (<= 0 selects the default of 50).
 func ContractionRate(sys *PropagationSystem, maxIter int) (float64, error) {
 	if sys == nil || sys.M() == 0 {
 		return 0, fmt.Errorf("core: empty system: %w", ErrParam)
 	}
-	if maxIter <= 0 {
-		maxIter = 5000
+	s := make([]float64, sys.M())
+	for i, d := range sys.D {
+		if !(d > 0) {
+			return 0, fmt.Errorf("core: contraction rate needs positive degrees, D[%d] = %v: %w", i, d, ErrParam)
+		}
+		s[i] = 1 / math.Sqrt(d)
 	}
-	m := sys.M()
-	x := mat.Ones(m)
-	mat.ScaleVec(1/mat.Norm2(x), x)
-	wx := make([]float64, m)
-	var rho float64
-	for it := 0; it < maxIter; it++ {
-		if err := sys.W.MulVecTo(wx, x); err != nil {
-			return 0, err
-		}
-		for i := range wx {
-			wx[i] /= sys.D[i]
-		}
-		nrm := mat.Norm2(wx)
-		if nrm == 0 {
-			return 0, nil // no unlabeled-unlabeled mass at all
-		}
-		for i := range x {
-			x[i] = wx[i] / nrm
-		}
-		if it > 5 && math.Abs(nrm-rho) <= 1e-12*math.Max(1, nrm) {
-			return nrm, nil
-		}
-		rho = nrm
-	}
-	return rho, nil
+	return sparse.LanczosRadius(sys.W, s, 0, maxIter, 1)
 }

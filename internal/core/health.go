@@ -12,9 +12,9 @@ import (
 
 // Health is the pre-solve numerical-health probe of a symmetric system
 // A x = b. Every field is a deterministic function of the matrix alone
-// (the spectral estimate is a fixed-start power iteration), so backend
-// decisions derived from it are reproducible run to run and across worker
-// counts.
+// (the spectral estimate is a fixed-start Lanczos iteration whose products
+// are bitwise the same for every worker count), so backend decisions
+// derived from it are reproducible run to run and across worker counts.
 type Health struct {
 	// Unknowns is the system size.
 	Unknowns int
@@ -31,26 +31,28 @@ type Health struct {
 	// MeanDiagDominance is the mean of the same per-row ratio (rows with no
 	// off-diagonal mass contribute 1).
 	MeanDiagDominance float64
-	// JacobiSpectralRadius estimates ρ(I − D^{-1/2} A D^{-1/2}) by power
-	// iteration: the contraction factor of diagonally preconditioned
-	// iterations. Values ≥ 1 mean the preconditioned system is not
-	// positive definite within estimation accuracy.
+	// JacobiSpectralRadius estimates ρ(I − D^{-1/2} A D^{-1/2}), the
+	// contraction factor of diagonally preconditioned iterations, by at
+	// most 50 Lanczos steps. Ritz values lie inside the spectrum, so the
+	// estimate approaches ρ from below. Values ≥ 1 mean the preconditioned
+	// system is not positive definite within estimation accuracy.
 	JacobiSpectralRadius float64
-	// ConditionProxy bounds the diagonally preconditioned condition number
-	// by (1+ρ)/(1−ρ); +Inf when ρ ≥ 1.
+	// ConditionProxy estimates the diagonally preconditioned condition
+	// number as (1+ρ)/(1−ρ), from below as ρ is; +Inf when ρ ≥ 1.
 	ConditionProxy float64
 	// Warnings are human-readable flags raised by the probe.
 	Warnings []string
 }
 
-// probePowerIters caps the power iterations of the spectral estimate; the
-// estimate converges geometrically and only feeds threshold comparisons.
-const probePowerIters = 200
-
 // ProbeHealth inspects a square symmetric system matrix and returns its
-// health report. The probe costs O(nnz · powerIters) and is pure: equal
-// matrices produce equal reports.
-func ProbeHealth(a *sparse.CSR) (*Health, error) {
+// health report. The probe costs O(nnz) per Lanczos step and is pure:
+// equal matrices produce equal reports. Its matrix-vector products run on
+// GOMAXPROCS workers; the report is the same for every worker count.
+func ProbeHealth(a *sparse.CSR) (*Health, error) { return probeHealth(a, 0) }
+
+// probeHealth is ProbeHealth on the given workers: the solve's, inside the
+// auto chain.
+func probeHealth(a *sparse.CSR, workers int) (*Health, error) {
 	n, c := a.Dims()
 	if n != c {
 		return nil, fmt.Errorf("core: health probe needs a square matrix, got %dx%d: %w", n, c, ErrParam)
@@ -96,10 +98,9 @@ func ProbeHealth(a *sparse.CSR) (*Health, error) {
 		return h, nil
 	}
 
-	// S = I − D^{-1/2} A D^{-1/2} shares A's sparsity pattern and is
-	// symmetric, so the power iteration in SpectralRadiusEstimate applies
-	// directly. ρ(S) < 1 iff the diagonally scaled system is positive
-	// definite with eigenvalues in (1−ρ, 1+ρ).
+	// S = I − D^{-1/2} A D^{-1/2} is symmetric, and ρ(S) < 1 iff the
+	// diagonally scaled system is positive definite with eigenvalues in
+	// (1−ρ, 1+ρ). LanczosRadius applies S without forming it.
 	invSqrt := make([]float64, n)
 	for i, d := range diag {
 		if d < 0 {
@@ -110,27 +111,7 @@ func ProbeHealth(a *sparse.CSR) (*Health, error) {
 		}
 		invSqrt[i] = 1 / math.Sqrt(d)
 	}
-	coo := sparse.NewCOO(n, n)
-	for i := 0; i < n; i++ {
-		cols, vals := a.RowNNZ(i)
-		diagDone := false
-		for k, j := range cols {
-			s := -invSqrt[i] * vals[k] * invSqrt[j]
-			if j == i {
-				s += 1
-				diagDone = true
-			}
-			if err := coo.Add(i, j, s); err != nil {
-				return nil, err
-			}
-		}
-		if !diagDone {
-			if err := coo.Add(i, i, 1); err != nil {
-				return nil, err
-			}
-		}
-	}
-	rho, err := sparse.SpectralRadiusEstimate(coo.ToCSR(), probePowerIters)
+	rho, err := sparse.LanczosRadius(a, invSqrt, 1, 0, workers)
 	if err != nil {
 		return nil, err
 	}
@@ -253,7 +234,7 @@ func runChain(ctx context.Context, a *sparse.CSR, b []float64, cfg solveConfig) 
 	}
 	trace := &SolveTrace{}
 	if n > cutoff || cfg.probe {
-		h, err := ProbeHealth(a)
+		h, err := probeHealth(a, cfg.workers)
 		if err != nil {
 			return nil, sparse.SolveResult{}, MethodAuto, trace, err
 		}

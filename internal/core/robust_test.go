@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/graph"
 	"repro/internal/kernel"
+	"repro/internal/mat"
 	"repro/internal/randx"
 	"repro/internal/sparse"
 )
@@ -107,6 +108,195 @@ func TestProbeHealthZeroDiagonal(t *testing.T) {
 	}
 	if !math.IsInf(h.ConditionProxy, 1) {
 		t.Fatalf("condition proxy %v, want +Inf", h.ConditionProxy)
+	}
+}
+
+// denseJacobiRadius is ρ(I − D^(−1/2) A D^(−1/2)) of a symmetric matrix
+// with a positive diagonal, from the dense symmetric eigensolver.
+func denseJacobiRadius(t testing.TB, a *mat.Dense) float64 {
+	t.Helper()
+	n, _ := a.Dims()
+	s := mat.NewDense(n, n)
+	for i := 0; i < n; i++ {
+		for j := i; j < n; j++ {
+			v := -a.At(i, j) / math.Sqrt(a.At(i, i)) / math.Sqrt(a.At(j, j))
+			if i == j {
+				v++
+			}
+			s.Set(i, j, v)
+			s.Set(j, i, v)
+		}
+	}
+	eig, err := mat.NewEigenSym(s, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return math.Max(math.Abs(eig.Values[0]), math.Abs(eig.Values[n-1]))
+}
+
+// checkProbeRadius asserts the probe's ρ against the dense value: never
+// above it beyond rounding (Ritz values lie inside the spectrum), and
+// within 1e-9 of it.
+func checkProbeRadius(t testing.TB, label string, rho, want float64) {
+	t.Helper()
+	if rho > want+1e-12*math.Max(1, rho) {
+		t.Fatalf("%s: probe ρ %v exceeds the dense %v", label, rho, want)
+	}
+	if math.Abs(rho-want) > 1e-9 {
+		t.Fatalf("%s: probe ρ %v, dense %v", label, rho, want)
+	}
+}
+
+// TestProbeHealthMatchesDenseEigen compares the probe's Lanczos estimate
+// with the dense eigensolver on hard, soft and signed-weight systems, each
+// with fewer unknowns than the 50-step cap.
+func TestProbeHealthMatchesDenseEigen(t *testing.T) {
+	hard := func(p *Problem) *sparse.CSR {
+		sys, err := buildHardSystem(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return sys.a
+	}
+	soft := func(p *Problem, lambda float64) *sparse.CSR {
+		lap, err := p.g.Laplacian(graph.Unnormalized)
+		if err != nil {
+			t.Fatal(err)
+		}
+		n := p.g.N()
+		coo := sparse.NewCOO(n, n)
+		for i := 0; i < n; i++ {
+			cols, vals := lap.RowNNZ(i)
+			for k, j := range cols {
+				_ = coo.Add(i, j, lambda*vals[k])
+			}
+		}
+		for _, l := range p.labeled {
+			_ = coo.Add(l, l, 1)
+		}
+		return coo.ToCSR()
+	}
+	// A ring with positive weights, a few negative chords and labels at
+	// nodes 0 and 12.
+	ring := sparse.NewCOO(24, 24)
+	for i := 0; i < 24; i++ {
+		_ = ring.AddSym(i, (i+1)%24, 1+float64(i%3)/2)
+	}
+	for _, c := range [][2]int{{2, 9}, {5, 17}, {14, 21}} {
+		_ = ring.AddSym(c[0], c[1], -0.4)
+	}
+	g, err := graph.FromWeights(ring.ToCSR())
+	if err != nil {
+		t.Fatal(err)
+	}
+	signed, err := NewProblem(g, []int{0, 12}, []float64{1, 0})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cases := []struct {
+		name string
+		a    *sparse.CSR
+	}{
+		{"hard", hard(gaussProblem(t, 7, 10, 30))},
+		{"soft", soft(gaussProblem(t, 9, 8, 30), 0.5)},
+		{"signed", hard(signed)},
+	}
+	for _, tc := range cases {
+		if n := tc.a.Rows(); n >= 50 {
+			t.Fatalf("%s: %d unknowns, want fewer than the step cap", tc.name, n)
+		}
+		h, err := ProbeHealth(tc.a)
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkProbeRadius(t, tc.name, h.JacobiSpectralRadius, denseJacobiRadius(t, tc.a.ToDense()))
+	}
+}
+
+// TestProbeHealthIndefiniteHardSystem reaches the probe's ρ >= 1 branch
+// through the chain: signed weights give a hard system with a positive
+// diagonal that is not positive definite, so the plan skips CG.
+func TestProbeHealthIndefiniteHardSystem(t *testing.T) {
+	// Nodes 0 and 3 are labeled. The negative edges to node 3 cancel most
+	// of the unlabeled degrees: A = [[2, −10], [−10, 2]], whose eigenvalues
+	// are −8 and 12, so ρ(I − D^(−1/2) A D^(−1/2)) = 5.
+	coo := sparse.NewCOO(4, 4)
+	_ = coo.AddSym(0, 1, 1)
+	_ = coo.AddSym(0, 2, 1)
+	_ = coo.AddSym(1, 2, 10)
+	_ = coo.AddSym(1, 3, -9)
+	_ = coo.AddSym(2, 3, -9)
+	g, err := graph.FromWeights(coo.ToCSR())
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := NewProblem(g, []int{0, 3}, []float64{1, 0})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sol, err := SolveHard(p, WithAutoCutoff(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := sol.Trace.Health
+	if h == nil || h.ZeroDiagonal {
+		t.Fatalf("health %+v, want a probed positive diagonal", h)
+	}
+	if h.JacobiSpectralRadius < 1 || math.Abs(h.JacobiSpectralRadius-5) > 1e-9 {
+		t.Fatalf("ρ = %v, want 5", h.JacobiSpectralRadius)
+	}
+	if !math.IsInf(h.ConditionProxy, 1) {
+		t.Fatalf("condition proxy %v, want +Inf", h.ConditionProxy)
+	}
+	if plan := sol.Trace.Plan; len(plan) != 2 || plan[0] != MethodCholesky || plan[1] != MethodLU {
+		t.Fatalf("plan %v, want [cholesky lu]", plan)
+	}
+	for _, k := range []int{1, 2} {
+		if math.Abs(sol.F[k]+0.125) > 1e-12 {
+			t.Fatalf("f[%d] = %v, want -1/8", k, sol.F[k])
+		}
+	}
+}
+
+// TestProbeHealthWorkersBitwise runs the probe above the parallel SpMV
+// threshold (4,096 rows): the estimate must be bitwise the same for one
+// and two workers, and through ProbeHealth.
+func TestProbeHealthWorkersBitwise(t *testing.T) {
+	const n = 5000
+	var labeled []int
+	var y []float64
+	for i := 0; i < n; i += 100 {
+		labeled = append(labeled, i)
+		y = append(y, float64(i%3))
+	}
+	p, err := NewProblem(chainGraph(t, n), labeled, y)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sys, err := buildHardSystem(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref, err := probeHealth(sys.a, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ref.Unknowns < 4096 || ref.JacobiSpectralRadius <= 0 || ref.JacobiSpectralRadius >= 1 {
+		t.Fatalf("reference probe %+v implausible", ref)
+	}
+	for _, probe := range []func() (*Health, error){
+		func() (*Health, error) { return probeHealth(sys.a, 2) },
+		func() (*Health, error) { return ProbeHealth(sys.a) },
+	} {
+		h, err := probe()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if math.Float64bits(h.JacobiSpectralRadius) != math.Float64bits(ref.JacobiSpectralRadius) ||
+			math.Float64bits(h.ConditionProxy) != math.Float64bits(ref.ConditionProxy) {
+			t.Fatalf("ρ %v (proxy %v), serial %v (proxy %v)", h.JacobiSpectralRadius, h.ConditionProxy,
+				ref.JacobiSpectralRadius, ref.ConditionProxy)
+		}
 	}
 }
 

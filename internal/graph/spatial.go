@@ -257,11 +257,15 @@ func (b *Builder) buildKNNKDTree(x [][]float64) (*Graph, error) {
 	if b.eps > 0 {
 		maxD2 = b.eps * b.eps
 	}
+	// Queries run in tree order, so consecutive queries descend mostly the
+	// same nodes; each chunk reuses one query state.
+	order := t.Order()
 	sel := make([][]int, n)
 	parallel.For(b.workers, n, func(lo, hi int) {
+		q := t.NewKNNQuery(b.knn)
 		var buf []int32
-		for i := lo; i < hi; i++ {
-			buf = t.KNN(x[i], int32(i), b.knn, maxD2, buf[:0])
+		for _, i := range order[lo:hi] {
+			buf = q.Do(x[i], i, maxD2, buf[:0])
 			top := make([]int, len(buf))
 			for p, j := range buf {
 				top[p] = int(j)

@@ -33,10 +33,11 @@ func TestLanczosMatchesDenseEigen(t *testing.T) {
 	rng := rand.New(rand.NewSource(81))
 	n := 20
 	a := randSPDCSR(rng, n)
-	lo, hi, err := ExtremalEigsSym(a, n)
+	res, err := Lanczos(a, n, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
+	lo, hi := res.RitzValues[0], res.RitzValues[len(res.RitzValues)-1]
 	eig, err := mat.NewEigenSym(a.ToDense(), 1e-9)
 	if err != nil {
 		t.Fatal(err)
@@ -112,5 +113,37 @@ func TestLanczosKClamped(t *testing.T) {
 	}
 	if res.Steps > 2 {
 		t.Fatalf("steps = %d, want <= n", res.Steps)
+	}
+}
+
+func TestLanczosRadius(t *testing.T) {
+	coo := NewCOO(2, 2)
+	_ = coo.Add(0, 0, 3)
+	_ = coo.Add(1, 1, 1)
+	a := coo.ToCSR()
+	r, err := LanczosRadius(a, []float64{1, 1}, 0, 0, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if math.Abs(r-3) > 1e-6 {
+		t.Fatalf("spectral radius = %v, want 3", r)
+	}
+	rect := NewCOO(2, 3).ToCSR()
+	if _, err := LanczosRadius(rect, []float64{1, 1}, 0, 0, 1); !errors.Is(err, ErrShape) {
+		t.Fatalf("want ErrShape, got %v", err)
+	}
+	if _, err := LanczosRadius(a, []float64{1}, 0, 0, 1); !errors.Is(err, ErrShape) {
+		t.Fatalf("short scale: want ErrShape, got %v", err)
+	}
+}
+
+func TestSpectralRadiusZeroMatrix(t *testing.T) {
+	a := NewCOO(3, 3).ToCSR()
+	r, err := LanczosRadius(a, []float64{1, 1, 1}, 0, 0, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r != 0 {
+		t.Fatalf("zero matrix radius = %v", r)
 	}
 }

@@ -248,41 +248,3 @@ func PCG(a *CSR, b []float64, opts PCGOptions) ([]float64, SolveResult, error) {
 	}
 	return x, SolveResult{Iterations: opts.MaxIter, Residual: res}, ErrNotConverged
 }
-
-// SpectralRadiusEstimate estimates the spectral radius of the matrix by
-// power iteration on AᵀA when A is asymmetric, or directly when symmetric.
-// It is used for contraction diagnostics in the propagation solver.
-func SpectralRadiusEstimate(a *CSR, maxIter int) (float64, error) {
-	if a.rows != a.cols {
-		return 0, ErrShape
-	}
-	if maxIter <= 0 {
-		maxIter = 2000
-	}
-	n := a.rows
-	if n == 0 {
-		return 0, nil
-	}
-	x := mat.Ones(n)
-	mat.ScaleVec(1/mat.Norm2(x), x)
-	y := make([]float64, n)
-	var lam float64
-	for it := 0; it < maxIter; it++ {
-		if err := a.MulVecTo(y, x); err != nil {
-			return 0, err
-		}
-		ny := mat.Norm2(y)
-		if ny == 0 {
-			return 0, nil
-		}
-		newLam := ny
-		for i := range x {
-			x[i] = y[i] / ny
-		}
-		if it > 5 && math.Abs(newLam-lam) <= 1e-10*math.Max(1, newLam) {
-			return newLam, nil
-		}
-		lam = newLam
-	}
-	return lam, nil
-}

@@ -162,32 +162,3 @@ func TestIterativeSolversAgreeWithDense(t *testing.T) {
 		t.Fatal("CG disagrees with dense solve")
 	}
 }
-
-func TestSpectralRadiusEstimate(t *testing.T) {
-	coo := NewCOO(2, 2)
-	_ = coo.Add(0, 0, 3)
-	_ = coo.Add(1, 1, 1)
-	a := coo.ToCSR()
-	r, err := SpectralRadiusEstimate(a, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(r-3) > 1e-6 {
-		t.Fatalf("spectral radius = %v, want 3", r)
-	}
-	rect := NewCOO(2, 3).ToCSR()
-	if _, err := SpectralRadiusEstimate(rect, 0); !errors.Is(err, ErrShape) {
-		t.Fatalf("want ErrShape, got %v", err)
-	}
-}
-
-func TestSpectralRadiusZeroMatrix(t *testing.T) {
-	a := NewCOO(3, 3).ToCSR()
-	r, err := SpectralRadiusEstimate(a, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r != 0 {
-		t.Fatalf("zero matrix radius = %v", r)
-	}
-}

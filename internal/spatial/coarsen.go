@@ -35,35 +35,35 @@ func (t *KDTree) Coarsen(maxSize int) *Coarsening {
 	if maxSize < 1 {
 		maxSize = 1
 	}
-	c := &Coarsening{Assign: make([]int32, len(t.pts))}
-	t.coarsenVisit(t.root, maxSize, c)
+	c := &Coarsening{Assign: make([]int32, t.N())}
+	t.coarsenVisit(0, maxSize, c)
 	return c
 }
 
-func (t *KDTree) coarsenVisit(node *kdNode, maxSize int, c *Coarsening) {
-	if int(node.hi-node.lo) > maxSize && node.left != nil {
-		t.coarsenVisit(node.left, maxSize, c)
-		t.coarsenVisit(node.right, maxSize, c)
+func (t *KDTree) coarsenVisit(node, maxSize int, c *Coarsening) {
+	lo, hi := t.lo[node], t.hi[node]
+	if int(hi-lo) > maxSize && !t.leaf(node) {
+		t.coarsenVisit(2*node+1, maxSize, c)
+		t.coarsenVisit(2*node+2, maxSize, c)
 		return
 	}
 	id := int32(len(c.Reps))
-	members := t.idx[node.lo:node.hi]
-	for _, p := range members {
+	for _, p := range t.idx[lo:hi] {
 		c.Assign[p] = id
 	}
-	c.Reps = append(c.Reps, t.centroidRep(members))
-	c.Sizes = append(c.Sizes, node.hi-node.lo)
+	c.Reps = append(c.Reps, t.centroidRep(t.idx[lo:hi], t.rows[lo:hi]))
+	c.Sizes = append(c.Sizes, hi-lo)
 }
 
 // centroidRep returns the member closest to the members' centroid under
-// the strict (squared distance, index) order.
-func (t *KDTree) centroidRep(members []int32) int32 {
+// the strict (squared distance, index) order; rows[i] holds members[i].
+func (t *KDTree) centroidRep(members []int32, rows [][]float64) int32 {
 	if len(members) == 1 {
 		return members[0]
 	}
 	cen := make([]float64, t.dim)
-	for _, p := range members {
-		for j, v := range t.pts[p] {
+	for _, row := range rows {
+		for j, v := range row {
 			cen[j] += v
 		}
 	}
@@ -72,9 +72,9 @@ func (t *KDTree) centroidRep(members []int32) int32 {
 		cen[j] *= inv
 	}
 	best := members[0]
-	bestD2 := kernel.Dist2(cen, t.pts[best])
-	for _, p := range members[1:] {
-		d2 := kernel.Dist2(cen, t.pts[p])
+	bestD2 := kernel.Dist2(cen, rows[0])
+	for i, p := range members[1:] {
+		d2 := kernel.Dist2(cen, rows[i+1])
 		if d2 < bestD2 || (d2 == bestD2 && p < best) {
 			best, bestD2 = p, d2
 		}

@@ -217,6 +217,7 @@ func TestKDTreeKNNMatchesBrute(t *testing.T) {
 	}{
 		{1, 2, 3, -1}, {30, 1, 5, -1}, {200, 2, 8, -1}, {200, 2, 8, 2.0},
 		{300, 3, 1, -1}, {150, 8, 10, -1}, {100, 2, 150, -1}, {64, 4, 6, 0.5},
+		{400, 5, 10, -1}, {200, 17, 7, -1}, {120, 33, 5, 60},
 	}
 	for _, tc := range cases {
 		x := randomPoints(int64(tc.n*10+tc.d+tc.k), tc.n, tc.d)
@@ -227,13 +228,19 @@ func TestKDTreeKNNMatchesBrute(t *testing.T) {
 		if tr.N() != tc.n {
 			t.Fatalf("N=%d want %d", tr.N(), tc.n)
 		}
-		var buf []int32
+		kq := tr.NewKNNQuery(tc.k)
+		var buf, qbuf []int32
 		for i := range x {
 			buf = tr.KNN(x[i], int32(i), tc.k, tc.maxD2, buf[:0])
 			want := bruteKNN(x, x[i], i, tc.k, tc.maxD2)
 			if !sameInt32(buf, want) {
 				t.Fatalf("n=%d d=%d k=%d maxD2=%v query %d: got %v want %v",
 					tc.n, tc.d, tc.k, tc.maxD2, i, buf, want)
+			}
+			qbuf = kq.Do(x[i], int32(i), tc.maxD2, qbuf[:0])
+			if !sameInt32(qbuf, want) {
+				t.Fatalf("n=%d d=%d k=%d maxD2=%v query %d: Do got %v want %v",
+					tc.n, tc.d, tc.k, tc.maxD2, i, qbuf, want)
 			}
 		}
 		// Off-set query point, no exclusion.

@@ -71,9 +71,11 @@ type Health struct {
 	// diagonal dominance, the classic iterative-convergence regime.
 	MinDiagDominance, MeanDiagDominance float64
 	// SpectralRadius estimates the contraction factor of diagonally
-	// preconditioned iterations (≥ 1 flags a near-singular system).
+	// preconditioned iterations (≥ 1 flags a near-singular system), from
+	// below: it is an extreme Ritz value, inside the spectrum.
 	SpectralRadius float64
-	// ConditionProxy bounds the preconditioned condition number.
+	// ConditionProxy estimates the preconditioned condition number as
+	// (1+ρ)/(1−ρ), from below as ρ is.
 	ConditionProxy float64
 }
 
@@ -121,7 +123,7 @@ type Report struct {
 	// Precond identifies the preconditioner of CG-backed solves ("jacobi",
 	// "ic0+rcm", "jacobi+rcm", "none"); empty for direct backends.
 	// PrecondSetup is the wall time spent building it (reordering plus
-	// factorization; zero for the built-in Jacobi path).
+	// factorization; zero for "jacobi" and "none").
 	Precond      string
 	PrecondSetup time.Duration
 	// Fallbacks are the escalations taken; empty on the happy path.

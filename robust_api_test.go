@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"strconv"
 	"testing"
 	"time"
@@ -38,6 +39,33 @@ func expvarInt(t *testing.T, name string) int64 {
 		t.Fatalf("expvar %q = %q: %v", name, v.String(), err)
 	}
 	return n
+}
+
+// TestFitOversizedKNN fits 600 planar points (the KD-tree path) with a
+// kNN far above the point count: the build must cost what k = n−1 costs,
+// not memory proportional to k, and select the same graph.
+func TestFitOversizedKNN(t *testing.T) {
+	x, y, labeled := robustTestData(41, 600, 60)
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	huge, err := Fit(x, y, labeled, WithKNN(1<<20))
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc > 64<<20 {
+		t.Fatalf("WithKNN(1<<20) allocated %d MB, want under 64 MB", alloc>>20)
+	}
+	ref, err := Fit(x, y, labeled, WithKNN(599))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range ref.Scores {
+		if math.Float64bits(huge.Scores[i]) != math.Float64bits(ref.Scores[i]) {
+			t.Fatalf("score %d: %v with k = 2^20, %v with k = 599", i, huge.Scores[i], ref.Scores[i])
+		}
+	}
 }
 
 func TestFitCanceledContext(t *testing.T) {

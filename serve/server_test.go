@@ -144,6 +144,24 @@ func TestServerFitPredictE2E(t *testing.T) {
 	}
 }
 
+// TestServerFitOversizedKNN posts a kNN far above the point count: the fit
+// must succeed (it once exhausted memory and killed the process) and the
+// server must keep serving.
+func TestServerFitOversizedKNN(t *testing.T) {
+	_, ts := testServer(t, Config{})
+	x, y, labeled := testData(43, 600, 2, 60)
+	resp, body := postJSON(t, ts.URL+"/v1/models/m", fitRequest{
+		X: x, Y: y, Labeled: labeled, Bandwidth: 1, KNN: 1 << 40,
+	})
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("fit: %d %s", resp.StatusCode, body)
+	}
+	resp, body = postJSON(t, ts.URL+"/v1/predict", predictRequest{Model: "m", Points: x[:3]})
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("predict after fit: %d %s", resp.StatusCode, body)
+	}
+}
+
 // TestServerErrorMapping checks every HTTP error translation.
 func TestServerErrorMapping(t *testing.T) {
 	_, ts := testServer(t, Config{MaxPoints: 4})
