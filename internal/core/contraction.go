@@ -15,9 +15,9 @@ import (
 // ‖D22⁻¹W22‖ ≤ mM/(n h^d).
 //
 // D⁻¹W is similar to the symmetric D^(−1/2) W D^(−1/2), so the estimate is
-// sparse.LanczosRadius on that matrix, with maxIter capping its steps
-// (<= 0 selects the default of 50).
-func ContractionRate(sys *PropagationSystem, maxIter int) (float64, error) {
+// sparse.LanczosRadius on that matrix: at most 50 Lanczos steps, whose Ritz
+// values approach ρ from below.
+func ContractionRate(sys *PropagationSystem) (float64, error) {
 	if sys == nil || sys.M() == 0 {
 		return 0, fmt.Errorf("core: empty system: %w", ErrParam)
 	}
@@ -28,5 +28,5 @@ func ContractionRate(sys *PropagationSystem, maxIter int) (float64, error) {
 		}
 		s[i] = 1 / math.Sqrt(d)
 	}
-	return sparse.LanczosRadius(sys.W, s, 0, maxIter, 1)
+	return sparse.LanczosRadius(sys.W, s, 0, 1)
 }

@@ -5,6 +5,7 @@ import (
 	"math"
 	"testing"
 
+	"repro/internal/mat"
 	"repro/internal/randx"
 )
 
@@ -33,12 +34,29 @@ func contractionSystem(t *testing.T, seed int64, nTotal, nLabeled int) *Propagat
 
 func TestContractionRateBelowOne(t *testing.T) {
 	sys := contractionSystem(t, 501, 25, 10)
-	rho, err := ContractionRate(sys, 0)
+	rho, err := ContractionRate(sys)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if rho <= 0 || rho >= 1 {
 		t.Fatalf("contraction rate %v outside (0,1)", rho)
+	}
+	// Against the dense eigensolver on D^(−1/2) W D^(−1/2), which is similar
+	// to D⁻¹W.
+	m := sys.M()
+	s := sys.W.ToDense()
+	for i := 0; i < m; i++ {
+		for j := 0; j < m; j++ {
+			s.Set(i, j, s.At(i, j)/math.Sqrt(sys.D[i]*sys.D[j]))
+		}
+	}
+	eig, err := mat.NewEigenSym(s, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := max(math.Abs(eig.Values[0]), math.Abs(eig.Values[m-1]))
+	if math.Abs(rho-want) > 1e-9 {
+		t.Fatalf("contraction rate %.17g, dense %.17g", rho, want)
 	}
 }
 
@@ -47,11 +65,11 @@ func TestContractionRateGrowsWithFewerLabels(t *testing.T) {
 	// mechanism behind the paper's m = o(n h^d) condition.
 	many := contractionSystem(t, 503, 40, 30)
 	few := contractionSystem(t, 503, 40, 5)
-	rhoMany, err := ContractionRate(many, 0)
+	rhoMany, err := ContractionRate(many)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rhoFew, err := ContractionRate(few, 0)
+	rhoFew, err := ContractionRate(few)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,7 +80,7 @@ func TestContractionRateGrowsWithFewerLabels(t *testing.T) {
 
 func TestContractionRatePredictsPropagationCost(t *testing.T) {
 	sys := contractionSystem(t, 505, 30, 10)
-	rho, err := ContractionRate(sys, 0)
+	rho, err := ContractionRate(sys)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,7 +111,12 @@ func propagateForTest(sys *PropagationSystem, tol float64) ([]float64, int, erro
 }
 
 func TestContractionRateValidation(t *testing.T) {
-	if _, err := ContractionRate(nil, 0); !errors.Is(err, ErrParam) {
+	if _, err := ContractionRate(nil); !errors.Is(err, ErrParam) {
 		t.Fatal("nil system must error")
+	}
+	sys := contractionSystem(t, 501, 25, 10)
+	sys.D[3] = 0
+	if _, err := ContractionRate(sys); !errors.Is(err, ErrParam) {
+		t.Fatalf("zero degree: want ErrParam, got %v", err)
 	}
 }

@@ -111,7 +111,7 @@ func probeHealth(a *sparse.CSR, workers int) (*Health, error) {
 		}
 		invSqrt[i] = 1 / math.Sqrt(d)
 	}
-	rho, err := sparse.LanczosRadius(a, invSqrt, 1, 0, workers)
+	rho, err := sparse.LanczosRadius(a, invSqrt, 1, workers)
 	if err != nil {
 		return nil, err
 	}
@@ -183,7 +183,7 @@ const (
 	// solve orders of magnitude faster that way) and escalates on failure.
 	defaultAutoCutoff = 2048
 	// condProxyCGMax demotes CG from the head of the auto chain when the
-	// health probe bounds the preconditioned condition number above it.
+	// health probe estimates the preconditioned condition number above it.
 	condProxyCGMax = 1e10
 	// chainStagnationWindow is the residual-history window handed to CG
 	// when it runs as head of the auto chain, so pathological systems

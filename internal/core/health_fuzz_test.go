@@ -27,6 +27,9 @@ func FuzzProbeHealth(f *testing.F) {
 	f.Add([]byte{1, 2, 4, 2})                               // indefinite: ρ = 2
 	f.Add([]byte{2, 4, 1, 0, 4, 1, 4})                      // path, diagonally dominant
 	f.Add([]byte{3, 4, 0xff, 0, 0, 4, 0xff, 0, 4, 0xff, 4}) // two blocks
+	// A 3×3 whose plain Lanczos misses its invariant subspace by rounding
+	// and runs all 50 steps: T holds clusters of ghost Ritz values.
+	f.Add([]byte("2181018"))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) == 0 {
 			return

@@ -111,7 +111,7 @@ func RunDiag(cfg DiagConfig) ([]DiagRow, error) {
 			if err != nil {
 				return nil, err
 			}
-			rho, err := core.ContractionRate(sys, 0)
+			rho, err := core.ContractionRate(sys)
 			if err != nil {
 				return nil, err
 			}

@@ -126,30 +126,26 @@ func lanczosStart(v []float64) {
 	}
 }
 
-// radiusSteps is LanczosRadius's default step cap: 50 plain steps put the
-// extreme Ritz values of this repository's solve systems within about 1e-6
-// of the extreme eigenvalues, at one matrix-vector product each.
+// radiusSteps is LanczosRadius's step cap: 50 plain steps put the extreme
+// Ritz values of this repository's solve systems within about 1e-6 of the
+// extreme eigenvalues, at one matrix-vector product each.
 const radiusSteps = 50
 
 // LanczosRadius estimates the spectral radius of M = c·I − diag(s)·A·diag(s)
 // for a symmetric A as the largest |extreme Ritz value| of a plain
-// three-term Lanczos iteration: Lanczos's fixed start, at most steps steps
-// (<= 0 selects radiusSteps), and an early stop on an invariant Krylov
-// space. M is applied implicitly, A through MulVecToWorkers, so the
-// estimate is a pure function of (A, s, c, steps), bitwise the same for
-// every worker count. Without reorthogonalization Ritz values may repeat,
-// but they stay inside the spectrum up to rounding, so the estimate
-// approaches ρ(M) from below.
-func LanczosRadius(a *CSR, s []float64, c float64, steps, workers int) (float64, error) {
+// three-term Lanczos iteration: Lanczos's fixed start, at most radiusSteps
+// steps, and an early stop on an invariant Krylov space. M is applied
+// implicitly, A through MulVecToWorkers, so the estimate is a pure function
+// of (A, s, c), bitwise the same for every worker count. Without
+// reorthogonalization Ritz values may repeat, but they stay inside the
+// spectrum up to rounding, so the estimate approaches ρ(M) from below.
+func LanczosRadius(a *CSR, s []float64, c float64, workers int) (float64, error) {
 	n := a.rows
 	if a.cols != n || len(s) != n {
 		return 0, ErrShape
 	}
 	if n == 0 {
 		return 0, nil
-	}
-	if steps <= 0 {
-		steps = radiusSteps
 	}
 	v := make([]float64, n)
 	prev := make([]float64, n)
@@ -160,10 +156,10 @@ func LanczosRadius(a *CSR, s []float64, c float64, steps, workers int) (float64,
 	for i, si := range s {
 		u[i] = si * v[i]
 	}
-	alphas := make([]float64, 0, steps)
-	betas := append(make([]float64, 0, steps+1), 0) // betas[i] links steps i−1 and i
+	alphas := make([]float64, 0, radiusSteps)
+	betas := append(make([]float64, 0, radiusSteps+1), 0) // betas[i] links steps i−1 and i
 	var beta, norm float64
-	for len(alphas) < steps {
+	for len(alphas) < radiusSteps {
 		// Three fused passes: w = c·v − s∘(A u) and α = w·v; w −= α v + β
 		// prev and ‖w‖²; then v = w/β and u = s∘v.
 		if err := a.MulVecToWorkers(w, u, workers); err != nil {
@@ -202,6 +198,13 @@ func LanczosRadius(a *CSR, s []float64, c float64, steps, workers int) (float64,
 // b[1:len(alpha)] (b[0] = b[len(alpha)] = 0). It bisects the Gershgorin
 // interval to rounding level on Sturm counts: T − xI has as many negative
 // pivots as T has eigenvalues below x.
+//
+// Lanczos's dense step, mat.NewEigenSym, does not fit here: once a plain
+// Lanczos run misses its invariant subspace by rounding, T fills with
+// near-copies of converged Ritz values, and the cyclic Jacobi sweeps stall
+// on such clusters (FuzzProbeHealth's 3×3 ghost seed: off-diagonal mass
+// still 1e-10 after 100 sweeps, mat.ErrNotConverged). Bisection is
+// indifferent to clusters and costs O(steps) per halving.
 func tridiagExtremes(alpha, b []float64) (lo, hi float64) {
 	below := func(x float64) int {
 		count, q := 0, 1.0

@@ -121,7 +121,7 @@ func TestLanczosRadius(t *testing.T) {
 	_ = coo.Add(0, 0, 3)
 	_ = coo.Add(1, 1, 1)
 	a := coo.ToCSR()
-	r, err := LanczosRadius(a, []float64{1, 1}, 0, 0, 1)
+	r, err := LanczosRadius(a, []float64{1, 1}, 0, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,17 +129,17 @@ func TestLanczosRadius(t *testing.T) {
 		t.Fatalf("spectral radius = %v, want 3", r)
 	}
 	rect := NewCOO(2, 3).ToCSR()
-	if _, err := LanczosRadius(rect, []float64{1, 1}, 0, 0, 1); !errors.Is(err, ErrShape) {
+	if _, err := LanczosRadius(rect, []float64{1, 1}, 0, 1); !errors.Is(err, ErrShape) {
 		t.Fatalf("want ErrShape, got %v", err)
 	}
-	if _, err := LanczosRadius(a, []float64{1}, 0, 0, 1); !errors.Is(err, ErrShape) {
+	if _, err := LanczosRadius(a, []float64{1}, 0, 1); !errors.Is(err, ErrShape) {
 		t.Fatalf("short scale: want ErrShape, got %v", err)
 	}
 }
 
 func TestSpectralRadiusZeroMatrix(t *testing.T) {
 	a := NewCOO(3, 3).ToCSR()
-	r, err := LanczosRadius(a, []float64{1, 1, 1}, 0, 0, 1)
+	r, err := LanczosRadius(a, []float64{1, 1, 1}, 0, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -311,19 +311,6 @@ func (h *kdHeap) push(c kdCand) {
 	}
 }
 
-// KNN returns the k nearest indexed points to q under the strict total
-// order (squared distance, index), excluding the point with index self
-// (pass self < 0 to exclude nothing). With maxD2 >= 0 only points at
-// squared distance <= maxD2 qualify, matching an ε-ball pre-filter. Fewer
-// than k results are returned when the qualifying set is smaller. The
-// result is sorted ascending by index and appended to buf.
-//
-// The selected set is uniquely determined by the order, so it is identical
-// to brute-force selection over all points regardless of traversal order.
-func (t *KDTree) KNN(q []float64, self int32, k int, maxD2 float64, buf []int32) []int32 {
-	return t.NewKNNQuery(k).Do(q, self, maxD2, buf)
-}
-
 // KNNQuery holds reusable state for repeated single-point k-NN lookups
 // against one tree — the graph build's per-point queries and the serving
 // hot path, where a per-call allocation would dominate small queries. A
@@ -367,9 +354,16 @@ func (q *KNNQuery) WorstDist2() float64 {
 	return q.h.worst().d2
 }
 
-// Do runs one query, appending to buf exactly what t.KNN(pt, self, k,
-// maxD2, buf) would — the k nearest points under the strict (squared
-// distance, index) order, sorted ascending by index — without allocating.
+// Do appends to buf the k nearest indexed points to pt under the strict
+// order (squared distance, index), excluding the point with index self
+// (pass self < 0 to exclude nothing), and returns the extended slice. With
+// maxD2 >= 0 only points at squared distance <= maxD2 qualify, matching an
+// ε-ball pre-filter. Fewer than k points are returned when the qualifying
+// set is smaller. The result is sorted ascending by index; Do does not
+// allocate beyond growing buf.
+//
+// The selected set is uniquely determined by the order, so it is identical
+// to brute-force selection over all points regardless of traversal order.
 func (q *KNNQuery) Do(pt []float64, self int32, maxD2 float64, buf []int32) []int32 {
 	t := q.t
 	if len(pt) != t.dim {
@@ -389,7 +383,7 @@ func (q *KNNQuery) Do(pt []float64, self int32, maxD2 float64, buf []int32) []in
 	for _, c := range q.h.cand {
 		buf = append(buf, c.idx)
 	}
-	sortInt32(buf[start:])
+	slices.Sort(buf[start:])
 	return buf
 }
 
@@ -472,23 +466,4 @@ func (t *KDTree) radiusVisit(node int, q []float64, self int32, r2 float64, buf 
 		}
 	}
 	return buf
-}
-
-// sortInt32 sorts a query result ascending: insertion sort for the usual
-// small k, where it beats a general sort's setup, and slices.Sort for the
-// results of a large k.
-func sortInt32(a []int32) {
-	if len(a) > 64 {
-		slices.Sort(a)
-		return
-	}
-	for i := 1; i < len(a); i++ {
-		v := a[i]
-		j := i - 1
-		for j >= 0 && a[j] > v {
-			a[j+1] = a[j]
-			j--
-		}
-		a[j+1] = v
-	}
 }

@@ -2,6 +2,7 @@ package spatial
 
 import (
 	"math"
+	"slices"
 	"sort"
 	"testing"
 
@@ -74,7 +75,7 @@ func bruteKNN(x [][]float64, q []float64, self int, k int, maxD2 float64) []int3
 	for i := range out {
 		out[i] = cs[i].idx
 	}
-	sortInt32(out)
+	slices.Sort(out)
 	return out
 }
 
@@ -208,8 +209,8 @@ func TestGridParams(t *testing.T) {
 	}
 }
 
-// TestKDTreeKNNMatchesBrute compares KNN to brute-force (d², index)
-// selection across sizes, dimensions, k, and ε pre-filters.
+// TestKDTreeKNNMatchesBrute compares a reused KNNQuery to brute-force
+// (d², index) selection across sizes, dimensions, k, and ε pre-filters.
 func TestKDTreeKNNMatchesBrute(t *testing.T) {
 	cases := []struct {
 		n, d, k int
@@ -229,23 +230,18 @@ func TestKDTreeKNNMatchesBrute(t *testing.T) {
 			t.Fatalf("N=%d want %d", tr.N(), tc.n)
 		}
 		kq := tr.NewKNNQuery(tc.k)
-		var buf, qbuf []int32
+		var buf []int32
 		for i := range x {
-			buf = tr.KNN(x[i], int32(i), tc.k, tc.maxD2, buf[:0])
+			buf = kq.Do(x[i], int32(i), tc.maxD2, buf[:0])
 			want := bruteKNN(x, x[i], i, tc.k, tc.maxD2)
 			if !sameInt32(buf, want) {
 				t.Fatalf("n=%d d=%d k=%d maxD2=%v query %d: got %v want %v",
 					tc.n, tc.d, tc.k, tc.maxD2, i, buf, want)
 			}
-			qbuf = kq.Do(x[i], int32(i), tc.maxD2, qbuf[:0])
-			if !sameInt32(qbuf, want) {
-				t.Fatalf("n=%d d=%d k=%d maxD2=%v query %d: Do got %v want %v",
-					tc.n, tc.d, tc.k, tc.maxD2, i, qbuf, want)
-			}
 		}
 		// Off-set query point, no exclusion.
 		q := make([]float64, tc.d)
-		got := tr.KNN(q, -1, tc.k, tc.maxD2, nil)
+		got := kq.Do(q, -1, tc.maxD2, nil)
 		if want := bruteKNN(x, q, -1, tc.k, tc.maxD2); !sameInt32(got, want) {
 			t.Fatalf("n=%d d=%d: external query got %v want %v", tc.n, tc.d, got, want)
 		}
@@ -268,9 +264,10 @@ func TestKDTreeKNNTies(t *testing.T) {
 		t.Fatal(err)
 	}
 	for k := 1; k <= 9; k++ {
+		kq := tr.NewKNNQuery(k)
 		var buf []int32
 		for i := range x {
-			buf = tr.KNN(x[i], int32(i), k, -1, buf[:0])
+			buf = kq.Do(x[i], int32(i), -1, buf[:0])
 			want := bruteKNN(x, x[i], i, k, -1)
 			if !sameInt32(buf, want) {
 				t.Fatalf("k=%d query %d: got %v want %v", k, i, buf, want)
@@ -296,7 +293,7 @@ func TestKDTreeRadiusMatchesBrute(t *testing.T) {
 		var buf []int32
 		for i := range x {
 			buf = tr.Radius(x[i], int32(i), tc.r2, buf[:0])
-			sortInt32(buf)
+			slices.Sort(buf)
 			want := bruteRadius(x, x[i], i, tc.r2)
 			if !sameInt32(buf, want) {
 				t.Fatalf("n=%d d=%d r2=%v query %d: got %v want %v", tc.n, tc.d, tc.r2, i, buf, want)
@@ -343,16 +340,16 @@ func TestKDTreeDegenerate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := tr.KNN(identical[0], 0, 5, -1, nil)
+	got := tr.NewKNNQuery(5).Do(identical[0], 0, -1, nil)
 	// All distances tie at 0: indices 1..5 win the index tie-break.
 	want := []int32{1, 2, 3, 4, 5}
 	if !sameInt32(got, want) {
 		t.Fatalf("identical points: got %v want %v", got, want)
 	}
-	if got := tr.KNN(identical[0], 0, 100, -1, nil); len(got) != 39 {
+	if got := tr.NewKNNQuery(100).Do(identical[0], 0, -1, nil); len(got) != 39 {
 		t.Fatalf("k>n: %d results, want 39", len(got))
 	}
-	if got := tr.KNN(identical[0], -1, 0, -1, nil); len(got) != 0 {
+	if got := tr.NewKNNQuery(0).Do(identical[0], -1, -1, nil); len(got) != 0 {
 		t.Fatalf("k=0: got %v", got)
 	}
 }
