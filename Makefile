@@ -62,8 +62,8 @@ fuzz-stream:
 # Short deterministic-budget fuzz pass for CI: replays the checked-in
 # corpora (including the pinned streaming crashers) and fuzzes briefly,
 # including the sparse assembly (COO → CSR, transpose), the edge-list
-# parser, the KD-tree against brute force and the health probe against the
-# dense eigensolver.
+# parser, the KD-tree against brute force, the health probe against the
+# dense eigensolver and the request-body decoder against encoding/json.
 fuzz-smoke:
 	$(GO) test -run FuzzFit .
 	$(GO) test -run xxx -fuzz FuzzFit -fuzztime 15s .
@@ -73,6 +73,7 @@ fuzz-smoke:
 	$(GO) test -run xxx -fuzz '^FuzzReadEdgeList$$' -fuzztime 10s ./internal/graph/
 	$(GO) test -run xxx -fuzz '^FuzzKDTreeKNN$$' -fuzztime 10s ./internal/spatial/
 	$(GO) test -run xxx -fuzz '^FuzzProbeHealth$$' -fuzztime 10s ./internal/core/
+	$(GO) test -run xxx -fuzz '^FuzzDecodeBody$$' -fuzztime 10s ./serve/
 
 # Global statement coverage with the ratcheted floor check.
 cover:

@@ -44,7 +44,13 @@ func formatWeight(v float64) string {
 	return strconv.FormatFloat(v, 'g', 17, 64)
 }
 
-// ReadEdgeList parses the WriteEdgeList format back into a Graph.
+// MaxEdgeListNodes caps the node count an edge-list header may declare:
+// ReadEdgeList sizes its CSR index arrays by it, and 2^20 nodes cost about
+// 34 MB of them even with no edges.
+const MaxEdgeListNodes = 1 << 20
+
+// ReadEdgeList parses the WriteEdgeList format back into a Graph. A header
+// declaring more than MaxEdgeListNodes nodes is rejected with ErrParam.
 func ReadEdgeList(r io.Reader) (*Graph, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
@@ -60,6 +66,9 @@ func ReadEdgeList(r io.Reader) (*Graph, error) {
 	}
 	if n < 0 {
 		return nil, fmt.Errorf("graph: negative node count: %w", ErrParam)
+	}
+	if n > MaxEdgeListNodes {
+		return nil, fmt.Errorf("graph: %d nodes exceeds the edge-list limit %d: %w", n, MaxEdgeListNodes, ErrParam)
 	}
 	coo := sparse.NewCOO(n, n)
 	line := 1

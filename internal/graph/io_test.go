@@ -108,6 +108,10 @@ func TestReadEdgeListErrors(t *testing.T) {
 		{"self edge", "nodes 2\n1 1 0.5\n"},
 		{"out of range", "nodes 2\n0 5 0.5\n"},
 		{"bad loop", "nodes 2\nloop x 1\n"},
+		// Node counts past MaxEdgeListNodes once reached the CSR
+		// allocation and panicked there (makeslice: len out of range).
+		{"huge nodes, leading zero", "nodes 01000000000000000000A000\n"},
+		{"huge nodes", "nodes 1000000000000000000\n"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -116,8 +120,10 @@ func TestReadEdgeListErrors(t *testing.T) {
 			}
 		})
 	}
-	// Specific sentinel for a recognizable case.
-	if _, err := ReadEdgeList(strings.NewReader("nodes 2\n0 1\n")); !errors.Is(err, ErrParam) {
-		t.Fatal("want ErrParam")
+	// Specific sentinel for recognizable cases.
+	for _, src := range []string{"nodes 2\n0 1\n", "nodes 1000000000000000000\n"} {
+		if _, err := ReadEdgeList(strings.NewReader(src)); !errors.Is(err, ErrParam) {
+			t.Fatalf("%q: want ErrParam, got %v", src, err)
+		}
 	}
 }

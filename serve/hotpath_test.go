@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"math"
+	"math/rand"
 	"net/http"
 	"testing"
 
@@ -429,8 +430,9 @@ func batchModel(t *testing.T) *Model {
 }
 
 // TestZeroAllocServe gates the serving hot path at zero heap allocations
-// per operation: the model's batch core and the server's uncached predict
-// step (run by the CI alloc gate).
+// per operation: the model's batch core, the server's uncached predict
+// step, and the decode of a canonical predict body, which keeps only its
+// model name (run by the CI alloc gate).
 func TestZeroAllocServe(t *testing.T) {
 	if raceEnabled {
 		t.Skip("alloc counts are meaningless under the race detector (sync.Pool drops puts)")
@@ -481,6 +483,26 @@ func TestZeroAllocServe(t *testing.T) {
 		}
 		if d := srv.inflight.Load(); d != 0 {
 			t.Fatalf("admitted points not released: %d", d)
+		}
+	})
+
+	t.Run("decode", func(t *testing.T) {
+		sc := new(reqScratch)
+		sc.dec.body.Write(appendPointsBody(nil, "m1", renders(rand.New(rand.NewSource(3)), 8, 256)))
+		step := func() {
+			sc.req = predictRequest{}
+			if err := sc.dec.decode(&sc.req); err != nil {
+				t.Fatal(err)
+			}
+		}
+		step() // grow the pooled backing
+		// One allocation is left, the model name: the registry is keyed
+		// by string, and the body buffer is reused by the next request.
+		if n := testing.AllocsPerRun(100, step); n != 1 {
+			t.Fatalf("decode: %v allocs/op, want 1", n)
+		}
+		if len(sc.req.Points) != 8 || len(sc.req.Points[7]) != 256 {
+			t.Fatalf("decoded %d points", len(sc.req.Points))
 		}
 	})
 }

@@ -258,8 +258,9 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		fail(w, ErrDraining)
 		return
 	}
+	// A fresh decoder: the queued job reads the points after we return.
 	var req ingestRequest
-	if err := s.decodeBody(w, r, &req); err != nil {
+	if err := s.decodeBody(w, r, new(bodyDecoder), &req); err != nil {
 		fail(w, err)
 		return
 	}

@@ -201,23 +201,52 @@ func TestIngestE2E(t *testing.T) {
 		t.Fatalf("predict version = %d", pr.Version)
 	}
 
-	// Trickle three labeled points in one request; the worker folds them
-	// into one refresh and rolls the model forward.
+	// Trickle three labeled points in two back-to-back requests with a
+	// predict between them; the worker rolls the model forward once or
+	// twice. A queued job's points are read after its handler returns, so
+	// they must not share decode storage with the predict that follows. A
+	// batch of unlabeled points first keeps the worker busy for some
+	// milliseconds, so the labeled jobs are still queued when the predict
+	// decodes; unlabeled points add no anchors, but the twin takes them
+	// too.
 	pts := [][]float64{{0.30, 0.30}, {0.62, 0.18}, {0.15, 0.77}}
 	ys := []float64{3, -3, 1.5}
-	resp, body = postJSON(t, ts.URL+"/v1/ingest", ingestRequest{Model: "live", Points: pts, Y: ys})
+	busy := make([][]float64, 400)
+	rng := rand.New(rand.NewSource(3))
+	for i := range busy {
+		busy[i] = []float64{rng.Float64(), rng.Float64()}
+		if _, err := twin.Insert(busy[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	resp, body = postJSON(t, ts.URL+"/v1/ingest", ingestRequest{Model: "live", Points: busy})
 	if resp.StatusCode != http.StatusAccepted {
-		t.Fatalf("ingest: %d %s", resp.StatusCode, body)
+		t.Fatalf("unlabeled ingest: %d %s", resp.StatusCode, body)
 	}
-	var ir ingestResponse
-	if err := json.Unmarshal(body, &ir); err != nil {
-		t.Fatal(err)
-	}
-	if ir.Accepted != 3 {
-		t.Fatalf("ingest response: %+v", ir)
+	for _, part := range [][2]int{{0, 2}, {2, 3}} {
+		resp, body = postJSON(t, ts.URL+"/v1/ingest", ingestRequest{Model: "live", Points: pts[part[0]:part[1]], Y: ys[part[0]:part[1]]})
+		if resp.StatusCode != http.StatusAccepted {
+			t.Fatalf("ingest: %d %s", resp.StatusCode, body)
+		}
+		var ir ingestResponse
+		if err := json.Unmarshal(body, &ir); err != nil {
+			t.Fatal(err)
+		}
+		if ir.Accepted != part[1]-part[0] {
+			t.Fatalf("ingest response: %+v", ir)
+		}
+		if part[0] == 0 {
+			resp, body = postJSON(t, ts.URL+"/v1/predict", predictRequest{Model: "live", Points: [][]float64{{0.9, 0.9}, {0.8, 0.1}}})
+			if resp.StatusCode != http.StatusOK {
+				t.Fatalf("predict between ingests: %d %s", resp.StatusCode, body)
+			}
+		}
 	}
 
 	e := waitForVersion(t, ts.URL, "live", 2)
+	for e.Info.Anchors < 19 {
+		e = waitForVersion(t, ts.URL, "live", e.Version+1)
+	}
 	if e.Info.Anchors != 19 {
 		t.Fatalf("rolled model anchors = %d, want 19", e.Info.Anchors)
 	}
@@ -248,8 +277,8 @@ func TestIngestE2E(t *testing.T) {
 	if err := json.Unmarshal(body, &pr); err != nil {
 		t.Fatal(err)
 	}
-	if pr.Version != 2 {
-		t.Fatalf("post-ingest predict version = %d", pr.Version)
+	if pr.Version != e.Version {
+		t.Fatalf("post-ingest predict version = %d, want %d", pr.Version, e.Version)
 	}
 	ws, err := want.Predict(q)
 	if err != nil {
@@ -272,8 +301,8 @@ func TestIngestE2E(t *testing.T) {
 		}
 		time.Sleep(time.Millisecond)
 	}
-	if e := waitForVersion(t, ts.URL, "live", 2); e.Version != 2 {
-		t.Fatalf("unlabeled ingest bumped version to %d", e.Version)
+	if e2 := waitForVersion(t, ts.URL, "live", e.Version); e2.Version != e.Version {
+		t.Fatalf("unlabeled ingest bumped version to %d", e2.Version)
 	}
 
 	// Delete tears the ingest state down; further ingests 404.

@@ -170,17 +170,6 @@ func fail(w http.ResponseWriter, err error) {
 	writeJSON(w, code, httpError{Error: err.Error()})
 }
 
-// decodeBody JSON-decodes a size-capped request body into v.
-func (s *Server) decodeBody(w http.ResponseWriter, r *http.Request, v any) error {
-	r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
-		return fmt.Errorf("serve: bad request body: %v: %w", err, ErrPoint)
-	}
-	return nil
-}
-
 // predictRequest is the body of POST /v1/predict.
 type predictRequest struct {
 	Model  string      `json:"model"`
@@ -200,10 +189,15 @@ type predictResponse struct {
 	Errors        []string  `json:"errors,omitempty"`
 }
 
-// reqScratch pools one predict request's working buffers — the
-// cache-scatter and miss-compaction state — so the warm request path does
-// not grow the heap per call.
+// reqScratch pools one predict request's working buffers — the decoded
+// body and the cache-scatter and miss-compaction state — so the warm
+// request path does not grow the heap per call. The request's points are
+// rows of dec's backing, valid until release; the cache copies what it
+// keeps. req lives here because decoding through an interface would move
+// a stack request to the heap.
 type reqScratch struct {
+	dec     bodyDecoder
+	req     predictRequest
 	scores  []float64
 	bounds  []float64
 	st      []pointStatus
@@ -235,13 +229,16 @@ func (sc *reqScratch) release() {
 		sc.missPts[i] = nil
 	}
 	sc.missPts = sc.missPts[:0]
+	sc.req = predictRequest{}
 	reqPool.Put(sc)
 }
 
 func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
-	var req predictRequest
-	if err := s.decodeBody(w, r, &req); err != nil {
+	sc := reqPool.Get().(*reqScratch)
+	defer sc.release()
+	req := &sc.req
+	if err := s.decodeBody(w, r, &sc.dec, req); err != nil {
 		fail(w, err)
 		return
 	}
@@ -259,8 +256,6 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 		fail(w, err)
 		return
 	}
-	sc := reqPool.Get().(*reqScratch)
-	defer sc.release()
 	sc.size(n)
 	scores, bounds, st := sc.scores[:n], sc.bounds[:n], sc.st[:n]
 	sc.missPts, sc.missIdx = sc.missPts[:0], sc.missIdx[:0]
@@ -438,7 +433,7 @@ func (s *Server) buildModel(w http.ResponseWriter, r *http.Request) (name string
 		return
 	}
 	var req fitRequest
-	if err := s.decodeBody(w, r, &req); err != nil {
+	if err := s.decodeBody(w, r, new(bodyDecoder), &req); err != nil {
 		fail(w, err)
 		return
 	}

@@ -7,6 +7,7 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -33,6 +34,11 @@ func postJSON(t *testing.T, url string, body any) (*http.Response, []byte) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	return postRaw(t, url, buf)
+}
+
+func postRaw(t *testing.T, url string, buf []byte) (*http.Response, []byte) {
+	t.Helper()
 	resp, err := http.Post(url, "application/json", bytes.NewReader(buf))
 	if err != nil {
 		t.Fatal(err)
@@ -113,6 +119,31 @@ func TestServerFitPredictE2E(t *testing.T) {
 		}
 	}
 
+	// The same query in a non-canonical body — mixed-case keys, extra
+	// whitespace, an escaped model name — decodes through encoding/json
+	// and must score the same bits.
+	raw := []byte("{ \"Model\" : \"d\\u0065mo\" ,\n\t\"POINTS\" : [ ")
+	for i, q := range qs {
+		if i > 0 {
+			raw = append(raw, " ,\n"...)
+		}
+		raw = appendFloats(raw, q)
+	}
+	raw = append(raw, " ] }"...)
+	resp, body = postRaw(t, ts.URL+"/v1/predict", raw)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("non-canonical predict: %d %s", resp.StatusCode, body)
+	}
+	var pr2 predictResponse
+	if err := json.Unmarshal(body, &pr2); err != nil {
+		t.Fatal(err)
+	}
+	for i := range pr.Scores {
+		if math.Float64bits(pr2.Scores[i]) != math.Float64bits(pr.Scores[i]) {
+			t.Fatalf("point %d: non-canonical body scored %v, canonical %v", unl[i], pr2.Scores[i], pr.Scores[i])
+		}
+	}
+
 	// Refit bumps the version atomically.
 	if fr2 := fitOverHTTP(t, ts.URL, "demo", x, y, labeled, h); fr2.Version != 2 {
 		t.Fatalf("refit version = %d", fr2.Version)
@@ -164,7 +195,7 @@ func TestServerFitOversizedKNN(t *testing.T) {
 
 // TestServerErrorMapping checks every HTTP error translation.
 func TestServerErrorMapping(t *testing.T) {
-	_, ts := testServer(t, Config{MaxPoints: 4})
+	_, ts := testServer(t, Config{MaxPoints: 4, MaxBodyBytes: 1 << 16})
 	x, y, labeled := testData(37, 60, 3, 20)
 	// Compact kernel so isolation is reachable.
 	resp, body := postJSON(t, ts.URL+"/v1/models/m", fitRequest{
@@ -229,6 +260,34 @@ func TestServerErrorMapping(t *testing.T) {
 			resp.Body.Close()
 			if resp.StatusCode != tc.code {
 				t.Fatalf("status = %d, want %d", resp.StatusCode, tc.code)
+			}
+		})
+	}
+
+	// Bodies at the edges of the decoder get a 400 with the ErrPoint
+	// envelope, except data after the object, which encoding/json ignores.
+	// A body over MaxBodyBytes is refused even when its object ends inside
+	// the limit, because bodies are read whole.
+	okBody := `{"model":"m","points":[[0.5,0.25,1]]}`
+	bodies := []struct {
+		name, body string
+		code       int
+	}{
+		{"out-of-range-number", `{"model":"m","points":[[1e400,0,0]]}`, http.StatusBadRequest},
+		{"leading-zero", `{"model":"m","points":[[01,0,0]]}`, http.StatusBadRequest},
+		{"truncated", okBody[:len(okBody)-4], http.StatusBadRequest},
+		{"over-max-body", okBody + strings.Repeat(" ", 1<<16), http.StatusBadRequest},
+		{"trailing-data", okBody + `{"model":"x"}`, http.StatusOK},
+	}
+	for _, tc := range bodies {
+		t.Run(tc.name, func(t *testing.T) {
+			resp, body := postRaw(t, ts.URL+"/v1/predict", []byte(tc.body))
+			if resp.StatusCode != tc.code {
+				t.Fatalf("status = %d, want %d: %s", resp.StatusCode, tc.code, body)
+			}
+			var he httpError
+			if tc.code != http.StatusOK && (json.Unmarshal(body, &he) != nil || !strings.HasSuffix(he.Error, ErrPoint.Error())) {
+				t.Fatalf("error envelope %s, want one ending in %q", body, ErrPoint)
 			}
 		})
 	}
