@@ -49,8 +49,7 @@ func formatWeight(v float64) string {
 // 34 MB of them even with no edges.
 const MaxEdgeListNodes = 1 << 20
 
-// ReadEdgeList parses the WriteEdgeList format back into a Graph. A header
-// declaring more than MaxEdgeListNodes nodes is rejected with ErrParam.
+// ReadEdgeList parses the WriteEdgeList format back into a Graph.
 func ReadEdgeList(r io.Reader) (*Graph, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)

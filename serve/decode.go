@@ -28,9 +28,8 @@ type bodyDecoder struct {
 	rows [][]float64 // matrix row headers, windows of flat
 }
 
-// canonicalBody is a request body the scanner decodes. decodeField decodes
-// the value at d's offset into the field named exactly key, and reports
-// false for any other key or a value outside the canonical form.
+// canonicalBody is a request body the scanner decodes: decodeField decodes
+// the next value into the field named key, or reports it non-canonical.
 type canonicalBody interface {
 	decodeField(d *bodyDecoder, key []byte) bool
 }
@@ -224,8 +223,7 @@ func (d *bodyDecoder) matrix(dst *[][]float64) bool {
 	if !ok {
 		return false
 	}
-	// Appends may have moved d.flat since the first rows were cut: cut
-	// every row again from the final backing, so the rows share one array.
+	// Appends may have moved d.flat: re-cut the rows from its final backing.
 	for i := r0; i < len(d.rows); i++ {
 		n := len(d.rows[i])
 		d.rows[i] = nonNil(d.flat[off : off+n : off+n])

@@ -202,6 +202,20 @@ func zeroOf(v canonicalBody) canonicalBody {
 	return reflect.New(reflect.TypeOf(v).Elem()).Interface().(canonicalBody)
 }
 
+// TestReqScratchDropsOutsizedBody checks that releasing the pooled predict
+// scratch after an outsized body drops the grown decoder instead of
+// pinning it in the pool, and keeps an ordinary one for reuse.
+func TestReqScratchDropsOutsizedBody(t *testing.T) {
+	for _, size := range []int{64 << 10, 2 << 20} {
+		sc := new(reqScratch)
+		sc.dec.body.Grow(size)
+		sc.release()
+		if kept := sc.dec.body.Cap() > 0; kept != (size <= 1<<20) {
+			t.Fatalf("%d-byte body buffer kept = %v", size, kept)
+		}
+	}
+}
+
 // pointsOf returns a request's matrix field.
 func pointsOf(v canonicalBody) [][]float64 {
 	switch r := v.(type) {

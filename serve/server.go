@@ -191,10 +191,9 @@ type predictResponse struct {
 
 // reqScratch pools one predict request's working buffers — the decoded
 // body and the cache-scatter and miss-compaction state — so the warm
-// request path does not grow the heap per call. The request's points are
-// rows of dec's backing, valid until release; the cache copies what it
-// keeps. req lives here because decoding through an interface would move
-// a stack request to the heap.
+// request path does not grow the heap per call. The points are rows of
+// dec's backing until release; the cache copies what it keeps. req lives
+// here because decoding through an interface would move it to the heap.
 type reqScratch struct {
 	dec     bodyDecoder
 	req     predictRequest
@@ -230,6 +229,10 @@ func (sc *reqScratch) release() {
 	}
 	sc.missPts = sc.missPts[:0]
 	sc.req = predictRequest{}
+	// Drop a decoder grown by an outsized body rather than pin it in the pool.
+	if sc.dec.body.Cap() > 1<<20 {
+		sc.dec = bodyDecoder{}
+	}
 	reqPool.Put(sc)
 }
 
