@@ -63,7 +63,8 @@ fuzz-stream:
 # corpora (including the pinned streaming crashers) and fuzzes briefly,
 # including the sparse assembly (COO → CSR, transpose), the edge-list
 # parser, the KD-tree against brute force, the health probe against the
-# dense eigensolver and the request-body decoder against encoding/json.
+# dense eigensolver, the request-body decoder against encoding/json and the
+# panel Cholesky against the column loop, bit for bit.
 fuzz-smoke:
 	$(GO) test -run FuzzFit .
 	$(GO) test -run xxx -fuzz FuzzFit -fuzztime 15s .
@@ -74,6 +75,7 @@ fuzz-smoke:
 	$(GO) test -run xxx -fuzz '^FuzzKDTreeKNN$$' -fuzztime 10s ./internal/spatial/
 	$(GO) test -run xxx -fuzz '^FuzzProbeHealth$$' -fuzztime 10s ./internal/core/
 	$(GO) test -run xxx -fuzz '^FuzzDecodeBody$$' -fuzztime 10s ./serve/
+	$(GO) test -run xxx -fuzz '^FuzzCholesky$$' -fuzztime 10s ./internal/mat/
 
 # Global statement coverage with the ratcheted floor check.
 cover:

@@ -2,12 +2,7 @@
 
 package kernel
 
-// cpuid executes the CPUID instruction with the given leaf/subleaf.
-func cpuid(eaxIn, ecxIn uint32) (eax, ebx, ecx, edx uint32)
-
-// xgetbv reads extended control register 0 (only called when CPUID reports
-// OSXSAVE, so the instruction is guaranteed to exist).
-func xgetbv() (eax, edx uint32)
+import "repro/internal/cpu"
 
 // dist2x4Lanes accumulates squared differences of x against four rows over
 // the first nq dimensions (nq a multiple of 4) into out, four mod-4 lanes
@@ -25,20 +20,5 @@ func dist2x4Lanes(x, y0, y1, y2, y3 *float64, nq int, out *[16]float64)
 //go:noescape
 func dist2Row8(x, y0, y1, y2, y3, y4, y5, y6, y7 *float64, d int, out *float64)
 
-// useAVX reports whether the CPU and OS support AVX (VEX-encoded ymm ops
-// and ymm state saving).
-var useAVX = func() bool {
-	maxID, _, _, _ := cpuid(0, 0)
-	if maxID < 1 {
-		return false
-	}
-	const osxsaveBit = 1 << 27
-	const avxBit = 1 << 28
-	_, _, ecx, _ := cpuid(1, 0)
-	if ecx&osxsaveBit == 0 || ecx&avxBit == 0 {
-		return false
-	}
-	// XCR0 bits 1 (SSE/XMM) and 2 (AVX/YMM) must both be OS-enabled.
-	eax, _ := xgetbv()
-	return eax&0x6 == 0x6
-}()
+// useAVX selects the AVX kernels; tests clear it to force the scalar path.
+var useAVX = cpu.AVX

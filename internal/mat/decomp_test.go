@@ -197,6 +197,11 @@ func TestCholeskyNotPD(t *testing.T) {
 	if _, err := NewCholesky(a); !errors.Is(err, ErrNotPositiveDefinite) {
 		t.Fatalf("want ErrNotPositiveDefinite, got %v", err)
 	}
+	// An infinite pivot is not positive definite either.
+	a, _ = NewDenseData(2, 2, []float64{math.Inf(1), 1, 1, 1})
+	if _, err := NewCholesky(a); !errors.Is(err, ErrNotPositiveDefinite) {
+		t.Fatalf("+Inf pivot: want ErrNotPositiveDefinite, got %v", err)
+	}
 	if _, err := NewCholesky(NewDense(2, 3)); !errors.Is(err, ErrSquare) {
 		t.Fatalf("want ErrSquare, got %v", err)
 	}
