@@ -104,18 +104,16 @@ serve-smoke:
 	$(GO) test -count=1 -run TestServeSmoke -v ./cmd/sslserve/
 
 # End-to-end smoke of the distributed subsystem: the determinism and
-# fault-injection harnesses plus the replicated-fleet boot path (sslserve
-# -replicas 3 over HTTP) and the public cluster API surface.
+# fault-injection harnesses plus the public cluster API surface.
 cluster-smoke:
 	$(GO) test -count=1 -run 'TestSolvePCG|TestCrash|TestSlow|TestDropped|TestDuplicate|TestAllWorkersCrash' -v ./internal/cluster/...
-	$(GO) test -count=1 -run TestFleetSmoke -v ./cmd/sslserve/
 	$(GO) test -count=1 -run 'TestFitWithClusterShards|TestFitDistributedTCPFleet|TestClusterRecovery|TestClusterFailureTyped' -v .
 
 # End-to-end smoke of the streaming ingest subsystem: the incremental
 # equivalence and escalation-ladder tests in stream/, the delta snapshot
 # roll-forward math, the HTTP /v1/ingest path (fit with "stream": true,
-# ingest, version bump, cache invalidation, backpressure), and the
-# registry hot-swap-under-load test.
+# ingest, version bump, cache invalidation, backpressure, the worker's
+# refit and close lifecycle), and the registry hot-swap-under-load test.
 stream-smoke:
 	$(GO) test -count=1 -run 'TestStream|TestZeroAllocStream' -v ./stream/
 	$(GO) test -count=1 -run 'TestIngest|TestModelApplyDelta|TestRegistryRollForward' -v ./serve/

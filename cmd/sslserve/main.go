@@ -4,13 +4,9 @@
 //
 // Usage:
 //
-//	sslserve [-addr :8080] [-replicas 1] [-queue 1024] [-workers 1]
-//	         [-cache-size 8192] [-model-budget 0] [-ingest-queue 4096]
-//	         [-ingest-batch 256] [-fit-timeout 120s] [-drain-timeout 30s]
-//
-// With -replicas n > 1 the process serves a replicated fleet: n registries
-// behind a consistent-hash router, with fits run once on the leader and
-// published everywhere, plus a GET /v1/fleet topology endpoint.
+//	sslserve [-addr :8080] [-queue 1024] [-workers 1] [-cache-size 8192]
+//	         [-model-budget 0] [-ingest-queue 4096] [-ingest-batch 256]
+//	         [-fit-timeout 120s] [-drain-timeout 30s]
 //
 // Endpoints:
 //
@@ -62,7 +58,6 @@ func run(ctx context.Context, args []string, logw io.Writer, ready func(addr str
 	fs.SetOutput(logw)
 	var (
 		addr         = fs.String("addr", ":8080", "listen address")
-		replicas     = fs.Int("replicas", 1, "serving replicas behind the consistent-hash router")
 		queueDepth   = fs.Int("queue", 1024, "max uncached points under evaluation (excess gets 429)")
 		workers      = fs.Int("workers", 1, "evaluation workers (<=0 = all cores)")
 		cacheSize    = fs.Int("cache-size", 8192, "prediction cache entries (negative disables)")
@@ -76,7 +71,7 @@ func run(ctx context.Context, args []string, logw io.Writer, ready func(addr str
 		return err
 	}
 
-	cfg := serve.Config{
+	srv := serve.NewServer(serve.Config{
 		QueueDepth:  *queueDepth,
 		Workers:     *workers,
 		CacheSize:   *cacheSize,
@@ -84,33 +79,16 @@ func run(ctx context.Context, args []string, logw io.Writer, ready func(addr str
 		IngestQueue: *ingestQueue,
 		IngestBatch: *ingestBatch,
 		FitTimeout:  *fitTimeout,
-	}
-	// A single replica serves the plain server; more get the replicated
-	// fleet behind the consistent-hash router. Both share the drain shape.
-	var (
-		handler http.Handler
-		drain   func()
-		stop    func()
-	)
-	if *replicas > 1 {
-		fleet, err := serve.NewFleet(*replicas, cfg)
-		if err != nil {
-			return err
-		}
-		handler, drain, stop = fleet.Handler(), fleet.BeginDrain, fleet.Close
-	} else {
-		srv := serve.NewServer(cfg)
-		handler, drain, stop = srv.Handler(), srv.BeginDrain, srv.Close
-	}
+	})
 
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {
 		return err
 	}
-	hs := &http.Server{Handler: handler}
+	hs := &http.Server{Handler: srv.Handler()}
 	errc := make(chan error, 1)
 	go func() { errc <- hs.Serve(ln) }()
-	fmt.Fprintf(logw, "sslserve: listening on %s (%d replica(s))\n", ln.Addr(), max(*replicas, 1))
+	fmt.Fprintf(logw, "sslserve: listening on %s\n", ln.Addr())
 	if ready != nil {
 		ready(ln.Addr().String())
 	}
@@ -124,13 +102,13 @@ func run(ctx context.Context, args []string, logw io.Writer, ready func(addr str
 	// Graceful drain: stop being ready, let in-flight handlers finish,
 	// then drain the ingest workers so no admitted point is dropped.
 	fmt.Fprintln(logw, "sslserve: draining")
-	drain()
+	srv.BeginDrain()
 	sctx, cancel := context.WithTimeout(context.Background(), *drainTimeout)
 	defer cancel()
 	if err := hs.Shutdown(sctx); err != nil {
 		return fmt.Errorf("shutdown: %w", err)
 	}
-	stop()
+	srv.Close()
 	if err := <-errc; err != nil && !errors.Is(err, http.ErrServerClosed) {
 		return err
 	}

@@ -66,8 +66,7 @@
 // with StartClusterWorker. The result is bitwise-identical across shard
 // counts and transports, and a crashed worker's shards are rebound to
 // survivors. The paper's label-propagation iteration (Eq. 5) stays on one
-// machine as WithSolver(SolverPropagation), parallel under WithWorkers. The
-// serve package's Fleet replicates the resulting snapshots behind a router.
+// machine as WithSolver(SolverPropagation), parallel under WithWorkers.
 //
 // The experiment harnesses that regenerate the paper's figures live in
 // internal/experiments and are driven by cmd/sslrepro; the bench module

@@ -16,13 +16,11 @@ import (
 // drains the queue in batches, refreshes the transductive solution
 // through the incremental ladder, and rolls the served model forward —
 // via Model.ApplyDelta when the new labels are purely appendable, via a
-// full snapshot republish otherwise. Every roll-forward goes through
-// Registry.Store, so the version bumps and cached predictions of the
-// old model can never be confused with the new one.
-//
-// Ingest is a single-server feature: a Fleet replicates immutable
-// models from its leader and has no channel for continuous deltas, so
-// fleet fits reject "stream": true.
+// full snapshot republish otherwise. Every roll-forward goes through the
+// registry, so the version bumps and cached predictions of the old model
+// can never be confused with the new one. A worker publishes only onto
+// the entry it owns: a refit or delete of the name supersedes its state,
+// which then publishes nothing and drops its queue.
 
 // Ingest metrics, alongside the serving counters in metrics.go.
 var (
@@ -52,10 +50,12 @@ type ingestJob struct {
 }
 
 // ingestState is the mutable half of a streaming model: the ingestor
-// (owned exclusively by the worker goroutine), the bounded queue, and
-// the in-flight point count that backs admission control.
+// (owned exclusively by the worker goroutine), the registry version of
+// the entry it publishes onto, the bounded queue, and the in-flight point
+// count that backs admission control.
 type ingestState struct {
 	name    string
+	version int64 // owned entry's version; advanced by each publish (worker-owned)
 	ing     *stream.Ingestor
 	ch      chan ingestJob
 	pending atomic.Int64 // points admitted but not yet applied
@@ -64,13 +64,16 @@ type ingestState struct {
 	closed  atomic.Bool
 }
 
-func newIngestState(name string, ing *stream.Ingestor, queue int) *ingestState {
+// newIngestState builds the state of the streaming model just published
+// as e.
+func newIngestState(e *Entry, ing *stream.Ingestor, queue int) *ingestState {
 	return &ingestState{
-		name: name,
-		ing:  ing,
-		ch:   make(chan ingestJob, queue),
-		stop: make(chan struct{}),
-		done: make(chan struct{}),
+		name:    e.Name,
+		version: e.Version,
+		ing:     ing,
+		ch:      make(chan ingestJob, queue),
+		stop:    make(chan struct{}),
+		done:    make(chan struct{}),
 	}
 }
 
@@ -90,9 +93,11 @@ func (s *Server) ingestStateFor(name string) *ingestState {
 	return nil
 }
 
-// registerIngest installs the state for a (re)fitted streaming model,
-// stopping any predecessor's worker, and starts the new worker.
-func (s *Server) registerIngest(st *ingestState) {
+// registerIngest installs the state for the streaming model just
+// published as e, stopping any predecessor's worker, and starts the new
+// worker.
+func (s *Server) registerIngest(e *Entry, ing *stream.Ingestor) {
+	st := newIngestState(e, ing, s.cfg.IngestQueue)
 	if old, ok := s.ingests.Load(st.name); ok {
 		old.(*ingestState).close()
 	}
@@ -125,27 +130,30 @@ func (s *Server) closeIngests() {
 // runIngest is the per-model worker: block for work, drain a bounded
 // batch, apply and publish. Exactly one goroutine per state owns the
 // ingestor, so the (deliberately unsynchronized) Ingestor never sees
-// concurrent calls.
+// concurrent calls. Once stopped, a worker whose state still owns its
+// entry applies everything queued, batch by batch, before it exits, so
+// Close loses no admitted point; a superseded worker drops its queue.
 func (s *Server) runIngest(st *ingestState) {
 	defer close(st.done)
 	jobs := make([]ingestJob, 0, s.cfg.IngestBatch)
 	for {
 		jobs = jobs[:0]
+		npts := 0
 		select {
 		case j := <-st.ch:
-			jobs = append(jobs, j)
+			jobs, npts = append(jobs, j), len(j.pts)
 		case <-st.stop:
-			return
 		}
-		npts := len(jobs[0].pts)
-	drain:
-		for npts < s.cfg.IngestBatch {
-			select {
-			case j := <-st.ch:
-				jobs = append(jobs, j)
-				npts += len(j.pts)
-			default:
-				break drain
+		// This goroutine is the only receiver, so a non-empty queue
+		// never blocks the receive.
+		for npts < s.cfg.IngestBatch && len(st.ch) > 0 {
+			j := <-st.ch
+			jobs = append(jobs, j)
+			npts += len(j.pts)
+		}
+		if st.closed.Load() {
+			if _, err := s.ownedEntry(st); err != nil || len(jobs) == 0 {
+				return
 			}
 		}
 		s.applyIngest(st, jobs)
@@ -190,29 +198,36 @@ func (s *Server) applyIngest(st *ingestState, jobs []ingestJob) {
 	}
 }
 
-// publishIngest rolls the registry entry forward to the ingestor's
+// ownedEntry returns the registry entry st publishes onto, or
+// ErrNotFound once a delete or refit of the name has superseded st.
+func (s *Server) ownedEntry(st *ingestState) (*Entry, error) {
+	e, err := s.registry.Load(st.name)
+	if err == nil && e.Version != st.version {
+		err = fmt.Errorf("serve: model %q at version %d: %w", st.name, st.version, ErrNotFound)
+	}
+	return e, err
+}
+
+// publishIngest rolls the owned registry entry forward to the ingestor's
 // refreshed state: by appending a snapshot delta when the new labels
 // are purely appendable (no relabels, labeled deletes, or compactions
 // since the last publish), by a full snapshot republish otherwise. An
 // empty delta publishes nothing — unlabeled inserts don't change the
-// served anchors.
+// served anchors — and so does a superseded state: every store is
+// conditioned on st still owning the entry.
 func (s *Server) publishIngest(st *ingestState) error {
-	e, err := s.registry.Load(st.name)
+	e, err := s.ownedEntry(st)
 	if err != nil {
-		// Model deleted under the worker; nothing to publish onto.
 		return err
 	}
 	if d, ok := st.ing.TakeDelta(); ok {
 		if d.Len() == 0 {
 			return nil
 		}
-		m2, err := e.Model.ApplyDelta(d)
-		if err == nil {
-			e2, err := s.registry.Store(st.name, m2)
-			if err != nil {
+		if m2, err := e.Model.ApplyDelta(d); err == nil {
+			if err := s.publishOwned(st, m2); err != nil {
 				return err
 			}
-			setModelVersion(e2.Name, e2.Version)
 			ingDeltaRoll.Add(1)
 			return nil
 		}
@@ -226,13 +241,23 @@ func (s *Server) publishIngest(st *ingestState) error {
 	if err != nil {
 		return err
 	}
-	e2, err := s.registry.Store(st.name, m2)
-	if err != nil {
+	if err := s.publishOwned(st, m2); err != nil {
 		return err
 	}
 	st.ing.MarkPublished()
-	setModelVersion(e2.Name, e2.Version)
 	ingFullRoll.Add(1)
+	return nil
+}
+
+// publishOwned stores m over the entry st owns and moves st's ownership
+// to the new version.
+func (s *Server) publishOwned(st *ingestState, m *Model) error {
+	e, err := s.registry.storeIf(st.name, st.version, m)
+	if err != nil {
+		return err
+	}
+	st.version = e.Version
+	setModelVersion(e.Name, e.Version)
 	return nil
 }
 

@@ -5,7 +5,6 @@ import (
 	"math"
 	"math/rand"
 	"net/http"
-	"net/http/httptest"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -382,28 +381,95 @@ func TestIngestValidation(t *testing.T) {
 	}
 }
 
-// TestIngestRejectedOnFleet pins the single-server contract: a fleet fit
-// with "stream": true is rejected, and the fleet surface has no
-// /v1/ingest route.
-func TestIngestRejectedOnFleet(t *testing.T) {
-	f, err := NewFleet(3, Config{Workers: 1})
+// TestIngestRetiredWorkerNeverPublishes pins publication ownership: a
+// refit of a streaming model's name supersedes the old ingest state, and
+// a batch that state applies afterwards must leave the refit's entry in
+// place, whether the refit could take the old lineage's delta (a plain
+// Epanechnikov refit) or would be replaced by its full republish (an
+// "all"-anchored Gaussian refit).
+func TestIngestRetiredWorkerNeverPublishes(t *testing.T) {
+	x, y, labeled := streamData(29, 64, 16)
+	const h = 0.35
+	for _, tc := range []struct {
+		name  string
+		refit fitRequest
+	}{
+		{"plain-refit", fitRequest{X: x, Y: y, Labeled: labeled, Kernel: "epanechnikov", Bandwidth: h}},
+		{"anchor-all-gaussian-refit", fitRequest{X: x, Y: y, Labeled: labeled, Bandwidth: h, AnchorSet: "all"}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			srv, ts := testServer(t, Config{Workers: 1})
+			streamFit(t, ts.URL, "live", x, y, labeled, h)
+			old := srv.ingestStateFor("live")
+			resp, body := postJSON(t, ts.URL+"/v1/models/live", tc.refit)
+			if resp.StatusCode != http.StatusOK {
+				t.Fatalf("refit: %d %s", resp.StatusCode, body)
+			}
+			<-old.done // the refit stopped the old worker
+			want, err := srv.registry.Load("live")
+			if err != nil {
+				t.Fatal(err)
+			}
+
+			old.pending.Add(1)
+			srv.applyIngest(old, []ingestJob{{pts: [][]float64{{0.5, 0.5}}, y: []float64{2}, arrival: time.Now()}})
+			got, err := srv.registry.Load("live")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got != want {
+				t.Fatalf("retired worker published over the refit: version %d (%d anchors, %v kernel), want %d (%d anchors, %v kernel)",
+					got.Version, got.Model.Info().Anchors, got.Model.Info().Kernel,
+					want.Version, want.Model.Info().Anchors, want.Model.Info().Kernel)
+			}
+		})
+	}
+}
+
+// TestIngestCloseAppliesAdmitted pins the worker's half of the Close
+// contract: a worker stopped with points still queued applies every one
+// of them, batch by batch, before it exits.
+func TestIngestCloseAppliesAdmitted(t *testing.T) {
+	srv := NewServer(Config{Workers: 1, IngestBatch: 1})
+	defer srv.Close()
+	x, y, labeled := streamData(31, 64, 16)
+	ing, err := stream.New(x, y, labeled, stream.Config{
+		Kernel: graphssl.Epanechnikov, Bandwidth: 0.35, Workers: 1,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer f.Close()
-	ts := httptest.NewServer(f.Handler())
-	defer ts.Close()
-
-	x, y, labeled := streamData(17, 48, 12)
-	resp, body := postJSON(t, ts.URL+"/v1/models/live", fitRequest{
-		X: x, Y: y, Labeled: labeled, Kernel: "epanechnikov", Bandwidth: 0.35, Stream: true,
-	})
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("fleet stream fit: %d %s", resp.StatusCode, body)
+	snap, err := ing.Snapshot()
+	if err != nil {
+		t.Fatal(err)
 	}
-	resp, _ = postJSON(t, ts.URL+"/v1/ingest", ingestRequest{Model: "live", Points: [][]float64{{0.1, 0.1}}})
-	if resp.StatusCode != http.StatusNotFound {
-		t.Fatalf("fleet ingest route: %d", resp.StatusCode)
+	m, err := NewModel(snap, WithWorkers(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	e, err := srv.registry.Store("live", m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := newIngestState(e, ing, 64)
+	const n = 20
+	rng := rand.New(rand.NewSource(5))
+	for i := 0; i < n; i++ {
+		st.pending.Add(1)
+		st.ch <- ingestJob{pts: [][]float64{{rng.Float64(), rng.Float64()}}, y: []float64{float64(i)}, arrival: time.Now()}
+	}
+	st.close()
+	srv.runIngest(st)
+
+	if p := st.pending.Load(); p != 0 {
+		t.Fatalf("%d admitted points left unapplied", p)
+	}
+	got, err := srv.registry.Load("live")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a := got.Model.Info().Anchors; a != len(labeled)+n {
+		t.Fatalf("served anchors = %d, want %d", a, len(labeled)+n)
 	}
 }
 

@@ -2,7 +2,6 @@ package serve
 
 import (
 	"expvar"
-	"fmt"
 	"sort"
 	"sync"
 	"time"
@@ -23,7 +22,6 @@ var (
 	srvShedBudget    = expvar.NewInt("graphssl.serve.shed_budget")
 	srvAnchorsPruned = expvar.NewInt("graphssl.serve.anchors_pruned")
 	srvModelVersion  = expvar.NewMap("graphssl.serve.model_version")
-	srvFleetRoutes   = expvar.NewMap("graphssl.serve.fleet_routes")
 
 	// liveServers tracks every open Server so queue depth can be reported
 	// as a live gauge.
@@ -83,11 +81,6 @@ func countPruned(n int64) {
 	if n > 0 {
 		srvAnchorsPruned.Add(n)
 	}
-}
-
-// countFleetRoute records one predict request routed to a fleet replica.
-func countFleetRoute(replica int) {
-	srvFleetRoutes.Add(fmt.Sprintf("replica-%d", replica), 1)
 }
 
 // setModelVersion publishes the current version of a named model.

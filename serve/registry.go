@@ -85,6 +85,17 @@ func (r *Registry) Load(name string) (*Entry, error) {
 // and a (name, version) pair uniquely identifies one stored model for the
 // registry's lifetime.
 func (r *Registry) Store(name string, m *Model) (*Entry, error) {
+	return r.storeIf(name, 0, m)
+}
+
+// storeIf is Store conditioned on ownership: with owner > 0 it publishes m
+// only while the entry under name still carries version owner, checked
+// under the writer mutex so no Store or Delete can slip in between, and
+// fails with ErrNotFound otherwise. Owner 0 stores unconditionally (no
+// entry carries version 0). A streaming model's ingest worker publishes
+// through it, so a refit or delete of the name retires the worker's
+// lineage for good.
+func (r *Registry) storeIf(name string, owner int64, m *Model) (*Entry, error) {
 	if !validName(name) {
 		return nil, fmt.Errorf("serve: model name %q: %w", name, ErrName)
 	}
@@ -94,6 +105,9 @@ func (r *Registry) Store(name string, m *Model) (*Entry, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	old := r.snapshot()
+	if e := old[name]; owner > 0 && (e == nil || e.Version != owner) {
+		return nil, fmt.Errorf("serve: model %q at version %d: %w", name, owner, ErrNotFound)
+	}
 	next := make(map[string]*Entry, len(old)+1)
 	for k, v := range old {
 		next[k] = v

@@ -21,7 +21,7 @@
 //
 // Concurrency model: a Model is immutable and safe for unbounded concurrent
 // readers. The Registry publishes a copy-on-write map through an atomic
-// pointer, so lookups on the request path never take a lock and Swap
+// pointer, so lookups on the request path never take a lock and Store
 // replaces a model under traffic with zero downtime. Each predict request
 // evaluates its uncached points inline, through the model's tiled SIMD batch
 // kernel, behind a points-bounded admission counter whose overflow surfaces
@@ -51,6 +51,4 @@ var (
 	ErrOverloaded = errors.New("serve: prediction queue full")
 	// ErrDraining is returned for work submitted after shutdown began.
 	ErrDraining = errors.New("serve: server draining")
-	// ErrFleet is returned for invalid fleet or ring configuration.
-	ErrFleet = errors.New("serve: invalid fleet configuration")
 )

@@ -88,7 +88,6 @@ type Server struct {
 	inflight atomic.Int64 // uncached points under evaluation, capped at cfg.QueueDepth
 	budgets  sync.Map     // model name -> *atomic.Int64 in-flight uncached points
 	ingests  sync.Map     // model name -> *ingestState for streaming models
-	inFleet  bool         // set by NewFleet: streaming fits are single-server only
 	draining atomic.Bool
 	mux      *http.ServeMux
 }
@@ -379,7 +378,7 @@ type fitRequest struct {
 	// Stream keeps a live ingestor behind the model so POST /v1/ingest
 	// can append points continuously. Requires a compact-support kernel,
 	// a fixed bandwidth, the hard criterion (lambda 0), labeled anchors,
-	// and no knn/top_m truncation; rejected on fleets.
+	// and no knn/top_m truncation.
 	Stream bool `json:"stream,omitempty"`
 }
 
@@ -392,54 +391,59 @@ type fitResponse struct {
 }
 
 func (s *Server) handleFit(w http.ResponseWriter, r *http.Request) {
-	name, m, ing, start, ok := s.buildModel(w, r)
-	if !ok {
-		return
-	}
-	e, err := s.registry.Store(name, m)
+	resp, err := s.fit(w, r)
 	if err != nil {
 		fail(w, err)
 		return
+	}
+	writeJSON(w, http.StatusOK, resp)
+}
+
+// fit runs POST /v1/models/{name}: decode, fit, snapshot, model build,
+// registry publication and, for "stream": true fits, ingest registration.
+// Seconds in the response times everything from the fit on.
+func (s *Server) fit(w http.ResponseWriter, r *http.Request) (fitResponse, error) {
+	if s.draining.Load() {
+		return fitResponse{}, ErrDraining
+	}
+	name := r.PathValue("name")
+	if !validName(name) {
+		return fitResponse{}, fmt.Errorf("serve: model name %q: %w", name, ErrName)
+	}
+	var req fitRequest
+	if err := s.decodeBody(w, r, new(bodyDecoder), &req); err != nil {
+		return fitResponse{}, err
+	}
+	start := time.Now()
+	m, ing, err := s.buildModel(r.Context(), &req)
+	if err != nil {
+		return fitResponse{}, err
+	}
+	e, err := s.registry.Store(name, m)
+	if err != nil {
+		return fitResponse{}, err
 	}
 	setModelVersion(e.Name, e.Version)
 	// A streaming fit registers its ingestor only after the initial
 	// publication, so the worker can never race the first Store; a plain
 	// refit under the same name retires any previous ingestor.
 	if ing != nil {
-		s.registerIngest(newIngestState(e.Name, ing, s.cfg.IngestQueue))
+		s.registerIngest(e, ing)
 	} else {
 		s.dropIngest(e.Name)
 	}
-	writeJSON(w, http.StatusOK, fitResponse{
+	return fitResponse{
 		Model:   e.Name,
 		Version: e.Version,
 		Info:    m.Info(),
 		Seconds: time.Since(start).Seconds(),
-	})
+	}, nil
 }
 
-// buildModel runs the fit pipeline of POST /v1/models/{name} — validation,
-// the transductive fit, the snapshot, and the inductive model build — up to
-// but not including registry publication, so single servers and replicated
-// fleets share one fit path (a fleet fits once on the leader and publishes
-// the immutable model to every replica). For "stream": true fits, ing is the
-// live ingestor the caller must register after the initial publication. On
-// failure the error response has been written and ok is false.
-func (s *Server) buildModel(w http.ResponseWriter, r *http.Request) (name string, m *Model, ing *stream.Ingestor, start time.Time, ok bool) {
-	if s.draining.Load() {
-		fail(w, ErrDraining)
-		return
-	}
-	name = r.PathValue("name")
-	if !validName(name) {
-		fail(w, fmt.Errorf("serve: model name %q: %w", name, ErrName))
-		return
-	}
-	var req fitRequest
-	if err := s.decodeBody(w, r, new(bodyDecoder), &req); err != nil {
-		fail(w, err)
-		return
-	}
+// buildModel validates a fit request and runs the transductive fit, the
+// snapshot and the inductive model build. For "stream": true fits, ing is
+// the live ingestor to register after the model's publication.
+func (s *Server) buildModel(ctx context.Context, req *fitRequest) (m *Model, ing *stream.Ingestor, err error) {
 	var anchorSet AnchorSet
 	switch req.AnchorSet {
 	case "", "labeled":
@@ -447,21 +451,18 @@ func (s *Server) buildModel(w http.ResponseWriter, r *http.Request) (name string
 	case "all":
 		anchorSet = AnchorAll
 	default:
-		fail(w, fmt.Errorf("serve: anchor_set %q (want \"labeled\" or \"all\"): %w", req.AnchorSet, ErrPoint))
-		return
+		return nil, nil, fmt.Errorf("serve: anchor_set %q (want \"labeled\" or \"all\"): %w", req.AnchorSet, ErrPoint)
 	}
 	if req.Stream {
-		m, ing, start, ok = s.buildStreamModel(w, &req, anchorSet)
-		return name, m, ing, start, ok
+		return s.buildStreamModel(req, anchorSet)
 	}
-	ctx, cancel := context.WithTimeout(r.Context(), s.cfg.FitTimeout)
+	ctx, cancel := context.WithTimeout(ctx, s.cfg.FitTimeout)
 	defer cancel()
 	opts := []graphssl.Option{graphssl.WithContext(ctx), graphssl.WithWorkers(s.cfg.Workers)}
 	if req.Kernel != "" {
 		kind, err := kernel.Parse(req.Kernel)
 		if err != nil {
-			fail(w, fmt.Errorf("serve: %v: %w", err, ErrPoint))
-			return
+			return nil, nil, fmt.Errorf("serve: %v: %w", err, ErrPoint)
 		}
 		opts = append(opts, graphssl.WithKernel(kind))
 	}
@@ -474,66 +475,45 @@ func (s *Server) buildModel(w http.ResponseWriter, r *http.Request) (name string
 	if req.Lambda != nil {
 		opts = append(opts, graphssl.WithLambda(*req.Lambda))
 	}
-	start = time.Now()
 	res, err := graphssl.Fit(req.X, req.Y, req.Labeled, opts...)
 	if err != nil {
 		if ctx.Err() != nil {
-			fail(w, context.DeadlineExceeded)
-			return
+			return nil, nil, context.DeadlineExceeded
 		}
-		fail(w, fmt.Errorf("serve: fit: %v: %w", err, ErrPoint))
-		return
+		return nil, nil, fmt.Errorf("serve: fit: %v: %w", err, ErrPoint)
 	}
 	snap, err := res.Snapshot(req.X, req.Y)
 	if err != nil {
-		fail(w, fmt.Errorf("serve: snapshot: %v: %w", err, ErrPoint))
-		return
+		return nil, nil, fmt.Errorf("serve: snapshot: %v: %w", err, ErrPoint)
 	}
 	mopts := []ModelOption{WithAnchorSet(anchorSet), WithWorkers(s.cfg.Workers)}
 	if req.TopM > 0 {
 		mopts = append(mopts, WithTopM(req.TopM))
 	}
 	m, err = NewModel(snap, mopts...)
-	if err != nil {
-		fail(w, err)
-		return
-	}
-	return name, m, nil, start, true
+	return m, nil, err
 }
 
-// buildStreamModel is the "stream": true branch of the fit pipeline: it
+// buildStreamModel is the "stream": true branch of buildModel: it
 // validates the streaming constraints, fits through stream.New (bitwise
 // the same solution as graphssl.Fit), and returns the initial model
 // together with the live ingestor.
-func (s *Server) buildStreamModel(w http.ResponseWriter, req *fitRequest, anchorSet AnchorSet) (m *Model, ing *stream.Ingestor, start time.Time, ok bool) {
-	if s.inFleet {
-		fail(w, fmt.Errorf("serve: streaming ingest is single-server only: %w", ErrFleet))
-		return
-	}
-	if anchorSet != AnchorLabeled {
-		fail(w, fmt.Errorf("serve: streaming fits require labeled anchors: %w", ErrPoint))
-		return
-	}
-	if req.TopM > 0 || req.KNN != 0 {
-		fail(w, fmt.Errorf("serve: streaming fits take no knn or top_m truncation: %w", ErrPoint))
-		return
-	}
-	if req.Lambda != nil && *req.Lambda != 0 {
-		fail(w, fmt.Errorf("serve: streaming fits require the hard criterion (lambda 0): %w", ErrPoint))
-		return
-	}
-	if req.Bandwidth <= 0 {
-		fail(w, fmt.Errorf("serve: streaming fits require a fixed bandwidth: %w", ErrPoint))
-		return
-	}
-	if req.Kernel == "" {
-		fail(w, fmt.Errorf("serve: streaming fits require an explicit compact-support kernel: %w", ErrPoint))
-		return
+func (s *Server) buildStreamModel(req *fitRequest, anchorSet AnchorSet) (*Model, *stream.Ingestor, error) {
+	switch {
+	case anchorSet != AnchorLabeled:
+		return nil, nil, fmt.Errorf("serve: streaming fits require labeled anchors: %w", ErrPoint)
+	case req.TopM > 0 || req.KNN != 0:
+		return nil, nil, fmt.Errorf("serve: streaming fits take no knn or top_m truncation: %w", ErrPoint)
+	case req.Lambda != nil && *req.Lambda != 0:
+		return nil, nil, fmt.Errorf("serve: streaming fits require the hard criterion (lambda 0): %w", ErrPoint)
+	case req.Bandwidth <= 0:
+		return nil, nil, fmt.Errorf("serve: streaming fits require a fixed bandwidth: %w", ErrPoint)
+	case req.Kernel == "":
+		return nil, nil, fmt.Errorf("serve: streaming fits require an explicit compact-support kernel: %w", ErrPoint)
 	}
 	kind, err := kernel.Parse(req.Kernel)
 	if err != nil {
-		fail(w, fmt.Errorf("serve: %v: %w", err, ErrPoint))
-		return
+		return nil, nil, fmt.Errorf("serve: %v: %w", err, ErrPoint)
 	}
 	labeled := req.Labeled
 	if labeled == nil {
@@ -544,27 +524,23 @@ func (s *Server) buildStreamModel(w http.ResponseWriter, req *fitRequest, anchor
 			labeled[i] = i
 		}
 	}
-	start = time.Now()
-	ing, err = stream.New(req.X, req.Y, labeled, stream.Config{
+	ing, err := stream.New(req.X, req.Y, labeled, stream.Config{
 		Kernel:    kind,
 		Bandwidth: req.Bandwidth,
 		Workers:   s.cfg.Workers,
 	})
 	if err != nil {
-		fail(w, fmt.Errorf("serve: stream fit: %v: %w", err, ErrPoint))
-		return
+		return nil, nil, fmt.Errorf("serve: stream fit: %v: %w", err, ErrPoint)
 	}
 	snap, err := ing.Snapshot()
 	if err != nil {
-		fail(w, fmt.Errorf("serve: snapshot: %v: %w", err, ErrPoint))
-		return
+		return nil, nil, fmt.Errorf("serve: snapshot: %v: %w", err, ErrPoint)
 	}
-	m, err = NewModel(snap, WithAnchorSet(AnchorLabeled), WithWorkers(s.cfg.Workers))
+	m, err := NewModel(snap, WithAnchorSet(AnchorLabeled), WithWorkers(s.cfg.Workers))
 	if err != nil {
-		fail(w, err)
-		return
+		return nil, nil, err
 	}
-	return m, ing, start, true
+	return m, ing, nil
 }
 
 // modelEntry lists one registry entry.

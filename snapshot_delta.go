@@ -7,7 +7,7 @@ import (
 
 // SnapshotDelta is an appendable increment to a ModelSnapshot: points
 // labeled since the snapshot was taken, in labeling order. The stream
-// package emits deltas (Ingestor.TakeDelta) so serving replicas can roll
+// package emits deltas (Ingestor.TakeDelta) so a server can roll
 // a published model forward without republishing every anchor.
 type SnapshotDelta struct {
 	// X are the new labeled points, Y their responses (aligned).
