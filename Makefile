@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race race-concurrency vet ci bench fuzz fuzz-stream fuzz-smoke cover alloc-gate serve-smoke cluster-smoke distributed-smoke largen-smoke stream-smoke bench-smoke
+.PHONY: all build test race race-concurrency vet ci bench fuzz fuzz-stream fuzz-smoke cover alloc-gate serve-smoke cluster-smoke distributed-smoke stream-smoke bench-smoke
 
 # Coverage ratchet: global statement coverage must not fall below this floor
 # (current coverage minus a 1% buffer). Raise it as coverage grows.
@@ -23,24 +23,23 @@ race:
 
 # Focused race pass over the concurrency-heavy packages (spatial indexes,
 # graph construction, parallel primitives, the distributed cluster layer
-# with its fault-injection harness, the approximate engine's worker paths,
-# and the streaming ingest subsystem), run twice to vary interleavings.
-# The second line exercises the serve-side ingest worker: concurrent
-# predicts against delta-snapshot hot swaps.
+# with its fault-injection harness, and the streaming ingest subsystem),
+# run twice to vary interleavings. The second line exercises the
+# serve-side ingest worker: concurrent predicts against delta-snapshot hot
+# swaps, and concurrent fits of one name against its ingest registration.
 race-concurrency:
-	$(GO) test -race -count=2 ./internal/spatial/... ./internal/graph/... ./internal/parallel/... ./internal/cluster/... ./internal/approx/... ./stream/...
+	$(GO) test -race -count=2 ./internal/spatial/... ./internal/graph/... ./internal/parallel/... ./internal/cluster/... ./stream/...
 	$(GO) test -race -count=2 -run 'TestIngest|TestRegistryRollForward' ./serve/
 
 # Allocation-regression gate: the warm PCG/CG solve path (pooled workspace
 # + held destination), the serving predict hot path (the model's batch core
 # and the server's uncached predict step: admission, evaluation, cache
 # scatter and put), the steady-state distributed PCG iteration (pooled
-# message and vector buffers), the approximate engine's warm certificate
-# evaluation, and the streaming warm label-refresh path must stay at
-# exactly zero heap allocations per op.
+# message and vector buffers), and the streaming warm label-refresh path
+# must stay at exactly zero heap allocations per op.
 alloc-gate:
 	$(GO) test -run 'TestZeroAllocSolve' -v ./internal/sparse/ ./internal/precond/
-	$(GO) test -run 'TestZeroAlloc' -v ./internal/core/ ./serve/ ./internal/cluster/ ./internal/approx/ ./stream/
+	$(GO) test -run 'TestZeroAlloc' -v ./internal/core/ ./serve/ ./internal/cluster/ ./stream/
 
 # The gate run by CI's test job; the fuzz-smoke and coverage jobs run their
 # targets separately.
@@ -63,8 +62,9 @@ fuzz-stream:
 # corpora (including the pinned streaming crashers) and fuzzes briefly,
 # including the sparse assembly (COO → CSR, transpose), the edge-list
 # parser, the KD-tree against brute force, the health probe against the
-# dense eigensolver, the request-body decoder against encoding/json and the
-# panel Cholesky against the column loop, bit for bit.
+# dense eigensolver, the request-body decoder against encoding/json, the
+# predict, ingest and fit handlers (no 5xx, typed 4xx envelopes, one score
+# per point) and the panel Cholesky against the column loop, bit for bit.
 fuzz-smoke:
 	$(GO) test -run FuzzFit .
 	$(GO) test -run xxx -fuzz FuzzFit -fuzztime 15s .
@@ -75,6 +75,7 @@ fuzz-smoke:
 	$(GO) test -run xxx -fuzz '^FuzzKDTreeKNN$$' -fuzztime 10s ./internal/spatial/
 	$(GO) test -run xxx -fuzz '^FuzzProbeHealth$$' -fuzztime 10s ./internal/core/
 	$(GO) test -run xxx -fuzz '^FuzzDecodeBody$$' -fuzztime 10s ./serve/
+	$(GO) test -run xxx -fuzz '^FuzzServeHandlers$$' -fuzztime 10s ./serve/
 	$(GO) test -run xxx -fuzz '^FuzzCholesky$$' -fuzztime 10s ./internal/mat/
 
 # Global statement coverage with the ratcheted floor check.
@@ -89,13 +90,6 @@ cover:
 # Worker-parameterized microbenchmarks of the parallel compute layer.
 bench:
 	$(GO) test -run xxx -bench 'BenchmarkPairwiseDist2|BenchmarkBuildKNN|BenchmarkCGMulVec' -benchmem .
-
-# End-to-end check that the approximate large-n engine's certificate is
-# sound: fits n = 10k and 40k planar points both exactly and with
-# WithApprox, and fails if the certified sup-norm bound ever falls below the
-# measured error against the exact fit.
-largen-smoke:
-	$(GO) test -count=1 -run TestApproxCertificateDominatesLargeN -v .
 
 # End-to-end smoke of the serving subsystem: boots sslserve on a free port,
 # fits a model over HTTP, runs concurrent multi-point predicts, checks
@@ -113,7 +107,8 @@ cluster-smoke:
 # equivalence and escalation-ladder tests in stream/, the delta snapshot
 # roll-forward math, the HTTP /v1/ingest path (fit with "stream": true,
 # ingest, version bump, cache invalidation, backpressure, the worker's
-# refit and close lifecycle), and the registry hot-swap-under-load test.
+# refit and close lifecycle, concurrent fits of one name), and the registry
+# hot-swap-under-load test.
 stream-smoke:
 	$(GO) test -count=1 -run 'TestStream|TestZeroAllocStream' -v ./stream/
 	$(GO) test -count=1 -run 'TestIngest|TestModelApplyDelta|TestRegistryRollForward' -v ./serve/

@@ -29,34 +29,20 @@
 // WithSolver picks the linear-system backend: dense Cholesky/LU, sparse
 // conjugate gradient, or iterative label propagation. The default
 // (SolverAuto) plans a deterministic escalation chain from a pre-solve
-// health probe — preconditioned CG first on large systems, with a
-// multilevel (aggregation V-cycle) retry and dense fallbacks behind it.
-// WithPreconditioner selects the CG preconditioner (Jacobi, zero-fill incomplete
-// Cholesky with RCM reordering, or the multilevel hierarchy) when the
+// health probe — preconditioned CG first on large systems, with dense
+// fallbacks behind it. WithPreconditioner selects the CG preconditioner
+// (Jacobi, or zero-fill incomplete Cholesky with RCM reordering) when the
 // automatic choice is not wanted. WithWorkers bounds the worker goroutines
 // used by graph construction, SpMV, and batch prediction; results are
 // bitwise identical for every worker count. WithDiagnostics fills a Report
 // with stage timings, the solver trace, and any fallbacks taken.
 //
-// # Approximate large-n engine
-//
-// WithApprox(tol) admits a Nyström-style approximate fit for the hard
-// criterion: the engine coarsens the point set to m ≪ n anchors, solves
-// the reduced harmonic system, extends by Nadaraya–Watson estimation, and
-// certifies the result with a computable sup-norm error bound (an M-matrix
-// barrier certificate). The approximate answer is kept only when the
-// certified bound is at most tol — otherwise the fit transparently falls
-// back to the exact path and records the rejection in the Report. Every
-// accepted fit carries its bound in Result.ApproxBound and serves it
-// through ModelSnapshot. WithApprox(0), the default, disables the engine
-// and is bitwise identical to the exact path.
-//
 // # Serving
 //
-// Result.Snapshot freezes a fit (scores, kernel, bandwidth, anchors, and
-// any approximation certificate) into a ModelSnapshot; the serve
-// subpackage turns snapshots into HTTP prediction services with SIMD
-// batch scoring, anchor pruning, a prediction cache, and load shedding.
+// Result.Snapshot freezes a fit (scores, kernel, bandwidth and anchors)
+// into a ModelSnapshot; the serve subpackage turns snapshots into HTTP
+// prediction services with SIMD batch scoring, anchor pruning, a
+// prediction cache, and load shedding.
 //
 // # Distributed fits
 //

@@ -45,7 +45,8 @@ func FitGraph(w *sparse.CSR, y []float64, labeled []int, opts ...Option) (*Resul
 		core.WithMethod(cfg.solver),
 		core.WithTolerance(cfg.tol),
 		core.WithMaxIter(cfg.maxIter),
-		core.WithWorkers(cfg.workers))
+		core.WithWorkers(cfg.workers),
+		core.WithPreconditioner(cfg.precond))
 	if err != nil {
 		return nil, translateCoreErr(err)
 	}

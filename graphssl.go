@@ -7,7 +7,6 @@ import (
 	"math"
 	"time"
 
-	"repro/internal/approx"
 	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/graph"
@@ -57,11 +56,6 @@ const (
 	// results and reports. It is selected with WithCluster or
 	// WithClusterShards, never with WithSolver.
 	SolverCluster = core.MethodCluster
-	// SolverNystrom identifies the approximate anchor-subset (Nyström)
-	// engine in fitted results and reports. It is selected with WithApprox
-	// — never with WithSolver — and only kept when its certified error
-	// bound meets the requested tolerance.
-	SolverNystrom = core.MethodNystrom
 )
 
 // Precond selects the preconditioner of CG-backed solves.
@@ -108,8 +102,6 @@ type config struct {
 	ctx         context.Context // nil = never canceled
 	report      *Report         // non-nil: fill diagnostics
 	autoCutoff  int             // 0 = core default dense/iterative cutover
-	approxTol   float64         // >0: try the Nyström engine under this bound
-	approxM     int             // >0: anchor-count override for WithApprox
 }
 
 func defaultConfig() config {
@@ -233,34 +225,6 @@ func withClusterDialer(d cluster.Dialer) Option {
 	return optionFunc(func(c *config) { c.dialer = d })
 }
 
-// WithApprox arms the approximate large-n engine: the fit first tries the
-// Nyström anchor-subset solver (hierarchical KD coarsening picks m ≪ n
-// anchors, the reduced hard system is solved exactly, and the scores are
-// extended to all points by truncated kernel regression), and keeps that
-// answer only when its computable sup-norm error bound — certified against
-// the exact solution of the same system, never estimated — is at most tol.
-// Otherwise the fit falls back to the exact path automatically, recording
-// the reason in the diagnostics Report. Accepted approximate fits report
-// SolverNystrom, carry the certificate in Result.ApproxBound, and set
-// Result.Residual to the bound.
-//
-// tol = 0 (the default) disables the engine entirely: every fitted score
-// is bitwise-identical to a fit without this option. tol must be ≥ 0 and
-// finite. The engine applies to the hard criterion (λ = 0) on
-// single-machine fits; combining WithApprox with WithLambda(>0) or the
-// cluster options is an error.
-func WithApprox(tol float64) Option {
-	return optionFunc(func(c *config) { c.approxTol = tol })
-}
-
-// WithApproxAnchors overrides the anchor budget m of WithApprox (default
-// ≈ 8√n, the classical Nyström sizing). Larger budgets tighten the error
-// bound at higher reduced-solve cost. Only meaningful together with
-// WithApprox; m must be positive.
-func WithApproxAnchors(m int) Option {
-	return optionFunc(func(c *config) { c.approxM = m })
-}
-
 // WithContext attaches a context to the fit. Iterative solvers check it
 // once per iteration sweep and the pipeline checks it between stages, so
 // canceling the context (or exceeding its deadline) aborts the fit with
@@ -312,16 +276,9 @@ type Result struct {
 	KNN int
 	// Solver is the backend that produced the solution.
 	Solver Solver
-	// Iterations and Residual report iterative-backend work. For accepted
-	// approximate fits (Solver == SolverNystrom) Residual holds the
-	// certified sup-norm error bound.
+	// Iterations and Residual report iterative-backend work.
 	Iterations int
 	Residual   float64
-	// ApproxBound is the certified sup-norm error bound of an accepted
-	// approximate fit: ‖Scores − exact‖∞ ≤ ApproxBound. Zero for exact
-	// fits. ApproxAnchors is the reduced system size that produced it.
-	ApproxBound   float64
-	ApproxAnchors int
 	// GraphStats summarizes the similarity graph.
 	GraphStats graph.Stats
 }
@@ -346,11 +303,6 @@ type ModelSnapshot struct {
 	Bandwidth float64
 	KNN       int
 	Lambda    float64
-	// ApproxBound carries the certified sup-norm error bound of an
-	// accepted WithApprox fit into serving (0 for exact fits), so served
-	// models can report how far their scores may sit from the exact
-	// solution.
-	ApproxBound float64
 }
 
 // Dim returns the input dimension.
@@ -388,15 +340,14 @@ func (r *Result) Snapshot(x [][]float64, y []float64) (*ModelSnapshot, error) {
 		return nil, fmt.Errorf("graphssl: zero-dimensional snapshot inputs: %w", ErrParam)
 	}
 	snap := &ModelSnapshot{
-		X:           make([][]float64, len(x)),
-		Y:           append([]float64(nil), y...),
-		Labeled:     append([]int(nil), r.Labeled...),
-		Scores:      append([]float64(nil), r.Scores...),
-		Kernel:      r.Kernel,
-		Bandwidth:   r.Bandwidth,
-		KNN:         r.KNN,
-		Lambda:      r.Lambda,
-		ApproxBound: r.ApproxBound,
+		X:         make([][]float64, len(x)),
+		Y:         append([]float64(nil), y...),
+		Labeled:   append([]int(nil), r.Labeled...),
+		Scores:    append([]float64(nil), r.Scores...),
+		Kernel:    r.Kernel,
+		Bandwidth: r.Bandwidth,
+		KNN:       r.KNN,
+		Lambda:    r.Lambda,
 	}
 	for i, xi := range x {
 		if len(xi) != dim {
@@ -443,7 +394,6 @@ func fit(x [][]float64, y []float64, labeled []int, opts []Option) (*Result, *Re
 	}
 
 	var sol *core.Solution
-	var approxInfo *ApproxInfo
 	solveStart := time.Now()
 	if cfg.clusterSet || cfg.shards != 0 {
 		sol, err = solveDistributed(p, cfg, x, y)
@@ -451,17 +401,9 @@ func fit(x [][]float64, y []float64, labeled []int, opts []Option) (*Result, *Re
 			return nil, cfg.report, err
 		}
 	} else {
-		if cfg.approxTol > 0 {
-			sol, approxInfo, err = solveApprox(p, cfg, x, y, bw)
-			if err != nil {
-				return nil, cfg.report, err
-			}
-		}
-		if sol == nil {
-			sol, err = solveExact(p, cfg)
-			if err != nil {
-				return nil, cfg.report, translateCoreErr(err)
-			}
+		sol, err = solveExact(p, cfg)
+		if err != nil {
+			return nil, cfg.report, translateCoreErr(err)
 		}
 	}
 	cfg.report.addStage("solve", time.Since(solveStart))
@@ -472,11 +414,10 @@ func fit(x [][]float64, y []float64, labeled []int, opts []Option) (*Result, *Re
 		r.Residual = sol.Residual
 		r.Precond = sol.Precond
 		r.PrecondSetup = sol.PrecondSetup
-		r.Approx = approxInfo
 		r.fromTrace(sol.Trace)
 	}
 
-	res := &Result{
+	return &Result{
 		Scores:          sol.F,
 		Labeled:         p.Labeled(),
 		Unlabeled:       p.Unlabeled(),
@@ -489,12 +430,7 @@ func fit(x [][]float64, y []float64, labeled []int, opts []Option) (*Result, *Re
 		Iterations:      sol.Iterations,
 		Residual:        sol.Residual,
 		GraphStats:      g.Summary(),
-	}
-	if approxInfo != nil && approxInfo.Accepted {
-		res.ApproxBound = approxInfo.Bound
-		res.ApproxAnchors = approxInfo.Anchors
-	}
-	return res, cfg.report, nil
+	}, cfg.report, nil
 }
 
 // solveExact runs the single-machine exact solver stack — the historical
@@ -517,83 +453,6 @@ func solveExact(p *core.Problem, cfg config) (*core.Solution, error) {
 		solveOpts = append(solveOpts, core.WithAutoCutoff(cfg.autoCutoff))
 	}
 	return core.SolveSoft(p, cfg.lambda, solveOpts...)
-}
-
-// solveApprox attempts the Nyström anchor-subset engine. It returns a
-// non-nil solution only when the approximate answer's certified error
-// bound meets cfg.approxTol; every other outcome — system too small,
-// reduced solve infeasible, bound too loose — records an ApproxInfo (and a
-// Report fallback) and returns a nil solution so the caller runs the exact
-// path. Errors are terminal only for context cancellation, which never
-// falls back (matching the exact path's cancellation contract).
-func solveApprox(p *core.Problem, cfg config, x [][]float64, y []float64, bw float64) (*core.Solution, *ApproxInfo, error) {
-	info := &ApproxInfo{Tol: cfg.approxTol}
-	k, err := kernel.New(cfg.kernel, bw)
-	if err != nil {
-		info.Err = err.Error()
-		return nil, info, nil
-	}
-	ares, err := approx.SolveHard(p, x, approx.Options{
-		Kernel:  k,
-		KNN:     cfg.knn,
-		Anchors: cfg.approxM,
-		Tol:     cfg.tol,
-		MaxIter: cfg.maxIter,
-		Workers: cfg.workers,
-		Ctx:     cfg.ctx,
-	})
-	if err != nil {
-		if cfg.ctx != nil && (errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)) {
-			return nil, info, err
-		}
-		info.Err = err.Error()
-		countApprox(false)
-		if r := cfg.report; r != nil {
-			r.Fallbacks = append(r.Fallbacks, Fallback{
-				From:   SolverNystrom,
-				To:     cfg.solver,
-				Reason: "approximate engine unavailable: " + err.Error(),
-			})
-		}
-		return nil, info, nil
-	}
-	info.Anchors = ares.Anchors
-	info.Levels = ares.Levels
-	info.Bound = ares.Bound
-	info.BarrierIterations = ares.BarrierIterations
-	info.ReducedIterations = ares.ReducedIterations
-	info.Isolated = ares.Isolated
-	info.TreeNs = ares.TreeNs
-	info.ReducedNs = ares.ReducedNs
-	info.ExtendNs = ares.ExtendNs
-	info.CertifyNs = ares.CertifyNs
-	if !(ares.Bound <= cfg.approxTol) {
-		countApprox(false)
-		if r := cfg.report; r != nil {
-			r.Fallbacks = append(r.Fallbacks, Fallback{
-				From:   SolverNystrom,
-				To:     cfg.solver,
-				Reason: fmt.Sprintf("certified error bound %.6g exceeds approx tolerance %.6g", ares.Bound, cfg.approxTol),
-			})
-		}
-		return nil, info, nil
-	}
-	info.Accepted = true
-	countApprox(true)
-	full := make([]float64, len(x))
-	for i, l := range p.Labeled() {
-		full[l] = y[i]
-	}
-	for i, u := range p.Unlabeled() {
-		full[u] = ares.FUnlabeled[i]
-	}
-	return &core.Solution{
-		F:          full,
-		FUnlabeled: ares.FUnlabeled,
-		Method:     SolverNystrom,
-		Iterations: ares.ReducedIterations,
-		Residual:   ares.Bound,
-	}, info, nil
 }
 
 // solveDistributed routes the hard criterion through the sharded,
@@ -772,20 +631,6 @@ func prepare(x [][]float64, y []float64, labeled []int, opts []Option) (*core.Pr
 	}
 	if cfg.lambda < 0 || math.IsNaN(cfg.lambda) || math.IsInf(cfg.lambda, 0) {
 		return nil, cfg, 0, nil, fmt.Errorf("graphssl: λ=%v: %w", cfg.lambda, ErrParam)
-	}
-	if cfg.approxTol < 0 || math.IsNaN(cfg.approxTol) || math.IsInf(cfg.approxTol, 0) {
-		return nil, cfg, 0, nil, fmt.Errorf("graphssl: approx tolerance %v: %w", cfg.approxTol, ErrParam)
-	}
-	if cfg.approxM < 0 {
-		return nil, cfg, 0, nil, fmt.Errorf("graphssl: approx anchor budget %d: %w", cfg.approxM, ErrParam)
-	}
-	if cfg.approxTol > 0 {
-		if cfg.lambda != 0 {
-			return nil, cfg, 0, nil, fmt.Errorf("graphssl: WithApprox requires the hard criterion (λ=0), got λ=%v: %w", cfg.lambda, ErrParam)
-		}
-		if cfg.clusterSet || cfg.shards != 0 {
-			return nil, cfg, 0, nil, fmt.Errorf("graphssl: WithApprox and the cluster options are mutually exclusive: %w", ErrParam)
-		}
 	}
 
 	bwStart := time.Now()

@@ -237,6 +237,7 @@ func TestFitKNNGraph(t *testing.T) {
 
 func TestFitValidation(t *testing.T) {
 	x, y := twoClusters(21, 10, 4)
+	w := chainWeights(t, 5)
 	tests := []struct {
 		name string
 		run  func() error
@@ -254,6 +255,24 @@ func TestFitValidation(t *testing.T) {
 		{"negative lambda", func() error { _, err := Fit(x, y, nil, WithLambda(-1)); return err }},
 		{"bad labeled index", func() error { _, err := Fit(x, []float64{1}, []int{99}); return err }},
 		{"bad bandwidth", func() error { _, err := Fit(x, y, nil, WithBandwidth(-2)); return err }},
+		// Values past the exported preconditioners, the first one
+		// included, must be rejected, not run as Jacobi.
+		{"retired precond", func() error {
+			_, err := Fit(x, y, nil, WithSolver(SolverCG), WithPreconditioner(Precond(4)))
+			return err
+		}},
+		{"unknown precond", func() error {
+			_, err := Fit(x, y, nil, WithSolver(SolverCG), WithPreconditioner(Precond(99)))
+			return err
+		}},
+		{"unknown precond graph", func() error {
+			_, err := FitGraph(w, []float64{0, 1}, []int{0, 4}, WithPreconditioner(Precond(99)))
+			return err
+		}},
+		{"unknown precond multiclass", func() error {
+			_, err := FitMulticlass(x, []int{1, 0, 1, 0}, nil, false, WithPreconditioner(Precond(99)))
+			return err
+		}},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {

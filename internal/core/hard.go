@@ -33,12 +33,6 @@ const (
 	// cluster options), so core only names it for reporting; selecting it
 	// via WithMethod is an error.
 	MethodCluster
-	// MethodNystrom identifies the approximate anchor-subset (Nyström)
-	// engine. Like MethodCluster it lives above core (internal/approx,
-	// driven by the graphssl WithApprox option, since the anchor coarsening
-	// needs the raw points), so core only names it for reporting; selecting
-	// it via WithMethod is an error.
-	MethodNystrom
 )
 
 // String returns the method name.
@@ -56,8 +50,6 @@ func (m Method) String() string {
 		return "propagation"
 	case MethodCluster:
 		return "cluster"
-	case MethodNystrom:
-		return "nystrom"
 	default:
 		return fmt.Sprintf("Method(%d)", int(m))
 	}
@@ -80,13 +72,6 @@ const (
 	PrecondIC0
 	// PrecondNone runs unpreconditioned CG.
 	PrecondNone
-	// PrecondML applies the aggregation-multilevel V-cycle: coarse-grid
-	// corrections make PCG iteration counts nearly size-independent on
-	// large-diameter graphs where even IC(0) degrades. Falls back to the
-	// IC(0) path when the matrix graph has no usable hierarchy. The auto
-	// chain also tries it as the escalation tier between a failed IC(0)-CG
-	// attempt and the dense backends on large systems.
-	PrecondML
 )
 
 // String returns the preconditioner name.
@@ -100,8 +85,6 @@ func (p Precond) String() string {
 		return "ic0"
 	case PrecondNone:
 		return "none"
-	case PrecondML:
-		return "ml"
 	default:
 		return fmt.Sprintf("Precond(%d)", int(p))
 	}
@@ -186,12 +169,12 @@ func WithHealthProbe() SolveOption {
 	return solveOptionFunc(func(c *solveConfig) { c.probe = true })
 }
 
-func newSolveConfig(opts []SolveOption) solveConfig {
+func newSolveConfig(opts []SolveOption) (solveConfig, error) {
 	c := solveConfig{method: MethodAuto, tol: 1e-10, maxIter: 0, workers: 0}
 	for _, o := range opts {
 		o.apply(&c)
 	}
-	return c
+	return c, explicitPrecond(c.precond)
 }
 
 // Solution is the outcome of a criterion solve.
@@ -334,17 +317,29 @@ func explicitMethod(m Method) error {
 		return nil
 	case MethodCluster:
 		return fmt.Errorf("core: the cluster backend is driven by the distributed fit options, not WithMethod: %w", ErrParam)
-	case MethodNystrom:
-		return fmt.Errorf("core: the Nyström backend is driven by the WithApprox fit option, not WithMethod: %w", ErrParam)
 	default:
 		return fmt.Errorf("core: unknown method %d: %w", int(m), ErrParam)
+	}
+}
+
+// explicitPrecond rejects preconditioner values outside the exported set,
+// which solveCG would otherwise run as Jacobi.
+func explicitPrecond(p Precond) error {
+	switch p {
+	case PrecondAuto, PrecondJacobi, PrecondIC0, PrecondNone:
+		return nil
+	default:
+		return fmt.Errorf("core: unknown preconditioner %d: %w", int(p), ErrParam)
 	}
 }
 
 // SolveHard computes the hard-criterion solution (Eq. 5):
 // f_U = (D22 − W22)⁻¹ W21 Y, with f fixed to Y on labeled nodes.
 func SolveHard(p *Problem, opts ...SolveOption) (*Solution, error) {
-	cfg := newSolveConfig(opts)
+	cfg, err := newSolveConfig(opts)
+	if err != nil {
+		return nil, err
+	}
 	if err := ctxErr(cfg.ctx); err != nil {
 		return nil, err
 	}

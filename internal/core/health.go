@@ -189,12 +189,6 @@ const (
 	// when it runs as head of the auto chain, so pathological systems
 	// escalate instead of spinning to MaxIter.
 	chainStagnationWindow = 50
-	// mlEscalateMin is the system size from which the auto chain arms a
-	// multilevel-preconditioned CG retry between the IC(0)-CG head and the
-	// dense backends: below it dense factorization is cheap enough that
-	// the extra tier only adds latency (and small-system fallback traces
-	// stay exactly as they were).
-	mlEscalateMin = 4096
 )
 
 // planAuto decides the MethodAuto backend chain. It is a pure function of
@@ -241,19 +235,8 @@ func runChain(ctx context.Context, a *sparse.CSR, b []float64, cfg solveConfig) 
 		trace.Health = h
 	}
 	trace.Plan, trace.PlanReason = planAuto(trace.Health, n, cutoff)
-	if len(trace.Plan) > 0 && trace.Plan[0] == MethodCG &&
-		cfg.precond == PrecondAuto && n >= mlEscalateMin {
-		// Multilevel escalation tier: when the IC(0)-preconditioned head
-		// fails on a large system, a second CG attempt with the
-		// aggregation V-cycle often converges where densifying would cost
-		// O(n³); it is planned up front so the trace stays a pure function
-		// of the input. The second MethodCG entry is the ML retry.
-		trace.Plan = append([]Method{MethodCG}, trace.Plan...)
-		trace.PlanReason += "; multilevel CG retry armed before dense"
-	}
 
 	var lastErr error
-	cgSeen := 0
 	for i, m := range trace.Plan {
 		if err := ctxErr(ctx); err != nil {
 			return nil, sparse.SolveResult{}, m, trace, err
@@ -265,15 +248,8 @@ func runChain(ctx context.Context, a *sparse.CSR, b []float64, cfg solveConfig) 
 				Reason: lastErr.Error(),
 			})
 		}
-		attemptCfg := cfg
-		if m == MethodCG {
-			if cgSeen == 1 && cfg.precond == PrecondAuto {
-				attemptCfg.precond = PrecondML
-			}
-			cgSeen++
-		}
 		start := time.Now()
-		x, res, out, err := runBackend(ctx, m, a, b, attemptCfg, chainStagnationWindow)
+		x, res, out, err := runBackend(ctx, m, a, b, cfg, chainStagnationWindow)
 		att := Attempt{
 			Method:       m,
 			Iterations:   res.Iterations,

@@ -85,14 +85,16 @@ type MulticlassSolution struct {
 // WithWorkers; the per-class outputs land in fixed columns, keeping the
 // result bitwise-identical across worker counts.
 func (m *MulticlassProblem) Solve(lambda float64, normalize bool, opts ...SolveOption) (*MulticlassSolution, error) {
-	cfg := newSolveConfig(opts)
+	cfg, err := newSolveConfig(opts)
+	if err != nil {
+		return nil, err
+	}
 	nU := m.p.M()
 	k := len(m.classes)
 	scores := mat.NewDense(nU, k)
 	// λ=0: factor D22−W22 once and reuse it for every class indicator.
 	var fact *HardFactorization
 	if lambda == 0 {
-		var err error
 		fact, err = NewHardFactorization(m.p)
 		if err != nil {
 			return nil, err

@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"errors"
 	"time"
 
 	"repro/internal/precond"
@@ -61,21 +60,6 @@ func solveCG(ctx context.Context, a *sparse.CSR, b []float64, cfg solveConfig, s
 	case PrecondNone:
 		x, res, err := sparse.CG(a, b, base)
 		return x, res, cgOutcome{name: "none"}, err
-	case PrecondML:
-		start := time.Now()
-		m, err := precond.NewML(a)
-		if err != nil {
-			if errors.Is(err, precond.ErrNoHierarchy) {
-				// The matrix graph does not coarsen (near-diagonal system):
-				// degrade to the IC(0)+RCM tier rather than fail the attempt.
-				cfg.precond = PrecondIC0
-				return solveCG(ctx, a, b, cfg, stagnationWindow)
-			}
-			return nil, sparse.SolveResult{}, cgOutcome{}, err
-		}
-		out := cgOutcome{name: "ml", setup: time.Since(start)}
-		x, res, err := sparse.PCG(a, b, sparse.PCGOptions{CGOptions: base, M: m})
-		return x, res, out, err
 	case PrecondIC0:
 		start := time.Now()
 		perm, err := sparse.RCM(a)

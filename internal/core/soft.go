@@ -28,7 +28,10 @@ func SolveSoft(p *Problem, lambda float64, opts ...SolveOption) (*Solution, erro
 	if lambda == 0 {
 		return SolveHard(p, opts...)
 	}
-	cfg := newSolveConfig(opts)
+	cfg, err := newSolveConfig(opts)
+	if err != nil {
+		return nil, err
+	}
 	if err := ctxErr(cfg.ctx); err != nil {
 		return nil, err
 	}
@@ -179,7 +182,10 @@ func SoftSweep(p *Problem, lambdas []float64, opts ...SolveOption) ([]LambdaPath
 			return nil, fmt.Errorf("core: lambda=%v: %w", l, ErrParam)
 		}
 	}
-	cfg := newSolveConfig(opts)
+	cfg, err := newSolveConfig(opts)
+	if err != nil {
+		return nil, err
+	}
 	if (cfg.method != MethodAuto && cfg.method != MethodCG) ||
 		(cfg.precond != PrecondAuto && cfg.precond != PrecondJacobi) {
 		return LambdaPath(p, lambdas, opts...)

@@ -267,11 +267,9 @@ func TestSolveMethodDispatch(t *testing.T) {
 		{"hard/zero", hard, Method(0)},
 		{"hard/unknown", hard, Method(99)},
 		{"hard/cluster", hard, MethodCluster},
-		{"hard/nystrom", hard, MethodNystrom},
 		{"soft/zero", soft, Method(0)},
 		{"soft/unknown", soft, Method(99)},
 		{"soft/cluster", soft, MethodCluster},
-		{"soft/nystrom", soft, MethodNystrom},
 		{"soft/propagation", soft, MethodPropagation},
 	}
 	for _, c := range cases {

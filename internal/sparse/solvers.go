@@ -81,14 +81,6 @@ type PCGOptions struct {
 	// May alias X0 (the warm-start idiom: solve in place of the previous
 	// solution).
 	Dst []float64
-	// Stop, when non-nil, is evaluated once per iteration on the current
-	// iterate and the recursively updated residual; returning true accepts
-	// the iterate and ends the solve with a nil error. It enables
-	// acceptance criteria the 2-norm tolerance cannot express (e.g. the
-	// pointwise residual bound a barrier certificate needs). The recursion
-	// residual can drift from the true b−Ax, so acceptance-critical
-	// callers must re-validate the returned iterate themselves.
-	Stop func(x, r []float64) bool
 	// Ws supplies the scratch vectors. nil draws one from the internal
 	// size-bucketed pool for the duration of the call. Passing an explicit
 	// workspace across repeated solves makes the warm path allocation-free.
@@ -205,9 +197,6 @@ func PCG(a *CSR, b []float64, opts PCGOptions) ([]float64, SolveResult, error) {
 	bestRes, bestIt := res, 0
 	for it := 0; it < opts.MaxIter; it++ {
 		if res <= opts.Tol {
-			return x, SolveResult{Iterations: it, Residual: res}, nil
-		}
-		if opts.Stop != nil && opts.Stop(x, r) {
 			return x, SolveResult{Iterations: it, Residual: res}, nil
 		}
 		if err := ctxErr(opts.Ctx); err != nil {

@@ -48,7 +48,8 @@ func FitMulticlass(x [][]float64, labels []int, labeled []int, normalize bool, o
 		core.WithMethod(cfg.solver),
 		core.WithTolerance(cfg.tol),
 		core.WithMaxIter(cfg.maxIter),
-		core.WithWorkers(cfg.workers))
+		core.WithWorkers(cfg.workers),
+		core.WithPreconditioner(cfg.precond))
 	if err != nil {
 		return nil, translateCoreErr(err)
 	}

@@ -25,39 +25,6 @@ type Fallback struct {
 	Reason string
 }
 
-// ApproxInfo documents one attempt of the approximate large-n (Nyström)
-// engine armed by WithApprox. The certificate is a posteriori and exact:
-// when Accepted, the fitted scores differ from the exact solution of the
-// same system by at most Bound in sup norm.
-type ApproxInfo struct {
-	// Anchors is the reduced system size (labels + coarsening
-	// representatives); Levels the multilevel hierarchy depth behind the
-	// certificate's barrier solve.
-	Anchors int
-	Levels  int
-	// Bound is the certified sup-norm error bound (+Inf when no
-	// certificate exists); Tol the acceptance threshold from WithApprox.
-	Bound float64
-	Tol   float64
-	// Accepted reports whether the approximate answer was kept. When
-	// false the fit fell back to the exact path (see Fallbacks).
-	Accepted bool
-	// ReducedIterations and BarrierIterations report the iterative work of
-	// the reduced solve and the certificate's barrier solve.
-	ReducedIterations int
-	BarrierIterations int
-	// Isolated counts extension points with zero similarity mass to every
-	// selected anchor (they inflate the bound).
-	Isolated int
-	// Err records why the engine was unavailable (system too small,
-	// reduced graph disconnected, …); empty when the attempt ran.
-	Err string
-	// Per-stage wall times of the engine's pipeline: spatial coarsening,
-	// reduced build+solve, NW extension (with its Jacobi polish), and
-	// the barrier certificate.
-	TreeNs, ReducedNs, ExtendNs, CertifyNs int64
-}
-
 // Health summarizes the pre-solve numerical-health probe of the linear
 // system. All fields are deterministic functions of the input data; see
 // Report for how to read them.
@@ -128,9 +95,6 @@ type Report struct {
 	PrecondSetup time.Duration
 	// Fallbacks are the escalations taken; empty on the happy path.
 	Fallbacks []Fallback
-	// Approx documents the Nyström attempt of a WithApprox fit (nil when
-	// the engine was not armed): the certificate and whether it was kept.
-	Approx *ApproxInfo
 	// Health is the pre-solve probe of the solved system (nil when the
 	// plan did not need it and diagnostics did not force it).
 	Health *Health
@@ -197,18 +161,7 @@ var (
 	precondChosen       = expvar.NewMap("graphssl.precond_chosen")
 	precondSetupNanos   = expvar.NewInt("graphssl.precond_setup_nanos_total")
 	snapshotsTotal      = expvar.NewInt("graphssl.snapshots_total")
-	approxAcceptedTotal = expvar.NewInt("graphssl.approx_accepted_total")
-	approxFallbackTotal = expvar.NewInt("graphssl.approx_fallbacks_total")
 )
-
-// countApprox updates the expvar counters from one Nyström-engine attempt.
-func countApprox(accepted bool) {
-	if accepted {
-		approxAcceptedTotal.Add(1)
-	} else {
-		approxFallbackTotal.Add(1)
-	}
-}
 
 // countSnapshot updates the expvar counters from one successful Result
 // snapshot (the serve subsystem's model-freeze hook).

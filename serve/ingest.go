@@ -302,31 +302,9 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		fail(w, fmt.Errorf("serve: %d responses for %d points: %w", len(req.Y), n, ErrPoint))
 		return
 	}
-	if _, err := s.registry.Load(req.Model); err != nil {
+	st, err := s.admitIngest(req.Model, ingestJob{pts: req.Points, y: req.Y, arrival: time.Now()})
+	if err != nil {
 		fail(w, err)
-		return
-	}
-	st := s.ingestStateFor(req.Model)
-	if st == nil {
-		fail(w, fmt.Errorf("serve: model %q was not fitted with \"stream\": true: %w", req.Model, ErrPoint))
-		return
-	}
-	// Backpressure: admission is bounded in points, not requests, so a
-	// burst of large bodies cannot grow the in-flight state without
-	// limit.
-	if st.pending.Add(int64(n)) > int64(s.cfg.IngestQueue) {
-		st.pending.Add(-int64(n))
-		ingRejected.Add(int64(n))
-		fail(w, fmt.Errorf("serve: ingest queue for %q is full: %w", req.Model, ErrOverloaded))
-		return
-	}
-	job := ingestJob{pts: req.Points, y: req.Y, arrival: time.Now()}
-	select {
-	case st.ch <- job:
-	default:
-		st.pending.Add(-int64(n))
-		ingRejected.Add(int64(n))
-		fail(w, fmt.Errorf("serve: ingest queue for %q is full: %w", req.Model, ErrOverloaded))
 		return
 	}
 	writeJSON(w, http.StatusAccepted, ingestResponse{
@@ -334,4 +312,37 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		Accepted: n,
 		Pending:  st.pending.Load(),
 	})
+}
+
+// admitIngest enqueues job onto the ingest state of the streaming model
+// name. It holds publishMu across the lookup and the non-blocking
+// enqueue, so a job is never queued onto a state that a concurrent refit
+// or delete has already retired.
+func (s *Server) admitIngest(name string, job ingestJob) (*ingestState, error) {
+	s.publishMu.Lock()
+	defer s.publishMu.Unlock()
+	if _, err := s.registry.Load(name); err != nil {
+		return nil, err
+	}
+	st := s.ingestStateFor(name)
+	if st == nil {
+		return nil, fmt.Errorf("serve: model %q was not fitted with \"stream\": true: %w", name, ErrPoint)
+	}
+	// Backpressure: admission is bounded in points, not requests, so a
+	// burst of large bodies cannot grow the in-flight state without
+	// limit.
+	n := int64(len(job.pts))
+	if st.pending.Add(n) > int64(s.cfg.IngestQueue) {
+		st.pending.Add(-n)
+		ingRejected.Add(n)
+		return nil, fmt.Errorf("serve: ingest queue for %q is full: %w", name, ErrOverloaded)
+	}
+	select {
+	case st.ch <- job:
+		return st, nil
+	default:
+		st.pending.Add(-n)
+		ingRejected.Add(n)
+		return nil, fmt.Errorf("serve: ingest queue for %q is full: %w", name, ErrOverloaded)
+	}
 }

@@ -1,10 +1,12 @@
 package serve
 
 import (
+	"bytes"
 	"encoding/json"
 	"math"
 	"math/rand"
 	"net/http"
+	"net/http/httptest"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -470,6 +472,59 @@ func TestIngestCloseAppliesAdmitted(t *testing.T) {
 	}
 	if a := got.Model.Info().Anchors; a != len(labeled)+n {
 		t.Fatalf("served anchors = %d, want %d", a, len(labeled)+n)
+	}
+}
+
+// TestIngestConcurrentFitsAgree races a streaming fit against a plain
+// Gaussian fit of the same name. Whichever publishes last must own both
+// halves of the name: a streaming entry has a registered ingest state
+// that owns its version, and a plain entry has none.
+func TestIngestConcurrentFitsAgree(t *testing.T) {
+	x, y, labeled := streamData(37, 64, 16)
+	const h = 0.35
+	var bodies [][]byte
+	for _, req := range []fitRequest{
+		{X: x, Y: y, Labeled: labeled, Kernel: "epanechnikov", Bandwidth: h, Stream: true},
+		{X: x, Y: y, Labeled: labeled, Bandwidth: h},
+	} {
+		b, err := json.Marshal(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		bodies = append(bodies, b)
+	}
+	srv := NewServer(Config{Workers: 1})
+	defer srv.Close()
+	handler := srv.Handler()
+	for run := 0; run < 150; run++ {
+		start := make(chan struct{})
+		var wg sync.WaitGroup
+		for _, b := range bodies {
+			wg.Add(1)
+			go func(b []byte) {
+				defer wg.Done()
+				<-start
+				rec := httptest.NewRecorder()
+				handler.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/models/race", bytes.NewReader(b)))
+				if rec.Code != http.StatusOK {
+					t.Errorf("fit: %d %s", rec.Code, rec.Body)
+				}
+			}(b)
+		}
+		close(start)
+		wg.Wait()
+		e, err := srv.registry.Load("race")
+		if err != nil {
+			t.Fatal(err)
+		}
+		st := srv.ingestStateFor("race")
+		if kind := e.Model.Info().Kernel; kind == "epanechnikov" {
+			if st == nil || st.version != e.Version {
+				t.Fatalf("run %d: streaming entry at version %d has ingest state %+v", run, e.Version, st)
+			}
+		} else if st != nil {
+			t.Fatalf("run %d: plain %s entry at version %d kept the ingest state of version %d", run, kind, e.Version, st.version)
+		}
 	}
 }
 

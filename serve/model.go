@@ -40,18 +40,17 @@ func (a AnchorSet) String() string {
 // the hyperparameters it was fitted with. It is safe for unbounded
 // concurrent use; all mutable prediction state is per-call.
 type Model struct {
-	dim         int
-	kind        kernel.Kind
-	bandwidth   float64
-	knn         int
-	topM        int
-	lambda      float64
-	anchorSet   AnchorSet
-	trainN      int
-	labeledN    int
-	approxBound float64
-	pred        *core.NWPredictor
-	workers     int
+	dim       int
+	kind      kernel.Kind
+	bandwidth float64
+	knn       int
+	topM      int
+	lambda    float64
+	anchorSet AnchorSet
+	trainN    int
+	labeledN  int
+	pred      *core.NWPredictor
+	workers   int
 }
 
 // ModelOption configures NewModel.
@@ -152,18 +151,17 @@ func NewModel(snap *graphssl.ModelSnapshot, opts ...ModelOption) (*Model, error)
 		return nil, fmt.Errorf("serve: snapshot predictor: %w", ErrSnapshot)
 	}
 	return &Model{
-		dim:         dim,
-		kind:        snap.Kernel,
-		bandwidth:   snap.Bandwidth,
-		knn:         snap.KNN,
-		topM:        cfg.topM,
-		lambda:      snap.Lambda,
-		anchorSet:   cfg.anchorSet,
-		trainN:      len(snap.X),
-		labeledN:    len(snap.Labeled),
-		approxBound: snap.ApproxBound,
-		pred:        pred,
-		workers:     cfg.workers,
+		dim:       dim,
+		kind:      snap.Kernel,
+		bandwidth: snap.Bandwidth,
+		knn:       snap.KNN,
+		topM:      cfg.topM,
+		lambda:    snap.Lambda,
+		anchorSet: cfg.anchorSet,
+		trainN:    len(snap.X),
+		labeledN:  len(snap.Labeled),
+		pred:      pred,
+		workers:   cfg.workers,
 	}, nil
 }
 
@@ -242,26 +240,22 @@ type Info struct {
 	// (full SIMD scan), "grid" or "kdtree" (exact compact-kernel ball
 	// rejection), or "knn" (top-m truncation with residual bounds).
 	Pruning string `json:"pruning"`
-	// ApproxBound is the certified sup-norm error bound of the snapshot's
-	// approximate (Nyström) fit; 0 for exactly fitted models.
-	ApproxBound float64 `json:"approx_bound,omitempty"`
 }
 
 // Info returns the model's hyperparameters and sizes.
 func (m *Model) Info() Info {
 	return Info{
-		Dim:         m.dim,
-		Kernel:      m.kind.String(),
-		Bandwidth:   m.bandwidth,
-		KNN:         m.knn,
-		TopM:        m.topM,
-		Lambda:      m.lambda,
-		AnchorSet:   m.anchorSet.String(),
-		Anchors:     m.pred.NumAnchors(),
-		TrainN:      m.trainN,
-		LabeledN:    m.labeledN,
-		Pruning:     m.pred.Path(),
-		ApproxBound: m.approxBound,
+		Dim:       m.dim,
+		Kernel:    m.kind.String(),
+		Bandwidth: m.bandwidth,
+		KNN:       m.knn,
+		TopM:      m.topM,
+		Lambda:    m.lambda,
+		AnchorSet: m.anchorSet.String(),
+		Anchors:   m.pred.NumAnchors(),
+		TrainN:    m.trainN,
+		LabeledN:  m.labeledN,
+		Pruning:   m.pred.Path(),
 	}
 }
 

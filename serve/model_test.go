@@ -272,42 +272,3 @@ func TestModelPredictBatchMixed(t *testing.T) {
 		t.Fatalf("isolated point: %v", errs[4])
 	}
 }
-
-// TestModelInfoCarriesApproxBound: a model built from an approximate fit
-// serves its certified error bound through Info, and exact fits serve
-// zero — a consumer can always see the certified quality of the scores
-// behind the endpoint.
-func TestModelInfoCarriesApproxBound(t *testing.T) {
-	rng := randx.New(21)
-	n := 2000
-	x := make([][]float64, n)
-	for i := range x {
-		x[i] = []float64{rng.Float64(), rng.Float64()}
-	}
-	var labeled []int
-	var y []float64
-	for i := 0; i < n; i += 40 {
-		labeled = append(labeled, i)
-		y = append(y, math.Sin(4*x[i][0])*math.Cos(3*x[i][1]))
-	}
-	base := []graphssl.Option{graphssl.WithBandwidth(0.12), graphssl.WithKNN(10)}
-	snap := fitSnapshot(t, x, y, labeled, append([]graphssl.Option{graphssl.WithApprox(50)}, base...)...)
-	if snap.ApproxBound == 0 {
-		t.Skip("approximate answer rejected; nothing to serve")
-	}
-	m, err := NewModel(snap)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := m.Info().ApproxBound; got != snap.ApproxBound {
-		t.Fatalf("Info().ApproxBound = %v, want %v", got, snap.ApproxBound)
-	}
-	exact := fitSnapshot(t, x, y, labeled, base...)
-	me, err := NewModel(exact)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := me.Info().ApproxBound; got != 0 {
-		t.Fatalf("exact fit served ApproxBound = %v, want 0", got)
-	}
-}

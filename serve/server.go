@@ -88,8 +88,12 @@ type Server struct {
 	inflight atomic.Int64 // uncached points under evaluation, capped at cfg.QueueDepth
 	budgets  sync.Map     // model name -> *atomic.Int64 in-flight uncached points
 	ingests  sync.Map     // model name -> *ingestState for streaming models
-	draining atomic.Bool
-	mux      *http.ServeMux
+	// publishMu orders a name's registry publication with its ingest
+	// registration: fit, delete and ingest admission each hold it across
+	// both, so the served entry and ingests never disagree.
+	publishMu sync.Mutex
+	draining  atomic.Bool
+	mux       *http.ServeMux
 }
 
 // NewServer builds a server around an empty registry.
@@ -419,18 +423,9 @@ func (s *Server) fit(w http.ResponseWriter, r *http.Request) (fitResponse, error
 	if err != nil {
 		return fitResponse{}, err
 	}
-	e, err := s.registry.Store(name, m)
+	e, err := s.publish(name, m, ing)
 	if err != nil {
 		return fitResponse{}, err
-	}
-	setModelVersion(e.Name, e.Version)
-	// A streaming fit registers its ingestor only after the initial
-	// publication, so the worker can never race the first Store; a plain
-	// refit under the same name retires any previous ingestor.
-	if ing != nil {
-		s.registerIngest(e, ing)
-	} else {
-		s.dropIngest(e.Name)
 	}
 	return fitResponse{
 		Model:   e.Name,
@@ -438,6 +433,26 @@ func (s *Server) fit(w http.ResponseWriter, r *http.Request) (fitResponse, error
 		Info:    m.Info(),
 		Seconds: time.Since(start).Seconds(),
 	}, nil
+}
+
+// publish stores a fitted model under name and, under the same hold of
+// publishMu, registers its ingestor (ing != nil) or retires the name's
+// previous one. The ingestor registers only after the initial
+// publication, so its worker can never race the first Store.
+func (s *Server) publish(name string, m *Model, ing *stream.Ingestor) (*Entry, error) {
+	s.publishMu.Lock()
+	defer s.publishMu.Unlock()
+	e, err := s.registry.Store(name, m)
+	if err != nil {
+		return nil, err
+	}
+	setModelVersion(e.Name, e.Version)
+	if ing != nil {
+		s.registerIngest(e, ing)
+	} else {
+		s.dropIngest(e.Name)
+	}
+	return e, nil
 }
 
 // buildModel validates a fit request and runs the transductive fit, the
@@ -570,12 +585,17 @@ func (s *Server) handleGet(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("name")
-	if err := s.registry.Delete(name); err != nil {
+	s.publishMu.Lock()
+	err := s.registry.Delete(name)
+	if err == nil {
+		clearModelVersion(name)
+		s.dropIngest(name)
+	}
+	s.publishMu.Unlock()
+	if err != nil {
 		fail(w, err)
 		return
 	}
-	clearModelVersion(name)
-	s.dropIngest(name)
 	// Drop the budget counter; in-flight requests holding it keep their
 	// reference and still release correctly. Cached predictions need no
 	// purge: Registry versions are monotonic across Delete, so a refit under

@@ -41,15 +41,14 @@ func (s *ModelSnapshot) ApplyDelta(d *SnapshotDelta) (*ModelSnapshot, error) {
 	dim := s.Dim()
 	n := len(s.X)
 	out := &ModelSnapshot{
-		X:           make([][]float64, n, n+len(d.X)),
-		Y:           make([]float64, len(s.Y), len(s.Y)+len(d.Y)),
-		Labeled:     make([]int, len(s.Labeled), len(s.Labeled)+len(d.X)),
-		Scores:      make([]float64, len(s.Scores), len(s.Scores)+len(d.X)),
-		Kernel:      s.Kernel,
-		Bandwidth:   s.Bandwidth,
-		KNN:         s.KNN,
-		Lambda:      s.Lambda,
-		ApproxBound: s.ApproxBound,
+		X:         make([][]float64, n, n+len(d.X)),
+		Y:         make([]float64, len(s.Y), len(s.Y)+len(d.Y)),
+		Labeled:   make([]int, len(s.Labeled), len(s.Labeled)+len(d.X)),
+		Scores:    make([]float64, len(s.Scores), len(s.Scores)+len(d.X)),
+		Kernel:    s.Kernel,
+		Bandwidth: s.Bandwidth,
+		KNN:       s.KNN,
+		Lambda:    s.Lambda,
 	}
 	copy(out.X, s.X)
 	copy(out.Y, s.Y)
