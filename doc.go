@@ -30,9 +30,9 @@
 // conjugate gradient, or iterative label propagation. The default
 // (SolverAuto) plans a deterministic escalation chain from a pre-solve
 // health probe — preconditioned CG first on large systems, with dense
-// fallbacks behind it. WithPreconditioner selects the CG preconditioner
-// (Jacobi, or zero-fill incomplete Cholesky with RCM reordering) when the
-// automatic choice is not wanted. WithWorkers bounds the worker goroutines
+// fallbacks behind it up to 8,192 unknowns. WithPreconditioner selects the
+// CG preconditioner (Jacobi, or zero-fill incomplete Cholesky with RCM
+// reordering) when the automatic choice is not wanted. WithWorkers bounds the worker goroutines
 // used by graph construction, SpMV, and batch prediction; results are
 // bitwise identical for every worker count. WithDiagnostics fills a Report
 // with stage timings, the solver trace, and any fallbacks taken.
@@ -43,16 +43,6 @@
 // into a ModelSnapshot; the serve subpackage turns snapshots into HTTP
 // prediction services with SIMD batch scoring, anchor pruning, a
 // prediction cache, and load shedding.
-//
-// # Distributed fits
-//
-// WithClusterShards(s) cuts the hard-criterion solve into s edge-cut-aware
-// shards and runs the sharded PCG engine over in-process workers;
-// FitDistributed runs the same engine across TCP worker processes started
-// with StartClusterWorker. The result is bitwise-identical across shard
-// counts and transports, and a crashed worker's shards are rebound to
-// survivors. The paper's label-propagation iteration (Eq. 5) stays on one
-// machine as WithSolver(SolverPropagation), parallel under WithWorkers.
 //
 // The experiment harnesses that regenerate the paper's figures live in
 // internal/experiments and are driven by cmd/sslrepro; the bench module

@@ -7,7 +7,6 @@ import (
 	"math"
 	"time"
 
-	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/graph"
 	"repro/internal/kernel"
@@ -21,13 +20,6 @@ var (
 	// from any labeled point in the similarity graph; predictions there are
 	// undefined. Enlarging the bandwidth or k usually fixes it.
 	ErrIsolated = errors.New("graphssl: unlabeled point isolated from all labels")
-	// ErrWorker is returned when a distributed fit (WithCluster,
-	// WithClusterShards, FitDistributed) exhausts its recovery budget: too
-	// many worker crashes, no live workers left, or a post-solve
-	// verification failure. The fit never returns a silently wrong answer —
-	// partial failures either recover transparently (surfaced in the
-	// diagnostics Report as a fallback) or end here.
-	ErrWorker = cluster.ErrWorker
 )
 
 // Kernel re-exports the kernel profiles accepted by WithKernel.
@@ -52,10 +44,6 @@ const (
 	SolverLU          = core.MethodLU
 	SolverCG          = core.MethodCG
 	SolverPropagation = core.MethodPropagation
-	// SolverCluster identifies the sharded distributed PCG engine in fitted
-	// results and reports. It is selected with WithCluster or
-	// WithClusterShards, never with WithSolver.
-	SolverCluster = core.MethodCluster
 )
 
 // Precond selects the preconditioner of CG-backed solves.
@@ -85,23 +73,19 @@ const (
 )
 
 type config struct {
-	kernel      Kernel
-	bwRule      bandwidthRule
-	bandwidth   float64
-	knn         int
-	lambda      float64
-	solver      Solver
-	tol         float64
-	maxIter     int
-	precond     Precond         // CG preconditioner; zero value = auto
-	workers     int             // parallel compute layer: 0 = GOMAXPROCS, 1 = serial
-	clusterSet  bool            // WithCluster was given (addrs may still be invalid)
-	clusterAddr []string        // worker addresses for the sharded PCG engine
-	shards      int             // >0: shard-count override (or in-process fleet size)
-	dialer      cluster.Dialer  // test seam; nil = TCP (or in-process when no addrs)
-	ctx         context.Context // nil = never canceled
-	report      *Report         // non-nil: fill diagnostics
-	autoCutoff  int             // 0 = core default dense/iterative cutover
+	kernel     Kernel
+	bwRule     bandwidthRule
+	bandwidth  float64
+	knn        int
+	lambda     float64
+	solver     Solver
+	tol        float64
+	maxIter    int
+	precond    Precond         // CG preconditioner; zero value = auto
+	workers    int             // parallel compute layer: 0 = GOMAXPROCS, 1 = serial
+	ctx        context.Context // nil = never canceled
+	report     *Report         // non-nil: fill diagnostics
+	autoCutoff int             // 0 = core default dense/iterative cutover
 }
 
 func defaultConfig() config {
@@ -186,43 +170,8 @@ func WithMaxIter(n int) Option {
 // per-class solves of FitMulticlass. n <= 0 (the default) selects
 // runtime.GOMAXPROCS(0); n == 1 forces the serial path. For any fixed
 // input, the fitted result is bitwise-identical across worker counts.
-//
-// WithWorkers is orthogonal to WithCluster and WithClusterShards: the former
-// parallelizes the numerical kernels in-process, the latter partition the
-// hard-criterion solve across the cluster engine's workers.
 func WithWorkers(n int) Option {
 	return optionFunc(func(c *config) { c.workers = n })
-}
-
-// WithCluster solves the hard criterion on a fleet of cluster workers (see
-// StartClusterWorker) with the sharded, halo-exchange PCG engine. The fit
-// partitions the propagation system into edge-cut-aware shards — one per
-// address by default, tunable with WithClusterShards — and coordinates the
-// solve over the workers with crash recovery: a dead worker's shards are
-// rebound to survivors and the solve restarts from the last checkpoint,
-// surfaced in the diagnostics Report as a fallback. When the recovery
-// budget is exhausted the fit fails with ErrWorker, never a silently wrong
-// answer. Only valid with λ = 0. For any fixed input, the fitted result is
-// bitwise-identical across address and shard counts.
-func WithCluster(addrs ...string) Option {
-	return optionFunc(func(c *config) {
-		c.clusterSet = true
-		c.clusterAddr = append([]string(nil), addrs...)
-	})
-}
-
-// WithClusterShards sets the shard count of a WithCluster fit, or — given
-// alone — runs the sharded PCG engine over n in-process workers, the
-// zero-deployment way to exercise the distributed solve path. n must be
-// positive.
-func WithClusterShards(n int) Option {
-	return optionFunc(func(c *config) { c.shards = n })
-}
-
-// withClusterDialer overrides the cluster transport; a test seam for fault
-// injection.
-func withClusterDialer(d cluster.Dialer) Option {
-	return optionFunc(func(c *config) { c.dialer = d })
 }
 
 // WithContext attaches a context to the fit. Iterative solvers check it
@@ -393,18 +342,10 @@ func fit(x [][]float64, y []float64, labeled []int, opts []Option) (*Result, *Re
 		return nil, cfg.report, err
 	}
 
-	var sol *core.Solution
 	solveStart := time.Now()
-	if cfg.clusterSet || cfg.shards != 0 {
-		sol, err = solveDistributed(p, cfg, x, y)
-		if err != nil {
-			return nil, cfg.report, err
-		}
-	} else {
-		sol, err = solveExact(p, cfg)
-		if err != nil {
-			return nil, cfg.report, translateCoreErr(err)
-		}
+	sol, err := solveExact(p, cfg)
+	if err != nil {
+		return nil, cfg.report, translateCoreErr(err)
 	}
 	cfg.report.addStage("solve", time.Since(solveStart))
 	if r := cfg.report; r != nil {
@@ -433,8 +374,8 @@ func fit(x [][]float64, y []float64, labeled []int, opts []Option) (*Result, *Re
 	}, cfg.report, nil
 }
 
-// solveExact runs the single-machine exact solver stack — the historical
-// fit path, bit for bit.
+// solveExact solves the fit's criterion on core's solver stack with the
+// fit's solver options.
 func solveExact(p *core.Problem, cfg config) (*core.Solution, error) {
 	solveOpts := []core.SolveOption{
 		core.WithMethod(cfg.solver),
@@ -453,98 +394,6 @@ func solveExact(p *core.Problem, cfg config) (*core.Solution, error) {
 		solveOpts = append(solveOpts, core.WithAutoCutoff(cfg.autoCutoff))
 	}
 	return core.SolveSoft(p, cfg.lambda, solveOpts...)
-}
-
-// solveDistributed routes the hard criterion through the sharded,
-// fault-tolerant PCG coordinator (WithCluster / WithClusterShards). The
-// returned solution carries the full score vector.
-func solveDistributed(p *core.Problem, cfg config, x [][]float64, y []float64) (*core.Solution, error) {
-	if cfg.lambda != 0 {
-		return nil, fmt.Errorf("graphssl: distributed propagation requires λ=0: %w", ErrParam)
-	}
-	if cfg.clusterSet && len(cfg.clusterAddr) == 0 {
-		return nil, fmt.Errorf("graphssl: WithCluster needs at least one worker address: %w", ErrParam)
-	}
-	if cfg.shards < 0 {
-		return nil, fmt.Errorf("graphssl: cluster shard count %d: %w", cfg.shards, ErrParam)
-	}
-	if err := ctxErr(cfg.ctx); err != nil {
-		return nil, err
-	}
-	sys, err := core.BuildPropagationSystem(p)
-	if err != nil {
-		return nil, translateCoreErr(err)
-	}
-	addrs := cfg.clusterAddr
-	dialer := cfg.dialer
-	if len(addrs) == 0 {
-		// WithClusterShards alone: an in-process fleet with one logical
-		// worker per shard.
-		addrs = make([]string, cfg.shards)
-		for i := range addrs {
-			addrs[i] = fmt.Sprintf("inproc-%d", i)
-		}
-		if dialer == nil {
-			dialer = cluster.InProcessDialer()
-		}
-	}
-	fu, res, err := cluster.SolvePCG(sys, addrs, cluster.PCGOptions{
-		Shards:  cfg.shards,
-		Tol:     cfg.tol,
-		MaxIter: cfg.maxIter,
-		Dialer:  dialer,
-	})
-	if err != nil {
-		return nil, fmt.Errorf("graphssl: cluster solve: %w", err)
-	}
-	sol := &core.Solution{
-		FUnlabeled: fu,
-		Method:     SolverCluster,
-		Iterations: res.Iterations,
-		Residual:   res.Residual,
-	}
-	if r := cfg.report; r != nil && (res.Restarts > 0 || res.Rebinds > 0) {
-		r.Fallbacks = append(r.Fallbacks, Fallback{
-			From: SolverCluster,
-			To:   SolverCluster,
-			Reason: fmt.Sprintf("recovered from worker failure: %d restart(s), %d shard rebind(s)",
-				res.Restarts, res.Rebinds),
-		})
-	}
-	full := make([]float64, len(x))
-	for i, l := range p.Labeled() {
-		full[l] = y[i]
-	}
-	for i, u := range p.Unlabeled() {
-		full[u] = sol.FUnlabeled[i]
-	}
-	sol.F = full
-	return sol, nil
-}
-
-// FitDistributed fits the hard criterion across a fleet of cluster workers:
-// Fit with WithCluster(addrs...) prepended. Remaining options apply as
-// usual; pass WithClusterShards to decouple the shard count from the fleet
-// size and WithDiagnostics to observe crash recovery.
-func FitDistributed(x [][]float64, y []float64, labeled []int, addrs []string, opts ...Option) (*Result, error) {
-	return Fit(x, y, labeled, append([]Option{WithCluster(addrs...)}, opts...)...)
-}
-
-// ClusterWorker is a running distributed-fit worker: a propagation service
-// listening on a TCP address, serving the shard bind, PCG iteration, and
-// gather RPCs for FitDistributed coordinators. Close is graceful and
-// idempotent.
-type ClusterWorker = cluster.Worker
-
-// StartClusterWorker starts a cluster worker listening on addr
-// (host:port; ":0" picks a free port — read it back with Addr). One worker
-// can serve many shards and many consecutive fits.
-func StartClusterWorker(addr string) (*ClusterWorker, error) {
-	w, err := cluster.StartWorker(addr)
-	if err != nil {
-		return nil, fmt.Errorf("graphssl: start cluster worker: %w", err)
-	}
-	return w, nil
 }
 
 // ctxErr reports the context's error, tolerating the nil (never canceled)

@@ -5,7 +5,6 @@ import (
 	"math"
 	"testing"
 
-	"repro/internal/cluster"
 	"repro/internal/randx"
 	"repro/internal/stats"
 )
@@ -156,41 +155,6 @@ func TestFitSolverBackendsAgree(t *testing.T) {
 				t.Fatalf("%v disagrees with LU at %d", s, i)
 			}
 		}
-	}
-}
-
-func TestFitDistributed(t *testing.T) {
-	x, y := twoClusters(13, 15, 6)
-	ref, err := Fit(x, y, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := FitDistributed(x, y, nil, []string{"w0", "w1", "w2"},
-		withClusterDialer(cluster.InProcessDialer()), WithTolerance(1e-12))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Solver != SolverCluster || res.Iterations <= 0 {
-		t.Fatalf("distributed metadata wrong: %+v", res)
-	}
-	for i := range ref.UnlabeledScores {
-		if math.Abs(res.UnlabeledScores[i]-ref.UnlabeledScores[i]) > 1e-6 {
-			t.Fatal("distributed result differs from direct solve")
-		}
-	}
-	// Full scores include labels.
-	for i, l := range res.Labeled {
-		if res.Scores[l] != y[i] {
-			t.Fatal("distributed result must interpolate labels")
-		}
-	}
-}
-
-func TestFitDistributedRejectsSoft(t *testing.T) {
-	x, y := twoClusters(15, 10, 4)
-	if _, err := FitDistributed(x, y, nil, []string{"w0", "w1"},
-		withClusterDialer(cluster.InProcessDialer()), WithLambda(1)); !errors.Is(err, ErrParam) {
-		t.Fatalf("want ErrParam, got %v", err)
 	}
 }
 

@@ -32,6 +32,40 @@ func contractionSystem(t *testing.T, seed int64, nTotal, nLabeled int) *Propagat
 	return sys
 }
 
+func TestBuildPropagationSystem(t *testing.T) {
+	rng := randx.New(1)
+	pts := make([]float64, 12)
+	for i := range pts {
+		pts[i] = rng.Norm()
+	}
+	y := make([]float64, 5)
+	for i := range y {
+		y[i] = rng.Bernoulli(0.5)
+	}
+	p, err := NewProblemLabeledFirst(fullGraph(t, pts, 1.2), y)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sys, err := BuildPropagationSystem(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sys.M() != p.M() {
+		t.Fatalf("M = %d, want %d", sys.M(), p.M())
+	}
+	if len(sys.D) != sys.M() || len(sys.B) != sys.M() {
+		t.Fatal("system slices inconsistent")
+	}
+	if r, c := sys.W.Dims(); r != sys.M() || c != sys.M() {
+		t.Fatalf("W is %dx%d, want %dx%d", r, c, sys.M(), sys.M())
+	}
+	for _, d := range sys.D {
+		if d <= 0 {
+			t.Fatal("nonpositive degree")
+		}
+	}
+}
+
 func TestContractionRateBelowOne(t *testing.T) {
 	sys := contractionSystem(t, 501, 25, 10)
 	rho, err := ContractionRate(sys)

@@ -17,7 +17,8 @@ type Method int
 const (
 	// MethodAuto plans a deterministic backend chain from system size and a
 	// pre-solve health probe: dense Cholesky→LU at or below the auto cutoff,
-	// CG-first with dense fallback above it (see planAuto).
+	// CG-first with dense fallback above it, and CG alone above
+	// maxDenseUnknowns (see planAuto).
 	MethodAuto Method = iota + 1
 	// MethodCholesky forces the dense Cholesky factorization.
 	MethodCholesky
@@ -28,11 +29,6 @@ const (
 	// MethodPropagation uses the classic iterative harmonic update
 	// f ← D22⁻¹ (W21 Y + W22 f), i.e. label propagation.
 	MethodPropagation
-	// MethodCluster identifies the sharded distributed PCG engine. The
-	// engine lives above core (internal/cluster, driven by the graphssl
-	// cluster options), so core only names it for reporting; selecting it
-	// via WithMethod is an error.
-	MethodCluster
 )
 
 // String returns the method name.
@@ -48,8 +44,6 @@ func (m Method) String() string {
 		return "cg"
 	case MethodPropagation:
 		return "propagation"
-	case MethodCluster:
-		return "cluster"
 	default:
 		return fmt.Sprintf("Method(%d)", int(m))
 	}
@@ -309,14 +303,12 @@ func buildHardSystem(p *Problem) (*hardSystem, error) {
 	return &hardSystem{a: a, b: b, w22: w22, d22: d22, pos: pos}, nil
 }
 
-// explicitMethod rejects the methods WithMethod cannot select for a
-// runBackend solve: the engines that live above core, and unknown values.
+// explicitMethod rejects a WithMethod value that runBackend cannot run:
+// anything but Cholesky, LU and CG.
 func explicitMethod(m Method) error {
 	switch m {
 	case MethodCholesky, MethodLU, MethodCG:
 		return nil
-	case MethodCluster:
-		return fmt.Errorf("core: the cluster backend is driven by the distributed fit options, not WithMethod: %w", ErrParam)
 	default:
 		return fmt.Errorf("core: unknown method %d: %w", int(m), ErrParam)
 	}

@@ -189,6 +189,11 @@ const (
 	// when it runs as head of the auto chain, so pathological systems
 	// escalate instead of spinning to MaxIter.
 	chainStagnationWindow = 50
+	// maxDenseUnknowns caps the systems above the cutoff that the auto
+	// chain may densify. One dense copy of n unknowns is 8n² bytes, 512 MiB
+	// at this size, and its factorization costs O(n³) with no cancellation
+	// point; above the cap a CG failure ends the solve instead.
+	maxDenseUnknowns = 8192
 )
 
 // planAuto decides the MethodAuto backend chain. It is a pure function of
@@ -200,6 +205,9 @@ func planAuto(h *Health, n, cutoff int) ([]Method, string) {
 	}
 	if n <= cutoff {
 		return []Method{MethodCholesky, MethodLU}, fmt.Sprintf("n=%d <= cutoff %d: direct dense", n, cutoff)
+	}
+	if n > maxDenseUnknowns {
+		return []Method{MethodCG}, "above the dense cap of 8192 unknowns: preconditioned CG only"
 	}
 	if h == nil {
 		return []Method{MethodCG, MethodCholesky, MethodLU}, "no probe: iterative first"

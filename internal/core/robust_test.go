@@ -4,7 +4,10 @@ import (
 	"context"
 	"errors"
 	"math"
+	"strconv"
+	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/graph"
 	"repro/internal/kernel"
@@ -321,6 +324,101 @@ func TestPlanAutoIsPureAndSizeGated(t *testing.T) {
 		if large[i] != again[i] {
 			t.Fatal("plan not reproducible")
 		}
+	}
+}
+
+// TestPlanAutoCapsDenseSize: above the cutoff and the dense cap, no probe
+// outcome may plan a dense backend, so the auto chain densifies no system
+// that large; at the cap the plans are the historical ones.
+func TestPlanAutoCapsDenseSize(t *testing.T) {
+	n := maxDenseUnknowns + 1
+	for _, c := range []struct {
+		name string
+		h    *Health
+	}{
+		{"no probe", nil},
+		{"zero diagonal", &Health{ZeroDiagonal: true, JacobiSpectralRadius: math.Inf(1), ConditionProxy: math.Inf(1)}},
+		{"rho >= 1", &Health{JacobiSpectralRadius: 1, ConditionProxy: math.Inf(1)}},
+		{"condition proxy", &Health{JacobiSpectralRadius: 1 - 1e-12, ConditionProxy: 2e12}},
+		{"healthy", &Health{JacobiSpectralRadius: 0.9, ConditionProxy: 19}},
+	} {
+		plan, reason := planAuto(c.h, n, 0)
+		if len(plan) != 1 || plan[0] != MethodCG || !strings.Contains(reason, strconv.Itoa(maxDenseUnknowns)) {
+			t.Errorf("%s: plan = %v (%s), want [cg] for the dense cap", c.name, plan, reason)
+		}
+	}
+	sick, _ := planAuto(&Health{JacobiSpectralRadius: 1, ConditionProxy: math.Inf(1)}, maxDenseUnknowns, 0)
+	if len(sick) != 2 || sick[0] != MethodCholesky {
+		t.Errorf("at the cap a near-singular system plans %v, want dense", sick)
+	}
+	healthy, _ := planAuto(&Health{JacobiSpectralRadius: 0.9, ConditionProxy: 19}, maxDenseUnknowns, 0)
+	if len(healthy) != 3 || healthy[1] != MethodCholesky {
+		t.Errorf("at the cap a healthy system plans %v, want [cg cholesky lu]", healthy)
+	}
+}
+
+// shiftedGridCSR builds the side×side 5-point grid Laplacian plus a small
+// diagonal shift: a large-diameter SPD system on which IC(0)-CG stagnates.
+func shiftedGridCSR(t *testing.T, side int, shift float64) *sparse.CSR {
+	t.Helper()
+	n := side * side
+	coo := sparse.NewCOO(n, n)
+	for r := 0; r < side; r++ {
+		for c := 0; c < side; c++ {
+			i := r*side + c
+			d := shift
+			if c+1 < side {
+				if err := coo.AddSym(i, i+1, -1); err != nil {
+					t.Fatal(err)
+				}
+				d++
+			}
+			if r+1 < side {
+				if err := coo.AddSym(i, i+side, -1); err != nil {
+					t.Fatal(err)
+				}
+				d++
+			}
+			if c > 0 {
+				d++
+			}
+			if r > 0 {
+				d++
+			}
+			if err := coo.Add(i, i, d); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	return coo.ToCSR()
+}
+
+// TestAutoChainStagnationAboveDenseCap: on a system past the dense cap a
+// stagnating IC(0)-CG head ends the chain with its own typed error instead
+// of escalating to a dense factorization (10,000 unknowns: an 800 MB copy
+// and a Cholesky of about 20 s). The chain itself takes tens of
+// milliseconds, under a second with the race detector.
+func TestAutoChainStagnationAboveDenseCap(t *testing.T) {
+	a := shiftedGridCSR(t, 100, 1e-6)
+	b := make([]float64, a.Rows())
+	for i := range b {
+		b[i] = float64(i%7) - 3
+	}
+	cfg, err := newSolveConfig(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	start := time.Now()
+	x, _, _, tr, err := runChain(nil, a, b, cfg)
+	elapsed := time.Since(start)
+	if !errors.Is(err, sparse.ErrStagnated) || x != nil {
+		t.Fatalf("want an error wrapping ErrStagnated, got %v", err)
+	}
+	if len(tr.Plan) != 1 || tr.Plan[0] != MethodCG || len(tr.Attempts) != 1 || len(tr.Fallbacks) != 0 {
+		t.Fatalf("plan %v, attempts %+v, fallbacks %+v: want one CG attempt", tr.Plan, tr.Attempts, tr.Fallbacks)
+	}
+	if elapsed > 5*time.Second {
+		t.Fatalf("chain took %v", elapsed)
 	}
 }
 

@@ -266,10 +266,8 @@ func TestSolveMethodDispatch(t *testing.T) {
 	}{
 		{"hard/zero", hard, Method(0)},
 		{"hard/unknown", hard, Method(99)},
-		{"hard/cluster", hard, MethodCluster},
 		{"soft/zero", soft, Method(0)},
 		{"soft/unknown", soft, Method(99)},
-		{"soft/cluster", soft, MethodCluster},
 		{"soft/propagation", soft, MethodPropagation},
 	}
 	for _, c := range cases {

@@ -3,8 +3,9 @@ package core
 import "repro/internal/sparse"
 
 // PropagationSystem is the hard criterion's fixed-point system in explicit
-// form, for external propagation engines (e.g. the distributed engine in
-// internal/cluster):
+// form, for readers outside the solver: ContractionRate, the consistency
+// diagnostics of internal/experiments, and the bench module's residual
+// check and layer probes:
 //
 //	f = D⁻¹ (B + W f),   solution of (D − W) f = B,
 //
@@ -17,8 +18,6 @@ type PropagationSystem struct {
 	W *sparse.CSR
 	// B is the labeled contribution W21·Y.
 	B []float64
-	// Unlabeled maps positions 0..m-1 back to node indices of the problem.
-	Unlabeled []int
 }
 
 // BuildPropagationSystem extracts the system from a problem. It performs
@@ -35,41 +34,8 @@ func BuildPropagationSystem(p *Problem) (*PropagationSystem, error) {
 			return nil, ErrIsolated
 		}
 	}
-	return &PropagationSystem{
-		D:         sys.d22,
-		W:         sys.w22,
-		B:         sys.b,
-		Unlabeled: p.Unlabeled(),
-	}, nil
+	return &PropagationSystem{D: sys.d22, W: sys.w22, B: sys.b}, nil
 }
 
 // M returns the number of unknowns.
 func (s *PropagationSystem) M() int { return len(s.B) }
-
-// Residual returns the relative fixed-point residual
-// max_k |f_k − (B + W f)_k / D_k| / (1 + max |f|).
-func (s *PropagationSystem) Residual(f []float64) (float64, error) {
-	wf, err := s.W.MulVec(f)
-	if err != nil {
-		return 0, err
-	}
-	var delta, scale float64
-	for k := range f {
-		next := (s.B[k] + wf[k]) / s.D[k]
-		d := next - f[k]
-		if d < 0 {
-			d = -d
-		}
-		if d > delta {
-			delta = d
-		}
-		a := f[k]
-		if a < 0 {
-			a = -a
-		}
-		if a > scale {
-			scale = a
-		}
-	}
-	return delta / (1 + scale), nil
-}

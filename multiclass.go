@@ -1,8 +1,6 @@
 package graphssl
 
 import (
-	"fmt"
-
 	"repro/internal/core"
 	"repro/internal/mat"
 )
@@ -28,17 +26,12 @@ type MulticlassResult struct {
 // (Zhu et al.'s CMN) against the labeled class frequencies.
 //
 // labels holds non-negative class ids aligned with labeled; labeled = nil
-// uses the paper's layout (first len(labels) points labeled). All Fit
-// options apply except the distributed ones (WithCluster,
-// WithClusterShards).
+// uses the paper's layout (first len(labels) points labeled).
 func FitMulticlass(x [][]float64, labels []int, labeled []int, normalize bool, opts ...Option) (*MulticlassResult, error) {
 	y := make([]float64, len(labels)) // placeholder responses for prepare
 	p, cfg, bw, _, err := prepare(x, y, labeled, opts)
 	if err != nil {
 		return nil, err
-	}
-	if cfg.clusterSet || cfg.shards != 0 {
-		return nil, fmt.Errorf("graphssl: multiclass does not support distributed fits: %w", ErrParam)
 	}
 	mp, err := core.BuildMulticlass(p, labels)
 	if err != nil {

@@ -69,9 +69,6 @@ func TestFitMulticlassValidation(t *testing.T) {
 	if _, err := FitMulticlass(nil, labels, nil, false); !errors.Is(err, ErrParam) {
 		t.Fatal("empty x must error")
 	}
-	if _, err := FitMulticlass(x, labels, nil, false, WithCluster("w0", "w1")); !errors.Is(err, ErrParam) {
-		t.Fatal("distributed must error")
-	}
 	single := make([]int, len(labels)) // one class only
 	if _, err := FitMulticlass(x, single, nil, false); !errors.Is(err, ErrParam) {
 		t.Fatal("single class must error")
