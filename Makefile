@@ -5,7 +5,7 @@ GOFMT ?= gofmt
 
 # Coverage ratchet: global statement coverage must not fall below this floor
 # (current coverage minus a 1% buffer). Raise it as coverage grows.
-COVER_FLOOR ?= 89.8
+COVER_FLOOR ?= 90.0
 
 all: build
 
@@ -102,13 +102,16 @@ bench:
 serve-smoke:
 	$(GO) test -count=1 -run TestServeSmoke -v ./cmd/sslserve/
 
-# End-to-end smoke of the streaming ingest subsystem: the incremental
-# equivalence and escalation-ladder tests in stream/, the delta snapshot
+# End-to-end smoke of the streaming ingest subsystem: the refresher's
+# rungs in internal/core (the in-place labeled-insert rung checked bitwise
+# against a rebuild), the incremental equivalence, escalation-ladder and
+# in-place-versus-rebuild tests in stream/, the delta snapshot
 # roll-forward math, the HTTP /v1/ingest path (fit with "stream": true,
-# ingest, version bump, cache invalidation, backpressure, the worker's
-# refit and close lifecycle, concurrent fits of one name), and the registry
-# hot-swap-under-load test.
+# ingest, version bump, cache invalidation, backpressure, publishing past
+# a failing refresh, the worker's refit and close lifecycle, concurrent
+# fits of one name), and the registry hot-swap-under-load test.
 stream-smoke:
+	$(GO) test -count=1 -run 'TestRefresher' -v ./internal/core/
 	$(GO) test -count=1 -run 'TestStream|TestZeroAllocStream' -v ./stream/
 	$(GO) test -count=1 -run 'TestIngest|TestModelApplyDelta|TestRegistryRollForward' -v ./serve/
 

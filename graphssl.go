@@ -377,6 +377,15 @@ func fit(x [][]float64, y []float64, labeled []int, opts []Option) (*Result, *Re
 // solveExact solves the fit's criterion on core's solver stack with the
 // fit's solver options.
 func solveExact(p *core.Problem, cfg config) (*core.Solution, error) {
+	solveOpts := coreSolveOptions(cfg)
+	if cfg.report != nil {
+		solveOpts = append(solveOpts, core.WithHealthProbe())
+	}
+	return core.SolveSoft(p, cfg.lambda, solveOpts...)
+}
+
+// coreSolveOptions translates the fit's solver options for core.
+func coreSolveOptions(cfg config) []core.SolveOption {
 	solveOpts := []core.SolveOption{
 		core.WithMethod(cfg.solver),
 		core.WithTolerance(cfg.tol),
@@ -387,13 +396,10 @@ func solveExact(p *core.Problem, cfg config) (*core.Solution, error) {
 	if cfg.ctx != nil {
 		solveOpts = append(solveOpts, core.WithContext(cfg.ctx))
 	}
-	if cfg.report != nil {
-		solveOpts = append(solveOpts, core.WithHealthProbe())
-	}
 	if cfg.autoCutoff > 0 {
 		solveOpts = append(solveOpts, core.WithAutoCutoff(cfg.autoCutoff))
 	}
-	return core.SolveSoft(p, cfg.lambda, solveOpts...)
+	return solveOpts
 }
 
 // ctxErr reports the context's error, tolerating the nil (never canceled)

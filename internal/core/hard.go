@@ -155,8 +155,9 @@ func WithPreconditioner(p Precond) SolveOption {
 	return solveOptionFunc(func(c *solveConfig) { c.precond = p })
 }
 
-// WithHealthProbe forces the pre-solve health probe to run even for small
-// MethodAuto systems (where the plan would not need it), so the resulting
+// WithHealthProbe forces the pre-solve health probe to run where the
+// MethodAuto plan does not read it — at or below the auto cutoff, and
+// above maxDenseUnknowns, where the plan is CG alone — so the resulting
 // trace carries conditioning diagnostics. Probing never changes the
 // solution; it only informs the plan and the report.
 func WithHealthProbe() SolveOption {

@@ -224,10 +224,12 @@ func planAuto(h *Health, n, cutoff int) ([]Method, string) {
 	return []Method{MethodCG, MethodCholesky, MethodLU}, "large well-conditioned system: preconditioned CG first"
 }
 
-// runChain executes the MethodAuto pipeline on A x = b: probe (for large
-// systems), plan, then attempt each backend in order, escalating on failure
-// and recording everything in the returned trace. Cancellation is never
-// escalated: a done context aborts the chain immediately.
+// runChain executes the MethodAuto pipeline on A x = b: probe (where the
+// plan reads it: above the cutoff and at most maxDenseUnknowns, or under
+// WithHealthProbe), plan, then attempt each backend in order, escalating
+// on failure and recording everything in the returned trace.
+// Cancellation is never escalated: a done context aborts the chain
+// immediately.
 func runChain(ctx context.Context, a *sparse.CSR, b []float64, cfg solveConfig) ([]float64, sparse.SolveResult, Method, *SolveTrace, error) {
 	n := a.Rows()
 	cutoff := cfg.autoCutoff
@@ -235,7 +237,7 @@ func runChain(ctx context.Context, a *sparse.CSR, b []float64, cfg solveConfig) 
 		cutoff = defaultAutoCutoff
 	}
 	trace := &SolveTrace{}
-	if n > cutoff || cfg.probe {
+	if (n > cutoff && n <= maxDenseUnknowns) || cfg.probe {
 		h, err := probeHealth(a, cfg.workers)
 		if err != nil {
 			return nil, sparse.SolveResult{}, MethodAuto, trace, err

@@ -84,6 +84,12 @@ type MulticlassSolution struct {
 // shared read-only graph or factorization), so they run in parallel under
 // WithWorkers; the per-class outputs land in fixed columns, keeping the
 // result bitwise-identical across worker counts.
+//
+// At λ=0 the classes share one dense factorization of D22−W22 where the
+// solve would be dense anyway: an explicit Cholesky or LU, or MethodAuto
+// at or below its cutoff. Elsewhere each class solves on its own, through
+// the auto chain or the chosen method, and never densifies a system the
+// auto chain would not.
 func (m *MulticlassProblem) Solve(lambda float64, normalize bool, opts ...SolveOption) (*MulticlassSolution, error) {
 	cfg, err := newSolveConfig(opts)
 	if err != nil {
@@ -92,15 +98,17 @@ func (m *MulticlassProblem) Solve(lambda float64, normalize bool, opts ...SolveO
 	nU := m.p.M()
 	k := len(m.classes)
 	scores := mat.NewDense(nU, k)
-	// λ=0: factor D22−W22 once and reuse it for every class indicator.
 	var fact *HardFactorization
-	if lambda == 0 {
+	if lambda == 0 && denseHard(cfg, nU) {
 		fact, err = NewHardFactorization(m.p)
 		if err != nil {
 			return nil, err
 		}
 	}
 	solveClass := func(ci int) error {
+		if err := ctxErr(cfg.ctx); err != nil {
+			return err
+		}
 		class := m.classes[ci]
 		y := make([]float64, len(m.yClass))
 		var prior float64
@@ -173,6 +181,23 @@ func (m *MulticlassProblem) Solve(lambda float64, normalize bool, opts ...SolveO
 		Predicted: pred,
 		Lambda:    lambda,
 	}, nil
+}
+
+// denseHard reports whether a hard solve of m unknowns under cfg runs on a
+// dense factorization.
+func denseHard(cfg solveConfig, m int) bool {
+	switch cfg.method {
+	case MethodCholesky, MethodLU:
+		return true
+	case MethodAuto:
+		cutoff := cfg.autoCutoff
+		if cutoff <= 0 {
+			cutoff = defaultAutoCutoff
+		}
+		return m <= cutoff
+	default:
+		return false
+	}
 }
 
 // clampPrior keeps empirical priors inside (0,1) so CMN stays defined even

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"math"
 
@@ -63,8 +64,14 @@ type RefreshStats struct {
 //  1. UpdateLabelValues — only b changes; warm PCG from the old solution
 //     against the unchanged matrix and preconditioner. Allocation-free
 //     once warm.
-//  2. AddLabels, and Rebase after structural edits — warm PCG on the new
-//     system seeded from the previous solution.
+//  2. AppendLabeled, AddLabels, and Rebase after structural edits — warm
+//     PCG on the new system seeded from the previous solution.
+//     AppendLabeled updates the held system in place; the other two
+//     assemble it afresh.
+//
+// Nodes added by AppendLabeled sit past the held problem's graph (the
+// tail): F, Labeled, Y and IsLabeled cover them, Problem does not, and
+// the next Rebase folds them in.
 //
 // Every rung reports the verified relative residual of the accepted
 // solution against the *new* system; the caller checks it against its
@@ -78,7 +85,7 @@ type Refresher struct {
 	sys *hardSystem
 	jac *precond.Jacobi // preconditioner of sys.a
 
-	f      []float64 // full solution over all nodes
+	f      []float64 // full solution over the graph's nodes, then the tail's labels
 	fu     []float64 // reduced solution, aligned with p.unlabeled
 	labIdx []int     // node → index into p.labeled, -1 otherwise
 
@@ -89,6 +96,10 @@ type Refresher struct {
 	maxIter int
 	workers int
 }
+
+// ErrNeedsRebuild reports a refresh the held system cannot take in place;
+// nothing was changed, and the caller rebuilds through Rebase.
+var ErrNeedsRebuild = errors.New("core: refresh needs a rebuilt system")
 
 // NewRefresher adopts an existing solution of p (its full score vector,
 // as produced by SolveHard) and prepares the incremental machinery.
@@ -139,12 +150,31 @@ func buildRefreshSystem(p *Problem) (*hardSystem, *precond.Jacobi, error) {
 	return sys, jac, nil
 }
 
-// F returns the current full score vector, aliased: callers must not
-// mutate it, and it is overwritten by the next refresh.
+// F returns the current full score vector, the tail's labels last,
+// aliased: callers must not mutate it, and it is overwritten by the next
+// refresh.
 func (r *Refresher) F() []float64 { return r.f }
 
-// Problem returns the current problem.
+// Problem returns the current problem; it does not cover the tail.
 func (r *Refresher) Problem() *Problem { return r.p }
+
+// Labeled returns a copy of the labeled node indices: the problem's, then
+// the tail's in append order.
+func (r *Refresher) Labeled() []int {
+	out := r.p.Labeled()
+	for node := r.p.g.N(); node < len(r.f); node++ {
+		out = append(out, node)
+	}
+	return out
+}
+
+// Y returns a copy of the responses, aligned with Labeled.
+func (r *Refresher) Y() []float64 { return append(r.p.Y(), r.f[r.p.g.N():]...) }
+
+// IsLabeled reports whether node is labeled; every tail node is.
+func (r *Refresher) IsLabeled(node int) bool {
+	return r.p.IsLabeled(node) || (node >= r.p.g.N() && node < len(r.f))
+}
 
 // Residual recomputes the true relative residual ‖b − A f_U‖/‖b‖ of the
 // current solution (one SpMV into the held scratch buffer; the
@@ -165,9 +195,9 @@ func (r *Refresher) Residual() float64 {
 	return mat.Norm2(s) / bn
 }
 
-// commit installs a new problem, system and preconditioner and (re)sizes
-// the solution and index buffers. fu2, when non-nil, becomes the reduced
-// solution.
+// commit installs a new problem, system and preconditioner, drops the
+// tail, and (re)sizes the solution and index buffers. fu2, when non-nil,
+// becomes the reduced solution.
 func (r *Refresher) commit(p *Problem, sys *hardSystem, jac *precond.Jacobi, fu2 []float64) {
 	r.p, r.sys, r.jac = p, sys, jac
 	n := p.g.N()
@@ -234,6 +264,9 @@ func (r *Refresher) UpdateLabelValues(nodes []int, vals []float64) (RefreshStats
 	if len(nodes) != len(vals) {
 		return st, fmt.Errorf("core: %d nodes, %d values: %w", len(nodes), len(vals), ErrParam)
 	}
+	if err := r.noTail(); err != nil {
+		return st, err
+	}
 	w := r.p.g.Weights()
 	for i, node := range nodes {
 		v := vals[i]
@@ -284,6 +317,9 @@ func (r *Refresher) AddLabels(nodes []int, vals []float64) (RefreshStats, error)
 	if len(nodes) != len(vals) {
 		return st, fmt.Errorf("core: %d nodes, %d values: %w", len(nodes), len(vals), ErrParam)
 	}
+	if err := r.noTail(); err != nil {
+		return st, err
+	}
 	seen := make(map[int]bool, len(nodes))
 	for i, node := range nodes {
 		if node < 0 || node >= r.p.g.N() || r.p.isLabeled[node] {
@@ -327,6 +363,110 @@ func (r *Refresher) AddLabels(nodes []int, vals []float64) (RefreshStats, error)
 	r.commit(p2, sys2, jac2, fu2)
 	st.Residual = r.Residual()
 	return st, nil
+}
+
+// noTail refuses the rungs that read graph rows while the tail is
+// non-empty: the held graph lacks the tail's edges.
+func (r *Refresher) noTail() error {
+	if len(r.f) > r.p.g.N() {
+		return ErrNeedsRebuild
+	}
+	return nil
+}
+
+// AppendLabeled adds labeled nodes past the held graph, to the tail, and
+// re-solves by warm PCG on the held system updated in place. A labeled
+// node adds no unknown: on each unlabeled neighbour u it adds its weight
+// w to the degree d22[u] and w·y to b[u]. A's pattern and off-diagonal
+// entries stay as they are; only the touched diagonal entries of A and
+// of the Jacobi preconditioner are rewritten, so the update costs
+// O(edges) and the solve is the only O(nnz) work.
+//
+// Batch node i gets index len(F())+i and response ys[i]; its edges are
+// cols[ptr[i]:ptr[i+1]], to lower node indices, with non-negative weights
+// vals[ptr[i]:ptr[i+1]].
+//
+// The result is bitwise what Rebase computes on the graph that holds the
+// tail as its last nodes, each new node's weight last in every row it
+// touches (as sparse.Overlay.Merge lays them out). There the degrees and
+// b are left-to-right sums over each row (CSR.RowSums, buildHardSystem's
+// column order), and adding the batch in index order rounds the held sums
+// the same way. The weight goes to the degree, not to the diagonal: with
+// a self-loop, A[u][u] is deg(u) − w_uu.
+//
+// It returns ErrNeedsRebuild, and changes nothing, when an edge reaches an
+// unknown whose held degree is not positive: a zero degree stores no
+// diagonal entry, so only a rebuild can place one. A system that passed
+// the coverage check with non-negative weights has no such unknown. After
+// a failed solve F and the tail are as they were, but the held system is
+// stale; Rebase rebuilds it.
+func (r *Refresher) AppendLabeled(ys []float64, ptr, cols []int, vals []float64) (RefreshStats, error) {
+	st := RefreshStats{Kind: RefreshWarmPCG}
+	if len(ptr) != len(ys)+1 || ptr[0] != 0 || ptr[len(ys)] != len(cols) || len(vals) != len(cols) {
+		return st, fmt.Errorf("core: %d responses, %d row pointers, %d columns, %d weights: %w", len(ys), len(ptr), len(cols), len(vals), ErrParam)
+	}
+	base := len(r.f)
+	for i, y := range ys {
+		if math.IsNaN(y) || math.IsInf(y, 0) {
+			return st, fmt.Errorf("core: non-finite label value: %w", ErrParam)
+		}
+		if ptr[i] > ptr[i+1] || ptr[i+1] > len(cols) {
+			return st, fmt.Errorf("core: appended node %d spans [%d, %d) of %d columns: %w", base+i, ptr[i], ptr[i+1], len(cols), ErrParam)
+		}
+		for c := ptr[i]; c < ptr[i+1]; c++ {
+			j, w := cols[c], vals[c]
+			if j < 0 || j >= base+i {
+				return st, fmt.Errorf("core: appended node %d has an edge to node %d: %w", base+i, j, ErrParam)
+			}
+			if !(w >= 0) || math.IsInf(w, 1) {
+				return st, fmt.Errorf("core: appended edge weight %v: %w", w, ErrParam)
+			}
+			if k := r.unknown(j); k >= 0 && !(r.sys.d22[k] > 0) {
+				return st, fmt.Errorf("core: unknown at node %d has degree %v: %w", j, r.sys.d22[k], ErrNeedsRebuild)
+			}
+		}
+	}
+
+	for i, y := range ys {
+		for c := ptr[i]; c < ptr[i+1]; c++ {
+			k := r.unknown(cols[c])
+			if k < 0 {
+				continue
+			}
+			w := vals[c]
+			r.sys.d22[k] += w
+			r.sys.b[k] += w * y
+			diag := r.sys.d22[k]
+			if loop := r.sys.w22.At(k, k); loop != 0 {
+				diag -= loop
+			}
+			// A positive degree always stores the diagonal entry.
+			_ = r.sys.a.SetAt(k, k, diag)
+			r.jac.SetDiag(k, diag)
+		}
+	}
+	r.f = append(r.f, ys...)
+
+	_, res, err := sparse.PCG(r.sys.a, r.sys.b, r.warmOpts(r.jac, r.fu))
+	st.Solves, st.Iterations = 1, res.Iterations
+	if err != nil {
+		r.f = r.f[:base]
+		return st, fmt.Errorf("core: append-labeled refresh: %w: %w", ErrSolver, err)
+	}
+	for k, u := range r.p.unlabeled {
+		r.f[u] = r.fu[k]
+	}
+	st.Residual = r.Residual()
+	return st, nil
+}
+
+// unknown returns node's position among the unknowns, or -1 for labeled
+// and tail nodes.
+func (r *Refresher) unknown(node int) int {
+	if node < len(r.sys.pos) {
+		return r.sys.pos[node]
+	}
+	return -1
 }
 
 // Rebase replaces the problem after structural edits (point inserts,

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"math"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -419,6 +420,55 @@ func TestAutoChainStagnationAboveDenseCap(t *testing.T) {
 	}
 	if elapsed > 5*time.Second {
 		t.Fatalf("chain took %v", elapsed)
+	}
+}
+
+// TestAutoProbeAboveDenseCapOnRequest: above maxDenseUnknowns the plan is
+// CG alone whatever the probe reads, so the chain probes only under
+// WithHealthProbe. Without it the trace carries no Health; with it the
+// trace does. The solution, plan and attempts are the same both ways, bit
+// for bit.
+func TestAutoProbeAboveDenseCapOnRequest(t *testing.T) {
+	a := shiftedGridCSR(t, 91, 0.05) // 8,281 unknowns
+	b := make([]float64, a.Rows())
+	for i := range b {
+		b[i] = float64(i%5) - 2
+	}
+	run := func(opts ...SolveOption) ([]float64, *SolveTrace) {
+		t.Helper()
+		cfg, err := newSolveConfig(append([]SolveOption{WithWorkers(1)}, opts...))
+		if err != nil {
+			t.Fatal(err)
+		}
+		x, _, m, tr, err := runChain(nil, a, b, cfg)
+		if err != nil || m != MethodCG {
+			t.Fatalf("chain settled on %v: %v", m, err)
+		}
+		return x, tr
+	}
+	x, plain := run()
+	xp, probed := run(WithHealthProbe())
+	if plain.Health != nil {
+		t.Fatal("auto solve above the dense cap ran the probe without WithHealthProbe")
+	}
+	if probed.Health == nil || probed.Health.Unknowns != a.Rows() {
+		t.Fatalf("WithHealthProbe trace health = %+v", probed.Health)
+	}
+	for i := range x {
+		if math.Float64bits(x[i]) != math.Float64bits(xp[i]) {
+			t.Fatalf("solution differs at %d with the probe", i)
+		}
+	}
+	if !slices.Equal(plain.Plan, probed.Plan) || plain.PlanReason != probed.PlanReason {
+		t.Fatalf("plan %v (%s), probed %v (%s)", plain.Plan, plain.PlanReason, probed.Plan, probed.PlanReason)
+	}
+	if len(plain.Attempts) != 1 || len(probed.Attempts) != 1 {
+		t.Fatalf("attempts %+v, probed %+v", plain.Attempts, probed.Attempts)
+	}
+	pa, qa := plain.Attempts[0], probed.Attempts[0]
+	if pa.Method != qa.Method || pa.Iterations != qa.Iterations || math.Float64bits(pa.Residual) != math.Float64bits(qa.Residual) ||
+		pa.Precond != qa.Precond || pa.Err != qa.Err {
+		t.Fatalf("attempt %+v, probed %+v", pa, qa)
 	}
 }
 

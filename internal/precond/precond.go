@@ -81,6 +81,11 @@ func (j *Jacobi) Update(a *sparse.CSR) error {
 	return nil
 }
 
+// SetDiag rewrites one diagonal entry to d, exactly as Update would
+// compute it from a matrix whose i-th diagonal entry is d. d must be
+// nonzero: Update and NewJacobi refuse a zero diagonal.
+func (j *Jacobi) SetDiag(i int, d float64) { j.invDiag[i] = 1 / d }
+
 // Apply computes dst = D⁻¹ r.
 func (j *Jacobi) Apply(dst, r []float64) {
 	for i := range dst {

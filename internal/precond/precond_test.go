@@ -99,6 +99,12 @@ func TestJacobiApply(t *testing.T) {
 	if j.Name() != "jacobi" {
 		t.Fatalf("name = %q", j.Name())
 	}
+	// SetDiag gives bitwise what Update computes from the new diagonal.
+	j.SetDiag(3, 3)
+	j.Apply(dst, r)
+	if want := r[3] * (1.0 / 3); dst[3] != want || dst[2] != r[2]/4 {
+		t.Fatalf("after SetDiag: Apply[3] = %g, want %g", dst[3], want)
+	}
 }
 
 // TestIC0ExactOnTridiagonal: a tridiagonal matrix's Cholesky factor has no

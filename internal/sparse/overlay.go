@@ -126,6 +126,17 @@ func (o *Overlay) Delete(id int) error {
 	return nil
 }
 
+// AppendedRow returns the edges an appended id was issued with (its
+// columns, all older ids, ascending, and their weights), aliasing the
+// overlay: callers must not mutate them. Base ids have none.
+func (o *Overlay) AppendedRow(id int) (cols []int, vals []float64) {
+	if id < o.n0 || id >= o.n {
+		return nil, nil
+	}
+	r := o.own[id-o.n0]
+	return r.cols, r.vals
+}
+
 // rowRuns returns the two sorted runs making up the logical row of id:
 // the head (columns < id for appended rows, < n0 for base rows) and the
 // tail (columns > id).

@@ -176,6 +176,19 @@ func TestOverlayValidation(t *testing.T) {
 	if o.Live() != 4 {
 		t.Fatalf("live %d want 4", o.Live())
 	}
+	id, err := o.AppendRow([]int{1, 4}, []float64{0.5, 0.25})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cols, vals := o.AppendedRow(id); len(cols) != 2 || cols[1] != 4 || vals[0] != 0.5 {
+		t.Fatalf("AppendedRow(%d) = %v %v", id, cols, vals)
+	}
+	if cols, _ := o.AppendedRow(1); cols != nil {
+		t.Fatal("a base id has an appended row")
+	}
+	if cols, _ := o.AppendedRow(id + 1); cols != nil {
+		t.Fatal("an unissued id has an appended row")
+	}
 }
 
 func TestOverlayEmptyBase(t *testing.T) {

@@ -204,6 +204,21 @@ func (m *CSR) At(i, j int) float64 {
 	return 0
 }
 
+// SetAt overwrites the stored entry (i, j) with v. The sparsity pattern is
+// fixed: an entry that is not stored is an ErrIndex.
+func (m *CSR) SetAt(i, j int, v float64) error {
+	if i < 0 || i >= m.rows || j < 0 || j >= m.cols {
+		return ErrIndex
+	}
+	lo, hi := m.indptr[i], m.indptr[i+1]
+	k := lo + sort.SearchInts(m.indices[lo:hi], j)
+	if k == hi || m.indices[k] != j {
+		return ErrIndex
+	}
+	m.data[k] = v
+	return nil
+}
+
 // RowNNZ returns the stored column indices and values of row i, aliasing the
 // internal storage. Callers must not mutate the returned slices.
 func (m *CSR) RowNNZ(i int) (cols []int, vals []float64) {

@@ -84,6 +84,17 @@ func TestCSRAtAndStructure(t *testing.T) {
 	if len(cols) != 1 || cols[0] != 0 || vals[0] != 4 {
 		t.Fatalf("RowNNZ(1) = %v %v", cols, vals)
 	}
+	if err := m.SetAt(2, 1, 7); err != nil || m.At(2, 1) != 7 {
+		t.Fatalf("SetAt of a stored entry: %v, At = %v", err, m.At(2, 1))
+	}
+	for _, ij := range [][2]int{{0, 0}, {3, 0}, {0, -1}} {
+		if err := m.SetAt(ij[0], ij[1], 1); !errors.Is(err, ErrIndex) {
+			t.Fatalf("SetAt%v: err %v, want ErrIndex", ij, err)
+		}
+	}
+	if m.NNZ() != 3 || m.At(0, 0) != 0 {
+		t.Fatal("a refused SetAt changed the matrix")
+	}
 }
 
 func TestCSRAtPanics(t *testing.T) {

@@ -1,6 +1,8 @@
 package graphssl
 
 import (
+	"time"
+
 	"repro/internal/core"
 	"repro/internal/mat"
 )
@@ -26,7 +28,11 @@ type MulticlassResult struct {
 // (Zhu et al.'s CMN) against the labeled class frequencies.
 //
 // labels holds non-negative class ids aligned with labeled; labeled = nil
-// uses the paper's layout (first len(labels) points labeled).
+// uses the paper's layout (first len(labels) points labeled). The solver
+// options of Fit (WithSolver, WithAutoCutoff, WithContext and the rest)
+// reach every class solve, and a WithDiagnostics report gets the resolved
+// bandwidth and the times of the bandwidth, graph, problem and solve
+// stages.
 func FitMulticlass(x [][]float64, labels []int, labeled []int, normalize bool, opts ...Option) (*MulticlassResult, error) {
 	y := make([]float64, len(labels)) // placeholder responses for prepare
 	p, cfg, bw, _, err := prepare(x, y, labeled, opts)
@@ -37,14 +43,14 @@ func FitMulticlass(x [][]float64, labels []int, labeled []int, normalize bool, o
 	if err != nil {
 		return nil, translateCoreErr(err)
 	}
-	sol, err := mp.Solve(cfg.lambda, normalize,
-		core.WithMethod(cfg.solver),
-		core.WithTolerance(cfg.tol),
-		core.WithMaxIter(cfg.maxIter),
-		core.WithWorkers(cfg.workers),
-		core.WithPreconditioner(cfg.precond))
+	solveStart := time.Now()
+	sol, err := mp.Solve(cfg.lambda, normalize, coreSolveOptions(cfg)...)
 	if err != nil {
 		return nil, translateCoreErr(err)
+	}
+	cfg.report.addStage("solve", time.Since(solveStart))
+	if cfg.report != nil {
+		cfg.report.Bandwidth = bw
 	}
 	return &MulticlassResult{
 		Classes:   sol.Classes,

@@ -2,6 +2,8 @@ package graphssl
 
 import (
 	"errors"
+	"math"
+	"slices"
 	"testing"
 
 	"repro/internal/randx"
@@ -61,6 +63,51 @@ func TestFitMulticlassWithCMNAndSoft(t *testing.T) {
 	}
 	if acc := float64(correct) / float64(len(res.Unlabeled)); acc < 0.9 {
 		t.Fatalf("CMN multiclass accuracy %v", acc)
+	}
+}
+
+// TestFitMulticlassHonoursSolverOptions: the fit's solver options reach
+// the per-class solves. Under WithAutoCutoff(1) a 540-unknown fit solves
+// each class through the auto chain's CG instead of one shared dense
+// factor, so its scores are no longer the dense ones bit for bit but
+// agree with them within 1e-8. A WithDiagnostics report gets a solve
+// stage.
+func TestFitMulticlassHonoursSolverOptions(t *testing.T) {
+	x, labels, _ := threeBlobs(41, 200, 60)
+	dense, err := FitMulticlass(x, labels, nil, false, WithWorkers(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rep Report
+	cg, err := FitMulticlass(x, labels, nil, false, WithWorkers(1), WithAutoCutoff(1), WithDiagnostics(&rep))
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, c := dense.Scores.Dims()
+	if r != 540 || c != 3 {
+		t.Fatalf("scores dims (%d,%d)", r, c)
+	}
+	same := true
+	var worst float64
+	for i := 0; i < r; i++ {
+		for j := 0; j < c; j++ {
+			a, b := dense.Scores.At(i, j), cg.Scores.At(i, j)
+			same = same && math.Float64bits(a) == math.Float64bits(b)
+			worst = math.Max(worst, math.Abs(a-b))
+		}
+	}
+	if same {
+		t.Fatal("WithAutoCutoff(1) still returned the dense scores bitwise")
+	}
+	if worst > 1e-8 {
+		t.Fatalf("per-class CG off the dense scores by %g", worst)
+	}
+	var stages []string
+	for _, s := range rep.Stages {
+		stages = append(stages, s.Name)
+	}
+	if !slices.Contains(stages, "solve") || rep.Bandwidth != cg.Bandwidth {
+		t.Fatalf("report stages %v, bandwidth %v", stages, rep.Bandwidth)
 	}
 }
 

@@ -62,6 +62,11 @@ type ingestState struct {
 	stop    chan struct{}
 	done    chan struct{}
 	closed  atomic.Bool
+
+	// republish is set when TakeDelta advanced the ingestor's publish
+	// cursor past labels that were then not published: only a full
+	// snapshot republish serves them (worker-owned).
+	republish bool
 }
 
 // newIngestState builds the state of the streaming model just published
@@ -161,9 +166,10 @@ func (s *Server) runIngest(st *ingestState) {
 }
 
 // applyIngest folds one batch of jobs into the ingestor and rolls the
-// served model forward. Individual bad points are counted and skipped;
-// a refresh failure (e.g. an isolated unlabeled point) leaves the edits
-// pending for a later batch to repair and the served model unchanged.
+// served model forward. Individual bad points are counted and skipped.
+// A refresh failure (e.g. an isolated unlabeled point) is counted and
+// leaves the edits pending for a later batch to repair; the new labels
+// are still published when they append onto the served anchors.
 func (s *Server) applyIngest(st *ingestState, jobs []ingestJob) {
 	applied := 0
 	for _, j := range jobs {
@@ -183,13 +189,15 @@ func (s *Server) applyIngest(st *ingestState, jobs []ingestJob) {
 		st.pending.Add(-int64(len(j.pts)))
 	}
 	ingPoints.Add(int64(applied))
-	if _, err := st.ing.Refresh(); err != nil {
+	_, rerr := st.ing.Refresh()
+	if rerr != nil {
+		ingErrors.Add(1)
+	}
+	if err := s.publishIngest(st, rerr == nil); err != nil {
 		ingErrors.Add(1)
 		return
 	}
-
-	if err := s.publishIngest(st); err != nil {
-		ingErrors.Add(1)
+	if rerr != nil {
 		return
 	}
 	now := time.Now()
@@ -215,23 +223,38 @@ func (s *Server) ownedEntry(st *ingestState) (*Entry, error) {
 // empty delta publishes nothing — unlabeled inserts don't change the
 // served anchors — and so does a superseded state: every store is
 // conditioned on st still owning the entry.
-func (s *Server) publishIngest(st *ingestState) error {
+//
+// After a failed refresh (refreshed false) only the delta is published:
+// a hard-criterion model's labeled anchors are the responses themselves,
+// so they need no solve. The full republish is skipped, because Snapshot
+// still holds the last refreshed state and MarkPublished would then skip
+// the pending labels. A delta that is taken but not published leaves
+// its labels to the next full republish, after a successful refresh.
+func (s *Server) publishIngest(st *ingestState, refreshed bool) error {
 	e, err := s.ownedEntry(st)
 	if err != nil {
 		return err
 	}
-	if d, ok := st.ing.TakeDelta(); ok {
+	if d, ok := st.ing.TakeDelta(); ok && !st.republish {
 		if d.Len() == 0 {
 			return nil
 		}
-		if m2, err := e.Model.ApplyDelta(d); err == nil {
+		m2, err := e.Model.ApplyDelta(d)
+		if err == nil {
 			if err := s.publishOwned(st, m2); err != nil {
 				return err
 			}
 			ingDeltaRoll.Add(1)
 			return nil
 		}
+		st.republish = true
+		if !refreshed {
+			return err
+		}
 		// Fall through to the full republish.
+	}
+	if !refreshed {
+		return nil
 	}
 	snap, err := st.ing.Snapshot()
 	if err != nil {
@@ -245,6 +268,7 @@ func (s *Server) publishIngest(st *ingestState) error {
 		return err
 	}
 	st.ing.MarkPublished()
+	st.republish = false
 	ingFullRoll.Add(1)
 	return nil
 }

@@ -322,6 +322,170 @@ func TestIngestE2E(t *testing.T) {
 	}
 }
 
+// TestIngestIsolatedPointKeepsPublishing: an unlabeled point with no
+// neighbour makes every refresh fail, and its compaction too, until a
+// label reaches it. Labeled points ingested meanwhile must still be
+// served: their anchors are the responses themselves, so the worker
+// publishes the appendable delta even when the refresh fails, and counts
+// the failure.
+func TestIngestIsolatedPointKeepsPublishing(t *testing.T) {
+	srv, ts := testServer(t, Config{Workers: 1})
+	x, y, labeled := streamData(11, 64, 16)
+	const h = 0.35
+	fr := streamFit(t, ts.URL, "live", x, y, labeled, h)
+	if fr.Version != 1 || fr.Info.Anchors != 16 {
+		t.Fatalf("stream fit response: %+v", fr)
+	}
+	errs := ingErrors.Value()
+
+	resp, body := postJSON(t, ts.URL+"/v1/ingest", ingestRequest{Model: "live", Points: [][]float64{{5, 5}}})
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("isolated ingest: %d %s", resp.StatusCode, body)
+	}
+	pts := [][]float64{{0.30, 0.30}, {0.62, 0.18}, {0.15, 0.77}}
+	ys := []float64{3, -3, 1.5}
+	resp, body = postJSON(t, ts.URL+"/v1/ingest", ingestRequest{Model: "live", Points: pts, Y: ys})
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("labeled ingest: %d %s", resp.StatusCode, body)
+	}
+	e := waitForVersion(t, ts.URL, "live", 2)
+	for e.Info.Anchors < 19 {
+		e = waitForVersion(t, ts.URL, "live", e.Version+1)
+	}
+	if e.Info.Anchors != 19 {
+		t.Fatalf("served anchors = %d, want 19", e.Info.Anchors)
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for srv.ingestStateFor("live").pending.Load() != 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("ingest never drained")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if got := ingErrors.Value() - errs; got < 1 {
+		t.Fatalf("failed refreshes counted %d times, want at least 1", got)
+	}
+
+	// The served model is the fitted one with the three labels appended.
+	twin, err := stream.New(x, y, labeled, stream.Config{
+		Kernel: graphssl.Epanechnikov, Bandwidth: h, Workers: 1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap, err := twin.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	base, err := NewModel(snap, WithWorkers(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := base.ApplyDelta(&graphssl.SnapshotDelta{X: pts, Y: ys})
+	if err != nil {
+		t.Fatal(err)
+	}
+	q := []float64{0.31, 0.29}
+	resp, body = postJSON(t, ts.URL+"/v1/predict", predictRequest{Model: "live", Points: [][]float64{q}})
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("predict: %d %s", resp.StatusCode, body)
+	}
+	var pr predictResponse
+	if err := json.Unmarshal(body, &pr); err != nil {
+		t.Fatal(err)
+	}
+	ws, err := want.Predict(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if pr.Version != e.Version || math.Float64bits(pr.Scores[0]) != math.Float64bits(ws) {
+		t.Fatalf("served %v at version %d, want %v at version %d", pr.Scores[0], pr.Version, ws, e.Version)
+	}
+}
+
+// TestIngestRejectedDeltaRepublishes: a delta the served model rejects
+// after a failed refresh is an error, and its labels, which TakeDelta has
+// already moved past, reach the served model with the next full
+// republish instead of being dropped. The worker's steps run in-process
+// on a state with no goroutine, so the served model can be swapped
+// between them.
+func TestIngestRejectedDeltaRepublishes(t *testing.T) {
+	srv := NewServer(Config{Workers: 1})
+	t.Cleanup(srv.Close)
+	x, y, labeled := streamData(11, 64, 16)
+	ing, err := stream.New(x, y, labeled, stream.Config{
+		Kernel: graphssl.Epanechnikov, Bandwidth: 0.35, Workers: 1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap, err := ing.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Deltas append labeled anchors, so a model anchored on every point
+	// rejects them.
+	all, err := NewModel(snap, WithWorkers(1), WithAnchorSet(AnchorAll))
+	if err != nil {
+		t.Fatal(err)
+	}
+	base, err := NewModel(snap, WithWorkers(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	e, err := srv.registry.Store("live", all)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := newIngestState(e, ing, 4)
+	job := func(pts [][]float64, ys []float64) []ingestJob {
+		return []ingestJob{{pts: pts, y: ys, arrival: time.Now()}}
+	}
+
+	// An isolated unlabeled point fails the refresh; the three labels'
+	// delta is rejected. Both failures count.
+	errs := ingErrors.Value()
+	srv.applyIngest(st, job([][]float64{{5, 5}}, nil))
+	if got := ingErrors.Value() - errs; got != 1 {
+		t.Fatalf("isolated point counted %d errors, want 1", got)
+	}
+	errs = ingErrors.Value()
+	srv.applyIngest(st, job([][]float64{{0.30, 0.30}, {0.62, 0.18}, {0.15, 0.77}}, []float64{3, -3, 1.5}))
+	if got := ingErrors.Value() - errs; got != 2 {
+		t.Fatalf("failed refresh and rejected delta counted %d errors, want 2", got)
+	}
+	if cur, _ := srv.registry.Load("live"); cur.Version != e.Version {
+		t.Fatalf("a rejected delta published version %d", cur.Version)
+	}
+
+	// Serve a model that takes deltas, then label the isolated point's
+	// component so the refresh succeeds: the next publish must carry all
+	// four labels, not only the newest.
+	e, err = srv.registry.storeIf("live", st.version, base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st.version = e.Version
+	errs = ingErrors.Value()
+	srv.applyIngest(st, job([][]float64{{5, 5.01}}, []float64{2}))
+	if got := ingErrors.Value() - errs; got != 0 {
+		t.Fatalf("repairing batch counted %d errors", got)
+	}
+	cur, err := srv.registry.Load("live")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cur.Version != e.Version+1 || cur.Model.NumAnchors() != 20 {
+		t.Fatalf("served version %d with %d anchors, want version %d with 20", cur.Version, cur.Model.NumAnchors(), e.Version+1)
+	}
+
+	// Deltas resume after the republish.
+	srv.applyIngest(st, job([][]float64{{0.45, 0.55}}, []float64{-1}))
+	if cur, _ = srv.registry.Load("live"); cur.Model.NumAnchors() != 21 {
+		t.Fatalf("served %d anchors after a delta, want 21", cur.Model.NumAnchors())
+	}
+}
+
 // TestIngestValidation covers the request-shape and configuration errors
 // of the streaming surface.
 func TestIngestValidation(t *testing.T) {

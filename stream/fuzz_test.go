@@ -19,6 +19,13 @@ func FuzzStreamEquivalence(f *testing.F) {
 	f.Add([]byte{0x81, 0x10, 0x81, 0x20, 0x42, 0x05, 0xc3, 0x30, 0x00, 0x99})
 	f.Add([]byte{0x42, 0x00, 0x42, 0x01, 0x42, 0x02, 0x42, 0x03, 0x00, 0xff})
 	f.Add([]byte{0xc0, 0x00, 0x81, 0x50, 0x42, 0x0b, 0x00, 0x10, 0xc1, 0x01, 0x81, 0x60})
+	// Labeled inserts only, with refreshes between batches: every refresh
+	// takes the in-place rung and grows the refresher's tail.
+	f.Add([]byte{0x45, 0x12, 0x50, 0x34, 0xc1, 0x00, 0x61, 0x56, 0x4a, 0x78, 0x52, 0x9a, 0xc1, 0x00, 0x7f, 0xbc, 0xc1, 0x00})
+	f.Add([]byte{0x41, 0x11, 0xc1, 0x00, 0x42, 0x22, 0xc1, 0x00, 0x43, 0x33, 0x44, 0x44, 0x45, 0x55, 0xc1, 0x00})
+	// A tail, then a relabel of a tail point and a delete, each of which
+	// must merge it.
+	f.Add([]byte{0x48, 0x27, 0x57, 0x72, 0xc1, 0x00, 0xc4, 0x10, 0xc1, 0x00, 0x66, 0x3c, 0xc1, 0x00, 0x80, 0x06, 0xc1, 0x00})
 
 	f.Fuzz(func(t *testing.T, script []byte) {
 		const (

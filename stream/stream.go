@@ -13,7 +13,10 @@
 //   - internal/core.Refresher maintains the solution through the
 //     escalation ladder: warm right-hand-side restarts for label value
 //     changes, warm-started PCG for newly labeled points and structural
-//     edits, and an exact from-scratch refit as the terminal rung.
+//     edits, and an exact from-scratch refit as the terminal rung. Newly
+//     inserted labeled points add no unknown, so when they are the only
+//     pending edits the warm PCG runs on the held system updated in place,
+//     and the overlay merge waits for the next structural refresh.
 //
 // The determinism contract carries over from the batch pipeline: after
 // Compact, the state is bitwise-identical to graphssl.Fit on the same
@@ -27,6 +30,7 @@
 package stream
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"sort"
@@ -142,6 +146,10 @@ type Ingestor struct {
 	ov   *sparse.Overlay
 	ref  *core.Refresher
 
+	// nodes and nodeOf cover the refresher's merged graph and its tail,
+	// the labeled inserts folded in place since the last merge; nodeOf
+	// spans every id folded so far, so pending inserts start at
+	// len(nodeOf).
 	nodes  []int // node → id of the current problem
 	nodeOf []int // id → node, -1 when not in the current problem
 
@@ -154,6 +162,8 @@ type Ingestor struct {
 	pendingVals []int // problem-labeled ids with changed values
 
 	insertsSince, deletesSince int
+	unlabeledSince             int  // pending inserts without a label
+	rebuild                    bool // a failed in-place refresh left the held system stale
 	labeledCount               int
 
 	// Publish cursor for delta snapshots.
@@ -170,6 +180,7 @@ type Ingestor struct {
 	valsBuf  []float64
 	nodesBuf []int
 	lvalsBuf []float64
+	ptrBuf   []int
 }
 
 // New fits the initial point set exactly (bitwise-equal to graphssl.Fit
@@ -335,11 +346,13 @@ func (in *Ingestor) insert(p []float64, hasLabel bool, y float64) (int, error) {
 	in.labelOf = append(in.labelOf, hasLabel)
 	in.yOf = append(in.yOf, y)
 	in.valDirty = append(in.valDirty, false)
-	if hasLabel {
-		in.labeledSeq = append(in.labeledSeq, id)
-		in.labeledCount++
-	}
 	in.insertsSince++
+	if !hasLabel {
+		in.unlabeledSince++
+		return id, nil
+	}
+	in.labeledSeq = append(in.labeledSeq, id)
+	in.labeledCount++
 	return id, nil
 }
 
@@ -405,30 +418,37 @@ func (in *Ingestor) problemNode(id int) int {
 	return in.nodeOf[id]
 }
 
-// problemLabeled reports whether id is labeled in the current problem.
+// problemLabeled reports whether id is labeled in the current problem or
+// its tail.
 func (in *Ingestor) problemLabeled(id int) bool {
 	node := in.problemNode(id)
-	return node >= 0 && in.ref.Problem().IsLabeled(node)
+	return node >= 0 && in.ref.IsLabeled(node)
 }
 
 // Refresh folds all pending edits into the solution via the cheapest
 // safe rung and returns what it did. With no pending edits it returns
-// Kind "none" without touching the solver. On a solver failure or a
-// residual miss it escalates to an exact refit (Compact); if even the
-// refit fails the error is returned and pending state is retained.
+// Kind "none" without touching the solver. When labeled inserts are the
+// only pending edits, they update the held system in place; any other
+// edit while the tail of such inserts is unmerged takes the structural
+// rung, because the value and label rungs read graph rows the tail is
+// missing from. On a solver failure or a residual miss it escalates to
+// an exact refit (Compact); if even the refit fails the error is
+// returned and pending state is retained.
 func (in *Ingestor) Refresh() (RefreshOutcome, error) {
 	start := time.Now()
 	var rr RefreshOutcome
 	rr.Inserts, rr.Deletes = in.insertsSince, in.deletesSince
 	rr.NewLabels, rr.ValueChanges = len(in.newLabels), len(in.pendingVals)
 
-	structural := in.insertsSince > 0 || in.deletesSince > 0
+	labelEdits := len(in.newLabels) > 0 || len(in.pendingVals) > 0
 	var (
 		st  core.RefreshStats
 		err error
 	)
 	switch {
-	case structural:
+	case in.insertsSince > 0 && in.unlabeledSince == 0 && in.deletesSince == 0 && !labelEdits && !in.rebuild:
+		st, err = in.refreshAppend()
+	case in.insertsSince > 0 || in.deletesSince > 0 || in.rebuild || (labelEdits && len(in.nodes) > in.ref.Problem().Graph().N()):
 		st, err = in.refreshStructural()
 	case len(in.newLabels) > 0:
 		st, err = in.refreshLabels()
@@ -540,10 +560,51 @@ func (in *Ingestor) refreshLabels() (core.RefreshStats, error) {
 	return st, err
 }
 
+// refreshAppend folds the pending labeled inserts into the held system in
+// place (core.Refresher.AppendLabeled) without merging the overlay: the
+// new ids, ascending, become the refresher's tail. Their edges are read
+// from the overlay rows they were issued with; every column is an older
+// id, live because no delete is pending. It falls back to the structural
+// rung when the held system cannot take the update.
+func (in *Ingestor) refreshAppend() (core.RefreshStats, error) {
+	first, next := len(in.nodeOf), in.ov.Rows()
+	in.ptrBuf = append(in.ptrBuf[:0], 0)
+	in.colsBuf, in.valsBuf = in.colsBuf[:0], in.valsBuf[:0]
+	in.lvalsBuf = in.lvalsBuf[:0]
+	for id := first; id < next; id++ {
+		cols, vals := in.ov.AppendedRow(id)
+		for _, j := range cols {
+			if j < first {
+				in.colsBuf = append(in.colsBuf, in.nodeOf[j])
+			} else { // an earlier insert of this batch
+				in.colsBuf = append(in.colsBuf, len(in.nodes)+j-first)
+			}
+		}
+		in.valsBuf = append(in.valsBuf, vals...)
+		in.ptrBuf = append(in.ptrBuf, len(in.colsBuf))
+		in.lvalsBuf = append(in.lvalsBuf, in.yOf[id])
+	}
+	st, err := in.ref.AppendLabeled(in.lvalsBuf, in.ptrBuf, in.colsBuf, in.valsBuf)
+	if errors.Is(err, core.ErrNeedsRebuild) {
+		return in.refreshStructural()
+	}
+	if err != nil {
+		in.rebuild = true
+		return st, err
+	}
+	for id := first; id < next; id++ {
+		in.nodeOf = append(in.nodeOf, len(in.nodes))
+		in.nodes = append(in.nodes, id)
+	}
+	in.clearPending()
+	return st, nil
+}
+
 // refreshStructural merges the overlay, rebuilds graph and problem over
 // the live ids, and re-solves with a warm start mapped through the
-// renumbering. Label and value edits are folded in for free (labelOf and
-// yOf are the source of truth for the rebuilt problem).
+// renumbering. Label and value edits, and the tail of labeled inserts
+// folded in place, are folded in for free (labelOf and yOf are the source
+// of truth for the rebuilt problem).
 func (in *Ingestor) refreshStructural() (core.RefreshStats, error) {
 	var st core.RefreshStats
 	w, ids, err := in.ov.Merge()
@@ -575,6 +636,7 @@ func (in *Ingestor) refreshStructural() (core.RefreshStats, error) {
 		return st, err
 	}
 	in.nodes, in.nodeOf = ids, idToNode
+	in.rebuild = false
 	in.clearPending()
 	return st, nil
 }
@@ -602,7 +664,7 @@ func (in *Ingestor) clearPending() {
 	}
 	in.pendingVals = in.pendingVals[:0]
 	in.newLabels = in.newLabels[:0]
-	in.insertsSince, in.deletesSince = 0, 0
+	in.insertsSince, in.deletesSince, in.unlabeledSince = 0, 0, 0
 }
 
 func (in *Ingestor) deadFraction() float64 {
@@ -675,7 +737,8 @@ func (in *Ingestor) compact() ([]int, error) {
 	in.labeledCount = len(seq)
 	in.pendingVals = in.pendingVals[:0]
 	in.newLabels = in.newLabels[:0]
-	in.insertsSince, in.deletesSince = 0, 0
+	in.insertsSince, in.deletesSince, in.unlabeledSince = 0, 0, 0
+	in.rebuild = false
 	in.compactSincePub = true
 	in.pubCount = len(seq)
 	in.stats.Compactions++
@@ -743,16 +806,14 @@ func (in *Ingestor) Report() *graphssl.Report {
 // (deep copies, like Result.Snapshot). Pending un-refreshed edits are
 // not included: call Refresh first.
 func (in *Ingestor) Snapshot() (*graphssl.ModelSnapshot, error) {
-	p := in.ref.Problem()
-	n := p.Graph().N()
-	x := make([][]float64, n)
+	x := make([][]float64, len(in.nodes))
 	for node, id := range in.nodes {
 		x[node] = append([]float64(nil), in.side.Point(id)...)
 	}
 	return &graphssl.ModelSnapshot{
 		X:         x,
-		Y:         p.Y(),
-		Labeled:   p.Labeled(),
+		Y:         in.ref.Y(),
+		Labeled:   in.ref.Labeled(),
 		Scores:    append([]float64(nil), in.ref.F()...),
 		Kernel:    in.cfg.Kernel,
 		Bandwidth: in.cfg.Bandwidth,
