@@ -105,10 +105,13 @@ serve-smoke:
 # End-to-end smoke of the streaming ingest subsystem: the refresher's
 # rungs in internal/core (the in-place labeled-insert rung checked bitwise
 # against a rebuild), the incremental equivalence, escalation-ladder and
-# in-place-versus-rebuild tests in stream/, the delta snapshot
-# roll-forward math, the HTTP /v1/ingest path (fit with "stream": true,
-# ingest, version bump, cache invalidation, backpressure, publishing past
-# a failing refresh, the worker's refit and close lifecycle, concurrent
+# in-place-versus-rebuild tests in stream/ (an isolated insert failing the
+# refresh without the refit that would fail the same way), the delta
+# snapshot roll-forward math, the HTTP /v1/ingest path (fit with
+# "stream": true, ingest, version bump, cache invalidation, backpressure,
+# the worker's order: each appendable delta published before the refresh,
+# a full republish only after a successful one, staleness observed when
+# labels are served, the worker's refit and close lifecycle, concurrent
 # fits of one name), and the registry hot-swap-under-load test.
 stream-smoke:
 	$(GO) test -count=1 -run 'TestRefresher' -v ./internal/core/

@@ -13,14 +13,16 @@ import (
 // Streaming ingest: a model fitted with "stream": true keeps a live
 // stream.Ingestor behind the served snapshot. POST /v1/ingest enqueues
 // labeled (or unlabeled) points; a single background worker per model
-// drains the queue in batches, refreshes the transductive solution
-// through the incremental ladder, and rolls the served model forward —
-// via Model.ApplyDelta when the new labels are purely appendable, via a
-// full snapshot republish otherwise. Every roll-forward goes through the
-// registry, so the version bumps and cached predictions of the old model
-// can never be confused with the new one. A worker publishes only onto
-// the entry it owns: a refit or delete of the name supersedes its state,
-// which then publishes nothing and drops its queue.
+// drains the queue in batches. A batch's new labels are published first,
+// via Model.ApplyDelta, when they are purely appendable: the served
+// model's labeled anchors are the responses themselves and need no
+// solve. The worker then refreshes the transductive solution through the
+// incremental ladder; only labels that cannot be appended wait for that
+// refresh, to go out with a full snapshot republish. Every roll-forward
+// goes through the registry, so the version bumps and cached predictions
+// of the old model can never be confused with the new one. A worker
+// publishes only onto the entry it owns: a refit or delete of the name
+// supersedes its state, which then publishes nothing and drops its queue.
 
 // Ingest metrics, alongside the serving counters in metrics.go.
 var (
@@ -41,8 +43,8 @@ func init() {
 }
 
 // ingestJob is one enqueued ingest request: points with aligned
-// responses (nil y = unlabeled), stamped on arrival so the publish loop
-// can measure label-to-servable staleness.
+// responses (nil y = unlabeled), stamped on arrival so the worker can
+// measure label-to-servable staleness.
 type ingestJob struct {
 	pts     [][]float64
 	y       []float64
@@ -63,10 +65,12 @@ type ingestState struct {
 	done    chan struct{}
 	closed  atomic.Bool
 
-	// republish is set when TakeDelta advanced the ingestor's publish
-	// cursor past labels that were then not published: only a full
-	// snapshot republish serves them (worker-owned).
+	// republish is set when labels wait for a full snapshot republish:
+	// their span was not appendable, or TakeDelta moved past them and the
+	// delta was not published. owed holds the arrival times of labeled
+	// requests not yet served (both worker-owned).
 	republish bool
+	owed      []time.Time
 }
 
 // newIngestState builds the state of the streaming model just published
@@ -166,10 +170,15 @@ func (s *Server) runIngest(st *ingestState) {
 }
 
 // applyIngest folds one batch of jobs into the ingestor and rolls the
-// served model forward. Individual bad points are counted and skipped.
-// A refresh failure (e.g. an isolated unlabeled point) is counted and
-// leaves the edits pending for a later batch to repair; the new labels
-// are still published when they append onto the served anchors.
+// served model forward: insert, publish the appendable delta, refresh,
+// and republish the full snapshot only if the delta could not serve the
+// labels or the refresh compacted. The delta reads only label state, so
+// it never waits for the solve; the full republish reads the refreshed
+// problem, so it waits for a successful refresh. A compaction's republish
+// (the only way renumbered ids reach the publish cursor) is not left to
+// the next batch, whose refresh an isolated point could fail, holding
+// back every later delta. Bad points and refresh failures (e.g. an
+// isolated unlabeled point, whose edits stay pending) are counted.
 func (s *Server) applyIngest(st *ingestState, jobs []ingestJob) {
 	applied := 0
 	for _, j := range jobs {
@@ -189,21 +198,55 @@ func (s *Server) applyIngest(st *ingestState, jobs []ingestJob) {
 		st.pending.Add(-int64(len(j.pts)))
 	}
 	ingPoints.Add(int64(applied))
-	_, rerr := st.ing.Refresh()
-	if rerr != nil {
-		ingErrors.Add(1)
-	}
-	if err := s.publishIngest(st, rerr == nil); err != nil {
+	e, err := s.ownedEntry(st)
+	if err != nil {
 		ingErrors.Add(1)
 		return
 	}
-	if rerr != nil {
+	served, err := s.publishDelta(st, e)
+	if err != nil {
+		ingErrors.Add(1)
+	}
+	st.observe(jobs, served)
+	out, err := st.ing.Refresh()
+	if err != nil {
+		ingErrors.Add(1)
+		return
+	}
+	if out.Remap != nil {
+		st.republish = true
+	}
+	if !st.republish {
+		return
+	}
+	if err := s.publishFull(st); err != nil {
+		ingErrors.Add(1)
+		return
+	}
+	st.observe(nil, true)
+}
+
+// observe records the label-to-servable staleness of jobs' labeled
+// requests, and of those earlier batches left unserved, once served; until
+// then it keeps their arrival times, the newest latencySamples, as many
+// as the ring holds. Unlabeled requests serve nothing and are skipped.
+func (st *ingestState) observe(jobs []ingestJob, served bool) {
+	for _, j := range jobs {
+		if j.y != nil {
+			st.owed = append(st.owed, j.arrival)
+		}
+	}
+	if !served {
+		if n := len(st.owed) - latencySamples; n > 0 {
+			st.owed = st.owed[n:]
+		}
 		return
 	}
 	now := time.Now()
-	for _, j := range jobs {
-		stalenessWin.observe(float64(now.Sub(j.arrival).Microseconds()))
+	for _, at := range st.owed {
+		stalenessWin.observe(float64(now.Sub(at).Microseconds()))
 	}
+	st.owed = st.owed[:0]
 }
 
 // ownedEntry returns the registry entry st publishes onto, or
@@ -216,46 +259,36 @@ func (s *Server) ownedEntry(st *ingestState) (*Entry, error) {
 	return e, err
 }
 
-// publishIngest rolls the owned registry entry forward to the ingestor's
-// refreshed state: by appending a snapshot delta when the new labels
-// are purely appendable (no relabels, labeled deletes, or compactions
-// since the last publish), by a full snapshot republish otherwise. An
-// empty delta publishes nothing — unlabeled inserts don't change the
-// served anchors — and so does a superseded state: every store is
-// conditioned on st still owning the entry.
-//
-// After a failed refresh (refreshed false) only the delta is published:
-// a hard-criterion model's labeled anchors are the responses themselves,
-// so they need no solve. The full republish is skipped, because Snapshot
-// still holds the last refreshed state and MarkPublished would then skip
-// the pending labels. A delta that is taken but not published leaves
-// its labels to the next full republish, after a successful refresh.
-func (s *Server) publishIngest(st *ingestState, refreshed bool) error {
-	e, err := s.ownedEntry(st)
-	if err != nil {
-		return err
-	}
-	if d, ok := st.ing.TakeDelta(); ok && !st.republish {
-		if d.Len() == 0 {
-			return nil
-		}
-		m2, err := e.Model.ApplyDelta(d)
-		if err == nil {
-			if err := s.publishOwned(st, m2); err != nil {
-				return err
-			}
-			ingDeltaRoll.Add(1)
-			return nil
-		}
+// publishDelta rolls the owned entry e forward by the labels added since
+// the last publish, as a snapshot delta, and reports whether the served
+// model carries them (an empty delta publishes nothing). A span that is
+// not appendable, an owed full republish or a delta the model rejects
+// (returned as an error) sets st.republish instead.
+func (s *Server) publishDelta(st *ingestState, e *Entry) (bool, error) {
+	d, ok := st.ing.TakeDelta()
+	if !ok || st.republish {
 		st.republish = true
-		if !refreshed {
-			return err
-		}
-		// Fall through to the full republish.
+		return false, nil
 	}
-	if !refreshed {
-		return nil
+	if d.Len() == 0 {
+		return true, nil
 	}
+	m2, err := e.Model.ApplyDelta(d)
+	if err != nil {
+		st.republish = true
+		return false, err
+	}
+	if err := s.publishOwned(st, m2); err != nil {
+		return false, err
+	}
+	ingDeltaRoll.Add(1)
+	return true, nil
+}
+
+// publishFull republishes the refreshed snapshot over st's entry and
+// resets the publish cursor. It must follow a successful refresh:
+// MarkPublished would skip labels a failed refresh left pending.
+func (s *Server) publishFull(st *ingestState) error {
 	snap, err := st.ing.Snapshot()
 	if err != nil {
 		return err

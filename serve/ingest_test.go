@@ -403,15 +403,35 @@ func TestIngestIsolatedPointKeepsPublishing(t *testing.T) {
 	}
 }
 
+// resetStaleness empties the staleness ring, so that a test can count its
+// own observations below the ring's capacity.
+func resetStaleness() {
+	stalenessWin.mu.Lock()
+	stalenessWin.n, stalenessWin.idx = 0, 0
+	stalenessWin.mu.Unlock()
+}
+
+// stalenessCount returns how many requests the staleness ring has
+// observed since the last reset, up to its capacity.
+func stalenessCount() int {
+	stalenessWin.mu.Lock()
+	defer stalenessWin.mu.Unlock()
+	return stalenessWin.n
+}
+
 // TestIngestRejectedDeltaRepublishes: a delta the served model rejects
-// after a failed refresh is an error, and its labels, which TakeDelta has
-// already moved past, reach the served model with the next full
-// republish instead of being dropped. The worker's steps run in-process
-// on a state with no goroutine, so the served model can be swapped
-// between them.
+// is an error, and its labels, which TakeDelta has already moved past,
+// reach the served model with the next full republish, after a
+// successful refresh, instead of being dropped. The staleness ring
+// observes each labeled request once its labels are served: at the delta
+// publish, even when the refresh after it fails, or at the full
+// republish that serves labels an earlier batch owed. The worker's steps
+// run in-process on a state with no goroutine, so the served model can
+// be swapped between them.
 func TestIngestRejectedDeltaRepublishes(t *testing.T) {
 	srv := NewServer(Config{Workers: 1})
 	t.Cleanup(srv.Close)
+	resetStaleness()
 	x, y, labeled := streamData(11, 64, 16)
 	ing, err := stream.New(x, y, labeled, stream.Config{
 		Kernel: graphssl.Epanechnikov, Bandwidth: 0.35, Workers: 1,
@@ -457,6 +477,9 @@ func TestIngestRejectedDeltaRepublishes(t *testing.T) {
 	if cur, _ := srv.registry.Load("live"); cur.Version != e.Version {
 		t.Fatalf("a rejected delta published version %d", cur.Version)
 	}
+	if n := stalenessCount(); n != 0 {
+		t.Fatalf("staleness observed %d requests before any label was served", n)
+	}
 
 	// Serve a model that takes deltas, then label the isolated point's
 	// component so the refresh succeeds: the next publish must carry all
@@ -478,11 +501,122 @@ func TestIngestRejectedDeltaRepublishes(t *testing.T) {
 	if cur.Version != e.Version+1 || cur.Model.NumAnchors() != 20 {
 		t.Fatalf("served version %d with %d anchors, want version %d with 20", cur.Version, cur.Model.NumAnchors(), e.Version+1)
 	}
+	if n := stalenessCount(); n != 2 {
+		t.Fatalf("staleness observed %d requests after the republish, want 2 (the owed one and this one)", n)
+	}
 
 	// Deltas resume after the republish.
 	srv.applyIngest(st, job([][]float64{{0.45, 0.55}}, []float64{-1}))
 	if cur, _ = srv.registry.Load("live"); cur.Model.NumAnchors() != 21 {
 		t.Fatalf("served %d anchors after a delta, want 21", cur.Model.NumAnchors())
+	}
+
+	// A labeled batch whose refresh fails is served by its delta, and
+	// observed there.
+	srv.applyIngest(st, job([][]float64{{-5, -5}}, nil))
+	errs = ingErrors.Value()
+	srv.applyIngest(st, job([][]float64{{0.7, 0.7}}, []float64{0.5}))
+	if got := ingErrors.Value() - errs; got != 1 {
+		t.Fatalf("failed refresh counted %d errors, want 1", got)
+	}
+	if cur, _ = srv.registry.Load("live"); cur.Model.NumAnchors() != 22 {
+		t.Fatalf("served %d anchors after a delta, want 22", cur.Model.NumAnchors())
+	}
+	if n := stalenessCount(); n != 4 {
+		t.Fatalf("staleness observed %d requests, want 4: a delta served past a failed refresh was not counted", n)
+	}
+}
+
+// TestIngestDeltaPublishesBeforeRefresh pins the worker's order: a
+// batch's appendable delta goes out before its refresh, so it is served
+// even when that refresh compacts. The full republish a compaction calls
+// for follows in the same batch: left to the next batch, it would wait on
+// that batch's refresh, which an isolated point fails, and no later label
+// could go out. The steps run in-process on a state with no goroutine.
+func TestIngestDeltaPublishesBeforeRefresh(t *testing.T) {
+	srv := NewServer(Config{Workers: 1})
+	t.Cleanup(srv.Close)
+	x, y, labeled := streamData(11, 64, 16)
+	// One dead id among 64 live ones is above this threshold, so the
+	// refresh after a delete compacts.
+	ing, err := stream.New(x, y, labeled, stream.Config{
+		Kernel: graphssl.Epanechnikov, Bandwidth: 0.35, Workers: 1, CompactFrac: 0.01,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap, err := ing.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	base, err := NewModel(snap, WithWorkers(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	e, err := srv.registry.Store("live", base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := newIngestState(e, ing, 16)
+	job := func(pts [][]float64, ys []float64) []ingestJob {
+		return []ingestJob{{pts: pts, y: ys, arrival: time.Now()}}
+	}
+	rng := rand.New(rand.NewSource(13))
+	qs := make([][]float64, 64)
+	for i := range qs {
+		qs[i] = []float64{rng.Float64(), rng.Float64()}
+	}
+	served := func() *Model {
+		t.Helper()
+		cur, err := srv.registry.Load("live")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return cur.Model
+	}
+
+	if err := ing.Delete(40); err != nil { // an unlabeled point
+		t.Fatal(err)
+	}
+	pts := [][]float64{{0.30, 0.30}, {0.62, 0.18}, {0.15, 0.77}}
+	ys := []float64{3, -3, 1.5}
+	deltas, fulls := ingDeltaRoll.Value(), ingFullRoll.Value()
+	srv.applyIngest(st, job(pts, ys))
+	if c := ing.Stats().Compactions; c != 1 {
+		t.Fatalf("refresh compacted %d times, want 1", c)
+	}
+	if d, f := ingDeltaRoll.Value()-deltas, ingFullRoll.Value()-fulls; d != 1 || f != 1 {
+		t.Fatalf("compacting batch published %d deltas and %d full snapshots, want 1 and 1", d, f)
+	}
+	want, err := base.ApplyDelta(&graphssl.SnapshotDelta{X: pts, Y: ys})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if snap, err = ing.Snapshot(); err != nil {
+		t.Fatal(err)
+	}
+	full, err := NewModel(snap, WithWorkers(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m := served(); m.NumAnchors() != 19 || !samePredictions(m, want, qs) || !samePredictions(m, full, qs) {
+		t.Fatalf("served model (%d anchors) differs from the base model with the batch appended or from the compacted snapshot's (19)", m.NumAnchors())
+	}
+
+	// An isolated point fails every later refresh; labels still go out as
+	// deltas.
+	srv.applyIngest(st, job([][]float64{{5, 5}}, nil))
+	deltas, fulls = ingDeltaRoll.Value(), ingFullRoll.Value()
+	p, yv := []float64{0.45, 0.55}, -1.0
+	srv.applyIngest(st, job([][]float64{p}, []float64{yv}))
+	if d, f := ingDeltaRoll.Value()-deltas, ingFullRoll.Value()-fulls; d != 1 || f != 0 {
+		t.Fatalf("batch past a failing refresh published %d deltas and %d full snapshots, want 1 and 0", d, f)
+	}
+	if want, err = want.ApplyDelta(&graphssl.SnapshotDelta{X: [][]float64{p}, Y: []float64{yv}}); err != nil {
+		t.Fatal(err)
+	}
+	if m := served(); m.NumAnchors() != 20 || !samePredictions(m, want, qs) {
+		t.Fatalf("served model (%d anchors) differs from the rolled-forward one (20)", m.NumAnchors())
 	}
 }
 

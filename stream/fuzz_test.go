@@ -1,9 +1,11 @@
 package stream
 
 import (
+	"errors"
 	"testing"
 
 	graphssl "repro"
+	"repro/internal/core"
 )
 
 // FuzzStreamEquivalence drives an Ingestor with a byte-encoded random
@@ -12,7 +14,9 @@ import (
 // the same live point set — the subsystem's determinism contract. Edit
 // scripts that leave the point set unfittable (isolated unlabeled
 // components, no labeled points, nothing unlabeled) must fail both
-// paths.
+// paths. A refresh that fails with core.ErrIsolated skips the refit, so
+// graphssl.Fit on the live set at that moment must fail with
+// graphssl.ErrIsolated.
 func FuzzStreamEquivalence(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0x00, 0x41, 0x92, 0x17, 0x63, 0xe8, 0x2a, 0x7f})
@@ -26,6 +30,16 @@ func FuzzStreamEquivalence(f *testing.F) {
 	// A tail, then a relabel of a tail point and a delete, each of which
 	// must merge it.
 	f.Add([]byte{0x48, 0x27, 0x57, 0x72, 0xc1, 0x00, 0xc4, 0x10, 0xc1, 0x00, 0x66, 0x3c, 0xc1, 0x00, 0x80, 0x06, 0xc1, 0x00})
+	// Delete the seed points within a bandwidth of the corner (1, 1),
+	// insert an isolated unlabeled point there, then a labeled batch and a
+	// refresh (which fails with core.ErrIsolated), then a labeled insert
+	// beside the isolated point and a refresh (which succeeds).
+	f.Add([]byte{
+		0x80, 0x06, 0x80, 0x07, 0x80, 0x09, 0x80, 0x0a, 0x80, 0x0b, 0x80, 0x0d, 0x80, 0x0e, 0x80, 0x0f,
+		0x00, 0xff,
+		0x45, 0x23, 0x50, 0x14, 0xc1, 0x00,
+		0x4a, 0xee, 0xc1, 0x00,
+	})
 
 	f.Fuzz(func(t *testing.T, script []byte) {
 		const (
@@ -97,6 +111,17 @@ func FuzzStreamEquivalence(f *testing.F) {
 					out, err := in.Refresh()
 					if err == nil && out.Remap != nil {
 						m.applyRemap(out.Remap)
+					}
+					// An isolated component fails the refresh without
+					// the refit, which must then fail the same way.
+					if errors.Is(err, core.ErrIsolated) {
+						x, yy, lab := m.liveSet()
+						if _, ferr := graphssl.Fit(x, yy, lab,
+							graphssl.WithKernel(graphssl.Tricube),
+							graphssl.WithBandwidth(bw),
+							graphssl.WithWorkers(1)); !errors.Is(ferr, graphssl.ErrIsolated) {
+							t.Fatalf("refresh failed with %v but batch fit err=%v", err, ferr)
+						}
 					}
 					continue
 				}

@@ -433,7 +433,9 @@ func (in *Ingestor) problemLabeled(id int) bool {
 // rung, because the value and label rungs read graph rows the tail is
 // missing from. On a solver failure or a residual miss it escalates to
 // an exact refit (Compact); if even the refit fails the error is
-// returned and pending state is retained.
+// returned and pending state is retained. An unlabeled component with no
+// labeled node (core.ErrIsolated) is returned at once, pending state
+// retained: the refit would fail the same way.
 func (in *Ingestor) Refresh() (RefreshOutcome, error) {
 	start := time.Now()
 	var rr RefreshOutcome
@@ -474,7 +476,13 @@ func (in *Ingestor) Refresh() (RefreshOutcome, error) {
 	}
 	if err != nil {
 		// Terminal rung: exact refit. Compact folds every pending edit
-		// from first principles, so it recovers from any refresher state.
+		// from first principles, so it recovers from any refresher state
+		// but an isolated component: it would fit the same live points
+		// with the same labels and fail the same way.
+		if errors.Is(err, core.ErrIsolated) {
+			rr.Duration = time.Since(start)
+			return rr, err
+		}
 		if err != errEscalate {
 			rr.Escalated = true
 			rr.Reason = err.Error()

@@ -1,11 +1,13 @@
 package stream
 
 import (
+	"errors"
 	"math"
 	"math/rand"
 	"testing"
 
 	graphssl "repro"
+	"repro/internal/core"
 )
 
 // mirror tracks the ground-truth state of a streamed point set so tests
@@ -403,6 +405,63 @@ func TestStreamEscalatesToCompact(t *testing.T) {
 	}
 	if out.Kind != "full-refit" || !out.Escalated {
 		t.Fatalf("tolerance escalation: %+v", out)
+	}
+}
+
+// TestStreamIsolatedInsertSkipsRefit: an unlabeled insert with no
+// neighbour fails the refresh's coverage check, and the refresh returns
+// core.ErrIsolated without escalating, because the refit would fit the
+// same live points with the same labels and fail the same way (as a
+// later Compact and graphssl.Fit do). The edits stay pending, and once a
+// label reaches the point the refresh succeeds and Compact matches
+// graphssl.Fit bitwise.
+func TestStreamIsolatedInsertSkipsRefit(t *testing.T) {
+	const bw = 0.7
+	in, m := seedStream(t, 50, 8, 2, bw, 1, 17, Config{})
+	insert := func(p []float64, labeled bool, y float64) {
+		t.Helper()
+		var err error
+		if labeled {
+			_, err = in.InsertLabeled(p, y)
+		} else {
+			_, err = in.Insert(p)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		m.insert(p, labeled, y)
+	}
+	insert([]float64{5, 5}, false, 0)
+	insert([]float64{0.5, 0.5}, true, 1.5)
+
+	out, err := in.Refresh()
+	if !errors.Is(err, core.ErrIsolated) {
+		t.Fatalf("refresh with an isolated insert: %v, want core.ErrIsolated", err)
+	}
+	if out.Escalated || out.Remap != nil {
+		t.Fatalf("refresh escalated to a refit that must fail: %+v", out)
+	}
+	if st := in.Stats(); st.Compactions != 0 || st.Escalations != 0 || st.PendingInserts != 2 {
+		t.Fatalf("stats after the failed refresh: %+v", st)
+	}
+	if _, err := in.Compact(); !errors.Is(err, core.ErrIsolated) {
+		t.Fatalf("compact with an isolated insert: %v, want core.ErrIsolated", err)
+	}
+	x, y, labeled := m.liveSet()
+	if _, err := graphssl.Fit(x, y, labeled, graphssl.WithKernel(graphssl.Epanechnikov),
+		graphssl.WithBandwidth(bw), graphssl.WithWorkers(1)); !errors.Is(err, graphssl.ErrIsolated) {
+		t.Fatalf("batch fit with an isolated point: %v, want graphssl.ErrIsolated", err)
+	}
+
+	insert([]float64{5.1, 5}, true, -2)
+	if _, err := in.Refresh(); err != nil {
+		t.Fatalf("refresh after labeling the isolated point's component: %v", err)
+	}
+	if _, err := in.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	if want := fitScores(t, m, graphssl.Epanechnikov, bw, 1); !bitwiseEq(in.Scores(), want) {
+		t.Fatalf("compacted stream differs from batch Fit (max diff %g)", maxAbsDiff(in.Scores(), want))
 	}
 }
 
