@@ -5,7 +5,7 @@ GOFMT ?= gofmt
 
 # Coverage ratchet: global statement coverage must not fall below this floor
 # (current coverage minus a 1% buffer). Raise it as coverage grows.
-COVER_FLOOR ?= 90.0
+COVER_FLOOR ?= 90.3
 
 all: build
 
@@ -28,8 +28,9 @@ race:
 # Focused race pass over the concurrency-heavy packages (spatial indexes,
 # graph construction, parallel primitives and the streaming ingest
 # subsystem), run twice to vary interleavings. The second line exercises the
-# serve-side ingest worker: concurrent predicts against delta-snapshot hot
-# swaps, and concurrent fits of one name against its ingest registration.
+# serve-side ingest worker, which only appends deltas: concurrent predicts
+# against delta-snapshot hot swaps, and concurrent fits of one name against
+# its ingest registration.
 race-concurrency:
 	$(GO) test -race -count=2 ./internal/spatial/... ./internal/graph/... ./internal/parallel/... ./stream/...
 	$(GO) test -race -count=2 -run 'TestIngest|TestRegistryRollForward' ./serve/
@@ -107,12 +108,12 @@ serve-smoke:
 # against a rebuild), the incremental equivalence, escalation-ladder and
 # in-place-versus-rebuild tests in stream/ (an isolated insert failing the
 # refresh without the refit that would fail the same way), the delta
-# snapshot roll-forward math, the HTTP /v1/ingest path (fit with
-# "stream": true, ingest, version bump, cache invalidation, backpressure,
-# the worker's order: each appendable delta published before the refresh,
-# a full republish only after a successful one, staleness observed when
-# labels are served, the worker's refit and close lifecycle, concurrent
-# fits of one name), and the registry hot-swap-under-load test.
+# snapshot roll-forward math, the HTTP /v1/ingest path, which is
+# delta-only (fit with "stream": true, labeled ingests appended in arrival
+# order as one delta per batch, version bump, cache invalidation,
+# backpressure, admission refusing unlabeled and wrong-dimension points,
+# the worker's refit and close lifecycle, concurrent fits of one name),
+# and the registry hot-swap-under-load test.
 stream-smoke:
 	$(GO) test -count=1 -run 'TestRefresher' -v ./internal/core/
 	$(GO) test -count=1 -run 'TestStream|TestZeroAllocStream' -v ./stream/

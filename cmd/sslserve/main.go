@@ -5,8 +5,8 @@
 // Usage:
 //
 //	sslserve [-addr :8080] [-queue 1024] [-workers 1] [-cache-size 8192]
-//	         [-model-budget 0] [-ingest-queue 4096] [-ingest-batch 256]
-//	         [-fit-timeout 120s] [-drain-timeout 30s]
+//	         [-model-budget 0] [-ingest-queue 4096] [-fit-timeout 120s]
+//	         [-drain-timeout 30s]
 //
 // Endpoints:
 //
@@ -15,7 +15,7 @@
 //	GET    /v1/models/{name}  describe one model
 //	DELETE /v1/models/{name}  unpublish a model
 //	POST   /v1/predict        multi-point inductive prediction
-//	POST   /v1/ingest         append points to a streaming model
+//	POST   /v1/ingest         append labeled points to a streaming model
 //	GET    /healthz           process liveness
 //	GET    /readyz            readiness (503 while draining)
 //	GET    /debug/vars        expvar metrics (graphssl.serve.*)
@@ -63,7 +63,6 @@ func run(ctx context.Context, args []string, logw io.Writer, ready func(addr str
 		cacheSize    = fs.Int("cache-size", 8192, "prediction cache entries (negative disables)")
 		modelBudget  = fs.Int("model-budget", 0, "max in-flight uncached points per model (0 = unlimited)")
 		ingestQueue  = fs.Int("ingest-queue", 4096, "max in-flight streaming ingest points per model (excess gets 429)")
-		ingestBatch  = fs.Int("ingest-batch", 256, "points folded per streaming refresh cycle")
 		fitTimeout   = fs.Duration("fit-timeout", 120*time.Second, "per-request fit timeout")
 		drainTimeout = fs.Duration("drain-timeout", 30*time.Second, "shutdown drain budget")
 	)
@@ -77,7 +76,6 @@ func run(ctx context.Context, args []string, logw io.Writer, ready func(addr str
 		CacheSize:   *cacheSize,
 		ModelBudget: *modelBudget,
 		IngestQueue: *ingestQueue,
-		IngestBatch: *ingestBatch,
 		FitTimeout:  *fitTimeout,
 	})
 

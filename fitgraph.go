@@ -2,6 +2,7 @@ package graphssl
 
 import (
 	"fmt"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/graph"
@@ -15,19 +16,35 @@ import (
 // conventions as Fit (labeled = nil labels the first len(y) nodes).
 //
 // Kernel and bandwidth options are ignored (the graph is given); λ and
-// solver options apply.
-func FitGraph(w *sparse.CSR, y []float64, labeled []int, opts ...Option) (*Result, error) {
+// the solver options of Fit (WithSolver, WithAutoCutoff, WithContext and
+// the rest) apply, and a WithDiagnostics report is reset and filled as
+// Fit fills it, with graph, problem and solve stages.
+func FitGraph(w *sparse.CSR, y []float64, labeled []int, opts ...Option) (res *Result, err error) {
 	cfg := defaultConfig()
 	for _, o := range opts {
 		o.apply(&cfg)
 	}
+	if r := cfg.report; r != nil {
+		*r = Report{}
+		defer func() {
+			if err != nil {
+				r.Err = err.Error()
+			}
+		}()
+	}
+	if err := ctxErr(cfg.ctx); err != nil {
+		return nil, err
+	}
 	if cfg.lambda < 0 {
 		return nil, fmt.Errorf("graphssl: λ=%v: %w", cfg.lambda, ErrParam)
 	}
+	graphStart := time.Now()
 	g, err := graph.FromWeights(w)
 	if err != nil {
 		return nil, fmt.Errorf("graphssl: %w: %v", ErrParam, err)
 	}
+	cfg.report.addStage("graph", time.Since(graphStart))
+	problemStart := time.Now()
 	if labeled == nil {
 		if len(y) >= g.N() {
 			return nil, fmt.Errorf("graphssl: %d responses for %d nodes leaves nothing unlabeled: %w", len(y), g.N(), ErrParam)
@@ -41,15 +58,14 @@ func FitGraph(w *sparse.CSR, y []float64, labeled []int, opts ...Option) (*Resul
 	if err != nil {
 		return nil, fmt.Errorf("graphssl: %w: %v", ErrParam, err)
 	}
-	sol, err := core.SolveSoft(p, cfg.lambda,
-		core.WithMethod(cfg.solver),
-		core.WithTolerance(cfg.tol),
-		core.WithMaxIter(cfg.maxIter),
-		core.WithWorkers(cfg.workers),
-		core.WithPreconditioner(cfg.precond))
+	cfg.report.addStage("problem", time.Since(problemStart))
+	solveStart := time.Now()
+	sol, err := solveExact(p, cfg)
 	if err != nil {
 		return nil, translateCoreErr(err)
 	}
+	cfg.report.addStage("solve", time.Since(solveStart))
+	cfg.report.fromSolution(sol)
 	return &Result{
 		Scores:          sol.F,
 		Labeled:         p.Labeled(),

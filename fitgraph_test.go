@@ -1,8 +1,10 @@
 package graphssl
 
 import (
+	"context"
 	"errors"
 	"math"
+	"slices"
 	"testing"
 
 	"repro/internal/sparse"
@@ -113,5 +115,59 @@ func TestFitGraphMatchesFitOnSameGeometry(t *testing.T) {
 		if math.Abs(res.UnlabeledScores[i]-ref.UnlabeledScores[i]) > 1e-9 {
 			t.Fatalf("FitGraph disagrees with Fit at %d", i)
 		}
+	}
+}
+
+// TestFitGraphHonoursSolverOptions checks that FitGraph hands the solver
+// options of Fit to core: on a 600-node chain, WithAutoCutoff(1) moves the
+// solve from the dense Cholesky to CG, a canceled WithContext fails the
+// fit with context.Canceled, and a WithDiagnostics report is reset and
+// filled.
+func TestFitGraphHonoursSolverOptions(t *testing.T) {
+	w := chainWeights(t, 600)
+	y, labeled := []float64{0, 1}, []int{0, 599}
+	dense, err := FitGraph(w, y, labeled)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if dense.Solver != SolverCholesky {
+		t.Fatalf("default solver %v, want %v", dense.Solver, SolverCholesky)
+	}
+	cg, err := FitGraph(w, y, labeled, WithAutoCutoff(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cg.Solver != SolverCG {
+		t.Fatalf("WithAutoCutoff(1) solved by %v, want %v", cg.Solver, SolverCG)
+	}
+	for i, v := range cg.Scores {
+		if math.Abs(v-dense.Scores[i]) > 1e-8 {
+			t.Fatalf("CG score[%d] = %v, dense %v", i, v, dense.Scores[i])
+		}
+	}
+
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := FitGraph(w, y, labeled, WithContext(ctx)); !errors.Is(err, context.Canceled) {
+		t.Fatalf("canceled context: err = %v", err)
+	}
+
+	rep := Report{Err: "stale", Iterations: -1}
+	res, err := FitGraph(w, y, labeled, WithAutoCutoff(1), WithDiagnostics(&rep))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var stages []string
+	for _, s := range rep.Stages {
+		stages = append(stages, s.Name)
+	}
+	if !slices.Equal(stages, []string{"graph", "problem", "solve"}) || rep.Err != "" {
+		t.Fatalf("report stages %v, err %q", stages, rep.Err)
+	}
+	if rep.Solver != res.Solver || rep.Iterations != res.Iterations || rep.Residual != res.Residual || rep.Precond == "" || rep.Health == nil {
+		t.Fatalf("report %+v does not describe the solve (solver %v, %d iterations)", rep, res.Solver, res.Iterations)
+	}
+	if _, err := FitGraph(w, y, labeled, WithContext(ctx), WithDiagnostics(&rep)); err == nil || rep.Err != err.Error() {
+		t.Fatalf("failed fit: report err %q, fit err %v", rep.Err, err)
 	}
 }

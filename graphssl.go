@@ -350,12 +350,7 @@ func fit(x [][]float64, y []float64, labeled []int, opts []Option) (*Result, *Re
 	cfg.report.addStage("solve", time.Since(solveStart))
 	if r := cfg.report; r != nil {
 		r.Bandwidth = bw
-		r.Solver = sol.Method
-		r.Iterations = sol.Iterations
-		r.Residual = sol.Residual
-		r.Precond = sol.Precond
-		r.PrecondSetup = sol.PrecondSetup
-		r.fromTrace(sol.Trace)
+		r.fromSolution(sol)
 	}
 
 	return &Result{

@@ -124,9 +124,19 @@ func (r *Report) addStage(name string, d time.Duration) {
 	}
 }
 
-// fromTrace copies the solver trace of a completed solve into the report.
-func (r *Report) fromTrace(tr *core.SolveTrace) {
-	if r == nil || tr == nil {
+// fromSolution copies a completed solve into the report: its backend,
+// iterative work, preconditioner and solver trace.
+func (r *Report) fromSolution(sol *core.Solution) {
+	if r == nil {
+		return
+	}
+	r.Solver = sol.Method
+	r.Iterations = sol.Iterations
+	r.Residual = sol.Residual
+	r.Precond = sol.Precond
+	r.PrecondSetup = sol.PrecondSetup
+	tr := sol.Trace
+	if tr == nil {
 		return
 	}
 	r.Plan = append([]Solver(nil), tr.Plan...)

@@ -13,7 +13,6 @@ import (
 
 	graphssl "repro"
 	"repro/internal/kernel"
-	"repro/stream"
 )
 
 // Config tunes a Server. The zero value selects the defaults noted on each
@@ -42,12 +41,9 @@ type Config struct {
 	ModelBudget int
 	// IngestQueue bounds the in-flight (admitted but not yet applied)
 	// points per streaming model; ingest requests beyond it get 429
-	// (default 4096).
+	// (default 4096). The model's worker publishes everything queued as
+	// one delta, so it also bounds one roll-forward.
 	IngestQueue int
-	// IngestBatch bounds how many queued points one refresh cycle folds
-	// in before publishing (default 256). Larger batches amortize the
-	// refresh; smaller ones lower label-to-servable staleness.
-	IngestBatch int
 }
 
 func (c *Config) fillDefaults() {
@@ -71,9 +67,6 @@ func (c *Config) fillDefaults() {
 	}
 	if c.IngestQueue <= 0 {
 		c.IngestQueue = 4096
-	}
-	if c.IngestBatch <= 0 {
-		c.IngestBatch = 256
 	}
 }
 
@@ -379,10 +372,12 @@ type fitRequest struct {
 	// TopM > 0 serves the model with top-m anchor truncation; responses
 	// then carry residual_bound. Incompatible with KNN > 0.
 	TopM int `json:"top_m,omitempty"`
-	// Stream keeps a live ingestor behind the model so POST /v1/ingest
-	// can append points continuously. Requires a compact-support kernel,
-	// a fixed bandwidth, the hard criterion (lambda 0), labeled anchors,
-	// and no knn/top_m truncation.
+	// Stream lets POST /v1/ingest append labeled points to the served
+	// model, each as one more anchor. Requires an explicit
+	// compact-support kernel, a fixed bandwidth, the hard criterion
+	// (lambda 0), labeled anchors, and no knn/top_m truncation: the
+	// models whose anchors are their responses, which a new label
+	// extends without a solve.
 	Stream bool `json:"stream,omitempty"`
 }
 
@@ -419,11 +414,11 @@ func (s *Server) fit(w http.ResponseWriter, r *http.Request) (fitResponse, error
 		return fitResponse{}, err
 	}
 	start := time.Now()
-	m, ing, err := s.buildModel(r.Context(), &req)
+	m, err := s.buildModel(r.Context(), &req)
 	if err != nil {
 		return fitResponse{}, err
 	}
-	e, err := s.publish(name, m, ing)
+	e, err := s.publish(name, m, req.Stream)
 	if err != nil {
 		return fitResponse{}, err
 	}
@@ -436,10 +431,10 @@ func (s *Server) fit(w http.ResponseWriter, r *http.Request) (fitResponse, error
 }
 
 // publish stores a fitted model under name and, under the same hold of
-// publishMu, registers its ingestor (ing != nil) or retires the name's
-// previous one. The ingestor registers only after the initial
+// publishMu, registers an ingest state for a streaming model or retires
+// the name's previous one. The state registers only after the initial
 // publication, so its worker can never race the first Store.
-func (s *Server) publish(name string, m *Model, ing *stream.Ingestor) (*Entry, error) {
+func (s *Server) publish(name string, m *Model, stream bool) (*Entry, error) {
 	s.publishMu.Lock()
 	defer s.publishMu.Unlock()
 	e, err := s.registry.Store(name, m)
@@ -447,8 +442,8 @@ func (s *Server) publish(name string, m *Model, ing *stream.Ingestor) (*Entry, e
 		return nil, err
 	}
 	setModelVersion(e.Name, e.Version)
-	if ing != nil {
-		s.registerIngest(e, ing)
+	if stream {
+		s.registerIngest(e)
 	} else {
 		s.dropIngest(e.Name)
 	}
@@ -456,9 +451,8 @@ func (s *Server) publish(name string, m *Model, ing *stream.Ingestor) (*Entry, e
 }
 
 // buildModel validates a fit request and runs the transductive fit, the
-// snapshot and the inductive model build. For "stream": true fits, ing is
-// the live ingestor to register after the model's publication.
-func (s *Server) buildModel(ctx context.Context, req *fitRequest) (m *Model, ing *stream.Ingestor, err error) {
+// snapshot and the inductive model build, all under FitTimeout.
+func (s *Server) buildModel(ctx context.Context, req *fitRequest) (*Model, error) {
 	var anchorSet AnchorSet
 	switch req.AnchorSet {
 	case "", "labeled":
@@ -466,20 +460,23 @@ func (s *Server) buildModel(ctx context.Context, req *fitRequest) (m *Model, ing
 	case "all":
 		anchorSet = AnchorAll
 	default:
-		return nil, nil, fmt.Errorf("serve: anchor_set %q (want \"labeled\" or \"all\"): %w", req.AnchorSet, ErrPoint)
-	}
-	if req.Stream {
-		return s.buildStreamModel(req, anchorSet)
+		return nil, fmt.Errorf("serve: anchor_set %q (want \"labeled\" or \"all\"): %w", req.AnchorSet, ErrPoint)
 	}
 	ctx, cancel := context.WithTimeout(ctx, s.cfg.FitTimeout)
 	defer cancel()
 	opts := []graphssl.Option{graphssl.WithContext(ctx), graphssl.WithWorkers(s.cfg.Workers)}
+	var kind kernel.Kind
 	if req.Kernel != "" {
-		kind, err := kernel.Parse(req.Kernel)
-		if err != nil {
-			return nil, nil, fmt.Errorf("serve: %v: %w", err, ErrPoint)
+		var err error
+		if kind, err = kernel.Parse(req.Kernel); err != nil {
+			return nil, fmt.Errorf("serve: %v: %w", err, ErrPoint)
 		}
 		opts = append(opts, graphssl.WithKernel(kind))
+	}
+	if req.Stream {
+		if err := checkStreamFit(req, kind, anchorSet); err != nil {
+			return nil, err
+		}
 	}
 	if req.Bandwidth != 0 {
 		opts = append(opts, graphssl.WithBandwidth(req.Bandwidth))
@@ -493,69 +490,38 @@ func (s *Server) buildModel(ctx context.Context, req *fitRequest) (m *Model, ing
 	res, err := graphssl.Fit(req.X, req.Y, req.Labeled, opts...)
 	if err != nil {
 		if ctx.Err() != nil {
-			return nil, nil, context.DeadlineExceeded
+			return nil, context.DeadlineExceeded
 		}
-		return nil, nil, fmt.Errorf("serve: fit: %v: %w", err, ErrPoint)
+		return nil, fmt.Errorf("serve: fit: %v: %w", err, ErrPoint)
 	}
 	snap, err := res.Snapshot(req.X, req.Y)
 	if err != nil {
-		return nil, nil, fmt.Errorf("serve: snapshot: %v: %w", err, ErrPoint)
+		return nil, fmt.Errorf("serve: snapshot: %v: %w", err, ErrPoint)
 	}
 	mopts := []ModelOption{WithAnchorSet(anchorSet), WithWorkers(s.cfg.Workers)}
 	if req.TopM > 0 {
 		mopts = append(mopts, WithTopM(req.TopM))
 	}
-	m, err = NewModel(snap, mopts...)
-	return m, nil, err
+	return NewModel(snap, mopts...)
 }
 
-// buildStreamModel is the "stream": true branch of buildModel: it
-// validates the streaming constraints, fits through stream.New (bitwise
-// the same solution as graphssl.Fit), and returns the initial model
-// together with the live ingestor.
-func (s *Server) buildStreamModel(req *fitRequest, anchorSet AnchorSet) (*Model, *stream.Ingestor, error) {
+// checkStreamFit checks a "stream": true request, whose kernel parsed as
+// kind, against the streaming contract: a model whose every anchor is a
+// response, so that Model.ApplyDelta can append each ingested label.
+func checkStreamFit(req *fitRequest, kind kernel.Kind, anchorSet AnchorSet) error {
 	switch {
 	case anchorSet != AnchorLabeled:
-		return nil, nil, fmt.Errorf("serve: streaming fits require labeled anchors: %w", ErrPoint)
+		return fmt.Errorf("serve: streaming fits require labeled anchors: %w", ErrPoint)
 	case req.TopM > 0 || req.KNN != 0:
-		return nil, nil, fmt.Errorf("serve: streaming fits take no knn or top_m truncation: %w", ErrPoint)
+		return fmt.Errorf("serve: streaming fits take no knn or top_m truncation: %w", ErrPoint)
 	case req.Lambda != nil && *req.Lambda != 0:
-		return nil, nil, fmt.Errorf("serve: streaming fits require the hard criterion (lambda 0): %w", ErrPoint)
+		return fmt.Errorf("serve: streaming fits require the hard criterion (lambda 0): %w", ErrPoint)
 	case req.Bandwidth <= 0:
-		return nil, nil, fmt.Errorf("serve: streaming fits require a fixed bandwidth: %w", ErrPoint)
-	case req.Kernel == "":
-		return nil, nil, fmt.Errorf("serve: streaming fits require an explicit compact-support kernel: %w", ErrPoint)
+		return fmt.Errorf("serve: streaming fits require a fixed bandwidth: %w", ErrPoint)
+	case req.Kernel == "" || !kind.CompactSupport():
+		return fmt.Errorf("serve: streaming fits require an explicit compact-support kernel: %w", ErrPoint)
 	}
-	kind, err := kernel.Parse(req.Kernel)
-	if err != nil {
-		return nil, nil, fmt.Errorf("serve: %v: %w", err, ErrPoint)
-	}
-	labeled := req.Labeled
-	if labeled == nil {
-		// The graphssl.Fit convention: nil labeled means the first len(y)
-		// points.
-		labeled = make([]int, len(req.Y))
-		for i := range labeled {
-			labeled[i] = i
-		}
-	}
-	ing, err := stream.New(req.X, req.Y, labeled, stream.Config{
-		Kernel:    kind,
-		Bandwidth: req.Bandwidth,
-		Workers:   s.cfg.Workers,
-	})
-	if err != nil {
-		return nil, nil, fmt.Errorf("serve: stream fit: %v: %w", err, ErrPoint)
-	}
-	snap, err := ing.Snapshot()
-	if err != nil {
-		return nil, nil, fmt.Errorf("serve: snapshot: %v: %w", err, ErrPoint)
-	}
-	m, err := NewModel(snap, WithAnchorSet(AnchorLabeled), WithWorkers(s.cfg.Workers))
-	if err != nil {
-		return nil, nil, err
-	}
-	return m, ing, nil
+	return nil
 }
 
 // modelEntry lists one registry entry.

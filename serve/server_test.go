@@ -193,6 +193,25 @@ func TestServerFitOversizedKNN(t *testing.T) {
 	}
 }
 
+// TestServerFitTimeout: FitTimeout bounds every fit, a "stream": true one
+// included; past the deadline both answer 504 and publish nothing.
+func TestServerFitTimeout(t *testing.T) {
+	srv, ts := testServer(t, Config{Workers: 1, FitTimeout: time.Nanosecond})
+	x, y, labeled := streamData(43, 64, 16)
+	for name, req := range map[string]fitRequest{
+		"plain":  {X: x, Y: y, Labeled: labeled, Bandwidth: 0.35},
+		"stream": {X: x, Y: y, Labeled: labeled, Kernel: "epanechnikov", Bandwidth: 0.35, Stream: true},
+	} {
+		resp, body := postJSON(t, ts.URL+"/v1/models/"+name, req)
+		if resp.StatusCode != http.StatusGatewayTimeout {
+			t.Fatalf("%s fit: %d %s", name, resp.StatusCode, body)
+		}
+		if _, err := srv.registry.Load(name); err == nil || srv.ingestStateFor(name) != nil {
+			t.Fatalf("%s fit past its deadline was published", name)
+		}
+	}
+}
+
 // TestServerErrorMapping checks every HTTP error translation.
 func TestServerErrorMapping(t *testing.T) {
 	_, ts := testServer(t, Config{MaxPoints: 4, MaxBodyBytes: 1 << 16})

@@ -6,9 +6,10 @@ import (
 )
 
 // SnapshotDelta is an appendable increment to a ModelSnapshot: points
-// labeled since the snapshot was taken, in labeling order. The stream
-// package emits deltas (Ingestor.TakeDelta) so a server can roll
-// a published model forward without republishing every anchor.
+// labeled since the snapshot was taken, in labeling order. The serve
+// package builds one per ingest batch, and the stream package emits them
+// (Ingestor.TakeDelta), so a published model rolls forward without
+// republishing every anchor.
 type SnapshotDelta struct {
 	// X are the new labeled points, Y their responses (aligned).
 	X [][]float64
