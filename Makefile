@@ -1,7 +1,7 @@
 GO ?= go
 GOFMT ?= gofmt
 
-.PHONY: all build test race race-concurrency vet ci bench fuzz fuzz-stream fuzz-smoke cover alloc-gate serve-smoke stream-smoke bench-smoke
+.PHONY: all build test race race-concurrency vet ci bench bench-refloop fuzz fuzz-stream fuzz-smoke cover alloc-gate serve-smoke stream-smoke bench-smoke
 
 # Coverage ratchet: global statement coverage must not fall below this floor
 # (current coverage minus a 1% buffer). Raise it as coverage grows.
@@ -93,9 +93,21 @@ cover:
 		if (t+0 < f+0) { printf "coverage %.1f%% fell below floor %.1f%%\n", t, f; exit 1 } \
 		printf "coverage %.1f%% >= floor %.1f%%\n", t, f }'
 
-# Worker-parameterized microbenchmarks of the parallel compute layer.
+# Worker-parameterized microbenchmarks of the parallel compute layer, and
+# the hard solve of the bench/ fit workload's problem under each CG
+# preconditioner (Jacobi, the default, and IC(0) after RCM).
 bench:
-	$(GO) test -run xxx -bench 'BenchmarkPairwiseDist2|BenchmarkBuildKNN|BenchmarkCGMulVec' -benchmem .
+	$(GO) test -run xxx -bench 'BenchmarkPairwiseDist2|BenchmarkBuildKNN|BenchmarkCGMulVec|BenchmarkHardPrecond' -benchmem .
+
+# Builds the bench/ binary as bench/run.sh does (its -h run only prints the
+# usage) and prints the address of main.refLoop, the host-speed reference
+# loop, with its offset mod 64. The loop's speed depends on its alignment,
+# so a comparison of two builds reports both offsets.
+bench-refloop:
+	@bash bench/run.sh -h >/dev/null 2>&1
+	@addr=$$($(GO) tool nm .bench_build/bench | awk '$$3 == "main.refLoop" { print $$1 }'); \
+	if [ -z "$$addr" ]; then echo "main.refLoop not found in .bench_build/bench"; exit 1; fi; \
+	echo "main.refLoop 0x$$addr, offset $$((0x$$addr % 64)) mod 64"
 
 # End-to-end smoke of the serving subsystem: boots sslserve on a free port,
 # fits a model over HTTP, runs concurrent multi-point predicts, checks

@@ -84,10 +84,12 @@ func BenchmarkFig5(b *testing.B) {
 	}
 }
 
-// benchProblem builds a reusable synthetic hard-criterion problem.
-func benchProblem(b *testing.B, n, m int, knn int) *core.Problem {
+// benchProblem builds a reusable synthetic hard-criterion problem: Model 1
+// with n labeled and m unlabeled points, the paper's bandwidth, and a kNN
+// graph when knn > 0.
+func benchProblem(b *testing.B, seed int64, n, m int, knn int) *core.Problem {
 	b.Helper()
-	rng := randx.New(99)
+	rng := randx.New(seed)
 	ds, err := synth.Generate(rng, synth.Model1, n, m)
 	if err != nil {
 		b.Fatal(err)
@@ -123,7 +125,7 @@ func benchProblem(b *testing.B, n, m int, knn int) *core.Problem {
 // vs LU vs sparse CG vs iterative propagation (Proposition II.1's O(m³)
 // advantage shows in the m-dependence).
 func BenchmarkHardSolvers(b *testing.B) {
-	p := benchProblem(b, 200, 100, 0)
+	p := benchProblem(b, 99, 200, 100, 0)
 	for _, m := range []core.Method{core.MethodCholesky, core.MethodLU, core.MethodCG, core.MethodPropagation} {
 		b.Run(m.String(), func(b *testing.B) {
 			b.ReportAllocs()
@@ -136,12 +138,35 @@ func BenchmarkHardSolvers(b *testing.B) {
 	}
 }
 
+// BenchmarkHardPrecond solves the hard system of the bench/ fit workload's
+// problem at seed 1 (Model 1, 2,500 labeled + 22,500 unlabeled points, kNN
+// 10; built once) through the default auto chain under each CG
+// preconditioner: Jacobi, the default, and IC(0) after an RCM reordering.
+// It reports the PCG iterations per solve.
+func BenchmarkHardPrecond(b *testing.B) {
+	p := benchProblem(b, 1, 2500, 22500, 10)
+	for _, pc := range []core.Precond{core.PrecondJacobi, core.PrecondIC0} {
+		b.Run(pc.String(), func(b *testing.B) {
+			b.ReportAllocs()
+			var iters int
+			for i := 0; i < b.N; i++ {
+				sol, err := core.SolveHard(p, core.WithPreconditioner(pc))
+				if err != nil {
+					b.Fatal(err)
+				}
+				iters = sol.Iterations
+			}
+			b.ReportMetric(float64(iters), "iters/op")
+		})
+	}
+}
+
 // BenchmarkHardVsSoftComplexity contrasts the hard criterion's m×m solve
 // (Eq. 5, O(m³)) with the soft criterion's (n+m)×(n+m) solve (Eq. 4,
 // O((n+m)³)) — the computational advantage the paper notes after
 // Proposition II.1.
 func BenchmarkHardVsSoftComplexity(b *testing.B) {
-	p := benchProblem(b, 400, 60, 0)
+	p := benchProblem(b, 99, 400, 60, 0)
 	b.Run("hard-m3", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
@@ -162,7 +187,7 @@ func BenchmarkHardVsSoftComplexity(b *testing.B) {
 
 // BenchmarkLambdaPath measures the λ-path evaluation used by every figure.
 func BenchmarkLambdaPath(b *testing.B) {
-	p := benchProblem(b, 150, 50, 0)
+	p := benchProblem(b, 99, 150, 50, 0)
 	lams := []float64{0, 0.01, 0.1, 5}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
@@ -175,7 +200,7 @@ func BenchmarkLambdaPath(b *testing.B) {
 // BenchmarkHardVsNW compares the full hard solve against the
 // Nadaraya–Watson estimator it converges to (Theorem II.1).
 func BenchmarkHardVsNW(b *testing.B) {
-	p := benchProblem(b, 300, 50, 0)
+	p := benchProblem(b, 99, 300, 50, 0)
 	b.Run("hard", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
@@ -315,7 +340,7 @@ func BenchmarkBuildKNN(b *testing.B) {
 // solve it drives (the inner loop of every iterative hard/soft solve)
 // across worker counts, on a k-NN Laplacian system.
 func BenchmarkCGMulVec(b *testing.B) {
-	p := benchProblem(b, 300, 1200, 12)
+	p := benchProblem(b, 99, 300, 1200, 12)
 	sys, err := core.BuildPropagationSystem(p)
 	if err != nil {
 		b.Fatal(err)

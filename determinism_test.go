@@ -34,18 +34,22 @@ func fitEqual(t *testing.T, name string, ref, got *Result) {
 // parallel compute layer: Fit output must be identical for
 // WithWorkers(1), WithWorkers(4), and WithWorkers(GOMAXPROCS) on both
 // Gaussian and Epanechnikov graphs, across solver backends and criteria.
+// The auto-chain case sits above its WithAutoCutoff, so the chain's
+// Jacobi-CG head produces the scores.
 func TestFitDeterministicAcrossWorkers(t *testing.T) {
 	x, y := twoClusters(47, 30, 10)
 	cases := []struct {
-		name string
-		opts []Option
+		name   string
+		opts   []Option
+		solver Solver // the backend the fit must settle on; SolverAuto: any
 	}{
-		{"gaussian-hard", []Option{WithKernel(Gaussian)}},
-		{"gaussian-knn-soft", []Option{WithKernel(Gaussian), WithKNN(8), WithLambda(0.1)}},
-		{"gaussian-cg", []Option{WithKernel(Gaussian), WithSolver(SolverCG)}},
-		{"gaussian-propagation", []Option{WithKernel(Gaussian), WithSolver(SolverPropagation)}},
-		{"epanechnikov-hard", []Option{WithKernel(Epanechnikov), WithBandwidth(3)}},
-		{"epanechnikov-knn", []Option{WithKernel(Epanechnikov), WithBandwidth(3), WithKNN(8)}},
+		{"gaussian-hard", []Option{WithKernel(Gaussian)}, SolverAuto},
+		{"gaussian-knn-soft", []Option{WithKernel(Gaussian), WithKNN(8), WithLambda(0.1)}, SolverAuto},
+		{"gaussian-cg", []Option{WithKernel(Gaussian), WithSolver(SolverCG)}, SolverCG},
+		{"gaussian-knn-auto-cg", []Option{WithKernel(Gaussian), WithKNN(8), WithAutoCutoff(16)}, SolverCG},
+		{"gaussian-propagation", []Option{WithKernel(Gaussian), WithSolver(SolverPropagation)}, SolverPropagation},
+		{"epanechnikov-hard", []Option{WithKernel(Epanechnikov), WithBandwidth(3)}, SolverAuto},
+		{"epanechnikov-knn", []Option{WithKernel(Epanechnikov), WithBandwidth(3), WithKNN(8)}, SolverAuto},
 	}
 	workerCounts := []int{1, 4, runtime.GOMAXPROCS(0)}
 	for _, tc := range cases {
@@ -54,6 +58,9 @@ func TestFitDeterministicAcrossWorkers(t *testing.T) {
 			res, err := Fit(x, y, nil, append([]Option{WithWorkers(w)}, tc.opts...)...)
 			if err != nil {
 				t.Fatalf("%s workers=%d: %v", tc.name, w, err)
+			}
+			if tc.solver != SolverAuto && res.Solver != tc.solver {
+				t.Fatalf("%s workers=%d: solved by %v, want %v", tc.name, w, res.Solver, tc.solver)
 			}
 			if ref == nil {
 				ref = res

@@ -29,13 +29,14 @@
 // WithSolver picks the linear-system backend: dense Cholesky/LU, sparse
 // conjugate gradient, or iterative label propagation. The default
 // (SolverAuto) plans a deterministic escalation chain from a pre-solve
-// health probe — preconditioned CG first on large systems, with dense
-// fallbacks behind it up to 8,192 unknowns. WithPreconditioner selects the
-// CG preconditioner (Jacobi, or zero-fill incomplete Cholesky with RCM
-// reordering) when the automatic choice is not wanted. WithWorkers bounds the worker goroutines
-// used by graph construction, SpMV, and batch prediction; results are
-// bitwise identical for every worker count. WithDiagnostics fills a Report
-// with stage timings, the solver trace, and any fallbacks taken.
+// health probe — Jacobi-preconditioned CG first on large systems, with
+// dense fallbacks behind it up to 8,192 unknowns. WithPreconditioner
+// selects another CG preconditioner (zero-fill incomplete Cholesky with RCM
+// reordering, or none); the default is Jacobi at every size. WithWorkers
+// bounds the worker goroutines used by graph construction, SpMV, and batch
+// prediction; results are bitwise identical for every worker count.
+// WithDiagnostics fills a Report with stage timings, the solver trace, and
+// any fallbacks taken.
 //
 // # Serving
 //

@@ -51,8 +51,8 @@ type Precond = core.Precond
 
 // Supported preconditioners.
 const (
-	// PrecondAuto (the default) picks Jacobi at or below the auto cutoff and
-	// IC(0) with RCM reordering above it.
+	// PrecondAuto (the default) is Jacobi at every size, bit for bit as
+	// PrecondJacobi.
 	PrecondAuto = core.PrecondAuto
 	// PrecondJacobi forces diagonal scaling (the historical solve path,
 	// bit-for-bit).

@@ -54,10 +54,9 @@ type Precond int
 
 // Available preconditioners.
 const (
-	// PrecondAuto (the default) resolves from the system size: Jacobi at or
-	// below the auto cutoff — the historical, bit-reproducible path — and
-	// IC(0) with RCM reordering above it, where the stronger preconditioner
-	// pays for its setup.
+	// PrecondAuto (the default) is Jacobi at every size: it solves bit for
+	// bit as PrecondJacobi does. IC(0) with RCM saves about threefold in
+	// iterations but loses more to its set-up and serial triangular solves.
 	PrecondAuto Precond = iota
 	// PrecondJacobi forces diagonal scaling.
 	PrecondJacobi

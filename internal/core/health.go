@@ -291,11 +291,11 @@ func runChain(ctx context.Context, a *sparse.CSR, b []float64, cfg solveConfig) 
 }
 
 // runBackend executes one backend: for the auto chain, and for an
-// explicit WithMethod in SolveHard and SolveSoft. CG resolves its
-// preconditioner through solveCG (IC(0)+RCM above the cutoff by default)
-// and runs with the given stagnation window — chainStagnationWindow in the
-// chain, so pathological systems fail fast and escalate, and 0 (off) for
-// an explicit method; direct backends densify and factorize.
+// explicit WithMethod in SolveHard and SolveSoft. CG runs through solveCG
+// (Jacobi unless PrecondIC0 or PrecondNone is asked for) with the given
+// stagnation window — chainStagnationWindow in the chain, so pathological
+// systems fail fast and escalate, and 0 (off) for an explicit method;
+// direct backends densify and factorize.
 func runBackend(ctx context.Context, m Method, a *sparse.CSR, b []float64, cfg solveConfig, stagnationWindow int) ([]float64, sparse.SolveResult, cgOutcome, error) {
 	switch m {
 	case MethodCG:

@@ -3,6 +3,11 @@ package core
 import (
 	"math"
 	"testing"
+
+	"repro/internal/graph"
+	"repro/internal/kernel"
+	"repro/internal/randx"
+	"repro/internal/synth"
 )
 
 func closeVecs(t *testing.T, name string, got, want []float64, tol float64) {
@@ -32,7 +37,7 @@ func TestWithPreconditionerVariantsAgree(t *testing.T) {
 		{PrecondJacobi, "jacobi"},
 		{PrecondIC0, "ic0+rcm"},
 		{PrecondNone, "none"},
-		{PrecondAuto, "jacobi"}, // n below cutoff resolves to Jacobi
+		{PrecondAuto, "jacobi"}, // Jacobi at every size
 	}
 	for _, c := range cases {
 		sol, err := SolveSoft(p, 0.3, WithMethod(MethodCG), WithPreconditioner(c.pc))
@@ -46,33 +51,75 @@ func TestWithPreconditionerVariantsAgree(t *testing.T) {
 	}
 }
 
-// TestAutoChainSelectsIC0AboveCutoff: once the system outgrows the dense
-// cutoff, the auto chain's CG head must run IC(0) with RCM and record it in
-// the solution and trace.
-func TestAutoChainSelectsIC0AboveCutoff(t *testing.T) {
-	p := gaussProblem(t, 5, 15, 70)
-	sol, err := SolveHard(p, WithAutoCutoff(1))
+// TestAutoChainSelectsJacobiAboveCutoff: above the dense cutoff the auto
+// chain's CG head runs Jacobi, with no reordering or factorization set-up,
+// and solves bit for bit as an explicit PrecondJacobi does, whether CG is
+// the chain's head or an explicit MethodCG; an explicit PrecondIC0 still
+// runs IC(0) after RCM. The instance has the shape of the benchmark's
+// CG-versus-Cholesky check: Model 1, 200 labeled + 1,800 unlabeled points,
+// a kNN-10 graph and an auto cutoff of 256.
+func TestAutoChainSelectsJacobiAboveCutoff(t *testing.T) {
+	ds, err := synth.Generate(randx.New(5), synth.Model1, 200, 1800)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sol.Method != MethodCG {
-		t.Fatalf("auto chain settled on %v, want cg", sol.Method)
+	h, err := kernel.PaperBandwidth(200, synth.Dim)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if sol.Precond != "ic0+rcm" {
-		t.Fatalf("auto chain used precond %q, want ic0+rcm", sol.Precond)
+	b, err := graph.NewBuilder(kernel.MustNew(kernel.Gaussian, h), graph.WithKNN(10))
+	if err != nil {
+		t.Fatal(err)
 	}
-	if sol.Trace == nil || len(sol.Trace.Attempts) == 0 {
-		t.Fatal("auto solve carried no trace attempts")
+	g, err := b.Build(ds.X)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if att := sol.Trace.Attempts[len(sol.Trace.Attempts)-1]; att.Precond != "ic0+rcm" {
-		t.Fatalf("winning attempt records precond %q, want ic0+rcm", att.Precond)
+	p, err := NewProblemLabeledFirst(g, ds.YLabeled())
+	if err != nil {
+		t.Fatal(err)
+	}
+	solve := func(opts ...SolveOption) *Solution {
+		t.Helper()
+		sol, err := SolveHard(p, opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return sol
+	}
+	ref := solve(WithMethod(MethodCholesky))
+
+	sol := solve(WithAutoCutoff(256))
+	if sol.Method != MethodCG || sol.Precond != "jacobi" || sol.PrecondSetup != 0 {
+		t.Fatalf("auto chain settled on %v with precond %q, set-up %v: want cg, jacobi, 0", sol.Method, sol.Precond, sol.PrecondSetup)
+	}
+	if sol.Trace == nil || len(sol.Trace.Attempts) != 1 {
+		t.Fatalf("auto solve trace %+v: want one attempt", sol.Trace)
+	}
+	if att := sol.Trace.Attempts[0]; att.Precond != "jacobi" || att.PrecondSetup != 0 {
+		t.Fatalf("winning attempt records precond %q, set-up %v: want jacobi, 0", att.Precond, att.PrecondSetup)
+	}
+	closeVecs(t, "auto vs dense", sol.F, ref.F, 1e-8)
+	for _, c := range []struct {
+		name string
+		got  *Solution
+	}{
+		{"auto chain, PrecondJacobi", solve(WithAutoCutoff(256), WithPreconditioner(PrecondJacobi))},
+		{"explicit cg", solve(WithMethod(MethodCG))},
+		{"explicit cg, PrecondJacobi", solve(WithMethod(MethodCG), WithPreconditioner(PrecondJacobi))},
+	} {
+		for i := range sol.F {
+			if math.Float64bits(c.got.F[i]) != math.Float64bits(sol.F[i]) {
+				t.Fatalf("%s: F[%d] = %v, default auto chain %v", c.name, i, c.got.F[i], sol.F[i])
+			}
+		}
 	}
 
-	ref, err := SolveHard(p, WithMethod(MethodCholesky))
-	if err != nil {
-		t.Fatal(err)
+	ic := solve(WithAutoCutoff(256), WithPreconditioner(PrecondIC0))
+	if ic.Method != MethodCG || ic.Precond != "ic0+rcm" {
+		t.Fatalf("explicit PrecondIC0 settled on %v with precond %q, want cg, ic0+rcm", ic.Method, ic.Precond)
 	}
-	closeVecs(t, "auto-ic0 vs dense", sol.F, ref.F, 1e-6)
+	closeVecs(t, "ic0 vs dense", ic.F, ref.F, 1e-8)
 }
 
 // TestSmallAutoSolveKeepsDensePathAndNoPrecond: at or below the cutoff the
@@ -170,24 +217,5 @@ func TestSoftSweepDefaultBitwiseStable(t *testing.T) {
 			t.Fatal(err)
 		}
 		closeVecs(t, "sweep vs dense", fa, ref.F, 1e-6)
-	}
-}
-
-// TestResolvePrecond pins the auto-resolution rule.
-func TestResolvePrecond(t *testing.T) {
-	if got := resolvePrecond(PrecondAuto, 100, 2048); got != PrecondJacobi {
-		t.Fatalf("auto small = %v", got)
-	}
-	if got := resolvePrecond(PrecondAuto, 5000, 2048); got != PrecondIC0 {
-		t.Fatalf("auto large = %v", got)
-	}
-	if got := resolvePrecond(PrecondAuto, 5000, 0); got != PrecondIC0 {
-		t.Fatalf("auto default cutoff = %v", got)
-	}
-	if got := resolvePrecond(PrecondNone, 5000, 2048); got != PrecondNone {
-		t.Fatalf("explicit none = %v", got)
-	}
-	if got := resolvePrecond(PrecondIC0, 10, 2048); got != PrecondIC0 {
-		t.Fatalf("explicit ic0 = %v", got)
 	}
 }

@@ -11,8 +11,12 @@ import (
 // This file is the single CG entry point of the solve pipeline: every
 // backend that runs conjugate gradient — the explicit MethodCG branches of
 // SolveHard/SolveSoft and the iterative head of the MethodAuto chain — goes
-// through solveCG, so preconditioner selection, RCM reordering, and
-// diagnostics accounting live in one place.
+// through solveCG, so preconditioner selection and diagnostics accounting
+// live in one place. PrecondAuto is Jacobi at every size: on the trial
+// systems (EXPERIMENTS.md, "Preconditioner trial") IC(0)'s set-up, its RCM
+// reordering and its two serial triangular solves per iteration cost more
+// than the iterations they save, so RCM and IC(0) run only under an
+// explicit PrecondIC0.
 
 // cgOutcome reports how a CG solve was preconditioned, for traces and the
 // public Report.
@@ -25,29 +29,12 @@ type cgOutcome struct {
 	setup time.Duration
 }
 
-// resolvePrecond maps PrecondAuto onto a concrete choice: Jacobi at or
-// below the dense/iterative cutoff (those systems rarely reach CG at all),
-// IC(0)+RCM above it, where the health probe has already vouched for
-// conditioning and the factorization cost is amortized by the iteration
-// savings.
-func resolvePrecond(p Precond, n, cutoff int) Precond {
-	if p != PrecondAuto {
-		return p
-	}
-	if cutoff <= 0 {
-		cutoff = defaultAutoCutoff
-	}
-	if n > cutoff {
-		return PrecondIC0
-	}
-	return PrecondJacobi
-}
-
 // solveCG runs the CG backend on A x = b under cfg's preconditioner choice.
-// The Jacobi and unpreconditioned paths solve A x = b directly; the IC(0)
-// path permutes the system with RCM, solves P A Pᵀ (P x) = P b with the
-// incomplete-Cholesky PCG, and un-permutes the solution. Every path is
-// deterministic and bitwise-stable across worker counts.
+// The Jacobi path (PrecondAuto and PrecondJacobi) and the unpreconditioned
+// path solve A x = b directly; the IC(0) path permutes the system with RCM,
+// solves P A Pᵀ (P x) = P b with the incomplete-Cholesky PCG, and
+// un-permutes the solution. Every path is deterministic and bitwise-stable
+// across worker counts.
 func solveCG(ctx context.Context, a *sparse.CSR, b []float64, cfg solveConfig, stagnationWindow int) ([]float64, sparse.SolveResult, cgOutcome, error) {
 	base := sparse.CGOptions{
 		Tol:              cfg.tol,
@@ -56,7 +43,7 @@ func solveCG(ctx context.Context, a *sparse.CSR, b []float64, cfg solveConfig, s
 		Ctx:              ctx,
 		StagnationWindow: stagnationWindow,
 	}
-	switch resolvePrecond(cfg.precond, a.Rows(), cfg.autoCutoff) {
+	switch cfg.precond {
 	case PrecondNone:
 		x, res, err := sparse.CG(a, b, base)
 		return x, res, cgOutcome{name: "none"}, err
@@ -87,7 +74,7 @@ func solveCG(ctx context.Context, a *sparse.CSR, b []float64, cfg solveConfig, s
 		x := make([]float64, n)
 		sparse.UnpermuteVecTo(x, px, perm)
 		return x, res, out, nil
-	default: // PrecondJacobi
+	default: // PrecondAuto, PrecondJacobi
 		m, err := precond.NewJacobi(a)
 		if err != nil {
 			return nil, sparse.SolveResult{}, cgOutcome{}, err

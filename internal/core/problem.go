@@ -9,7 +9,6 @@ package core
 import (
 	"errors"
 	"fmt"
-	"sort"
 
 	"repro/internal/graph"
 )
@@ -128,20 +127,19 @@ func (p *Problem) IsLabeled(i int) bool {
 
 // checkCoverage verifies that every connected component containing an
 // unlabeled node also contains a labeled node; otherwise the hard system is
-// singular on that component.
+// singular on that component. It reads the graph's shared component
+// labelling, and names the first uncovered component by its smallest node.
 func (p *Problem) checkCoverage() error {
-	for _, comp := range p.g.Components() {
-		hasLabeled, hasUnlabeled := false, false
-		for _, v := range comp {
-			if p.isLabeled[v] {
-				hasLabeled = true
-			} else {
-				hasUnlabeled = true
-			}
-		}
-		if hasUnlabeled && !hasLabeled {
-			sort.Ints(comp)
-			return fmt.Errorf("core: component starting at node %d: %w", comp[0], ErrIsolated)
+	label, count := p.g.ComponentLabels()
+	covered := make([]bool, count)
+	for _, l := range p.labeled {
+		covered[label[l]] = true
+	}
+	// Ascending node order reaches the uncovered component with the
+	// smallest first node at that node.
+	for i, c := range label {
+		if !covered[c] {
+			return fmt.Errorf("core: component starting at node %d: %w", i, ErrIsolated)
 		}
 	}
 	return nil

@@ -176,3 +176,42 @@ func TestCheckCoverageIsolatedComponent(t *testing.T) {
 		t.Fatalf("want ErrIsolated, got %v", err)
 	}
 }
+
+// TestCheckCoverageNamesFirstUncoveredComponent: with interleaved
+// components {0,3}, {1,4}, {2,5} and only node 0 labeled, two components
+// are uncovered, and the error names the one whose smallest node comes
+// first, by that node. A graph whose every component holds a label passes.
+func TestCheckCoverageNamesFirstUncoveredComponent(t *testing.T) {
+	coo := sparse.NewCOO(6, 6)
+	_ = coo.AddSym(0, 3, 1)
+	_ = coo.AddSym(4, 1, 1)
+	_ = coo.AddSym(5, 2, 1)
+	g, err := graph.FromWeights(coo.ToCSR())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		labeled []int
+		want    string
+	}{
+		{[]int{0}, "core: component starting at node 1: " + ErrIsolated.Error()},
+		{[]int{4}, "core: component starting at node 0: " + ErrIsolated.Error()},
+		{[]int{0, 1}, "core: component starting at node 2: " + ErrIsolated.Error()},
+		{[]int{3, 1, 5}, ""},
+	} {
+		p, err := NewProblem(g, c.labeled, make([]float64, len(c.labeled)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		err = p.checkCoverage()
+		if c.want == "" {
+			if err != nil {
+				t.Fatalf("labeled %v: %v", c.labeled, err)
+			}
+			continue
+		}
+		if !errors.Is(err, ErrIsolated) || err.Error() != c.want {
+			t.Fatalf("labeled %v: err %v, want %q", c.labeled, err, c.want)
+		}
+	}
+}

@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"sync"
 
 	"repro/internal/kernel"
 	"repro/internal/mat"
@@ -26,9 +27,15 @@ var (
 
 // Graph is an undirected weighted graph over n nodes with a symmetric
 // similarity matrix W (zero diagonal entries are permitted; the paper's RBF
-// graphs have w_ii = 1, which cancels in all Laplacian quantities).
+// graphs have w_ii = 1, which cancels in all Laplacian quantities). A Graph
+// is immutable once built, which lets it label its connected components
+// once for every caller.
 type Graph struct {
 	w *sparse.CSR
+
+	compOnce  sync.Once
+	compLabel []int // compLabel[i] = component of node i (see ComponentLabels)
+	compCount int
 }
 
 // FromWeights wraps a symmetric similarity matrix. The matrix is validated
@@ -463,10 +470,18 @@ func (g *Graph) Laplacian(kind LaplacianKind) (*sparse.CSR, error) {
 	return coo.ToCSR(), nil
 }
 
-// Components returns the connected components (by positive-weight edges) as
-// a slice of node-index slices, each sorted ascending, ordered by their
-// smallest node.
-func (g *Graph) Components() [][]int {
+// ComponentLabels returns each node's connected component (by
+// positive-weight edges), numbered 0, 1, … in order of the components'
+// smallest nodes, and the component count. One union-find pass computes the
+// labelling the first time it is asked for; every later call, and every
+// caller (Components, IsConnected, Summary, a hard problem's coverage
+// check), shares it, so the returned slice must not be modified.
+func (g *Graph) ComponentLabels() ([]int, int) {
+	g.compOnce.Do(g.labelComponents)
+	return g.compLabel, g.compCount
+}
+
+func (g *Graph) labelComponents() {
 	n := g.N()
 	uf := newUnionFind(n)
 	for i := 0; i < n; i++ {
@@ -477,19 +492,33 @@ func (g *Graph) Components() [][]int {
 			}
 		}
 	}
-	groups := make(map[int][]int)
-	for i := 0; i < n; i++ {
+	// Ascending node order meets each component first at its smallest node
+	// and numbers it then. The unions are done, so the rank slots are free:
+	// num[r] holds one plus the number of root r's component, zero until
+	// the scan meets it.
+	num := uf.rank
+	clear(num)
+	label := make([]int, n)
+	count := 0
+	for i := range label {
 		r := uf.find(i)
-		groups[r] = append(groups[r], i)
+		if num[r] == 0 {
+			count++
+			num[r] = count
+		}
+		label[i] = num[r] - 1
 	}
-	roots := make([]int, 0, len(groups))
-	for r := range groups {
-		roots = append(roots, r)
-	}
-	sort.Slice(roots, func(a, b int) bool { return groups[roots[a]][0] < groups[roots[b]][0] })
-	out := make([][]int, 0, len(roots))
-	for _, r := range roots {
-		out = append(out, groups[r])
+	g.compLabel, g.compCount = label, count
+}
+
+// Components returns the connected components (by positive-weight edges) as
+// a slice of node-index slices, each sorted ascending, ordered by their
+// smallest node.
+func (g *Graph) Components() [][]int {
+	label, count := g.ComponentLabels()
+	out := make([][]int, count)
+	for i, c := range label {
+		out[c] = append(out[c], i)
 	}
 	return out
 }
@@ -497,10 +526,8 @@ func (g *Graph) Components() [][]int {
 // IsConnected reports whether the graph has a single connected component.
 // The empty graph is not connected.
 func (g *Graph) IsConnected() bool {
-	if g.N() == 0 {
-		return false
-	}
-	return len(g.Components()) == 1
+	_, count := g.ComponentLabels()
+	return count == 1
 }
 
 // unionFind is a classic disjoint-set structure with path compression and
@@ -550,16 +577,17 @@ type Stats struct {
 	MeanDegree float64
 }
 
-// Summary computes the graph statistics in a single traversal of the CSR:
-// one pass accumulates edge counts, union-find components, and degrees
-// together instead of re-walking the matrix per statistic.
+// Summary computes the graph statistics in a single traversal of the CSR,
+// which accumulates edge counts and degrees together instead of re-walking
+// the matrix per statistic; the component count comes from the graph's
+// shared labelling (ComponentLabels).
 func (g *Graph) Summary() Stats {
 	n := g.N()
 	s := Stats{Nodes: n}
 	if n == 0 {
 		return s
 	}
-	uf := newUnionFind(n)
+	_, s.Components = g.ComponentLabels()
 	deg := make([]float64, n)
 	for i := 0; i < n; i++ {
 		cols, vals := g.w.RowNNZ(i)
@@ -569,16 +597,8 @@ func (g *Graph) Summary() Stats {
 			if j > i && vals[k] != 0 {
 				s.Edges++
 			}
-			if j != i && vals[k] > 0 {
-				uf.union(i, j)
-			}
 		}
 		deg[i] = d
-	}
-	for i := 0; i < n; i++ {
-		if uf.find(i) == i {
-			s.Components++
-		}
 	}
 	s.MinDegree, _ = mat.MinVec(deg)
 	s.MaxDegree, _ = mat.MaxVec(deg)

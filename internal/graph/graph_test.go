@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -494,5 +495,91 @@ func TestBuildInvariantsProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestComponentLabelsMatchSearch checks the shared labelling against a
+// breadth-first search over positive off-diagonal weights, in both edge
+// directions, on random sparse graphs: components are numbered by their
+// smallest node, Components and IsConnected agree with it, and callers on
+// several goroutines get one labelling, the same slice.
+func TestComponentLabelsMatchSearch(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	for trial := 0; trial < 50; trial++ {
+		n := 1 + rng.Intn(40)
+		coo := sparse.NewCOO(n, n)
+		for e := rng.Intn(n + 1); e > 0; e-- {
+			i, j := rng.Intn(n), rng.Intn(n)
+			w := 1.0
+			if rng.Intn(5) == 0 {
+				w = 0 // a stored zero joins nothing
+			}
+			if err := coo.AddSym(i, j, w); err != nil {
+				t.Fatal(err)
+			}
+		}
+		g, err := FromWeights(coo.ToCSR())
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := make([]int, n)
+		for i := range want {
+			want[i] = -1
+		}
+		count := 0
+		for s := 0; s < n; s++ {
+			if want[s] >= 0 {
+				continue
+			}
+			want[s] = count
+			queue := []int{s}
+			for len(queue) > 0 {
+				u := queue[0]
+				queue = queue[1:]
+				for v := 0; v < n; v++ {
+					if want[v] < 0 && v != u && (g.Weight(u, v) > 0 || g.Weight(v, u) > 0) {
+						want[v] = count
+						queue = append(queue, v)
+					}
+				}
+			}
+			count++
+		}
+		var wg sync.WaitGroup
+		firsts := make([]*int, 4)
+		for k := range firsts {
+			wg.Add(1)
+			go func(k int) {
+				defer wg.Done()
+				l, _ := g.ComponentLabels()
+				firsts[k] = &l[0]
+			}(k)
+		}
+		wg.Wait()
+		label, got := g.ComponentLabels()
+		for _, f := range firsts {
+			if f != &label[0] {
+				t.Fatalf("trial %d: callers got different labellings", trial)
+			}
+		}
+		if got != count {
+			t.Fatalf("trial %d: %d components, want %d", trial, got, count)
+		}
+		for i := range want {
+			if label[i] != want[i] {
+				t.Fatalf("trial %d: node %d labelled %d, want %d", trial, i, label[i], want[i])
+			}
+		}
+		comps := g.Components()
+		if len(comps) != count || g.IsConnected() != (count == 1) {
+			t.Fatalf("trial %d: %d Components, IsConnected %v, for %d components", trial, len(comps), g.IsConnected(), count)
+		}
+		for c, comp := range comps {
+			for k, v := range comp {
+				if want[v] != c || (k > 0 && comp[k-1] >= v) {
+					t.Fatalf("trial %d: component %d = %v", trial, c, comp)
+				}
+			}
+		}
 	}
 }

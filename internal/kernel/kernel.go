@@ -197,17 +197,11 @@ func Dist2Rows(q []float64, rows [][]float64, out []float64) {
 		panic(errors.New("kernel: Dist2Rows output shorter than rows"))
 	}
 	i := 0
-	var oct [8]float64
-	var octRows [8][]float64
 	for ; i+8 <= len(rows); i += 8 {
-		copy(octRows[:], rows[i:i+8])
-		dist2x8(q, &octRows, &oct)
-		copy(out[i:i+8], oct[:])
+		dist2x8(q, (*[8][]float64)(rows[i:i+8]), (*[8]float64)(out[i:i+8]))
 	}
 	if i+4 <= len(rows) {
-		var quad [4]float64
-		dist2x4(q, rows[i], rows[i+1], rows[i+2], rows[i+3], &quad)
-		copy(out[i:i+4], quad[:])
+		dist2x4(q, rows[i], rows[i+1], rows[i+2], rows[i+3], (*[4]float64)(out[i:i+4]))
 		i += 4
 	}
 	for ; i < len(rows); i++ {
@@ -435,17 +429,11 @@ func PairwiseDist2Workers(x [][]float64, workers int) ([]float64, error) {
 				xi := x[i]
 				row := out[i*n : (i+1)*n]
 				j := jstart
-				var oct [8]float64
-				var octRows [8][]float64
 				for ; j+8 <= jhi; j += 8 {
-					copy(octRows[:], x[j:j+8])
-					dist2x8(xi, &octRows, &oct)
-					copy(row[j:j+8], oct[:])
+					dist2x8(xi, (*[8][]float64)(x[j:j+8]), (*[8]float64)(row[j:j+8]))
 				}
 				if j+4 <= jhi {
-					var quad [4]float64
-					dist2x4(xi, x[j], x[j+1], x[j+2], x[j+3], &quad)
-					row[j], row[j+1], row[j+2], row[j+3] = quad[0], quad[1], quad[2], quad[3]
+					dist2x4(xi, x[j], x[j+1], x[j+2], x[j+3], (*[4]float64)(row[j:j+4]))
 					j += 4
 				}
 				for ; j < jhi; j++ {
