@@ -64,7 +64,8 @@ fuzz-stream:
 # Short deterministic-budget fuzz pass for CI: replays the checked-in
 # corpora (including the pinned streaming crashers) and fuzzes briefly,
 # including the sparse assembly (COO → CSR, transpose), the edge-list
-# parser, the KD-tree against brute force, the health probe against the
+# parser, the KD-tree against brute force, the KD-tree k-NN graph against
+# the distance-matrix build (byte for byte), the health probe against the
 # dense eigensolver, the request-body decoder against encoding/json, the
 # predict, ingest and fit handlers (no 5xx, typed 4xx envelopes, one score
 # per point), snapshot deltas (ModelSnapshot.ApplyDelta against
@@ -77,6 +78,7 @@ fuzz-smoke:
 	$(GO) test -run xxx -fuzz FuzzStreamEquivalence -fuzztime 15s ./stream/
 	$(GO) test -run xxx -fuzz '^FuzzCOOToCSR$$' -fuzztime 10s ./internal/sparse/
 	$(GO) test -run xxx -fuzz '^FuzzReadEdgeList$$' -fuzztime 10s ./internal/graph/
+	$(GO) test -run xxx -fuzz '^FuzzKNNGraph$$' -fuzztime 10s ./internal/graph/
 	$(GO) test -run xxx -fuzz '^FuzzKDTreeKNN$$' -fuzztime 10s ./internal/spatial/
 	$(GO) test -run xxx -fuzz '^FuzzProbeHealth$$' -fuzztime 10s ./internal/core/
 	$(GO) test -run xxx -fuzz '^FuzzDecodeBody$$' -fuzztime 10s ./serve/
@@ -93,11 +95,12 @@ cover:
 		if (t+0 < f+0) { printf "coverage %.1f%% fell below floor %.1f%%\n", t, f; exit 1 } \
 		printf "coverage %.1f%% >= floor %.1f%%\n", t, f }'
 
-# Worker-parameterized microbenchmarks of the parallel compute layer, and
-# the hard solve of the bench/ fit workload's problem under each CG
-# preconditioner (Jacobi, the default, and IC(0) after RCM).
+# Worker-parameterized microbenchmarks of the parallel compute layer, the
+# KD-tree k-NN build of the bench/ fit workload's points, and the hard solve
+# of that workload's problem under each CG preconditioner (Jacobi, the
+# default, and IC(0) after RCM).
 bench:
-	$(GO) test -run xxx -bench 'BenchmarkPairwiseDist2|BenchmarkBuildKNN|BenchmarkCGMulVec|BenchmarkHardPrecond' -benchmem .
+	$(GO) test -run xxx -bench '^(BenchmarkPairwiseDist2|BenchmarkBuildKNN|BenchmarkBuildKNNKDTree|BenchmarkCGMulVec|BenchmarkHardPrecond)$$' -benchmem .
 
 # Builds the bench/ binary as bench/run.sh does (its -h run only prints the
 # usage) and prints the address of main.refLoop, the host-speed reference

@@ -310,9 +310,10 @@ func BenchmarkPairwiseDist2(b *testing.B) {
 	}
 }
 
-// BenchmarkBuildKNN measures k-NN graph construction from a prebuilt
-// distance matrix (n=2000, k=10): quickselect partial selection plus
-// deterministic symmetrization and direct CSR assembly.
+// BenchmarkBuildKNN measures the brute k-NN graph path only: construction
+// from a prebuilt distance matrix (n=2000, d=50, k=10), quickselect partial
+// selection plus the one-pass symmetrization into CSR.
+// BenchmarkBuildKNNKDTree times the KD-tree path.
 func BenchmarkBuildKNN(b *testing.B) {
 	x := benchPoints(2000, 50, 67)
 	d2, err := kernel.PairwiseDist2(x)
@@ -329,6 +330,37 @@ func BenchmarkBuildKNN(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				if _, err := builder.BuildFromDist2(len(x), d2); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkBuildKNNKDTree builds the bench/ fit workload's graph at seed 1
+// (Model 1, 2,500 labeled + 22,500 unlabeled points, d=5, Gaussian at the
+// paper bandwidth, kNN 10) through graph.Builder.Build on the KD-tree, at
+// 1 and 2 workers: tree construction, the per-point queries and the merge
+// into CSR.
+func BenchmarkBuildKNNKDTree(b *testing.B) {
+	ds, err := synth.Generate(randx.New(1), synth.Model1, 2500, 22500)
+	if err != nil {
+		b.Fatal(err)
+	}
+	h, err := kernel.PaperBandwidth(2500, synth.Dim)
+	if err != nil {
+		b.Fatal(err)
+	}
+	k := kernel.MustNew(kernel.Gaussian, h)
+	for _, w := range []int{1, 2} {
+		b.Run(fmt.Sprintf("workers%d", w), func(b *testing.B) {
+			builder, err := graph.NewBuilder(k, graph.WithKNN(10), graph.WithIndex(graph.IndexKDTree), graph.WithWorkers(w))
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := builder.Build(ds.X); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -9,7 +9,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"sync"
 
 	"repro/internal/kernel"
@@ -209,20 +209,11 @@ func (b *Builder) BuildFromDist2(n int, d2 []float64) (*Graph, error) {
 	if n <= 0 || len(d2) != n*n {
 		return nil, fmt.Errorf("graph: need n*n=%d distances, got %d: %w", n*n, len(d2), ErrParam)
 	}
-	var (
-		rowCols [][]int
-		rowVals [][]float64
-	)
 	if b.knn > 0 {
-		rowCols, rowVals = b.knnRows(n, d2)
-	} else {
-		rowCols, rowVals = b.fullRows(n, d2)
+		return b.knnGraph(b.knnRows(n, d2))
 	}
-	w, err := assembleCSR(n, rowCols, rowVals, b.workers)
-	if err != nil {
-		return nil, err
-	}
-	return &Graph{w: w}, nil
+	cols, vals := b.fullRows(n, d2)
+	return assembleGraph(n, cols, vals, b.workers)
 }
 
 // at returns the canonical (upper-triangle) squared distance between i and
@@ -270,15 +261,13 @@ func (b *Builder) fullRows(n int, d2 []float64) (cols [][]int, vals [][]float64)
 	return cols, vals
 }
 
-// knnRows computes the symmetrized k-nearest-neighbour rows. Per row the k
-// nearest candidates are found by an O(n) quickselect (ties broken by index,
-// see selectK) instead of a full sort; symmetrization merges each row's
-// selection with the sorted reverse-selection lists, so every row comes out
-// sorted by column with no hash-map dedup.
-func (b *Builder) knnRows(n int, d2 []float64) (cols [][]int, vals [][]float64) {
+// knnRows selects each row's k nearest neighbours from the matrix. Per row
+// an O(n) quickselect (ties broken by index, see selectK) replaces a full
+// sort, and each selected edge carries the canonical at(d2, n, i, j), so
+// both endpoints of a mutual edge hold the same weight.
+func (b *Builder) knnRows(n int, d2 []float64) *knnSel {
 	eps2 := b.eps * b.eps
-	// Pass 1 (parallel): per-row selection, sorted ascending by index.
-	sel := make([][]int, n)
+	s := newKNNSel(n, b.knn)
 	parallel.For(b.workers, n, func(lo, hi int) {
 		idx := make([]int, 0, n-1)
 		for i := lo; i < hi; i++ {
@@ -293,95 +282,170 @@ func (b *Builder) knnRows(n int, d2 []float64) (cols [][]int, vals [][]float64) 
 				}
 				idx = append(idx, j)
 			}
-			k := b.knn
-			if k > len(idx) {
-				k = len(idx)
-			}
+			k := min(b.knn, len(idx))
 			selectK(row, idx, k)
-			top := make([]int, k)
-			copy(top, idx[:k])
-			sort.Ints(top)
-			sel[i] = top
+			top := idx[:k]
+			slices.Sort(top)
+			cols, dv := s.slab(i)
+			for _, j := range top {
+				cols, dv = append(cols, int32(j)), append(dv, at(d2, n, i, j))
+			}
+			s.set(i, cols, dv, b.kernel)
 		}
 	})
-	return b.symmetrizeKNN(n, sel, func(i, j int) float64 { return at(d2, n, i, j) })
+	return s
 }
 
-// symmetrizeKNN turns per-row sorted neighbour selections into the final
-// symmetrized rows (an edge survives if either endpoint selected it),
-// attaching weights through the squared-distance accessor d2of. Both the
-// dense-matrix and the spatial-index k-NN paths funnel through here, so the
-// two construction paths share the exact edge merge and weight evaluation.
-func (b *Builder) symmetrizeKNN(n int, sel [][]int, d2of func(i, j int) float64) (cols [][]int, vals [][]float64) {
-	// Pass 2 (serial, O(nk)): reverse lists. Appending in ascending row
-	// order leaves every rev list sorted ascending.
-	cnt := make([]int, n)
-	for i := range sel {
-		for _, j := range sel[i] {
-			cnt[j]++
+// knnSel holds every row's k-NN selection in flat n·k slabs: row i's kept
+// columns, ascending, are col[i*k : i*k+cnt[i]], with their edge weights
+// at the same positions of wt. Both k-NN paths fill one and merge it with
+// knnGraph.
+type knnSel struct {
+	k   int
+	cnt []int32
+	col []int32
+	wt  []float64
+}
+
+// newKNNSel sizes the slabs of n rows of at most knn neighbours; no row
+// can select more than the n points there are.
+func newKNNSel(n, knn int) *knnSel {
+	k := min(knn, n)
+	return &knnSel{k: k, cnt: make([]int32, n), col: make([]int32, n*k), wt: make([]float64, n*k)}
+}
+
+// slab returns row i's empty slices of capacity k; appends of at most k
+// entries land in the slabs.
+func (s *knnSel) slab(i int) ([]int32, []float64) {
+	o := i * s.k
+	return s.col[o : o : o+s.k], s.wt[o : o : o+s.k]
+}
+
+// set records row i's selection, columns ascending with their squared
+// distances, as written into the row's slab. Each weight is computed once,
+// in place of its distance, and a selection whose weight is not positive
+// is dropped: neither endpoint's row would store it.
+func (s *knnSel) set(i int, cols []int32, d2 []float64, kern *kernel.K) {
+	m := 0
+	for p, j := range cols {
+		if w := kern.WeightDist2(d2[p]); w > 0 {
+			cols[m], d2[m] = j, w
+			m++
 		}
 	}
+	s.cnt[i] = int32(m)
+}
+
+// row returns row i's kept columns and weights.
+func (s *knnSel) row(i int) ([]int32, []float64) {
+	o := i * s.k
+	return s.col[o : o+int(s.cnt[i])], s.wt[o : o+int(s.cnt[i])]
+}
+
+// knnGraph symmetrizes the selections straight into the CSR: an edge
+// survives if either endpoint selected it, so row i is the sorted union of
+// its own selection and the rows that selected i, plus the diagonal under
+// WithSelfLoops. The reverse entry of an edge reuses the weight its
+// selecting row computed. When both endpoints selected the edge, both
+// weights came from the same d² (Dist2 is symmetric bit for bit, and the
+// matrix path reads the canonical upper-triangle entry), so either serves.
+func (b *Builder) knnGraph(s *knnSel) (*Graph, error) {
+	n := len(s.cnt)
+	// Reverse lists (serial, O(nk)): filling them in ascending row order
+	// leaves every list ascending.
 	revptr := make([]int, n+1)
-	for j := 0; j < n; j++ {
-		revptr[j+1] = revptr[j] + cnt[j]
+	for i := range n {
+		cols, _ := s.row(i)
+		for _, j := range cols {
+			revptr[j+1]++
+		}
 	}
-	rev := make([]int, revptr[n])
+	for j := range n {
+		revptr[j+1] += revptr[j]
+	}
+	rev := make([]int32, revptr[n])
+	revW := make([]float64, revptr[n])
 	fill := make([]int, n)
 	copy(fill, revptr[:n])
-	for i := range sel {
-		for _, j := range sel[i] {
-			rev[fill[j]] = i
+	for i := range n {
+		cols, wts := s.row(i)
+		for p, j := range cols {
+			rev[fill[j]], revW[fill[j]] = int32(i), wts[p]
 			fill[j]++
 		}
 	}
 
-	// Pass 3 (parallel): merge sel[i] with rev[i] (both sorted, dedup) and
-	// attach weights; an edge survives if either endpoint selected it.
-	cols = make([][]int, n)
-	vals = make([][]float64, n)
+	var diag float64
+	if b.loops {
+		diag = b.kernel.WeightDist2(0)
+	}
+	merge := func(i int, cols []int, vals []float64) int {
+		a, aw := s.row(i)
+		c, cw := rev[revptr[i]:revptr[i+1]], revW[revptr[i]:revptr[i+1]]
+		return mergeRow(int32(i), diag, a, aw, c, cw, cols, vals)
+	}
+	// Row lengths, then the prefix sum, then the rows themselves (the two
+	// merge passes run in parallel).
+	indptr := make([]int, n+1)
 	parallel.For(b.workers, n, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
-			a, c := sel[i], rev[revptr[i]:revptr[i+1]]
-			ci := make([]int, 0, len(a)+len(c)+1)
-			vi := make([]float64, 0, len(a)+len(c)+1)
-			diagDone := !b.loops
-			emit := func(j int) {
-				if !diagDone && j > i {
-					if w := b.kernel.WeightDist2(0); w != 0 {
-						ci = append(ci, i)
-						vi = append(vi, w)
-					}
-					diagDone = true
-				}
-				if w := b.kernel.WeightDist2(d2of(i, j)); w > 0 {
-					ci = append(ci, j)
-					vi = append(vi, w)
-				}
-			}
-			p, q := 0, 0
-			for p < len(a) || q < len(c) {
-				switch {
-				case q == len(c) || (p < len(a) && a[p] < c[q]):
-					emit(a[p])
-					p++
-				case p == len(a) || c[q] < a[p]:
-					emit(c[q])
-					q++
-				default: // equal: both endpoints selected the edge
-					emit(a[p])
-					p, q = p+1, q+1
-				}
-			}
-			if !diagDone {
-				if w := b.kernel.WeightDist2(0); w != 0 {
-					ci = append(ci, i)
-					vi = append(vi, w)
-				}
-			}
-			cols[i], vals[i] = ci, vi
+			indptr[i+1] = merge(i, nil, nil)
 		}
 	})
-	return cols, vals
+	for i := range n {
+		indptr[i+1] += indptr[i]
+	}
+	indices := make([]int, indptr[n])
+	data := make([]float64, indptr[n])
+	parallel.For(b.workers, n, func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			merge(i, indices[indptr[i]:indptr[i+1]], data[indptr[i]:indptr[i+1]])
+		}
+	})
+	w, err := sparse.NewCSR(n, n, indptr, indices, data)
+	if err != nil {
+		return nil, err
+	}
+	return &Graph{w: w}, nil
+}
+
+// mergeRow merges row i's own selection a (weights aw) with the rows c that
+// selected i (weights cw), both ascending, and the diagonal weight diag
+// unless it is zero, into cols and vals, and returns the row's length.
+// With cols nil it only counts.
+func mergeRow(i int32, diag float64, a []int32, aw []float64, c []int32, cw []float64, cols []int, vals []float64) int {
+	m := 0
+	put := func(j int32, w float64) {
+		if cols != nil {
+			cols[m], vals[m] = int(j), w
+		}
+		m++
+	}
+	p, q := 0, 0
+	for p < len(a) || q < len(c) {
+		var j int32
+		var w float64
+		switch {
+		case q == len(c) || (p < len(a) && a[p] < c[q]):
+			j, w = a[p], aw[p]
+			p++
+		case p == len(a) || c[q] < a[p]:
+			j, w = c[q], cw[q]
+			q++
+		default: // both endpoints selected the edge
+			j, w = a[p], aw[p]
+			p, q = p+1, q+1
+		}
+		if diag != 0 && j > i {
+			put(i, diag)
+			diag = 0
+		}
+		put(j, w)
+	}
+	if diag != 0 {
+		put(i, diag)
+	}
+	return m
 }
 
 // assembleCSR concatenates per-row sorted (column, value) lists into a CSR

@@ -6,16 +6,18 @@ package graph
 // exact: a grid cell-list answers radius queries in O(k) per point and a
 // KD-tree answers k-NN queries in O(log n) per point, so construction runs
 // in O(nk) / O(n log n) time and O(nk) memory instead of materializing the
-// O(n²) distance matrix. Both paths re-apply the brute-force path's exact
-// distance and weight filters to the candidate sets and evaluate distances
-// with kernel.Dist2 (bitwise-identical to PairwiseDist2 entries), so the
-// CSR output is byte-identical to BuildFromDist2 on the same input, at
-// every worker count.
+// O(n²) distance matrix. The radius paths re-apply the brute-force path's
+// exact distance and weight filters to the candidate sets, evaluating
+// distances with kernel.Dist2; the k-NN path takes the distances its
+// queries computed, which are bitwise kernel.Dist2 too. Dist2 is
+// bitwise-identical to PairwiseDist2 entries, so the CSR output is
+// byte-identical to BuildFromDist2 on the same input, at every worker
+// count.
 
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"repro/internal/kernel"
 	"repro/internal/parallel"
@@ -171,7 +173,7 @@ func (b *Builder) radiusRows(x [][]float64, candidates func(i int, buf []int32) 
 		var buf []int32
 		for i := lo; i < hi; i++ {
 			buf = candidates(i, buf[:0])
-			sort.Slice(buf, func(a, c int) bool { return buf[a] < buf[c] })
+			slices.Sort(buf)
 			ci := make([]int, 0, len(buf))
 			vi := make([]float64, 0, len(buf))
 			diagDone := !b.loops
@@ -245,10 +247,9 @@ func (b *Builder) buildRadiusKDTree(x [][]float64) (*Graph, error) {
 
 // buildKNNKDTree is the KD-tree k-NN build: per-row bounded-priority
 // descent selects the same (distance, index)-ordered neighbour set as the
-// dense path's quickselect, then the shared symmetrization attaches
-// weights.
+// dense path's quickselect, with the squared distances its leaf scans
+// computed, and the shared merge attaches the weights.
 func (b *Builder) buildKNNKDTree(x [][]float64) (*Graph, error) {
-	n := len(x)
 	t, err := spatial.NewKDTree(x, b.workers)
 	if err != nil {
 		return nil, fmt.Errorf("graph: kd-tree index: %w", err)
@@ -258,25 +259,19 @@ func (b *Builder) buildKNNKDTree(x [][]float64) (*Graph, error) {
 		maxD2 = b.eps * b.eps
 	}
 	// Queries run in tree order, so consecutive queries descend mostly the
-	// same nodes; each chunk reuses one query state.
+	// same nodes; each chunk reuses one query state. A query selects at
+	// most min(k, n) points, so its appends stay in the row's slabs.
 	order := t.Order()
-	sel := make([][]int, n)
-	parallel.For(b.workers, n, func(lo, hi int) {
+	s := newKNNSel(len(x), b.knn)
+	parallel.For(b.workers, len(x), func(lo, hi int) {
 		q := t.NewKNNQuery(b.knn)
-		var buf []int32
 		for _, i := range order[lo:hi] {
-			buf = q.Do(x[i], i, maxD2, buf[:0])
-			top := make([]int, len(buf))
-			for p, j := range buf {
-				top[p] = int(j)
-			}
-			sel[i] = top
+			cols, d2 := s.slab(int(i))
+			cols, d2 = q.DoDist2(x[i], i, maxD2, cols, d2)
+			s.set(int(i), cols, d2, b.kernel)
 		}
 	})
-	cols, vals := b.symmetrizeKNN(n, sel, func(i, j int) float64 {
-		return kernel.Dist2(x[i], x[j])
-	})
-	return assembleGraph(n, cols, vals, b.workers)
+	return b.knnGraph(s)
 }
 
 // assembleGraph finishes a build from per-row sorted lists.

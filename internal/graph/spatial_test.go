@@ -199,3 +199,27 @@ func TestIndexKindString(t *testing.T) {
 		}
 	}
 }
+
+// TestKNNKDTreeBuildAllocsFlat guards the k-NN build's allocation shape: the
+// selections live in flat n·k slabs and the merge writes the CSR directly,
+// so the number of objects a build allocates does not grow with n (only
+// their sizes do). A per-row slice anywhere would add thousands.
+func TestKNNKDTreeBuildAllocsFlat(t *testing.T) {
+	b, err := NewBuilder(kernel.MustNew(kernel.Gaussian, 0.3), WithKNN(10), WithIndex(IndexKDTree), WithWorkers(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	allocs := func(n int) float64 {
+		x := randomPoints(int64(n), n, 3)
+		return testing.AllocsPerRun(3, func() {
+			if _, err := b.Build(x); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	small, large := allocs(4096), allocs(16384)
+	t.Logf("objects allocated per build: %v at 4,096 points, %v at 16,384", small, large)
+	if large > small+4 {
+		t.Fatalf("a k-NN build allocates %v objects at 4,096 points and %v at 16,384", small, large)
+	}
+}

@@ -20,5 +20,12 @@ func dist2x4Lanes(x, y0, y1, y2, y3 *float64, nq int, out *[16]float64)
 //go:noescape
 func dist2Row8(x, y0, y1, y2, y3, y4, y5, y6, y7 *float64, d int, out *float64)
 
+// dist2Block writes the squared distances of q (d > 0 coordinates) to the
+// w points of a dimension-major block with stride w (a multiple of 4),
+// four points per vector, in the exact operation order of the scalar dist2.
+//
+//go:noescape
+func dist2Block(q, blk *float64, d, w int, out *float64)
+
 // useAVX selects the AVX kernels; tests clear it to force the scalar path.
 var useAVX = cpu.AVX

@@ -284,3 +284,87 @@ reduce7:
 
 	VZEROUPPER
 	RET
+
+// func dist2Block(q, blk *float64, d, w int, out *float64)
+//
+// Dimension-major block kernel: row j of the block holds coordinate j of
+// its w points, so one VMOVUPD loads four points' coordinate j and the
+// query coordinate is broadcast against it. Each group of four points keeps
+// dist2's four lanes in four accumulators (Y0..Y3, lane l taking dimensions
+// j ≡ l mod 4 below d &^ 3, tail dimensions going to Y0), so the lane
+// reduction (s0+s1)+(s2+s3) is three vertical VADDPDs and the four finished
+// distances are stored at once. No FMA, as in dist2x4Lanes.
+TEXT ·dist2Block(SB), NOSPLIT, $0-40
+	MOVQ q+0(FP), SI
+	MOVQ blk+8(FP), R8
+	MOVQ d+16(FP), BX
+	MOVQ w+24(FP), R9
+	MOVQ out+32(FP), DI
+	MOVQ BX, CX
+	ANDQ $-4, CX          // nq = d &^ 3
+	SHLQ $3, R9           // one block row in bytes
+	LEAQ (R9)(R9*2), R14  // three rows
+	LEAQ (R9)(R9*1), R10
+	SHLQ $1, R10          // four rows
+	XORQ R11, R11         // byte offset of the group within a row
+
+group:
+	CMPQ R11, R9
+	JGE  blockdone
+	VXORPD Y0, Y0, Y0
+	VXORPD Y1, Y1, Y1
+	VXORPD Y2, Y2, Y2
+	VXORPD Y3, Y3, Y3
+	LEAQ (R8)(R11*1), DX  // the group's slots in row 0
+	XORQ AX, AX
+
+body:
+	CMPQ AX, CX
+	JGE  tail
+	VBROADCASTSD (SI)(AX*8), Y4
+	VMOVUPD (DX), Y5
+	VSUBPD  Y5, Y4, Y5
+	VMULPD  Y5, Y5, Y5
+	VADDPD  Y5, Y0, Y0
+	VBROADCASTSD 8(SI)(AX*8), Y6
+	VMOVUPD (DX)(R9*1), Y7
+	VSUBPD  Y7, Y6, Y7
+	VMULPD  Y7, Y7, Y7
+	VADDPD  Y7, Y1, Y1
+	VBROADCASTSD 16(SI)(AX*8), Y8
+	VMOVUPD (DX)(R9*2), Y9
+	VSUBPD  Y9, Y8, Y9
+	VMULPD  Y9, Y9, Y9
+	VADDPD  Y9, Y2, Y2
+	VBROADCASTSD 24(SI)(AX*8), Y10
+	VMOVUPD (DX)(R14*1), Y11
+	VSUBPD  Y11, Y10, Y11
+	VMULPD  Y11, Y11, Y11
+	VADDPD  Y11, Y3, Y3
+	ADDQ    R10, DX
+	ADDQ    $4, AX
+	JMP     body
+
+tail:
+	CMPQ AX, BX
+	JGE  reduce
+	VBROADCASTSD (SI)(AX*8), Y4
+	VMOVUPD (DX), Y5
+	VSUBPD  Y5, Y4, Y5
+	VMULPD  Y5, Y5, Y5
+	VADDPD  Y5, Y0, Y0
+	ADDQ    R9, DX
+	INCQ    AX
+	JMP     tail
+
+reduce:
+	VADDPD  Y1, Y0, Y0
+	VADDPD  Y3, Y2, Y2
+	VADDPD  Y2, Y0, Y0
+	VMOVUPD Y0, (DI)(R11*1)
+	ADDQ    $32, R11
+	JMP     group
+
+blockdone:
+	VZEROUPPER
+	RET

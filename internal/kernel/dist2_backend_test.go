@@ -58,3 +58,58 @@ func TestDist2RowsBackends(t *testing.T) {
 		}
 	}
 }
+
+// TestDist2BlockBackends pins the block kernel to Dist2 bit for bit, on the
+// AVX and the pure-Go path, for d = 1…20 (no four-lane body below d = 4,
+// then every tail length) and 1…16 live points per block. The padding slots
+// hold NaN and a huge value: one that reached a caller would show as a
+// wrong value or a returned slice longer than the live points.
+func TestDist2BlockBackends(t *testing.T) {
+	avx := useAVX
+	defer func() { useAVX = avx }()
+
+	rng := randx.New(617)
+	for d := 1; d <= 20; d++ {
+		for n := 1; n <= 16; n++ {
+			q := make([]float64, d)
+			for j := range q {
+				q[j] = rng.Norm()
+			}
+			pts := make([][]float64, n)
+			w := BlockStride(n)
+			blk := make([]float64, d*w)
+			for j := 0; j < d; j++ {
+				for s := n; s < w; s++ {
+					blk[j*w+s] = math.NaN()
+					if s%2 == 0 {
+						blk[j*w+s] = 1e300
+					}
+				}
+			}
+			for s := range pts {
+				pts[s] = make([]float64, d)
+				for j := range pts[s] {
+					v := rng.Norm()
+					if rng.Float64() < 0.25 {
+						v = math.Round(v) // exact ties and zero differences
+					}
+					pts[s][j] = v
+					blk[j*w+s] = v
+				}
+			}
+			for _, on := range []bool{avx, false} {
+				useAVX = on
+				out := make([]float64, w)
+				got := Dist2Block(q, blk, n, out)
+				if len(got) != n {
+					t.Fatalf("d=%d n=%d avx=%v: %d distances returned", d, n, on, len(got))
+				}
+				for s, p := range pts {
+					if want := Dist2(q, p); math.Float64bits(got[s]) != math.Float64bits(want) {
+						t.Fatalf("d=%d n=%d avx=%v point %d: Dist2Block %v != Dist2 %v", d, n, on, s, got[s], want)
+					}
+				}
+			}
+		}
+	}
+}

@@ -209,6 +209,65 @@ func Dist2Rows(q []float64, rows [][]float64, out []float64) {
 	}
 }
 
+// BlockStride returns the per-dimension stride of a dimension-major block
+// of n points: n rounded up to a multiple of four, the AVX vector width.
+// The slots past n are padding.
+func BlockStride(n int) int { return (n + 3) &^ 3 }
+
+// Dist2Block returns ‖q−p_s‖² for the n points p_0 … p_{n−1} of a
+// dimension-major block, where coordinate j of point s sits at
+// blk[j*BlockStride(n)+s]. out must hold BlockStride(n) values: the AVX
+// kernel works four points at a time and may write the padding slots, but
+// the result is out[:n], so no padding slot reaches the caller.
+//
+// Every entry is bitwise-identical to Dist2(q, p_s): per point, dimension
+// j < len(q)&^3 accumulates into lane j mod 4, the tail dimensions into
+// lane 0, and the lanes reduce as (s0+s1)+(s2+s3), which is dist2's order.
+// With the points side by side in a vector, the reduction is three
+// vertical adds instead of a horizontal reduction per point.
+func Dist2Block(q, blk []float64, n int, out []float64) []float64 {
+	w := BlockStride(n)
+	if n < 0 || len(blk) < len(q)*w || len(out) < w {
+		panic(errors.New("kernel: Dist2Block block or output too short"))
+	}
+	switch {
+	case n == 0:
+	case len(q) == 0:
+		clear(out[:n])
+	case useAVX:
+		dist2Block(&q[0], &blk[0], len(q), w, &out[0])
+	default:
+		dist2BlockGo(q, blk, n, w, out)
+	}
+	return out[:n]
+}
+
+// dist2BlockGo is the portable Dist2Block, one point at a time in dist2's
+// lane order.
+func dist2BlockGo(q, blk []float64, n, w int, out []float64) {
+	d := len(q)
+	nq := d &^ 3
+	for s := 0; s < n; s++ {
+		var s0, s1, s2, s3 float64
+		j := 0
+		for ; j < nq; j += 4 {
+			d0 := q[j] - blk[j*w+s]
+			d1 := q[j+1] - blk[(j+1)*w+s]
+			d2 := q[j+2] - blk[(j+2)*w+s]
+			d3 := q[j+3] - blk[(j+3)*w+s]
+			s0 += d0 * d0
+			s1 += d1 * d1
+			s2 += d2 * d2
+			s3 += d3 * d3
+		}
+		for ; j < d; j++ {
+			dd := q[j] - blk[j*w+s]
+			s0 += dd * dd
+		}
+		out[s] = (s0 + s1) + (s2 + s3)
+	}
+}
+
 func dist2(x, y []float64) float64 {
 	if len(x) != len(y) {
 		panic(errors.New("kernel: dimension mismatch"))

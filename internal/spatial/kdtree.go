@@ -1,6 +1,8 @@
 package spatial
 
 import (
+	"cmp"
+	"math"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -35,20 +37,23 @@ const prunePad = 1e-12
 //
 // The tree holds no child links and no per-node slices. Nodes sit in flat
 // arrays in heap order — node i has children 2i+1 and 2i+2, and a node is
-// a leaf exactly when it covers at most kdLeafSize points — and the points
-// are copied once, in tree order, so a node's points are the contiguous
-// rows [lo, hi) and a leaf scan is one kernel.Dist2Rows call. The tree
-// keeps no reference to the input. Queries are read-only and safe for
-// concurrent use.
+// a leaf exactly when it covers at most kdLeafSize points — and a node's
+// points are the contiguous tree positions [lo, hi). The points are copied
+// once, leaf by leaf in tree order, as dimension-major blocks (see
+// kernel.Dist2Block), so a leaf scan is one block-kernel call over one
+// contiguous block. The tree keeps no reference to the input. Queries are
+// read-only and safe for concurrent use.
 type KDTree struct {
-	dim  int
-	idx  []int32     // tree position -> point index
-	rows [][]float64 // tree position -> the point's coordinates
+	dim int
+	idx []int32 // tree position -> point index
 	// Per node: the covered tree positions [lo, hi), the split dimension
-	// (internal nodes), and the exact bounding box at [node*dim, node*dim+dim).
+	// (internal nodes), the exact bounding box at [node*dim, node*dim+dim),
+	// and (leaves) where the leaf's block starts in blocks.
 	lo, hi         []int32
 	split          []int32
 	boxMin, boxMax []float64
+	blockAt        []int
+	blocks         []float64
 }
 
 // NewKDTree builds the tree in O(n log n). workers bounds the goroutines
@@ -84,12 +89,39 @@ func NewKDTree(x [][]float64, workers int) (*KDTree, error) {
 	b.budget.Store(int64(parallel.Workers(workers)) - 1)
 	b.build(0, 0, int32(n))
 	b.wg.Wait()
-	data := make([]float64, n*dim)
-	t.rows = make([][]float64, n)
-	for p, i := range t.idx {
-		t.rows[p] = append(data[p*dim:p*dim:(p+1)*dim], x[i]...)
+	t.blockAt = make([]int, nodes)
+	t.blocks = make([]float64, t.layout(0, 0))
+	for node, off := range t.blockAt {
+		lo, hi := t.lo[node], t.hi[node]
+		if hi == lo || !t.leaf(node) {
+			continue // an internal node, or a heap slot no node uses
+		}
+		w := kernel.BlockStride(int(hi - lo))
+		for s, p := range t.idx[lo:hi] {
+			for j, v := range x[p] {
+				t.blocks[off+s+j*w] = v
+			}
+		}
 	}
 	return t, nil
+}
+
+// layout places the blocks of the leaves below node from offset off on,
+// in tree order, and returns the offset past them.
+func (t *KDTree) layout(node, off int) int {
+	if t.leaf(node) {
+		t.blockAt[node] = off
+		return off + t.dim*kernel.BlockStride(int(t.hi[node]-t.lo[node]))
+	}
+	return t.layout(2*node+2, t.layout(2*node+1, off))
+}
+
+// scan returns the squared distances from q to the points of leaf node,
+// in tree order, computed into out.
+func (t *KDTree) scan(node int, q []float64, out *[kdLeafSize]float64) []float64 {
+	m := int(t.hi[node] - t.lo[node])
+	off := t.blockAt[node]
+	return kernel.Dist2Block(q, t.blocks[off:off+t.dim*kernel.BlockStride(m)], m, out[:])
 }
 
 // N returns the number of indexed points.
@@ -325,8 +357,9 @@ type KNNQuery struct {
 	// bound on the distance to every point below (Arya and Mount's
 	// incremental distance). It is looser than the child's exact box
 	// distance but costs one term instead of d.
-	gap2 []float64
-	d2   [kdLeafSize]float64 // leaf distances
+	gap2   []float64
+	d2     [kdLeafSize]float64 // leaf distances
+	sorted []kdCand            // DoDist2's copy of the heap, by index
 }
 
 // NewKNNQuery prepares reusable query state selecting the k nearest points.
@@ -335,9 +368,10 @@ type KNNQuery struct {
 func (t *KDTree) NewKNNQuery(k int) *KNNQuery {
 	k = max(0, min(k, t.N()))
 	return &KNNQuery{
-		t:    t,
-		h:    kdHeap{cand: make([]kdCand, 0, k), cap: k},
-		gap2: make([]float64, t.dim),
+		t:      t,
+		h:      kdHeap{cand: make([]kdCand, 0, k), cap: k},
+		gap2:   make([]float64, t.dim),
+		sorted: make([]kdCand, 0, k),
 	}
 }
 
@@ -365,20 +399,7 @@ func (q *KNNQuery) WorstDist2() float64 {
 // The selected set is uniquely determined by the order, so it is identical
 // to brute-force selection over all points regardless of traversal order.
 func (q *KNNQuery) Do(pt []float64, self int32, maxD2 float64, buf []int32) []int32 {
-	t := q.t
-	if len(pt) != t.dim {
-		panic(ErrParam)
-	}
-	q.h.cand = q.h.cand[:0]
-	if q.h.cap == 0 {
-		return buf
-	}
-	var lb float64
-	for j, v := range pt {
-		q.gap2[j] = gap2(v, t.boxMin[j], t.boxMax[j])
-		lb += q.gap2[j]
-	}
-	q.visit(0, pt, self, maxD2, lb)
+	q.search(pt, self, maxD2)
 	start := len(buf)
 	for _, c := range q.h.cand {
 		buf = append(buf, c.idx)
@@ -387,21 +408,70 @@ func (q *KNNQuery) Do(pt []float64, self int32, maxD2 float64, buf []int32) []in
 	return buf
 }
 
+// DoDist2 is Do that also appends to d2 the squared distance of each point
+// it appends to idx, in the same order, as the leaf scan computed it:
+// bitwise kernel.Dist2(pt, x[j]). Sorting a copy of the candidates leaves
+// the heap, and so WorstDist2, as Do leaves them. It does not allocate
+// beyond growing idx and d2.
+func (q *KNNQuery) DoDist2(pt []float64, self int32, maxD2 float64, idx []int32, d2 []float64) ([]int32, []float64) {
+	q.search(pt, self, maxD2)
+	q.sorted = append(q.sorted[:0], q.h.cand...)
+	slices.SortFunc(q.sorted, func(a, b kdCand) int { return cmp.Compare(a.idx, b.idx) })
+	for _, c := range q.sorted {
+		idx = append(idx, c.idx)
+		d2 = append(d2, c.d2)
+	}
+	return idx, d2
+}
+
+// search fills the heap with the query's selection.
+func (q *KNNQuery) search(pt []float64, self int32, maxD2 float64) {
+	t := q.t
+	if len(pt) != t.dim {
+		panic(ErrParam)
+	}
+	q.h.cand = q.h.cand[:0]
+	if q.h.cap == 0 {
+		return
+	}
+	var lb float64
+	for j, v := range pt {
+		q.gap2[j] = gap2(v, t.boxMin[j], t.boxMax[j])
+		lb += q.gap2[j]
+	}
+	q.visit(0, pt, self, maxD2, lb)
+}
+
 // visit descends into node, whose region lies at squared distance at least
 // lb = sum(q.gap2) from pt.
 func (q *KNNQuery) visit(node int, pt []float64, self int32, maxD2, lb float64) {
 	t := q.t
 	if t.leaf(node) {
+		// A point farther than the ε-ball or the worst retained candidate
+		// cannot enter the heap: reject it before it becomes a candidate.
+		// Ties with the worst go on to push's exact (d², index) test, and a
+		// NaN bound rejects nothing, so the selection is as without it.
+		limit := math.Inf(1)
+		if maxD2 >= 0 {
+			limit = maxD2
+		}
+		bound := limit
+		if q.h.full() {
+			bound = min(limit, q.h.worst().d2)
+		}
 		lo := int(t.lo[node])
-		d2 := q.d2[:int(t.hi[node])-lo]
-		kernel.Dist2Rows(pt, t.rows[lo:int(t.hi[node])], d2)
-		for i, dd := range d2 {
-			c := kdCand{d2: dd, idx: t.idx[lo+i]}
-			if c.idx == self || (maxD2 >= 0 && dd > maxD2) ||
-				(q.h.full() && !q.h.worst().worseThan(c)) {
+		for i, dd := range t.scan(node, pt, &q.d2) {
+			if dd > bound {
 				continue
 			}
-			q.h.push(c)
+			p := t.idx[lo+i]
+			if p == self || (maxD2 >= 0 && dd > maxD2) {
+				continue
+			}
+			q.h.push(kdCand{d2: dd, idx: p})
+			if q.h.full() {
+				bound = min(limit, q.h.worst().d2)
+			}
 		}
 		return
 	}
@@ -457,10 +527,9 @@ func (t *KDTree) radiusVisit(node int, q []float64, self int32, r2 float64, buf 
 		buf = t.radiusVisit(2*node+1, q, self, r2, buf)
 		return t.radiusVisit(2*node+2, q, self, r2, buf)
 	}
-	lo, hi := int(t.lo[node]), int(t.hi[node])
+	lo := int(t.lo[node])
 	var d2 [kdLeafSize]float64
-	kernel.Dist2Rows(q, t.rows[lo:hi], d2[:])
-	for i, dd := range d2[:hi-lo] {
+	for i, dd := range t.scan(node, q, &d2) {
 		if p := t.idx[lo+i]; p != self && dd <= r2 {
 			buf = append(buf, p)
 		}

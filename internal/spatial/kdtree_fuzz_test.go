@@ -21,7 +21,8 @@ import (
 //	data[4:]   one coordinate per byte, int8 % 4
 //
 // Every point is queried with a reused KNNQuery (whose WorstDist2 must be
-// the k-th selected distance), and with Radius at maxD2.
+// the k-th selected distance, and whose DoDist2 must select the same points
+// with their Dist2 bits), and with Radius at maxD2.
 func FuzzKDTreeKNN(f *testing.F) {
 	f.Add([]byte{1, 3, 1, 200, 0, 0, 1, 1, 2, 2, 3})
 	f.Add([]byte{4, 10, 0, 5, 1, 2, 3, 4, 1, 2, 3, 4, 0, 0, 0, 0, 255, 1, 2, 3, 1, 2, 3, 4, 1, 1, 1, 1})
@@ -53,7 +54,8 @@ func FuzzKDTreeKNN(f *testing.F) {
 			t.Fatal(err)
 		}
 		q := tr.NewKNNQuery(k)
-		var buf []int32
+		var buf, sel []int32
+		var d2 []float64
 		for i := range x {
 			ex := int32(-1)
 			if data[2]%2 == 0 {
@@ -70,6 +72,18 @@ func FuzzKDTreeKNN(f *testing.F) {
 			}
 			if got := q.WorstDist2(); got != worst {
 				t.Fatalf("WorstDist2 after point %d = %v, want %v", i, got, worst)
+			}
+			sel, d2 = q.DoDist2(x[i], ex, maxD2, sel[:0], d2[:0])
+			if !sameInt32(sel, want) {
+				t.Fatalf("DoDist2(point %d) = %v, want %v", i, sel, want)
+			}
+			for p, j := range sel {
+				if math.Float64bits(d2[p]) != math.Float64bits(kernel.Dist2(x[i], x[j])) {
+					t.Fatalf("DoDist2(point %d): d2 of %d = %v, want %v", i, j, d2[p], kernel.Dist2(x[i], x[j]))
+				}
+			}
+			if got := q.WorstDist2(); got != worst {
+				t.Fatalf("WorstDist2 after DoDist2 at point %d = %v, want %v", i, got, worst)
 			}
 			if maxD2 >= 0 {
 				got := tr.Radius(x[i], ex, maxD2, nil)

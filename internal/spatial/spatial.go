@@ -8,8 +8,9 @@
 // returns exactly the k nearest points under the strict total order
 // (squared distance, point index) — the same tie-break the brute-force
 // builders use. Callers re-apply their own distance and weight filters to
-// the candidates, so a graph built through an index is bitwise-identical to
-// one built from the full distance matrix.
+// the candidates, or take a kNN query's squared distances, which the leaf
+// scans compute bitwise as kernel.Dist2 does, so a graph built through an
+// index is bitwise-identical to one built from the full distance matrix.
 //
 // Queries are read-only after construction and safe for concurrent use; the
 // graph layer parallelizes per-point queries on top of internal/parallel.
