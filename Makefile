@@ -25,7 +25,7 @@ vet:
 race:
 	$(GO) test -race ./...
 
-# Focused race pass over the concurrency-heavy packages (spatial indexes,
+# Focused race pass over the concurrency-heavy packages (spatial index,
 # graph construction, parallel primitives and the streaming ingest
 # subsystem), run twice to vary interleavings. The second line exercises the
 # serve-side ingest worker, which only appends deltas: concurrent predicts
@@ -64,8 +64,8 @@ fuzz-stream:
 # Short deterministic-budget fuzz pass for CI: replays the checked-in
 # corpora (including the pinned streaming crashers) and fuzzes briefly,
 # including the sparse assembly (COO → CSR, transpose), the edge-list
-# parser, the KD-tree against brute force, the KD-tree k-NN graph against
-# the distance-matrix build (byte for byte), the health probe against the
+# parser, the KD-tree against brute force, the KD-tree k-NN and radius
+# graphs against the distance-matrix build (byte for byte), the health probe against the
 # dense eigensolver, the request-body decoder against encoding/json, the
 # predict, ingest and fit handlers (no 5xx, typed 4xx envelopes, one score
 # per point), snapshot deltas (ModelSnapshot.ApplyDelta against
@@ -96,11 +96,13 @@ cover:
 		printf "coverage %.1f%% >= floor %.1f%%\n", t, f }'
 
 # Worker-parameterized microbenchmarks of the parallel compute layer, the
-# KD-tree k-NN build of the bench/ fit workload's points, and the hard solve
-# of that workload's problem under each CG preconditioner (Jacobi, the
+# KD-tree k-NN build of the bench/ fit workload's points, the radius build
+# of the bench/ ingest workload's points, an 8-point anchor append onto
+# that workload's served predictor (2k and 20k anchors), and the hard solve
+# of the fit workload's problem under each CG preconditioner (Jacobi, the
 # default, and IC(0) after RCM).
 bench:
-	$(GO) test -run xxx -bench '^(BenchmarkPairwiseDist2|BenchmarkBuildKNN|BenchmarkBuildKNNKDTree|BenchmarkCGMulVec|BenchmarkHardPrecond)$$' -benchmem .
+	$(GO) test -run xxx -bench '^(BenchmarkPairwiseDist2|BenchmarkBuildKNN|BenchmarkBuildKNNKDTree|BenchmarkBuildRadius|BenchmarkNWAppendAnchors|BenchmarkCGMulVec|BenchmarkHardPrecond)$$' -benchmem .
 
 # Builds the bench/ binary as bench/run.sh does (its -h run only prints the
 # usage) and prints the address of main.refLoop, the host-speed reference

@@ -11,6 +11,7 @@ package graphssl
 
 import (
 	"fmt"
+	"math"
 	"runtime"
 	"testing"
 
@@ -361,6 +362,77 @@ func BenchmarkBuildKNNKDTree(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				if _, err := builder.Build(ds.X); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// ingestPoints is the bench/ ingest workload's base set: n points on a
+// jittered ⌈√n⌉ × ⌈√n⌉ grid over the unit square, with the values the
+// workload labels them with, and its Epanechnikov bandwidth 3.2/⌈√n⌉.
+func ingestPoints(n int, seed int64) (x [][]float64, y []float64, h float64) {
+	rng := randx.New(seed)
+	side := int(math.Ceil(math.Sqrt(float64(n))))
+	jitter := 0.2 / float64(side)
+	x = make([][]float64, n)
+	y = make([]float64, n)
+	for i := range x {
+		px := (float64(i%side) + 0.5) / float64(side)
+		py := (float64(i/side) + 0.5) / float64(side)
+		x[i] = []float64{px + jitter*(2*rng.Float64()-1), py + jitter*(2*rng.Float64()-1)}
+		y[i] = math.Sin(4*x[i][0]) * math.Cos(3*x[i][1])
+	}
+	return x, y, 3.2 / float64(side)
+}
+
+// BenchmarkBuildRadius builds the bench/ ingest workload's graph at seed 1
+// (20,000 jittered grid points, Epanechnikov, h = 3.2/142) through the
+// default graph.Builder, as the streaming fit does, at 1 and 2 workers:
+// the index, the per-point radius queries and the CSR assembly.
+func BenchmarkBuildRadius(b *testing.B) {
+	x, _, h := ingestPoints(20000, 1)
+	k := kernel.MustNew(kernel.Epanechnikov, h)
+	for _, w := range []int{1, 2} {
+		b.Run(fmt.Sprintf("workers%d", w), func(b *testing.B) {
+			builder, err := graph.NewBuilder(k, graph.WithWorkers(w))
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := builder.Build(x); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkNWAppendAnchors times one ingest roll-forward of a served
+// labeled-anchor model: an 8-point core.NWPredictor.AppendAnchors onto the
+// ingest fixture's 2,000 labeled anchors (every 10th point) and onto all
+// 20,000 of its points, on one worker. Each append rebuilds the
+// predictor's index over every anchor.
+func BenchmarkNWAppendAnchors(b *testing.B) {
+	x, y, h := ingestPoints(20000, 1)
+	k := kernel.MustNew(kernel.Epanechnikov, h)
+	extra, extraY, _ := ingestPoints(8, 2)
+	for _, stride := range []int{10, 1} {
+		var ax [][]float64
+		var ay []float64
+		for i := 0; i < len(x); i += stride {
+			ax, ay = append(ax, x[i]), append(ay, y[i])
+		}
+		b.Run(fmt.Sprintf("anchors%d", len(ax)), func(b *testing.B) {
+			p, err := core.NewNWPredictor(ax, ay, k, 0, 1)
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := p.AppendAnchors(extra, extraY, 1); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -108,24 +108,16 @@ func TestMulticlassDeterministicAcrossWorkers(t *testing.T) {
 // TestFitDeterministicAcrossIndexBackends extends the determinism suite
 // across construction backends: the fitted scores must be bitwise-identical
 // whether the similarity graph is built brute-force from the distance
-// matrix, through the grid cell-list, or through the KD-tree, at every
-// worker count.
+// matrix or through the KD-tree, at every worker count.
 func TestFitDeterministicAcrossIndexBackends(t *testing.T) {
 	x, y := twoClusters(61, 40, 12)
 	cases := []struct {
-		name  string
-		k     *kernel.K
-		kinds []graph.IndexKind
-		opts  []graph.Option
+		name string
+		k    *kernel.K
+		opts []graph.Option
 	}{
-		{"epanechnikov-radius", kernel.MustNew(kernel.Epanechnikov, 3.0),
-			[]graph.IndexKind{graph.IndexGrid, graph.IndexKDTree}, nil},
-		{"gaussian-eps", kernel.MustNew(kernel.Gaussian, 2.0),
-			[]graph.IndexKind{graph.IndexGrid, graph.IndexKDTree},
-			[]graph.Option{graph.WithEpsilon(3.5)}},
-		{"gaussian-knn", kernel.MustNew(kernel.Gaussian, 2.0),
-			[]graph.IndexKind{graph.IndexKDTree},
-			[]graph.Option{graph.WithKNN(6)}},
+		{"epanechnikov-radius", kernel.MustNew(kernel.Epanechnikov, 3.0), nil},
+		{"gaussian-knn", kernel.MustNew(kernel.Gaussian, 2.0), []graph.Option{graph.WithKNN(6)}},
 	}
 	workerCounts := []int{1, 4, runtime.GOMAXPROCS(0)}
 	for _, tc := range cases {
@@ -147,10 +139,8 @@ func TestFitDeterministicAcrossIndexBackends(t *testing.T) {
 			return res
 		}
 		ref := fit(graph.IndexBrute, 1)
-		for _, kind := range tc.kinds {
-			for _, w := range workerCounts {
-				fitEqual(t, tc.name, ref, fit(kind, w))
-			}
+		for _, w := range workerCounts {
+			fitEqual(t, tc.name, ref, fit(graph.IndexKDTree, w))
 		}
 	}
 }

@@ -346,9 +346,25 @@ func TestHardSelfLoopInvariance(t *testing.T) {
 		x[i] = []float64{v}
 	}
 	kb, _ := graph.NewBuilder(kernelGaussian(t, 1))
-	kbLoops, _ := graph.NewBuilder(kernelGaussian(t, 1), graph.WithSelfLoops())
 	g1, _ := kb.Build(x)
-	g2, _ := kbLoops.Build(x)
+	// The same weights with w_ii = 1, the diagonal of the paper's RBF W.
+	n := g1.N()
+	coo := sparse.NewCOO(n, n)
+	for i := 0; i < n; i++ {
+		cols, vals := g1.Weights().RowNNZ(i)
+		for k, j := range cols {
+			if err := coo.Add(i, j, vals[k]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := coo.Add(i, i, 1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	g2, err := graph.FromWeights(coo.ToCSR())
+	if err != nil {
+		t.Fatal(err)
+	}
 	y := []float64{0, 1}
 	p1, _ := NewProblemLabeledFirst(g1, y)
 	p2, _ := NewProblemLabeledFirst(g2, y)

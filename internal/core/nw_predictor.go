@@ -19,11 +19,8 @@ const (
 	// nwBrute scans every anchor (the Gaussian kernel, or small/high-dim
 	// anchor sets).
 	nwBrute nwPath = iota
-	// nwGrid takes the uniform-grid candidate superset of the kernel
-	// support (compact kernels, dim <= 6).
-	nwGrid
-	// nwRadius takes the KD-tree radius candidates (compact kernels,
-	// dim <= 16).
+	// nwRadius takes the KD-tree's ball of the kernel support (compact
+	// kernels, dim <= 16).
 	nwRadius
 	// nwKNN restricts each query to its k nearest anchors (k-NN-built
 	// fits, or serving-side top-m truncation).
@@ -33,8 +30,6 @@ const (
 // String names the lookup path for diagnostics and the serving API.
 func (p nwPath) String() string {
 	switch p {
-	case nwGrid:
-		return "grid"
 	case nwRadius:
 		return "kdtree"
 	case nwKNN:
@@ -79,7 +74,6 @@ type NWPredictor struct {
 	v    []float64   // anchor values, aligned with x
 	knn  int
 	path nwPath
-	grid *spatial.Grid   // nwGrid
 	tree *spatial.KDTree // nwRadius and nwKNN
 	r2   float64         // nwRadius: squared support radius
 
@@ -131,21 +125,12 @@ func NewNWPredictor(anchors [][]float64, values []float64, k *kernel.K, knn, wor
 		p.path, p.tree = nwKNN, t
 		return p, nil
 	}
-	if h := k.Bandwidth(); knn == 0 && k.Kind().CompactSupport() && len(anchors) >= nwMinIndexAnchors {
-		cell := h * (1 + 1e-6)
-		if dim <= 6 && cell >= spatial.MinCell && cell <= spatial.MaxCell {
-			g, err := spatial.NewGrid(anchors, cell)
-			if err != nil {
-				return nil, fmt.Errorf("core: nw grid index: %w", err)
-			}
-			p.path, p.grid = nwGrid, g
-		} else if dim <= 16 {
-			t, err := spatial.NewKDTree(anchors, workers)
-			if err != nil {
-				return nil, fmt.Errorf("core: nw kd-tree index: %w", err)
-			}
-			p.path, p.tree, p.r2 = nwRadius, t, h*h
+	if h := k.Bandwidth(); knn == 0 && k.Kind().CompactSupport() && len(anchors) >= nwMinIndexAnchors && dim <= 16 {
+		t, err := spatial.NewKDTree(anchors, workers)
+		if err != nil {
+			return nil, fmt.Errorf("core: nw kd-tree index: %w", err)
 		}
+		p.path, p.tree, p.r2 = nwRadius, t, h*h
 	}
 	return p, nil
 }
@@ -171,17 +156,12 @@ func (p *NWPredictor) AppendAnchors(extra [][]float64, values []float64, workers
 	return NewNWPredictor(x, v, p.k, p.knn, workers)
 }
 
-// Dim returns the input dimension queries must have.
-func (p *NWPredictor) Dim() int { return p.dim }
-
 // NumAnchors returns the anchor count.
 func (p *NWPredictor) NumAnchors() int { return len(p.x) }
 
-// KNN returns the per-query neighbour restriction (0 = full support).
-func (p *NWPredictor) KNN() int { return p.knn }
-
 // Path names the anchor-lookup route this predictor resolved to: "brute",
-// "grid", "kdtree" (radius ball rejection), or "knn" (top-k truncation).
+// "kdtree" (the compact kernel's support ball), or "knn" (top-k
+// truncation).
 func (p *NWPredictor) Path() string { return p.path.String() }
 
 // NWScratch holds the per-goroutine mutable state of repeated predictions:
@@ -228,9 +208,9 @@ func (p *NWPredictor) PutScratch(s *NWScratch) {
 // LastStats reports diagnostics of the most recent prediction made through
 // this scratch: how many anchors the spatial index pruned (or the top-k
 // truncation skipped) without evaluating a distance, and the residual-mass
-// bound of that truncation. For the exact paths — brute, grid, and KD-tree
-// radius, whose skipped anchors provably carry zero kernel weight — the
-// bound is exactly 0. For the k-NN path the bound is
+// bound of that truncation. For the exact paths — brute and KD-tree radius,
+// whose skipped anchors provably carry zero kernel weight — the bound is
+// exactly 0. For the k-NN path the bound is
 //
 //	R / (den + R),   R = (N − m) · K_h(d_m),
 //
@@ -293,10 +273,6 @@ func (p *NWPredictor) predictOne(q []float64, s *NWScratch) (float64, bool) {
 	switch p.path {
 	case nwBrute:
 		num, den = p.bruteOne(q, s)
-	case nwGrid:
-		s.buf = p.grid.Candidates(q, s.buf[:0])
-		s.pruned = len(p.x) - len(s.buf)
-		num, den = p.accumulate(q, s.buf, true, s)
 	case nwRadius:
 		s.buf = p.tree.Radius(q, -1, p.r2, s.buf[:0])
 		s.pruned = len(p.x) - len(s.buf)

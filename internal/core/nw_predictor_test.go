@@ -98,8 +98,8 @@ func labeledAnchors(x [][]float64, labeled []int, y []float64) ([][]float64, []f
 // TestNWPredictorMatchesGraph checks the transductive contract: a predictor
 // over the labeled points in ascending node order is bitwise-identical to
 // NadarayaWatson on a default-built graph at every unlabeled point, for
-// compact kernels (grid and KD-tree lookup) and the Gaussian (brute scan),
-// at several dimensions and worker counts.
+// compact kernels (KD-tree lookup) and the Gaussian (brute scan), at
+// several dimensions and worker counts.
 func TestNWPredictorMatchesGraph(t *testing.T) {
 	cases := []struct {
 		name       string
@@ -107,8 +107,8 @@ func TestNWPredictorMatchesGraph(t *testing.T) {
 		n, nLab, d int
 		path       string
 	}{
-		{"epan-grid", kernel.MustNew(kernel.Epanechnikov, 2.0), 300, 128, 2, "grid"},
-		{"uniform-grid", kernel.MustNew(kernel.Uniform, 1.5), 260, 100, 3, "grid"},
+		{"epan-kdtree-d2", kernel.MustNew(kernel.Epanechnikov, 2.0), 300, 128, 2, "kdtree"},
+		{"uniform-kdtree-d3", kernel.MustNew(kernel.Uniform, 1.5), 260, 100, 3, "kdtree"},
 		{"epan-kdtree", kernel.MustNew(kernel.Epanechnikov, 3.0), 220, 90, 8, "kdtree"},
 		{"epan-small-brute", kernel.MustNew(kernel.Epanechnikov, 2.0), 80, 20, 2, "brute"},
 		{"gaussian-brute", kernel.MustNew(kernel.Gaussian, 1.0), 150, 70, 2, "brute"},
@@ -189,7 +189,7 @@ func TestNWPredictorIsolated(t *testing.T) {
 
 // TestNWPredictorBatchMatchesPredict checks the batch contract: PredictBatch
 // is bitwise-identical to per-point Predict at every worker count, on every
-// lookup path (brute incl. the tiled kernel, grid, KD-tree radius, k-NN).
+// lookup path (brute incl. the tiled kernel, KD-tree radius, k-NN).
 func TestNWPredictorBatchMatchesPredict(t *testing.T) {
 	cases := []struct {
 		name    string
@@ -199,7 +199,7 @@ func TestNWPredictorBatchMatchesPredict(t *testing.T) {
 	}{
 		{"gaussian-brute-tiled", kernel.MustNew(kernel.Gaussian, 1.5), 7, 0, 203},
 		{"gaussian-brute-small", kernel.MustNew(kernel.Gaussian, 1.5), 3, 0, 13},
-		{"epanechnikov-grid", kernel.MustNew(kernel.Epanechnikov, 2.5), 3, 0, 150},
+		{"epanechnikov-kdtree-radius", kernel.MustNew(kernel.Epanechnikov, 2.5), 3, 0, 150},
 		{"tricube-kdtree-radius", kernel.MustNew(kernel.Tricube, 3.5), 9, 0, 150},
 		{"triangular-brute-highdim", kernel.MustNew(kernel.Triangular, 6), 18, 0, 150},
 		{"gaussian-knn", kernel.MustNew(kernel.Gaussian, 1.5), 5, 7, 150},
@@ -393,7 +393,7 @@ func TestNWPredictorZeroDenominator(t *testing.T) {
 		knn  int
 		path string
 	}{
-		{"grid", kernel.MustNew(kernel.Uniform, 1.5), 0, "grid"},
+		{"kdtree", kernel.MustNew(kernel.Uniform, 1.5), 0, "kdtree"},
 		{"knn", kernel.MustNew(kernel.Epanechnikov, 1.5), 5, "knn"},
 	}
 	// High-dim compact kernel stays on the brute path.
@@ -450,8 +450,8 @@ func TestNWScratchReuse(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p.Path() != "grid" {
-		t.Fatalf("path = %q, want grid", p.Path())
+	if p.Path() != "kdtree" {
+		t.Fatalf("path = %q, want kdtree", p.Path())
 	}
 	reused := p.NewScratch()
 	for i, q := range queries {
@@ -482,25 +482,25 @@ func TestNWScratchReuse(t *testing.T) {
 }
 
 // TestNWPredictorPrunedMatchesBrute pins the exact-pruning contract on all
-// four compact kernels: the spatial-index paths (grid and KD-tree radius)
-// must be bitwise-identical to the full brute scan at every worker count,
-// because every anchor they skip carries exactly zero kernel weight.
+// four compact kernels: the KD-tree radius path must be bitwise-identical
+// to the full brute scan at every worker count, because every anchor it
+// skips carries exactly zero kernel weight.
 func TestNWPredictorPrunedMatchesBrute(t *testing.T) {
 	kinds := []kernel.Kind{kernel.Uniform, kernel.Epanechnikov, kernel.Triangular, kernel.Tricube}
 	for _, kind := range kinds {
 		for _, dc := range []struct {
 			d    int
-			path string
-		}{{3, "grid"}, {9, "kdtree"}} {
-			t.Run(fmt.Sprintf("%s/%s", kind, dc.path), func(t *testing.T) {
+			name string
+		}{{3, "kdtree-d3"}, {9, "kdtree"}} {
+			t.Run(fmt.Sprintf("%s/%s", kind, dc.name), func(t *testing.T) {
 				k := kernel.MustNew(kind, 2.5)
 				anchors, values, queries := predCase(59, 160, 60, dc.d)
 				p, err := NewNWPredictor(anchors, values, k, 0, 1)
 				if err != nil {
 					t.Fatal(err)
 				}
-				if p.Path() != dc.path {
-					t.Fatalf("path = %q, want %q", p.Path(), dc.path)
+				if p.Path() != "kdtree" {
+					t.Fatalf("path = %q, want kdtree", p.Path())
 				}
 				// A brute twin of the same predictor: identical anchors and
 				// kernel, spatial index disabled.
@@ -604,7 +604,7 @@ func TestZeroAllocPredict(t *testing.T) {
 		knn  int
 	}{
 		{"brute", kernel.MustNew(kernel.Gaussian, 1.5), 7, 0},
-		{"grid", kernel.MustNew(kernel.Epanechnikov, 2.5), 3, 0},
+		{"kdtree-d3", kernel.MustNew(kernel.Epanechnikov, 2.5), 3, 0},
 		{"kdtree", kernel.MustNew(kernel.Tricube, 3.5), 9, 0},
 		{"knn", kernel.MustNew(kernel.Gaussian, 1.5), 5, 7},
 	}

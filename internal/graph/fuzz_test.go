@@ -47,17 +47,20 @@ func FuzzReadEdgeList(f *testing.F) {
 	})
 }
 
-// FuzzKNNGraph checks the KD-tree k-NN build against the distance-matrix
-// build, byte for byte (row extents, columns and value bits), at workers 1
-// and 2, and both against a naive symmetrization: a full sort of every row
-// by (d², index), an edge wherever either endpoint selected the other and
-// the weight is positive. Bytes decode as
+// FuzzKNNGraph checks the KD-tree's k-NN and radius builds against the
+// distance-matrix build, byte for byte (row extents, columns and value
+// bits), at workers 1 and 2, and both against a naive construction: for
+// k-NN, a full sort of every row by (d², index) and an edge wherever either
+// endpoint selected the other and the weight is positive; for a radius
+// build, an edge between every pair of positive weight. Bytes decode as
 //
 //	data[0]    dimension, 1 + data[0]%9
 //	data[1]    k, 1 + data[1]%20
-//	data[2]    bit 0: WithSelfLoops; bit 1: WithEpsilon(0.5 + (data[2]>>2)%8 * 0.5)
-//	data[3]    even: Gaussian, h = 1; odd: Epanechnikov, h = 1.5, whose
-//	           zero weights past h drop selected edges
+//	data[2]    bit 0: a radius build instead (no k-NN), under bit 1's
+//	           kernel: set, Uniform, h = 1; clear, Epanechnikov, h = 1.5
+//	data[3]    k-NN builds' kernel: even, Gaussian, h = 1; odd,
+//	           Epanechnikov, h = 1.5, whose zero weights past h drop
+//	           selected edges
 //	data[4:]   per point, up to 200: a control byte, then (for a fresh
 //	           point) one int8 coordinate per dimension on a half-unit
 //	           lattice. Control%4 == 0 duplicates an earlier point, == 1
@@ -83,16 +86,15 @@ func FuzzKNNGraph(f *testing.F) {
 		}
 		d := 1 + int(data[0]%9)
 		knn := 1 + int(data[1]%20)
-		opts := []Option{WithKNN(knn)}
-		if data[2]&1 != 0 {
-			opts = append(opts, WithSelfLoops())
-		}
-		if data[2]&2 != 0 {
-			opts = append(opts, WithEpsilon(0.5+float64((data[2]>>2)%8)*0.5))
-		}
 		k := kernel.MustNew(kernel.Gaussian, 1)
 		if data[3]%2 == 1 {
 			k = kernel.MustNew(kernel.Epanechnikov, 1.5)
+		}
+		if data[2]&1 != 0 {
+			knn, k = 0, kernel.MustNew(kernel.Epanechnikov, 1.5)
+			if data[2]&2 != 0 {
+				k = kernel.MustNew(kernel.Uniform, 1)
+			}
 		}
 		x := knnFuzzPoints(data[4:], d)
 		if len(x) == 0 {
@@ -103,7 +105,7 @@ func FuzzKNNGraph(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		bb, err := NewBuilder(k, opts...)
+		bb, err := NewBuilder(k, WithKNN(knn))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -111,11 +113,11 @@ func FuzzKNNGraph(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if msg := naiveKNNMismatch(ref, x, k, bb); msg != "" {
+		if msg := naiveMismatch(ref, x, k, knn); msg != "" {
 			t.Fatalf("BuildFromDist2 (n=%d d=%d k=%d): %s", n, d, knn, msg)
 		}
 		for _, w := range []int{1, 2} {
-			b, err := NewBuilder(k, append([]Option{WithIndex(IndexKDTree), WithWorkers(w)}, opts...)...)
+			b, err := NewBuilder(k, WithKNN(knn), WithIndex(IndexKDTree), WithWorkers(w))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -182,15 +184,16 @@ func csrMismatch(got, want *Graph) string {
 	return ""
 }
 
-// naiveKNNMismatch checks g against the k-NN graph computed the long way
-// from kernel.Dist2, and describes the first difference.
-func naiveKNNMismatch(g *Graph, x [][]float64, k *kernel.K, b *Builder) string {
+// naiveMismatch checks g against the k-NN graph (the full graph for knn
+// 0) computed the long way from kernel.Dist2, and describes the first
+// difference.
+func naiveMismatch(g *Graph, x [][]float64, k *kernel.K, knn int) string {
 	n := len(x)
 	sel := make([]map[int]bool, n)
 	for i := range x {
 		var cand []int
 		for j := range x {
-			if j != i && (b.eps == 0 || kernel.Dist2(x[i], x[j]) <= b.eps*b.eps) {
+			if j != i {
 				cand = append(cand, j)
 			}
 		}
@@ -200,8 +203,11 @@ func naiveKNNMismatch(g *Graph, x [][]float64, k *kernel.K, b *Builder) string {
 			}
 			return cmp.Compare(a, c)
 		})
+		if knn > 0 {
+			cand = cand[:min(knn, len(cand))]
+		}
 		sel[i] = map[int]bool{}
-		for _, j := range cand[:min(b.knn, len(cand))] {
+		for _, j := range cand {
 			sel[i][j] = true
 		}
 	}
@@ -209,13 +215,7 @@ func naiveKNNMismatch(g *Graph, x [][]float64, k *kernel.K, b *Builder) string {
 		var cols []int
 		var vals []float64
 		for j := range x {
-			if j == i {
-				if b.loops {
-					cols, vals = append(cols, i), append(vals, k.WeightDist2(0))
-				}
-				continue
-			}
-			if !sel[i][j] && !sel[j][i] {
+			if j == i || (!sel[i][j] && !sel[j][i]) {
 				continue
 			}
 			if w := k.WeightDist2(kernel.Dist2(x[i], x[j])); w > 0 {

@@ -1,8 +1,8 @@
 // Package graph builds and analyzes the weighted similarity graphs at the
-// heart of graph-based semi-supervised learning: full-kernel graphs, k-NN
-// and ε-ball sparsifications, the three standard Laplacians, and
-// connectivity analysis (needed because Proposition II.2 of the paper is
-// stated for connected graphs).
+// heart of graph-based semi-supervised learning: full-kernel graphs (sparse
+// under a compactly supported kernel), k-NN sparsifications, the three
+// standard Laplacians, and connectivity analysis (needed because
+// Proposition II.2 of the paper is stated for connected graphs).
 package graph
 
 import (
@@ -94,12 +94,13 @@ func (g *Graph) EdgeCount() int {
 }
 
 // Builder configures graph construction from points.
+//
+// A built graph has no self-loops: they cancel in D − W, and graphs that
+// need w_ii come in through FromWeights.
 type Builder struct {
 	kernel  *kernel.K
-	knn     int     // 0 = full graph
-	eps     float64 // 0 = no ε-ball truncation
-	loops   bool    // keep self-loops (w_ii = Profile(0))
-	workers int     // 0 = GOMAXPROCS, 1 = serial
+	knn     int // 0 = full graph
+	workers int // 0 = GOMAXPROCS, 1 = serial
 	index   IndexKind
 }
 
@@ -116,17 +117,6 @@ func (f optionFunc) apply(b *Builder) { f(b) }
 // (symmetrized: an edge survives if either endpoint selects it).
 func WithKNN(k int) Option {
 	return optionFunc(func(b *Builder) { b.knn = k })
-}
-
-// WithEpsilon keeps only edges with distance at most eps.
-func WithEpsilon(eps float64) Option {
-	return optionFunc(func(b *Builder) { b.eps = eps })
-}
-
-// WithSelfLoops keeps self-similarities w_ii (the paper's W has w_ii = 1;
-// self-loops cancel in D−W, so the default drops them for sparsity).
-func WithSelfLoops() Option {
-	return optionFunc(func(b *Builder) { b.loops = true })
 }
 
 // WithWorkers sets the worker count for the parallel stages of
@@ -150,9 +140,6 @@ func NewBuilder(k *kernel.K, opts ...Option) (*Builder, error) {
 	if b.knn < 0 {
 		return nil, fmt.Errorf("graph: knn=%d: %w", b.knn, ErrParam)
 	}
-	if b.eps < 0 {
-		return nil, fmt.Errorf("graph: eps=%v: %w", b.eps, ErrParam)
-	}
 	if b.index < IndexAuto || b.index > IndexKDTree {
 		return nil, fmt.Errorf("graph: index kind %d: %w", int(b.index), ErrParam)
 	}
@@ -162,11 +149,11 @@ func NewBuilder(k *kernel.K, opts ...Option) (*Builder, error) {
 // Build constructs the similarity graph over the points x.
 //
 // The construction path is chosen by the builder's index setting (see
-// WithIndex): by default a spatial index replaces the O(n²) distance matrix
-// whenever the build has a finite interaction radius (an ε-ball, a
-// compactly supported kernel, or a k-NN selection) and the d/n heuristic
-// predicts a win; otherwise the dense-matrix path runs. Every path produces
-// byte-identical CSR output for the same input.
+// WithIndex): by default the KD-tree replaces the O(n²) distance matrix
+// whenever the build has a compactly supported kernel or a k-NN selection,
+// at least 512 points and at most 16 dimensions; otherwise the
+// dense-matrix path runs. Every path produces byte-identical CSR output
+// for the same input.
 func (b *Builder) Build(x [][]float64) (*Graph, error) {
 	if len(x) == 0 {
 		return nil, ErrEmpty
@@ -181,10 +168,7 @@ func (b *Builder) Build(x [][]float64) (*Graph, error) {
 	if err != nil {
 		return nil, err
 	}
-	switch kind {
-	case IndexGrid:
-		return b.buildRadiusGrid(x)
-	case IndexKDTree:
+	if kind == IndexKDTree {
 		if b.knn > 0 {
 			return b.buildKNNKDTree(x)
 		}
@@ -226,31 +210,20 @@ func at(d2 []float64, n, i, j int) float64 {
 	return d2[i*n+j]
 }
 
-// fullRows computes the dense-kernel rows: every pair within the ε-ball
-// (when set) with positive weight, plus the diagonal when self-loops are on.
+// fullRows computes the dense-kernel rows: every pair with positive
+// weight.
 func (b *Builder) fullRows(n int, d2 []float64) (cols [][]int, vals [][]float64) {
 	cols = make([][]int, n)
 	vals = make([][]float64, n)
-	eps2 := b.eps * b.eps
 	parallel.For(b.workers, n, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			ci := make([]int, 0, n)
 			vi := make([]float64, 0, n)
 			for j := 0; j < n; j++ {
 				if j == i {
-					if b.loops {
-						if w := b.kernel.WeightDist2(0); w != 0 {
-							ci = append(ci, i)
-							vi = append(vi, w)
-						}
-					}
 					continue
 				}
-				dv := at(d2, n, i, j)
-				if b.eps > 0 && dv > eps2 {
-					continue
-				}
-				if w := b.kernel.WeightDist2(dv); w > 0 {
+				if w := b.kernel.WeightDist2(at(d2, n, i, j)); w > 0 {
 					ci = append(ci, j)
 					vi = append(vi, w)
 				}
@@ -266,7 +239,6 @@ func (b *Builder) fullRows(n int, d2 []float64) (cols [][]int, vals [][]float64)
 // sort, and each selected edge carries the canonical at(d2, n, i, j), so
 // both endpoints of a mutual edge hold the same weight.
 func (b *Builder) knnRows(n int, d2 []float64) *knnSel {
-	eps2 := b.eps * b.eps
 	s := newKNNSel(n, b.knn)
 	parallel.For(b.workers, n, func(lo, hi int) {
 		idx := make([]int, 0, n-1)
@@ -275,9 +247,6 @@ func (b *Builder) knnRows(n int, d2 []float64) *knnSel {
 			idx = idx[:0]
 			for j := 0; j < n; j++ {
 				if j == i {
-					continue
-				}
-				if b.eps > 0 && row[j] > eps2 {
 					continue
 				}
 				idx = append(idx, j)
@@ -344,11 +313,11 @@ func (s *knnSel) row(i int) ([]int32, []float64) {
 
 // knnGraph symmetrizes the selections straight into the CSR: an edge
 // survives if either endpoint selected it, so row i is the sorted union of
-// its own selection and the rows that selected i, plus the diagonal under
-// WithSelfLoops. The reverse entry of an edge reuses the weight its
-// selecting row computed. When both endpoints selected the edge, both
-// weights came from the same d² (Dist2 is symmetric bit for bit, and the
-// matrix path reads the canonical upper-triangle entry), so either serves.
+// its own selection and the rows that selected i. The reverse entry of an
+// edge reuses the weight its selecting row computed. When both endpoints
+// selected the edge, both weights came from the same d² (Dist2 is
+// symmetric bit for bit, and the matrix path reads the canonical
+// upper-triangle entry), so either serves.
 func (b *Builder) knnGraph(s *knnSel) (*Graph, error) {
 	n := len(s.cnt)
 	// Reverse lists (serial, O(nk)): filling them in ascending row order
@@ -375,14 +344,10 @@ func (b *Builder) knnGraph(s *knnSel) (*Graph, error) {
 		}
 	}
 
-	var diag float64
-	if b.loops {
-		diag = b.kernel.WeightDist2(0)
-	}
 	merge := func(i int, cols []int, vals []float64) int {
 		a, aw := s.row(i)
 		c, cw := rev[revptr[i]:revptr[i+1]], revW[revptr[i]:revptr[i+1]]
-		return mergeRow(int32(i), diag, a, aw, c, cw, cols, vals)
+		return mergeRow(a, aw, c, cw, cols, vals)
 	}
 	// Row lengths, then the prefix sum, then the rows themselves (the two
 	// merge passes run in parallel).
@@ -409,11 +374,10 @@ func (b *Builder) knnGraph(s *knnSel) (*Graph, error) {
 	return &Graph{w: w}, nil
 }
 
-// mergeRow merges row i's own selection a (weights aw) with the rows c that
-// selected i (weights cw), both ascending, and the diagonal weight diag
-// unless it is zero, into cols and vals, and returns the row's length.
-// With cols nil it only counts.
-func mergeRow(i int32, diag float64, a []int32, aw []float64, c []int32, cw []float64, cols []int, vals []float64) int {
+// mergeRow merges a row's own selection a (weights aw) with the rows c
+// that selected it (weights cw), both ascending, into cols and vals, and
+// returns the row's length. With cols nil it only counts.
+func mergeRow(a []int32, aw []float64, c []int32, cw []float64, cols []int, vals []float64) int {
 	m := 0
 	put := func(j int32, w float64) {
 		if cols != nil {
@@ -436,14 +400,7 @@ func mergeRow(i int32, diag float64, a []int32, aw []float64, c []int32, cw []fl
 			j, w = a[p], aw[p]
 			p, q = p+1, q+1
 		}
-		if diag != 0 && j > i {
-			put(i, diag)
-			diag = 0
-		}
 		put(j, w)
-	}
-	if diag != 0 {
-		put(i, diag)
 	}
 	return m
 }

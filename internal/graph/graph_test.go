@@ -80,9 +80,6 @@ func TestBuilderValidation(t *testing.T) {
 	if _, err := NewBuilder(k, WithKNN(-1)); !errors.Is(err, ErrParam) {
 		t.Fatalf("negative knn: want ErrParam, got %v", err)
 	}
-	if _, err := NewBuilder(k, WithEpsilon(-0.5)); !errors.Is(err, ErrParam) {
-		t.Fatalf("negative eps: want ErrParam, got %v", err)
-	}
 }
 
 func TestBuildEmptyErrors(t *testing.T) {
@@ -112,31 +109,6 @@ func TestBuildFullGraphWeights(t *testing.T) {
 	}
 }
 
-func TestBuildWithSelfLoops(t *testing.T) {
-	b := gaussianBuilder(t, 1, WithSelfLoops())
-	g, err := b.Build([][]float64{{0}, {1}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if g.Weight(0, 0) != 1 {
-		t.Fatalf("w00 = %v, want 1", g.Weight(0, 0))
-	}
-}
-
-func TestBuildEpsilonGraph(t *testing.T) {
-	b := gaussianBuilder(t, 1, WithEpsilon(1.5))
-	g, err := b.Build(linePoints(4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if g.Weight(0, 1) == 0 || g.Weight(0, 2) != 0 {
-		t.Fatal("ε-ball truncation wrong")
-	}
-	if g.EdgeCount() != 3 { // chain 0-1-2-3
-		t.Fatalf("edges = %d, want 3", g.EdgeCount())
-	}
-}
-
 func TestBuildKNNGraph(t *testing.T) {
 	b := gaussianBuilder(t, 1, WithKNN(1))
 	g, err := b.Build(linePoints(4))
@@ -151,21 +123,6 @@ func TestBuildKNNGraph(t *testing.T) {
 	}
 	if g.Weight(0, 1) == 0 {
 		t.Fatal("kNN graph must contain nearest edge 0-1")
-	}
-}
-
-func TestBuildKNNWithEpsilonComposes(t *testing.T) {
-	b := gaussianBuilder(t, 1, WithKNN(3), WithEpsilon(1.5))
-	g, err := b.Build(linePoints(5))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 5; i++ {
-		for j := i + 2; j < 5; j++ {
-			if g.Weight(i, j) != 0 {
-				t.Fatalf("edge %d-%d should be truncated by eps", i, j)
-			}
-		}
 	}
 }
 
@@ -212,7 +169,7 @@ func TestBuildFromDist2MatchesBuild(t *testing.T) {
 }
 
 func TestDegreesAndSummary(t *testing.T) {
-	b := gaussianBuilder(t, 1, WithEpsilon(1.5))
+	b := gaussianBuilder(t, 1, WithKNN(1))
 	g, _ := b.Build(linePoints(3)) // chain 0-1-2
 	deg := g.Degrees()
 	w := math.Exp(-1)
@@ -251,13 +208,37 @@ func TestUnnormalizedLaplacian(t *testing.T) {
 	}
 }
 
+// withUnitLoops returns g with w_ii = 1 on every node, the diagonal of the
+// paper's RBF W, wrapped through FromWeights (Build never stores one).
+func withUnitLoops(t *testing.T, g *Graph) *Graph {
+	t.Helper()
+	n := g.N()
+	coo := sparse.NewCOO(n, n)
+	for i := 0; i < n; i++ {
+		cols, vals := g.Weights().RowNNZ(i)
+		for k, j := range cols {
+			if err := coo.Add(i, j, vals[k]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := coo.Add(i, i, 1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	lg, err := FromWeights(coo.ToCSR())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return lg
+}
+
 func TestLaplacianSelfLoopsCancel(t *testing.T) {
 	// L = D − W must be identical with and without self-loops.
-	withLoops := gaussianBuilder(t, 1, WithSelfLoops())
-	without := gaussianBuilder(t, 1)
-	x := linePoints(4)
-	g1, _ := withLoops.Build(x)
-	g2, _ := without.Build(x)
+	g2, _ := gaussianBuilder(t, 1).Build(linePoints(4))
+	g1 := withUnitLoops(t, g2)
+	if g1.Weight(0, 0) != 1 {
+		t.Fatalf("w00 = %v, want 1", g1.Weight(0, 0))
+	}
 	l1, err := g1.Laplacian(Unnormalized)
 	if err != nil {
 		t.Fatal(err)

@@ -17,7 +17,7 @@ func TestEdgeListRoundTrip(t *testing.T) {
 	for i := range x {
 		x[i] = []float64{rng.Norm(), rng.Norm()}
 	}
-	b, err := NewBuilder(kernel.MustNew(kernel.Gaussian, 1), WithSelfLoops())
+	b, err := NewBuilder(kernel.MustNew(kernel.Gaussian, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -25,6 +25,7 @@ func TestEdgeListRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	g = withUnitLoops(t, g)
 	var sb strings.Builder
 	if err := g.WriteEdgeList(&sb); err != nil {
 		t.Fatal(err)

@@ -84,9 +84,8 @@ func TestBuildDeterministicAcrossWorkers(t *testing.T) {
 		{"gaussian-full", kernel.Gaussian, nil},
 		{"gaussian-knn", kernel.Gaussian, []Option{WithKNN(7)}},
 		{"epanechnikov-knn", kernel.Epanechnikov, []Option{WithKNN(7)}},
-		{"gaussian-knn-loops", kernel.Gaussian, []Option{WithKNN(5), WithSelfLoops()}},
-		{"uniform-eps", kernel.Uniform, []Option{WithEpsilon(2.5)}},
-		{"tricube-knn-eps", kernel.Tricube, []Option{WithKNN(9), WithEpsilon(3)}},
+		{"uniform-radius", kernel.Uniform, nil},
+		{"tricube-knn", kernel.Tricube, []Option{WithKNN(9)}},
 	}
 	workerCounts := []int{1, 2, 4, runtime.GOMAXPROCS(0)}
 	for _, tc := range cases {

@@ -53,36 +53,27 @@ func buildBytes(t *testing.T, k *kernel.K, x [][]float64, opts ...Option) []byte
 }
 
 // TestSpatialMatchesBruteExactly is the property test of the spatial
-// subsystem's central contract: for every construction configuration, every
-// explicit index backend that supports it, and every worker count, Build
-// produces a CSR byte-identical to the brute-force distance-matrix path —
-// including on point sets full of duplicates and exact lattice ties.
+// subsystem's central contract: for every construction configuration and
+// every worker count, Build on the KD-tree produces a CSR byte-identical to
+// the brute-force distance-matrix path — including on point sets full of
+// duplicates and exact lattice ties.
 func TestSpatialMatchesBruteExactly(t *testing.T) {
 	gauss := kernel.MustNew(kernel.Gaussian, 1.0)
 	epan := kernel.MustNew(kernel.Epanechnikov, 1.5)
 	tri := kernel.MustNew(kernel.Triangular, 2.0)
 	uni := kernel.MustNew(kernel.Uniform, 1.0)
 
-	type tc struct {
-		name  string
-		k     *kernel.K
-		opts  []Option
-		kinds []IndexKind // backends that can answer this configuration
-	}
-	radius := []IndexKind{IndexGrid, IndexKDTree}
-	knn := []IndexKind{IndexKDTree}
-	cases := []tc{
-		{"epan-radius", epan, nil, radius},
-		{"epan-radius-loops", epan, []Option{WithSelfLoops()}, radius},
-		{"uniform-radius", uni, nil, radius},
-		{"tri-eps", tri, []Option{WithEpsilon(1.2)}, radius},
-		{"gauss-eps", gauss, []Option{WithEpsilon(1.8)}, radius},
-		{"gauss-eps-loops", gauss, []Option{WithEpsilon(1.8), WithSelfLoops()}, radius},
-		{"gauss-knn", gauss, []Option{WithKNN(7)}, knn},
-		{"gauss-knn-loops", gauss, []Option{WithKNN(7), WithSelfLoops()}, knn},
-		{"gauss-knn-eps", gauss, []Option{WithKNN(5), WithEpsilon(1.5)}, knn},
-		{"epan-knn", epan, []Option{WithKNN(4)}, knn},
-		{"gauss-knn-big", gauss, []Option{WithKNN(1000)}, knn},
+	cases := []struct {
+		name string
+		k    *kernel.K
+		opts []Option
+	}{
+		{"epan-radius", epan, nil},
+		{"uniform-radius", uni, nil},
+		{"tri-radius", tri, nil},
+		{"gauss-knn", gauss, []Option{WithKNN(7)}},
+		{"epan-knn", epan, []Option{WithKNN(4)}},
+		{"gauss-knn-big", gauss, []Option{WithKNN(1000)}},
 	}
 	sizes := []struct{ n, d int }{
 		{1, 2}, {2, 3}, {33, 1}, {150, 2}, {150, 3}, {90, 5}, {60, 8},
@@ -92,18 +83,16 @@ func TestSpatialMatchesBruteExactly(t *testing.T) {
 		for _, sz := range sizes {
 			x := tiePoints(int64(1000+sz.n*10+sz.d), sz.n, sz.d)
 			ref := buildBytes(t, tc.k, x, append([]Option{WithIndex(IndexBrute), WithWorkers(1)}, tc.opts...)...)
-			for _, kind := range tc.kinds {
-				for _, w := range workerCounts {
-					opts := append([]Option{WithIndex(kind), WithWorkers(w)}, tc.opts...)
-					got := buildBytes(t, tc.k, x, opts...)
-					if !bytes.Equal(got, ref) {
-						t.Fatalf("%s n=%d d=%d index=%v workers=%d: CSR differs from brute force",
-							tc.name, sz.n, sz.d, kind, w)
-					}
+			for _, w := range workerCounts {
+				opts := append([]Option{WithIndex(IndexKDTree), WithWorkers(w)}, tc.opts...)
+				got := buildBytes(t, tc.k, x, opts...)
+				if !bytes.Equal(got, ref) {
+					t.Fatalf("%s n=%d d=%d workers=%d: KD-tree CSR differs from brute force",
+						tc.name, sz.n, sz.d, w)
 				}
 			}
-			// The auto heuristic must agree with brute regardless of which
-			// backend it picks.
+			// The auto heuristic must agree with brute whichever backend it
+			// picks.
 			got := buildBytes(t, tc.k, x, append([]Option{WithWorkers(2)}, tc.opts...)...)
 			if !bytes.Equal(got, ref) {
 				t.Fatalf("%s n=%d d=%d auto: CSR differs from brute force", tc.name, sz.n, sz.d)
@@ -125,11 +114,10 @@ func TestResolveIndexHeuristic(t *testing.T) {
 		want IndexKind
 	}{
 		{"small-n-brute", epan, nil, 100, 2, IndexBrute},
-		{"radius-low-d-grid", epan, nil, 2000, 2, IndexGrid},
+		{"radius-low-d-kdtree", epan, nil, 2000, 2, IndexKDTree},
 		{"radius-mid-d-kdtree", epan, nil, 2000, 10, IndexKDTree},
 		{"radius-high-d-brute", epan, nil, 2000, 20, IndexBrute},
 		{"gauss-full-brute", gauss, nil, 2000, 2, IndexBrute},
-		{"gauss-eps-grid", gauss, []Option{WithEpsilon(1)}, 2000, 2, IndexGrid},
 		{"knn-kdtree", gauss, []Option{WithKNN(5)}, 2000, 3, IndexKDTree},
 		{"knn-high-d-brute", gauss, []Option{WithKNN(5)}, 2000, 32, IndexBrute},
 		{"forced-brute", epan, []Option{WithIndex(IndexBrute)}, 2000, 2, IndexBrute},
@@ -153,26 +141,45 @@ func TestResolveIndexHeuristic(t *testing.T) {
 	if _, err := NewBuilder(gauss, WithIndex(IndexKind(99))); !errors.Is(err, ErrParam) {
 		t.Fatalf("out-of-range kind: %v", err)
 	}
-	b, err := NewBuilder(gauss, WithIndex(IndexGrid), WithKNN(5), WithEpsilon(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := b.Build(tiePoints(1, 20, 2)); !errors.Is(err, ErrParam) {
-		t.Fatalf("grid+knn: %v", err)
-	}
-	b, err = NewBuilder(gauss, WithIndex(IndexGrid))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := b.Build(tiePoints(1, 20, 2)); !errors.Is(err, ErrParam) {
-		t.Fatalf("grid without radius: %v", err)
-	}
-	b, err = NewBuilder(gauss, WithIndex(IndexKDTree))
+	b, err := NewBuilder(gauss, WithIndex(IndexKDTree))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if _, err := b.Build(tiePoints(1, 20, 2)); !errors.Is(err, ErrParam) {
 		t.Fatalf("kdtree without radius or knn: %v", err)
+	}
+}
+
+// TestBuildDegenerateRadiiMatchesBrute pins the KD-tree radius build where
+// the squared support radius leaves the normal range: points and bandwidth
+// scaled together so that h² underflows to 0 (2^-540, 2^-1000) or
+// overflows to +Inf (2^+600, 2^+1000). Squared distances round the same
+// way, so the KD-tree's d² <= h² test and its pruning must still keep
+// exactly the pairs brute force gives a positive weight.
+func TestBuildDegenerateRadiiMatchesBrute(t *testing.T) {
+	for _, kind := range []kernel.Kind{kernel.Epanechnikov, kernel.Uniform, kernel.Tricube} {
+		for _, d := range []int{1, 2, 9} {
+			base := tiePoints(int64(300+d), 300, d)
+			for _, scale := range []float64{0x1p-540, 0x1p-1000, 0x1p+600, 0x1p+1000} {
+				h := 1.5 * scale
+				if h2 := h * h; h2 != 0 && !math.IsInf(h2, 1) {
+					t.Fatalf("scale %g: h² = %g is not degenerate", scale, h2)
+				}
+				x := make([][]float64, len(base))
+				for i, p := range base {
+					x[i] = make([]float64, d)
+					for j, v := range p {
+						x[i][j] = v * scale
+					}
+				}
+				k := kernel.MustNew(kind, h)
+				ref := buildBytes(t, k, x, WithIndex(IndexBrute), WithWorkers(1))
+				got := buildBytes(t, k, x, WithIndex(IndexKDTree), WithWorkers(2))
+				if !bytes.Equal(got, ref) {
+					t.Fatalf("%v d=%d scale %g: KD-tree CSR differs from brute force", kind, d, scale)
+				}
+			}
+		}
 	}
 }
 
@@ -191,7 +198,7 @@ func TestBuildValidatesRaggedPoints(t *testing.T) {
 // TestIndexKindString pins the flag-facing names.
 func TestIndexKindString(t *testing.T) {
 	want := map[IndexKind]string{
-		IndexAuto: "auto", IndexBrute: "brute", IndexGrid: "grid", IndexKDTree: "kdtree",
+		IndexAuto: "auto", IndexBrute: "brute", IndexKDTree: "kdtree",
 	}
 	for k, s := range want {
 		if k.String() != s {

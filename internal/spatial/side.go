@@ -5,41 +5,19 @@ import (
 	"math"
 )
 
-// SideKind selects the base index a SideIndex amortizes over.
-type SideKind int
-
-const (
-	// SideGrid bases the index on a uniform cell-list (dim <= 6, compact
-	// support radius within [MinCell, MaxCell]).
-	SideGrid SideKind = iota
-	// SideKDTree bases the index on a KD-tree with exact radius queries.
-	SideKDTree
-)
-
-func (k SideKind) String() string {
-	switch k {
-	case SideGrid:
-		return "grid"
-	case SideKDTree:
-		return "kdtree"
-	default:
-		return fmt.Sprintf("SideKind(%d)", int(k))
-	}
-}
-
 // DefaultRebuildFrac is the side-buffer fraction of the base size that
 // triggers an amortized base rebuild. At 0.25 a rebuild costs O(n log n)
 // every Ω(n) mutations, so the amortized per-mutation cost stays
 // O(log n) while the side region never grows past a quarter of the base.
 const DefaultRebuildFrac = 0.25
 
-// SideIndex is a mutable fixed-radius index: an immutable base index
-// (grid cell-list or KD-tree) over a snapshot of the points, plus a
-// buffered side region holding points inserted since the last rebuild
-// and an alive mask masking deletions. Queries merge base candidates
-// with a scan of the (bounded) side region; once the side region plus
-// the accumulated dead count exceeds rebuildFrac of the base size the
-// base is rebuilt over the live set, restoring pure-base query cost.
+// SideIndex is a mutable fixed-radius index: an immutable base KD-tree
+// over a snapshot of the points, plus a buffered side region holding
+// points inserted since the last rebuild and an alive mask masking
+// deletions. Queries merge the base's radius set with a scan of the
+// (bounded) side region; once the side region plus the accumulated dead
+// count exceeds rebuildFrac of the base size the base is rebuilt over the
+// live set, restoring pure-base query cost.
 //
 // Point identifiers are stable for the life of the index: Insert returns
 // the next dense id, Delete retires one, and ids are never reused. The
@@ -49,10 +27,8 @@ const DefaultRebuildFrac = 0.25
 // The index is not safe for concurrent mutation; concurrent Candidates
 // calls are safe between mutations.
 type SideIndex struct {
-	kind        SideKind
 	dim         int
 	r2          float64 // squared support radius of queries
-	cell        float64 // grid cell edge (SideGrid)
 	workers     int
 	rebuildFrac float64
 
@@ -61,7 +37,6 @@ type SideIndex struct {
 	live  int
 
 	baseN int // pts[:baseN] are covered by the base index
-	grid  *Grid
 	tree  *KDTree
 
 	churn    int // inserts + deletes since the last rebuild
@@ -69,11 +44,11 @@ type SideIndex struct {
 }
 
 // NewSideIndex builds a mutable radius index over x with the given
-// support radius. kind selects the base structure; radius must be
-// positive and finite (streaming maintenance needs compact support —
-// unbounded kernels would connect every pair). rebuildFrac <= 0 selects
+// support radius. radius must be positive and finite (streaming
+// maintenance needs compact support — unbounded kernels would connect
+// every pair). rebuildFrac <= 0 selects
 // DefaultRebuildFrac. The initial points are retained by reference.
-func NewSideIndex(x [][]float64, kind SideKind, radius float64, rebuildFrac float64, workers int) (*SideIndex, error) {
+func NewSideIndex(x [][]float64, radius float64, rebuildFrac float64, workers int) (*SideIndex, error) {
 	dim, err := checkPoints(x)
 	if err != nil {
 		return nil, err
@@ -88,10 +63,8 @@ func NewSideIndex(x [][]float64, kind SideKind, radius float64, rebuildFrac floa
 		workers = 1
 	}
 	s := &SideIndex{
-		kind:        kind,
 		dim:         dim,
 		r2:          radius * radius,
-		cell:        radius * (1 + 1e-6),
 		workers:     workers,
 		rebuildFrac: rebuildFrac,
 		pts:         append([][]float64(nil), x...),
@@ -100,9 +73,6 @@ func NewSideIndex(x [][]float64, kind SideKind, radius float64, rebuildFrac floa
 	}
 	for i := range s.alive {
 		s.alive[i] = true
-	}
-	if kind == SideGrid && (dim > 6 || s.cell < MinCell || s.cell > MaxCell) {
-		return nil, fmt.Errorf("spatial: grid side index needs dim <= 6 and cell in range (dim=%d, cell=%v): %w", dim, s.cell, ErrParam)
 	}
 	if err := s.rebuild(); err != nil {
 		return nil, err
@@ -121,9 +91,6 @@ func (s *SideIndex) BaseN() int { return s.baseN }
 
 // Rebuilds returns how many amortized base rebuilds have run.
 func (s *SideIndex) Rebuilds() int { return s.rebuilds }
-
-// Kind returns the base index structure.
-func (s *SideIndex) Kind() SideKind { return s.kind }
 
 // Alive reports whether id is live.
 func (s *SideIndex) Alive(id int) bool {
@@ -175,20 +142,9 @@ func (s *SideIndex) Delete(id int) error {
 // capacity.
 func (s *SideIndex) Candidates(q []float64, buf []int32) []int32 {
 	buf = buf[:0]
-	switch s.kind {
-	case SideGrid:
-		raw := s.grid.Candidates(q, nil)
-		for _, id := range raw {
-			if s.alive[id] {
-				buf = append(buf, id)
-			}
-		}
-	default:
-		raw := s.tree.Radius(q, -1, s.r2, nil)
-		for _, id := range raw {
-			if s.alive[id] {
-				buf = append(buf, id)
-			}
+	for _, id := range s.tree.Radius(q, -1, s.r2, nil) {
+		if s.alive[id] {
+			buf = append(buf, id)
 		}
 	}
 	// Side region: every live point past the base prefix is a candidate.
@@ -219,20 +175,11 @@ func (s *SideIndex) rebuild() error {
 	// filtered at query time). Indexing dead points costs memory
 	// proportional to churn but keeps ids identical to slice positions,
 	// which is what makes overlay column ids line up with spatial ids.
-	switch s.kind {
-	case SideGrid:
-		g, err := NewGrid(s.pts, s.cell)
-		if err != nil {
-			return err
-		}
-		s.grid = g
-	default:
-		t, err := NewKDTree(s.pts, s.workers)
-		if err != nil {
-			return err
-		}
-		s.tree = t
+	t, err := NewKDTree(s.pts, s.workers)
+	if err != nil {
+		return err
 	}
+	s.tree = t
 	s.baseN = len(s.pts)
 	s.churn = 0
 	s.rebuilds++

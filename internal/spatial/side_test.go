@@ -71,84 +71,79 @@ func eqInts(a, b []int) bool {
 }
 
 func TestSideIndexMatchesBrute(t *testing.T) {
-	for _, kind := range []SideKind{SideGrid, SideKDTree} {
-		kind := kind
-		t.Run(kind.String(), func(t *testing.T) {
-			const (
-				n0     = 200
-				dim    = 3
-				radius = 0.2
-			)
-			rng := rand.New(rand.NewSource(7))
-			x := sidePoints(n0, dim, 1)
-			s, err := NewSideIndex(x, kind, radius, 0.25, 2)
+	const (
+		n0     = 200
+		dim    = 3
+		radius = 0.2
+	)
+	rng := rand.New(rand.NewSource(7))
+	x := sidePoints(n0, dim, 1)
+	s, err := NewSideIndex(x, radius, 0.25, 2)
+	if err != nil {
+		t.Fatalf("NewSideIndex: %v", err)
+	}
+	pts := append([][]float64(nil), x...)
+	alive := make([]bool, n0)
+	for i := range alive {
+		alive[i] = true
+	}
+	r2 := radius * radius
+	var buf []int32
+	for step := 0; step < 500; step++ {
+		switch op := rng.Intn(3); {
+		case op == 0: // insert
+			p := make([]float64, dim)
+			for d := range p {
+				p[d] = rng.Float64()
+			}
+			id, err := s.Insert(p)
 			if err != nil {
-				t.Fatalf("NewSideIndex: %v", err)
+				t.Fatalf("step %d insert: %v", step, err)
 			}
-			pts := append([][]float64(nil), x...)
-			alive := make([]bool, n0)
-			for i := range alive {
-				alive[i] = true
+			if id != len(pts) {
+				t.Fatalf("step %d: id %d, want %d", step, id, len(pts))
 			}
-			r2 := radius * radius
-			var buf []int32
-			for step := 0; step < 500; step++ {
-				switch op := rng.Intn(3); {
-				case op == 0: // insert
-					p := make([]float64, dim)
-					for d := range p {
-						p[d] = rng.Float64()
-					}
-					id, err := s.Insert(p)
-					if err != nil {
-						t.Fatalf("step %d insert: %v", step, err)
-					}
-					if id != len(pts) {
-						t.Fatalf("step %d: id %d, want %d", step, id, len(pts))
-					}
-					pts = append(pts, p)
-					alive = append(alive, true)
-				case op == 1: // delete a random live id
-					live := -1
-					for tries := 0; tries < 50; tries++ {
-						c := rng.Intn(len(pts))
-						if alive[c] {
-							live = c
-							break
-						}
-					}
-					if live < 0 {
-						continue
-					}
-					if err := s.Delete(live); err != nil {
-						t.Fatalf("step %d delete %d: %v", step, live, err)
-					}
-					alive[live] = false
-				default: // query
-					q := make([]float64, dim)
-					for d := range q {
-						q[d] = rng.Float64()
-					}
-					buf = s.Candidates(q, buf)
-					for _, id := range buf {
-						if !alive[id] {
-							t.Fatalf("step %d: dead id %d in candidates", step, id)
-						}
-					}
-					got := filterExact(pts, buf, q, r2)
-					want := sideBruteRadius(pts, alive, q, r2)
-					if !eqInts(got, want) {
-						t.Fatalf("step %d: radius set mismatch\ngot  %v\nwant %v", step, got, want)
-					}
+			pts = append(pts, p)
+			alive = append(alive, true)
+		case op == 1: // delete a random live id
+			live := -1
+			for tries := 0; tries < 50; tries++ {
+				c := rng.Intn(len(pts))
+				if alive[c] {
+					live = c
+					break
 				}
 			}
-			if s.Rebuilds() < 2 {
-				t.Fatalf("expected amortized rebuilds over 500 mutations, got %d", s.Rebuilds())
+			if live < 0 {
+				continue
 			}
-			if s.Live() != countLive(alive) {
-				t.Fatalf("live count %d, want %d", s.Live(), countLive(alive))
+			if err := s.Delete(live); err != nil {
+				t.Fatalf("step %d delete %d: %v", step, live, err)
 			}
-		})
+			alive[live] = false
+		default: // query
+			q := make([]float64, dim)
+			for d := range q {
+				q[d] = rng.Float64()
+			}
+			buf = s.Candidates(q, buf)
+			for _, id := range buf {
+				if !alive[id] {
+					t.Fatalf("step %d: dead id %d in candidates", step, id)
+				}
+			}
+			got := filterExact(pts, buf, q, r2)
+			want := sideBruteRadius(pts, alive, q, r2)
+			if !eqInts(got, want) {
+				t.Fatalf("step %d: radius set mismatch\ngot  %v\nwant %v", step, got, want)
+			}
+		}
+	}
+	if s.Rebuilds() < 2 {
+		t.Fatalf("expected amortized rebuilds over 500 mutations, got %d", s.Rebuilds())
+	}
+	if s.Live() != countLive(alive) {
+		t.Fatalf("live count %d, want %d", s.Live(), countLive(alive))
 	}
 }
 
@@ -164,7 +159,7 @@ func countLive(alive []bool) int {
 
 func TestSideIndexRebuildPreservesIDs(t *testing.T) {
 	x := sidePoints(64, 2, 3)
-	s, err := NewSideIndex(x, SideGrid, 0.3, 0.1, 1)
+	s, err := NewSideIndex(x, 0.3, 0.1, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,13 +198,10 @@ func TestSideIndexRebuildPreservesIDs(t *testing.T) {
 
 func TestSideIndexParamErrors(t *testing.T) {
 	x := sidePoints(10, 3, 4)
-	if _, err := NewSideIndex(x, SideGrid, 0, 0, 1); err == nil {
+	if _, err := NewSideIndex(x, 0, 0, 1); err == nil {
 		t.Fatal("zero radius accepted")
 	}
-	if _, err := NewSideIndex(sidePoints(10, 7, 4), SideGrid, 0.5, 0, 1); err == nil {
-		t.Fatal("grid base accepted dim 7")
-	}
-	s, err := NewSideIndex(x, SideKDTree, 0.5, 0, 1)
+	s, err := NewSideIndex(x, 0.5, 0, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

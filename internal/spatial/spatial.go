@@ -1,16 +1,16 @@
-// Package spatial provides exact spatial indexes over []float64 point sets:
-// a uniform grid cell-list for fixed-radius queries and a KD-tree for
-// k-nearest-neighbour and radius queries.
+// Package spatial provides an exact spatial index over []float64 point
+// sets: a KD-tree for k-nearest-neighbour and fixed-radius queries, and
+// SideIndex, a mutable radius index amortized over it.
 //
-// Both indexes exist to replace the O(n²) pairwise distance matrix in graph
-// construction. They are exact, not approximate: a radius query's candidate
-// set is a superset of every point within the radius, and a kNN query
-// returns exactly the k nearest points under the strict total order
-// (squared distance, point index) — the same tie-break the brute-force
-// builders use. Callers re-apply their own distance and weight filters to
-// the candidates, or take a kNN query's squared distances, which the leaf
-// scans compute bitwise as kernel.Dist2 does, so a graph built through an
-// index is bitwise-identical to one built from the full distance matrix.
+// The tree exists to replace the O(n²) pairwise distance matrix in graph
+// construction. It is exact, not approximate: a radius query returns every
+// point whose squared distance, computed bitwise as kernel.Dist2 does, is
+// at most the squared radius, and a kNN query returns exactly the k
+// nearest points under the strict total order (squared distance, point
+// index) — the same tie-break the brute-force builders use. Callers
+// re-apply their own weight filters to a radius query's points, or take a
+// kNN query's squared distances, so a graph built through the tree is
+// bitwise-identical to one built from the full distance matrix.
 //
 // Queries are read-only after construction and safe for concurrent use; the
 // graph layer parallelizes per-point queries on top of internal/parallel.

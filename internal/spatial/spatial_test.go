@@ -106,109 +106,6 @@ func TestCheckPoints(t *testing.T) {
 	}
 }
 
-// TestGridCandidatesSuperset checks the core grid contract: with cell >=
-// radius, Candidates covers every point within the radius, with no duplicate
-// indices.
-func TestGridCandidatesSuperset(t *testing.T) {
-	cases := []struct {
-		n, d int
-		r    float64
-	}{
-		{1, 1, 0.5}, {17, 1, 1.0}, {200, 2, 0.8}, {200, 3, 1.5}, {64, 5, 2.0},
-	}
-	for _, tc := range cases {
-		x := randomPoints(int64(tc.n*100+tc.d), tc.n, tc.d)
-		g, err := NewGrid(x, tc.r*(1+1e-6))
-		if err != nil {
-			t.Fatalf("n=%d d=%d: %v", tc.n, tc.d, err)
-		}
-		if g.N() != tc.n || g.Dim() != tc.d {
-			t.Fatalf("n=%d d=%d: accessors N=%d Dim=%d", tc.n, tc.d, g.N(), g.Dim())
-		}
-		r2 := tc.r * tc.r
-		var buf []int32
-		for i := range x {
-			buf = g.Candidates(x[i], buf[:0])
-			seen := make(map[int32]bool, len(buf))
-			for _, j := range buf {
-				if seen[j] {
-					t.Fatalf("n=%d d=%d query %d: duplicate candidate %d", tc.n, tc.d, i, j)
-				}
-				seen[j] = true
-			}
-			for _, j := range bruteRadius(x, x[i], -1, r2) {
-				if !seen[j] {
-					t.Fatalf("n=%d d=%d query %d: in-radius point %d missing from candidates", tc.n, tc.d, i, j)
-				}
-			}
-		}
-	}
-}
-
-// TestGridDegenerate covers single-point, all-identical, and colinear sets.
-func TestGridDegenerate(t *testing.T) {
-	single := [][]float64{{3, 4}}
-	g, err := NewGrid(single, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := g.Candidates(single[0], nil); len(got) != 1 || got[0] != 0 {
-		t.Fatalf("single point: candidates %v", got)
-	}
-
-	identical := make([][]float64, 20)
-	for i := range identical {
-		identical[i] = []float64{1.5, -2.5, 0}
-	}
-	g, err = NewGrid(identical, 0.25)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if g.CellCount() != 1 {
-		t.Fatalf("identical points: %d cells, want 1", g.CellCount())
-	}
-	got := g.Candidates(identical[0], nil)
-	if len(got) != 20 {
-		t.Fatalf("identical points: %d candidates, want 20", len(got))
-	}
-	for i, j := range got {
-		if j != int32(i) {
-			t.Fatalf("identical points: candidates not in insertion order: %v", got)
-		}
-	}
-
-	colinear := make([][]float64, 32)
-	for i := range colinear {
-		colinear[i] = []float64{float64(i) * 0.5, 0}
-	}
-	g, err = NewGrid(colinear, 1.0000001)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf []int32
-	for i := range colinear {
-		buf = g.Candidates(colinear[i], buf[:0])
-		seen := make(map[int32]bool, len(buf))
-		for _, j := range buf {
-			seen[j] = true
-		}
-		for _, j := range bruteRadius(colinear, colinear[i], -1, 1) {
-			if !seen[j] {
-				t.Fatalf("colinear query %d: missing neighbour %d", i, j)
-			}
-		}
-	}
-}
-
-func TestGridParams(t *testing.T) {
-	x := [][]float64{{0}, {1}}
-	for _, cell := range []float64{0, -1, math.Inf(1), math.NaN()} {
-		if _, err := NewGrid(x, cell); err == nil {
-			t.Fatalf("cell=%v: expected error", cell)
-		}
-	}
-}
-
 // TestKDTreeKNNMatchesBrute compares a reused KNNQuery to brute-force
 // (d², index) selection across sizes, dimensions, k, and ε pre-filters.
 func TestKDTreeKNNMatchesBrute(t *testing.T) {

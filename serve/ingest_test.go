@@ -302,6 +302,38 @@ func TestIngestE2E(t *testing.T) {
 	}
 }
 
+// TestStreamFitPrunesOnKDTree fits the ingest benchmark's model shape over
+// HTTP — a 2-d jittered grid, every 10th point labeled, Epanechnikov with
+// h = 3.2/side — and checks that its labeled-anchor predictor answers
+// through the KD-tree: the fit response's "pruning" reads "kdtree".
+func TestStreamFitPrunesOnKDTree(t *testing.T) {
+	_, ts := testServer(t, Config{Workers: 1})
+	const n, side = 900, 30
+	x, _, _ := streamData(5, n, 0)
+	var y []float64
+	var labeled []int
+	for i := 0; i < n; i += 10 {
+		labeled = append(labeled, i)
+		y = append(y, math.Sin(float64(i)))
+	}
+	resp, body := postJSON(t, ts.URL+"/v1/models/ingest", fitRequest{
+		X: x, Y: y, Labeled: labeled,
+		Kernel: "epanechnikov", Bandwidth: 3.2 / side, Stream: true,
+	})
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("stream fit: %d %s", resp.StatusCode, body)
+	}
+	var fr struct {
+		Info map[string]any `json:"info"`
+	}
+	if err := json.Unmarshal(body, &fr); err != nil {
+		t.Fatal(err)
+	}
+	if fr.Info["pruning"] != "kdtree" || fr.Info["anchors"] != float64(len(labeled)) {
+		t.Fatalf("stream fit info: %v", fr.Info)
+	}
+}
+
 // TestIngestValidation covers the request-shape and configuration errors
 // of the streaming surface. A request the served model could not append
 // is refused at admission and never reaches the queue.

@@ -237,8 +237,8 @@ type Info struct {
 	TrainN    int     `json:"train_n"`
 	LabeledN  int     `json:"labeled_n"`
 	// Pruning names the anchor-lookup path the predictor selected: "brute"
-	// (full SIMD scan), "grid" or "kdtree" (exact compact-kernel ball
-	// rejection), or "knn" (top-m truncation with residual bounds).
+	// (full SIMD scan), "kdtree" (the exact compact-kernel support ball), or
+	// "knn" (top-m truncation with residual bounds).
 	Pruning string `json:"pruning"`
 }
 

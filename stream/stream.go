@@ -205,7 +205,7 @@ func New(x [][]float64, y []float64, labeled []int, cfg Config) (*Ingestor, erro
 	if err != nil {
 		return nil, err
 	}
-	side, err := spatial.NewSideIndex(x, sideKind(in.dim, cfg.Bandwidth), cfg.Bandwidth, cfg.RebuildFrac, cfg.Workers)
+	side, err := spatial.NewSideIndex(x, cfg.Bandwidth, cfg.RebuildFrac, cfg.Workers)
 	if err != nil {
 		return nil, fmt.Errorf("stream: side index: %w", err)
 	}
@@ -238,17 +238,6 @@ func New(x [][]float64, y []float64, labeled []int, cfg Config) (*Ingestor, erro
 	// the publish cursor starts past them.
 	in.pubCount = len(in.labeledSeq)
 	return in, nil
-}
-
-// sideKind mirrors the graph builder's index auto-resolution: cell-list
-// for low dimensions when the cell size is representable, KD-tree
-// otherwise (exact in any dimension).
-func sideKind(dim int, radius float64) spatial.SideKind {
-	cell := radius * (1 + 1e-6)
-	if dim <= 6 && cell >= spatial.MinCell && cell <= spatial.MaxCell {
-		return spatial.SideGrid
-	}
-	return spatial.SideKDTree
 }
 
 func identity(n int) []int {
@@ -709,7 +698,7 @@ func (in *Ingestor) compact() ([]int, error) {
 	if err != nil {
 		return nil, err
 	}
-	side, err := spatial.NewSideIndex(xLive, sideKind(in.dim, in.cfg.Bandwidth), in.cfg.Bandwidth, in.cfg.RebuildFrac, in.cfg.Workers)
+	side, err := spatial.NewSideIndex(xLive, in.cfg.Bandwidth, in.cfg.RebuildFrac, in.cfg.Workers)
 	if err != nil {
 		return nil, fmt.Errorf("stream: side index: %w", err)
 	}
