@@ -70,7 +70,13 @@ func eqInts(a, b []int) bool {
 	return true
 }
 
+// The side index has one base, the KD-tree; the subtest keeps the case
+// named after it.
 func TestSideIndexMatchesBrute(t *testing.T) {
+	t.Run("kdtree", checkSideIndexMatchesBrute)
+}
+
+func checkSideIndexMatchesBrute(t *testing.T) {
 	const (
 		n0     = 200
 		dim    = 3
