@@ -70,21 +70,23 @@ fuzz-stream:
 # predict, ingest and fit handlers (no 5xx, typed 4xx envelopes, one score
 # per point), snapshot deltas (ModelSnapshot.ApplyDelta against
 # Model.ApplyDelta and a fresh NewModel) and the panel Cholesky against the
-# column loop, bit for bit.
+# column loop, bit for bit. Each budgeted pass caps the minimization of a new
+# input at 1s, so the budget goes to executions rather than to shrinking
+# one interesting input.
 fuzz-smoke:
 	$(GO) test -run FuzzFit .
-	$(GO) test -run xxx -fuzz FuzzFit -fuzztime 15s .
+	$(GO) test -run xxx -fuzz FuzzFit -fuzztime 15s -fuzzminimizetime 1s .
 	$(GO) test -run FuzzStreamEquivalence ./stream/
-	$(GO) test -run xxx -fuzz FuzzStreamEquivalence -fuzztime 15s ./stream/
-	$(GO) test -run xxx -fuzz '^FuzzCOOToCSR$$' -fuzztime 10s ./internal/sparse/
-	$(GO) test -run xxx -fuzz '^FuzzReadEdgeList$$' -fuzztime 10s ./internal/graph/
-	$(GO) test -run xxx -fuzz '^FuzzKNNGraph$$' -fuzztime 10s ./internal/graph/
-	$(GO) test -run xxx -fuzz '^FuzzKDTreeKNN$$' -fuzztime 10s ./internal/spatial/
-	$(GO) test -run xxx -fuzz '^FuzzProbeHealth$$' -fuzztime 10s ./internal/core/
-	$(GO) test -run xxx -fuzz '^FuzzDecodeBody$$' -fuzztime 10s ./serve/
-	$(GO) test -run xxx -fuzz '^FuzzServeHandlers$$' -fuzztime 10s ./serve/
-	$(GO) test -run xxx -fuzz '^FuzzApplyDelta$$' -fuzztime 10s ./serve/
-	$(GO) test -run xxx -fuzz '^FuzzCholesky$$' -fuzztime 10s ./internal/mat/
+	$(GO) test -run xxx -fuzz FuzzStreamEquivalence -fuzztime 15s -fuzzminimizetime 1s ./stream/
+	$(GO) test -run xxx -fuzz '^FuzzCOOToCSR$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/sparse/
+	$(GO) test -run xxx -fuzz '^FuzzReadEdgeList$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/graph/
+	$(GO) test -run xxx -fuzz '^FuzzKNNGraph$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/graph/
+	$(GO) test -run xxx -fuzz '^FuzzKDTreeKNN$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/spatial/
+	$(GO) test -run xxx -fuzz '^FuzzProbeHealth$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/core/
+	$(GO) test -run xxx -fuzz '^FuzzDecodeBody$$' -fuzztime 10s -fuzzminimizetime 1s ./serve/
+	$(GO) test -run xxx -fuzz '^FuzzServeHandlers$$' -fuzztime 10s -fuzzminimizetime 1s ./serve/
+	$(GO) test -run xxx -fuzz '^FuzzApplyDelta$$' -fuzztime 10s -fuzzminimizetime 1s ./serve/
+	$(GO) test -run xxx -fuzz '^FuzzCholesky$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/mat/
 
 # Global statement coverage with the ratcheted floor check.
 cover:

@@ -123,11 +123,11 @@ func benchProblem(b *testing.B, seed int64, n, m int, knn int) *core.Problem {
 }
 
 // BenchmarkHardSolvers ablates the hard-criterion backend: dense Cholesky
-// vs LU vs sparse CG vs iterative propagation (Proposition II.1's O(m³)
-// advantage shows in the m-dependence).
+// vs sparse CG (Proposition II.1's O(m³) advantage shows in the
+// m-dependence).
 func BenchmarkHardSolvers(b *testing.B) {
 	p := benchProblem(b, 99, 200, 100, 0)
-	for _, m := range []core.Method{core.MethodCholesky, core.MethodLU, core.MethodCG, core.MethodPropagation} {
+	for _, m := range []core.Method{core.MethodCholesky, core.MethodCG} {
 		b.Run(m.String(), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {

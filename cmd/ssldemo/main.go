@@ -13,7 +13,7 @@
 // Usage:
 //
 //	ssldemo -in data.csv [-lambda 0] [-kernel gaussian] [-bandwidth 0]
-//	        [-knn 0] [-solver auto]
+//	        [-knn 0] [-solver auto|cholesky|cg]
 //
 // With -bandwidth 0 the median heuristic is used.
 package main
@@ -46,7 +46,7 @@ func run(args []string, out io.Writer) error {
 		kern      = fs.String("kernel", "gaussian", "kernel: gaussian uniform epanechnikov triangular tricube")
 		bandwidth = fs.Float64("bandwidth", 0, "kernel bandwidth (0 = median heuristic)")
 		knn       = fs.Int("knn", 0, "k-NN graph sparsification (0 = full graph)")
-		solver    = fs.String("solver", "auto", "solver: auto cholesky lu cg propagation")
+		solver    = fs.String("solver", "auto", "solver: auto cholesky cg")
 		header    = fs.Bool("header", true, "input has a header row")
 	)
 	if err := fs.Parse(args); err != nil {
@@ -105,12 +105,8 @@ func parseSolver(name string) (graphssl.Solver, error) {
 		return graphssl.SolverAuto, nil
 	case "cholesky":
 		return graphssl.SolverCholesky, nil
-	case "lu":
-		return graphssl.SolverLU, nil
 	case "cg":
 		return graphssl.SolverCG, nil
-	case "propagation":
-		return graphssl.SolverPropagation, nil
 	default:
 		return 0, fmt.Errorf("unknown solver %q", name)
 	}

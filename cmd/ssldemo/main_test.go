@@ -108,8 +108,10 @@ func TestRunErrors(t *testing.T) {
 		t.Fatal("missing file must error")
 	}
 	path := writeTemp(t, demoCSV)
-	if err := run([]string{"-in", path, "-solver", "warp"}, &sb); err == nil {
-		t.Fatal("unknown solver must error")
+	for _, solver := range []string{"warp", "lu", "propagation"} {
+		if err := run([]string{"-in", path, "-solver", solver}, &sb); err == nil {
+			t.Fatalf("unknown solver %q must error", solver)
+		}
 	}
 	if err := run([]string{"-in", path, "-kernel", "warp"}, &sb); err == nil {
 		t.Fatal("unknown kernel must error")

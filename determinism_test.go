@@ -47,7 +47,6 @@ func TestFitDeterministicAcrossWorkers(t *testing.T) {
 		{"gaussian-knn-soft", []Option{WithKernel(Gaussian), WithKNN(8), WithLambda(0.1)}, SolverAuto},
 		{"gaussian-cg", []Option{WithKernel(Gaussian), WithSolver(SolverCG)}, SolverCG},
 		{"gaussian-knn-auto-cg", []Option{WithKernel(Gaussian), WithKNN(8), WithAutoCutoff(16)}, SolverCG},
-		{"gaussian-propagation", []Option{WithKernel(Gaussian), WithSolver(SolverPropagation)}, SolverPropagation},
 		{"epanechnikov-hard", []Option{WithKernel(Epanechnikov), WithBandwidth(3)}, SolverAuto},
 		{"epanechnikov-knn", []Option{WithKernel(Epanechnikov), WithBandwidth(3), WithKNN(8)}, SolverAuto},
 	}

@@ -26,11 +26,11 @@
 //
 // # Solvers and parallelism
 //
-// WithSolver picks the linear-system backend: dense Cholesky/LU, sparse
-// conjugate gradient, or iterative label propagation. The default
-// (SolverAuto) plans a deterministic escalation chain from a pre-solve
-// health probe — Jacobi-preconditioned CG first on large systems, with
-// dense fallbacks behind it up to 8,192 unknowns. WithPreconditioner
+// WithSolver picks the linear-system backend: dense Cholesky or sparse
+// conjugate gradient. The default (SolverAuto) plans a deterministic chain
+// from the system size and a pre-solve health probe — Cholesky at or below
+// 2,048 unknowns, Jacobi-preconditioned CG first above that with a Cholesky
+// fallback behind it up to 8,192 unknowns, and CG alone beyond. WithPreconditioner
 // selects another CG preconditioner (zero-fill incomplete Cholesky with RCM
 // reordering, or none); the default is Jacobi at every size. WithWorkers
 // bounds the worker goroutines used by graph construction, SpMV, and batch

@@ -2,6 +2,7 @@ package graphssl
 
 import (
 	"fmt"
+	"math"
 	"time"
 
 	"repro/internal/core"
@@ -12,8 +13,9 @@ import (
 // FitGraph solves the selected criterion on a caller-supplied similarity
 // matrix instead of building a graph from points — the entry point for
 // non-vector data (strings, sequences, precomputed kernels). w must be
-// symmetric with non-negative entries; labeled and y follow the same
-// conventions as Fit (labeled = nil labels the first len(y) nodes).
+// symmetric with finite, non-negative entries, and y finite; anything else
+// fails with ErrParam. labeled and y follow the same conventions as Fit
+// (labeled = nil labels the first len(y) nodes).
 //
 // Kernel and bandwidth options are ignored (the graph is given); λ and
 // the solver options of Fit (WithSolver, WithAutoCutoff, WithContext and
@@ -37,6 +39,12 @@ func FitGraph(w *sparse.CSR, y []float64, labeled []int, opts ...Option) (res *R
 	}
 	if cfg.lambda < 0 {
 		return nil, fmt.Errorf("graphssl: λ=%v: %w", cfg.lambda, ErrParam)
+	}
+	if err := checkWeights(w); err != nil {
+		return nil, err
+	}
+	if err := checkResponses(y); err != nil {
+		return nil, err
 	}
 	graphStart := time.Now()
 	g, err := graph.FromWeights(w)
@@ -77,4 +85,19 @@ func FitGraph(w *sparse.CSR, y []float64, labeled []int, opts ...Option) (res *R
 		Residual:        sol.Residual,
 		GraphStats:      g.Summary(),
 	}, nil
+}
+
+// checkWeights rejects a negative or non-finite similarity with ErrParam.
+// Non-negative weights make the hard system D22−W22 and the soft system
+// V + λL symmetric M-matrices, which the Cholesky and CG backends need.
+func checkWeights(w *sparse.CSR) error {
+	for i := 0; i < w.Rows(); i++ {
+		cols, vals := w.RowNNZ(i)
+		for k, v := range vals {
+			if !(v >= 0) || math.IsInf(v, 1) {
+				return fmt.Errorf("graphssl: weight (%d,%d) is %v: %w", i, cols[k], v, ErrParam)
+			}
+		}
+	}
+	return nil
 }

@@ -86,6 +86,32 @@ func TestFitGraphValidation(t *testing.T) {
 	}
 }
 
+// TestFitGraphRejectsBadWeights: a negative or non-finite similarity breaks
+// the M-matrix structure the solvers rely on, so FitGraph refuses it up
+// front instead of solving an indefinite system or reporting ErrIsolated.
+func TestFitGraphRejectsBadWeights(t *testing.T) {
+	for _, v := range []float64{-3, -0.5, math.NaN(), math.Inf(1)} {
+		coo := sparse.NewCOO(5, 5)
+		for i := 0; i+1 < 5; i++ {
+			if err := coo.AddSym(i, i+1, 1); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := coo.AddSym(1, 3, v); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := FitGraph(coo.ToCSR(), []float64{0, 1}, []int{0, 4}); !errors.Is(err, ErrParam) {
+			t.Errorf("chord weight %v: err = %v, want ErrParam", v, err)
+		}
+	}
+	w := chainWeights(t, 5)
+	for _, y := range []float64{math.NaN(), math.Inf(-1)} {
+		if _, err := FitGraph(w, []float64{0, y}, []int{0, 4}); !errors.Is(err, ErrParam) {
+			t.Errorf("response %v: err = %v, want ErrParam", y, err)
+		}
+	}
+}
+
 func TestFitGraphMatchesFitOnSameGeometry(t *testing.T) {
 	// Building the graph externally must give the same answer as Fit with
 	// the same kernel/bandwidth.

@@ -11,7 +11,10 @@ import (
 // points, responses, label indices, and tuning parameters. The contract under
 // test: Fit never panics, and it returns either a finite-shaped result or an
 // error carrying one of the package's typed sentinels (ErrParam,
-// ErrIsolated). Run the full campaign with `make fuzz`.
+// ErrIsolated). Each input is fitted twice, with the default solver and with
+// an explicit SolverCholesky: at these sizes (at most 24 points) the auto
+// plan is Cholesky alone, so both fail with the same sentinel or return
+// bitwise-equal scores. Run the full campaign with `make fuzz`.
 func FuzzFit(f *testing.F) {
 	// Seed corpus: a healthy fit, degenerate shapes, duplicate points,
 	// pathological parameter values.
@@ -73,11 +76,19 @@ func FuzzFit(f *testing.F) {
 			opts = append(opts, WithBandwidth(bandwidth))
 		}
 		res, err := Fit(x, y, labeled, opts...)
+		chol, cholErr := Fit(x, y, labeled, append(opts, WithSolver(SolverCholesky))...)
 		if err != nil {
 			if !errors.Is(err, ErrParam) && !errors.Is(err, ErrIsolated) {
 				t.Fatalf("untyped error: %v", err)
 			}
+			if cholErr == nil || errors.Is(cholErr, ErrParam) != errors.Is(err, ErrParam) ||
+				errors.Is(cholErr, ErrIsolated) != errors.Is(err, ErrIsolated) {
+				t.Fatalf("default fit failed with %v, explicit Cholesky with %v", err, cholErr)
+			}
 			return
+		}
+		if cholErr != nil {
+			t.Fatalf("default fit succeeded, explicit Cholesky failed: %v", cholErr)
 		}
 		if res == nil {
 			t.Fatal("nil result with nil error")
@@ -92,6 +103,9 @@ func FuzzFit(f *testing.F) {
 		for i, s := range res.Scores {
 			if math.IsNaN(s) || math.IsInf(s, 0) {
 				t.Fatalf("non-finite score %v at %d from validated inputs", s, i)
+			}
+			if math.Float64bits(s) != math.Float64bits(chol.Scores[i]) {
+				t.Fatalf("score %d: default %v, explicit Cholesky %v", i, s, chol.Scores[i])
 			}
 		}
 	})

@@ -39,11 +39,9 @@ type Solver = core.Method
 
 // Supported solver backends.
 const (
-	SolverAuto        = core.MethodAuto
-	SolverCholesky    = core.MethodCholesky
-	SolverLU          = core.MethodLU
-	SolverCG          = core.MethodCG
-	SolverPropagation = core.MethodPropagation
+	SolverAuto     = core.MethodAuto
+	SolverCholesky = core.MethodCholesky
+	SolverCG       = core.MethodCG
 )
 
 // Precond selects the preconditioner of CG-backed solves.
@@ -452,10 +450,8 @@ func prepare(x [][]float64, y []float64, labeled []int, opts []Option) (*core.Pr
 			}
 		}
 	}
-	for i, v := range y {
-		if math.IsNaN(v) || math.IsInf(v, 0) {
-			return nil, cfg, 0, nil, fmt.Errorf("graphssl: response %d is %v: %w", i, v, ErrParam)
-		}
+	if err := checkResponses(y); err != nil {
+		return nil, cfg, 0, nil, err
 	}
 	if labeled == nil {
 		if len(y) >= len(x) {
@@ -541,14 +537,25 @@ func prepare(x [][]float64, y []float64, labeled []int, opts []Option) (*core.Pr
 	return p, cfg, bw, g, nil
 }
 
+// checkResponses rejects a NaN or infinite response with ErrParam.
+func checkResponses(y []float64) error {
+	for i, v := range y {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return fmt.Errorf("graphssl: response %d is %v: %w", i, v, ErrParam)
+		}
+	}
+	return nil
+}
+
 // translateCoreErr maps core sentinel errors onto the package's public ones.
 func translateCoreErr(err error) error {
 	switch {
 	case errors.Is(err, core.ErrIsolated):
 		return fmt.Errorf("graphssl: %w: %v", ErrIsolated, err)
-	case errors.Is(err, mat.ErrSingular):
-		// The hard system D22−W22 is a nonsingular M-matrix exactly when
-		// every unlabeled component carries labeled mass, so a singular
+	case errors.Is(err, mat.ErrSingular), errors.Is(err, mat.ErrNotPositiveDefinite):
+		// With non-negative weights the hard system D22−W22 (and V + λL)
+		// is a positive definite M-matrix exactly when every unlabeled
+		// component carries labeled mass, so a singular or failed Cholesky
 		// factorization means some unlabeled point is numerically cut off
 		// from the labels (weights underflowed to ~0).
 		return fmt.Errorf("graphssl: %w: system numerically singular: %v", ErrIsolated, err)

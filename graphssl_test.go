@@ -141,18 +141,18 @@ func TestFitExplicitLabeledIndices(t *testing.T) {
 
 func TestFitSolverBackendsAgree(t *testing.T) {
 	x, y := twoClusters(11, 15, 6)
-	ref, err := Fit(x, y, nil, WithSolver(SolverLU))
+	ref, err := Fit(x, y, nil, WithSolver(SolverCholesky))
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, s := range []Solver{SolverAuto, SolverCholesky, SolverCG, SolverPropagation} {
+	for _, s := range []Solver{SolverAuto, SolverCG} {
 		res, err := Fit(x, y, nil, WithSolver(s), WithTolerance(1e-12))
 		if err != nil {
 			t.Fatalf("%v: %v", s, err)
 		}
 		for i := range ref.UnlabeledScores {
 			if math.Abs(res.UnlabeledScores[i]-ref.UnlabeledScores[i]) > 1e-6 {
-				t.Fatalf("%v disagrees with LU at %d", s, i)
+				t.Fatalf("%v disagrees with Cholesky at %d", s, i)
 			}
 		}
 	}

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"repro/internal/mat"
-	"repro/internal/parallel"
 	"repro/internal/sparse"
 )
 
@@ -16,19 +15,14 @@ type Method int
 // Available solve methods.
 const (
 	// MethodAuto plans a deterministic backend chain from system size and a
-	// pre-solve health probe: dense Cholesky→LU at or below the auto cutoff,
-	// CG-first with dense fallback above it, and CG alone above
+	// pre-solve health probe: dense Cholesky at or below the auto cutoff,
+	// CG-first with a Cholesky fallback above it, and CG alone above
 	// maxDenseUnknowns (see planAuto).
 	MethodAuto Method = iota + 1
 	// MethodCholesky forces the dense Cholesky factorization.
 	MethodCholesky
-	// MethodLU forces dense LU with partial pivoting.
-	MethodLU
 	// MethodCG uses sparse conjugate gradient.
 	MethodCG
-	// MethodPropagation uses the classic iterative harmonic update
-	// f ← D22⁻¹ (W21 Y + W22 f), i.e. label propagation.
-	MethodPropagation
 )
 
 // String returns the method name.
@@ -38,12 +32,8 @@ func (m Method) String() string {
 		return "auto"
 	case MethodCholesky:
 		return "cholesky"
-	case MethodLU:
-		return "lu"
 	case MethodCG:
 		return "cg"
-	case MethodPropagation:
-		return "propagation"
 	default:
 		return fmt.Sprintf("Method(%d)", int(m))
 	}
@@ -119,19 +109,18 @@ func WithMaxIter(n int) SolveOption {
 }
 
 // WithWorkers sets the worker count for the parallel stages of a solve
-// (matrix-vector products in CG, propagation sweeps, and per-class
-// right-hand sides in multiclass). n <= 0 (the default) selects
-// runtime.GOMAXPROCS(0); n == 1 forces the serial path. Solutions are
-// bitwise-identical across worker counts.
+// (matrix-vector products in CG and per-class right-hand sides in
+// multiclass). n <= 0 (the default) selects runtime.GOMAXPROCS(0); n == 1
+// forces the serial path. Solutions are bitwise-identical across worker
+// counts.
 func WithWorkers(n int) SolveOption {
 	return solveOptionFunc(func(c *solveConfig) { c.workers = n })
 }
 
-// WithContext attaches a context to the solve. Iterative backends (CG/PCG
-// and propagation) check it once per iteration and abort with
-// ctx.Err() within one sweep of cancellation; direct backends check it
-// between pipeline stages. Cancellation is terminal — it never triggers a
-// fallback.
+// WithContext attaches a context to the solve. CG checks it once per
+// iteration and aborts with ctx.Err() within one iteration of
+// cancellation; direct backends check it between pipeline stages.
+// Cancellation is terminal — it never triggers a fallback.
 func WithContext(ctx context.Context) SolveOption {
 	return solveOptionFunc(func(c *solveConfig) { c.ctx = ctx })
 }
@@ -304,10 +293,10 @@ func buildHardSystem(p *Problem) (*hardSystem, error) {
 }
 
 // explicitMethod rejects a WithMethod value that runBackend cannot run:
-// anything but Cholesky, LU and CG.
+// anything but Cholesky and CG.
 func explicitMethod(m Method) error {
 	switch m {
-	case MethodCholesky, MethodLU, MethodCG:
+	case MethodCholesky, MethodCG:
 		return nil
 	default:
 		return fmt.Errorf("core: unknown method %d: %w", int(m), ErrParam)
@@ -349,8 +338,6 @@ func SolveHard(p *Problem, opts ...SolveOption) (*Solution, error) {
 	switch cfg.method {
 	case MethodAuto:
 		fu, res, method, trace, err = runChain(cfg.ctx, sys.a, sys.b, cfg)
-	case MethodPropagation:
-		fu, res, err = propagate(cfg.ctx, sys, cfg.tol, cfg.maxIter, cfg.workers)
 	default:
 		if err := explicitMethod(cfg.method); err != nil {
 			return nil, err
@@ -372,82 +359,6 @@ func SolveHard(p *Problem, opts ...SolveOption) (*Solution, error) {
 	sol.PrecondSetup = cgOut.setup
 	applyTraceOutcome(sol, trace)
 	return sol, nil
-}
-
-// propagate runs the harmonic iteration f ← D22⁻¹ (b + W22 f). Because
-// D22 also counts the similarity mass to labeled nodes, the iteration matrix
-// D22⁻¹W22 is substochastic and — whenever every unlabeled component touches
-// a labeled node — a contraction, so the iteration converges to Eq. 5.
-//
-// Every sweep is a Jacobi step: all rows read the frozen previous iterate
-// and write disjoint entries of the next one, so the sweep parallelizes over
-// row blocks. The convergence reduction is a max (exact under reordering),
-// making the iterates bitwise-identical for every worker count.
-func propagate(ctx context.Context, sys *hardSystem, tol float64, maxIter, workers int) ([]float64, sparse.SolveResult, error) {
-	m := len(sys.b)
-	if tol <= 0 {
-		tol = 1e-10
-	}
-	if maxIter <= 0 {
-		maxIter = 100000
-	}
-	for k, d := range sys.d22 {
-		if d == 0 {
-			// Coverage check passed, so a zero-degree unlabeled node would be
-			// its own component without labels; defensive guard.
-			return nil, sparse.SolveResult{}, fmt.Errorf("core: zero degree at unlabeled position %d: %w", k, ErrIsolated)
-		}
-	}
-	f := make([]float64, m)
-	next := make([]float64, m)
-	blocks := parallel.Split(m, parallel.Workers(workers))
-	deltas := make([]float64, len(blocks))
-	scales := make([]float64, len(blocks))
-	for it := 0; it < maxIter; it++ {
-		if err := ctxErr(ctx); err != nil {
-			return f, sparse.SolveResult{Iterations: it}, err
-		}
-		parallel.ForBlocks(workers, blocks, func(bi int, blk parallel.Block) {
-			var delta, scale float64
-			for k := blk.Lo; k < blk.Hi; k++ {
-				cols, vals := sys.w22.RowNNZ(k)
-				s := sys.b[k]
-				for c, j := range cols {
-					s += vals[c] * f[j]
-				}
-				v := s / sys.d22[k]
-				next[k] = v
-				d := v - f[k]
-				if d < 0 {
-					d = -d
-				}
-				if d > delta {
-					delta = d
-				}
-				if v < 0 {
-					v = -v
-				}
-				if v > scale {
-					scale = v
-				}
-			}
-			deltas[bi], scales[bi] = delta, scale
-		})
-		var delta, scale float64
-		for bi := range deltas {
-			if deltas[bi] > delta {
-				delta = deltas[bi]
-			}
-			if scales[bi] > scale {
-				scale = scales[bi]
-			}
-		}
-		f, next = next, f
-		if delta <= tol*(1+scale) {
-			return f, sparse.SolveResult{Iterations: it + 1, Residual: delta}, nil
-		}
-	}
-	return f, sparse.SolveResult{Iterations: maxIter}, sparse.ErrNotConverged
 }
 
 // assembleSolution merges unlabeled scores with labeled values into the full

@@ -20,9 +20,7 @@ func TestMethodString(t *testing.T) {
 	}{
 		{MethodAuto, "auto"},
 		{MethodCholesky, "cholesky"},
-		{MethodLU, "lu"},
 		{MethodCG, "cg"},
-		{MethodPropagation, "propagation"},
 		{Method(42), "Method(42)"},
 	}
 	for _, tt := range tests {
@@ -110,7 +108,11 @@ func TestToyExampleInverseFormula(t *testing.T) {
 		}
 		return -1
 	})
-	inv, err := mat.Inverse(a)
+	ch, err := mat.NewCholesky(a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	inv, err := ch.SolveMatrix(mat.Eye(m))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,7 +131,8 @@ func TestToyExampleInverseFormula(t *testing.T) {
 	}
 }
 
-// TestHardMethodsAgree: every backend must produce the same solution.
+// TestHardMethodsAgree: every backend must produce the dense Cholesky
+// oracle's solution.
 func TestHardMethodsAgree(t *testing.T) {
 	rng := randx.New(101)
 	pts := make([]float64, 15)
@@ -145,17 +148,17 @@ func TestHardMethodsAgree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref, err := SolveHard(p, WithMethod(MethodLU))
+	ref, err := SolveHard(p, WithMethod(MethodCholesky))
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, m := range []Method{MethodAuto, MethodCholesky, MethodCG, MethodPropagation} {
+	for _, m := range []Method{MethodAuto, MethodCG} {
 		sol, err := SolveHard(p, WithMethod(m), WithTolerance(1e-12))
 		if err != nil {
 			t.Fatalf("%v: %v", m, err)
 		}
 		if !mat.VecEqual(sol.FUnlabeled, ref.FUnlabeled, 1e-6) {
-			t.Fatalf("%v disagrees with LU: %v vs %v", m, sol.FUnlabeled, ref.FUnlabeled)
+			t.Fatalf("%v disagrees with Cholesky: %v vs %v", m, sol.FUnlabeled, ref.FUnlabeled)
 		}
 	}
 }
@@ -310,29 +313,6 @@ func TestHardDisconnectedComponentsSolveIndependently(t *testing.T) {
 		if math.Abs(sol.F[i]+1) > 1e-10 {
 			t.Fatalf("component B node %d = %v, want -1", i, sol.F[i])
 		}
-	}
-}
-
-func TestPropagationReportsIterations(t *testing.T) {
-	g := chainGraph(t, 8)
-	p, _ := NewProblem(g, []int{0, 7}, []float64{0, 1})
-	sol, err := SolveHard(p, WithMethod(MethodPropagation), WithTolerance(1e-11))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sol.Iterations <= 0 {
-		t.Fatal("propagation must report iterations")
-	}
-	if sol.Method != MethodPropagation {
-		t.Fatal("method not recorded")
-	}
-}
-
-func TestPropagationMaxIterExceeded(t *testing.T) {
-	g := chainGraph(t, 30)
-	p, _ := NewProblem(g, []int{0, 29}, []float64{0, 1})
-	if _, err := SolveHard(p, WithMethod(MethodPropagation), WithMaxIter(2), WithTolerance(1e-14)); !errors.Is(err, ErrSolver) {
-		t.Fatalf("want ErrSolver on iteration cap, got %v", err)
 	}
 }
 

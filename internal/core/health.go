@@ -204,24 +204,24 @@ func planAuto(h *Health, n, cutoff int) ([]Method, string) {
 		cutoff = defaultAutoCutoff
 	}
 	if n <= cutoff {
-		return []Method{MethodCholesky, MethodLU}, fmt.Sprintf("n=%d <= cutoff %d: direct dense", n, cutoff)
+		return []Method{MethodCholesky}, fmt.Sprintf("n=%d <= cutoff %d: direct dense", n, cutoff)
 	}
 	if n > maxDenseUnknowns {
 		return []Method{MethodCG}, "above the dense cap of 8192 unknowns: preconditioned CG only"
 	}
 	if h == nil {
-		return []Method{MethodCG, MethodCholesky, MethodLU}, "no probe: iterative first"
+		return []Method{MethodCG, MethodCholesky}, "no probe: iterative first"
 	}
 	if h.ZeroDiagonal {
-		return []Method{MethodCholesky, MethodLU}, "zero diagonal: CG preconditioner undefined"
+		return []Method{MethodCholesky}, "zero diagonal: CG preconditioner undefined"
 	}
 	if h.JacobiSpectralRadius >= 1 {
-		return []Method{MethodCholesky, MethodLU}, "preconditioned spectral radius >= 1: CG would stagnate"
+		return []Method{MethodCholesky}, "preconditioned spectral radius >= 1: CG would stagnate"
 	}
 	if h.ConditionProxy > condProxyCGMax {
-		return []Method{MethodCholesky, MethodLU}, fmt.Sprintf("condition proxy %.3g > %.0g: direct dense", h.ConditionProxy, float64(condProxyCGMax))
+		return []Method{MethodCholesky}, fmt.Sprintf("condition proxy %.3g > %.0g: direct dense", h.ConditionProxy, float64(condProxyCGMax))
 	}
-	return []Method{MethodCG, MethodCholesky, MethodLU}, "large well-conditioned system: preconditioned CG first"
+	return []Method{MethodCG, MethodCholesky}, "large well-conditioned system: preconditioned CG first"
 }
 
 // runChain executes the MethodAuto pipeline on A x = b: probe (where the
@@ -306,9 +306,6 @@ func runBackend(ctx context.Context, m Method, a *sparse.CSR, b []float64, cfg s
 			return nil, sparse.SolveResult{}, cgOutcome{}, err
 		}
 		x, err := ch.Solve(b)
-		return x, sparse.SolveResult{}, cgOutcome{}, err
-	case MethodLU:
-		x, err := mat.SolveLU(a.ToDense(), b)
 		return x, sparse.SolveResult{}, cgOutcome{}, err
 	default:
 		return nil, sparse.SolveResult{}, cgOutcome{}, fmt.Errorf("core: backend %v not usable in auto chain: %w", m, ErrParam)

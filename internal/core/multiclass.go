@@ -86,8 +86,8 @@ type MulticlassSolution struct {
 // result bitwise-identical across worker counts.
 //
 // At λ=0 the classes share one dense factorization of D22−W22 where the
-// solve would be dense anyway: an explicit Cholesky or LU, or MethodAuto
-// at or below its cutoff. Elsewhere each class solves on its own, through
+// solve would be dense anyway: an explicit Cholesky, or MethodAuto at or
+// below its cutoff. Elsewhere each class solves on its own, through
 // the auto chain or the chosen method, and never densifies a system the
 // auto chain would not.
 func (m *MulticlassProblem) Solve(lambda float64, normalize bool, opts ...SolveOption) (*MulticlassSolution, error) {
@@ -187,7 +187,7 @@ func (m *MulticlassProblem) Solve(lambda float64, normalize bool, opts ...SolveO
 // dense factorization.
 func denseHard(cfg solveConfig, m int) bool {
 	switch cfg.method {
-	case MethodCholesky, MethodLU:
+	case MethodCholesky:
 		return true
 	case MethodAuto:
 		cutoff := cfg.autoCutoff

@@ -13,28 +13,21 @@ import (
 type HardFactorization struct {
 	p    *Problem
 	chol *mat.Cholesky
-	lu   *mat.LU
 }
 
-// NewHardFactorization builds and factors the system once. Cholesky is
-// attempted first; symmetric-indefinite rounding falls back to LU.
+// NewHardFactorization builds the system and factors it once with Cholesky:
+// D22−W22 is a symmetric M-matrix, positive definite whenever every
+// unlabeled component touches a label.
 func NewHardFactorization(p *Problem) (*HardFactorization, error) {
 	sys, err := buildHardSystem(p)
 	if err != nil {
 		return nil, err
 	}
-	dense := sys.a.ToDense()
-	f := &HardFactorization{p: p}
-	if chol, err := mat.NewCholesky(dense); err == nil {
-		f.chol = chol
-		return f, nil
-	}
-	lu, err := mat.NewLU(dense)
+	chol, err := mat.NewCholesky(sys.a.ToDense())
 	if err != nil {
 		return nil, fmt.Errorf("core: hard factorization: %w: %w", ErrSolver, err)
 	}
-	f.lu = lu
-	return f, nil
+	return &HardFactorization{p: p, chol: chol}, nil
 }
 
 // SolveY computes the hard solution for a new response vector y on the
@@ -44,16 +37,7 @@ func (f *HardFactorization) SolveY(y []float64) (*Solution, error) {
 	if len(y) != f.p.N() {
 		return nil, fmt.Errorf("core: SolveY with %d responses, want %d: %w", len(y), f.p.N(), ErrParam)
 	}
-	b := f.rhs(y)
-	var (
-		fu  []float64
-		err error
-	)
-	if f.chol != nil {
-		fu, err = f.chol.Solve(b)
-	} else {
-		fu, err = f.lu.Solve(b)
-	}
+	fu, err := f.chol.Solve(f.rhs(y))
 	if err != nil {
 		return nil, fmt.Errorf("core: SolveY: %w: %w", ErrSolver, err)
 	}

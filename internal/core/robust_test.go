@@ -217,9 +217,10 @@ func TestProbeHealthMatchesDenseEigen(t *testing.T) {
 	}
 }
 
-// TestProbeHealthIndefiniteHardSystem reaches the probe's ρ >= 1 branch
-// through the chain: signed weights give a hard system with a positive
-// diagonal that is not positive definite, so the plan skips CG.
+// TestProbeHealthIndefiniteHardSystem reaches the probe's ρ >= 1 branch:
+// signed weights, which FitGraph rejects, give a hard system with a
+// positive diagonal that is not positive definite, so the plan skips CG
+// and the Cholesky that replaces it fails typed.
 func TestProbeHealthIndefiniteHardSystem(t *testing.T) {
 	// Nodes 0 and 3 are labeled. The negative edges to node 3 cancel most
 	// of the unlabeled degrees: A = [[2, −10], [−10, 2]], whose eigenvalues
@@ -238,13 +239,16 @@ func TestProbeHealthIndefiniteHardSystem(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sol, err := SolveHard(p, WithAutoCutoff(1))
+	sys, err := buildHardSystem(p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	h := sol.Trace.Health
-	if h == nil || h.ZeroDiagonal {
-		t.Fatalf("health %+v, want a probed positive diagonal", h)
+	h, err := ProbeHealth(sys.a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if h.ZeroDiagonal {
+		t.Fatalf("health %+v, want a positive diagonal", h)
 	}
 	if h.JacobiSpectralRadius < 1 || math.Abs(h.JacobiSpectralRadius-5) > 1e-9 {
 		t.Fatalf("ρ = %v, want 5", h.JacobiSpectralRadius)
@@ -252,13 +256,12 @@ func TestProbeHealthIndefiniteHardSystem(t *testing.T) {
 	if !math.IsInf(h.ConditionProxy, 1) {
 		t.Fatalf("condition proxy %v, want +Inf", h.ConditionProxy)
 	}
-	if plan := sol.Trace.Plan; len(plan) != 2 || plan[0] != MethodCholesky || plan[1] != MethodLU {
-		t.Fatalf("plan %v, want [cholesky lu]", plan)
+	if plan, _ := planAuto(h, sys.a.Rows(), 1); len(plan) != 1 || plan[0] != MethodCholesky {
+		t.Fatalf("plan %v, want [cholesky]", plan)
 	}
-	for _, k := range []int{1, 2} {
-		if math.Abs(sol.F[k]+0.125) > 1e-12 {
-			t.Fatalf("f[%d] = %v, want -1/8", k, sol.F[k])
-		}
+	_, err = SolveHard(p, WithAutoCutoff(1))
+	if !errors.Is(err, ErrSolver) || !errors.Is(err, mat.ErrNotPositiveDefinite) {
+		t.Fatalf("err = %v, want ErrSolver wrapping mat.ErrNotPositiveDefinite", err)
 	}
 }
 
@@ -306,12 +309,12 @@ func TestProbeHealthWorkersBitwise(t *testing.T) {
 
 func TestPlanAutoIsPureAndSizeGated(t *testing.T) {
 	small, reason := planAuto(nil, 100, 2048)
-	if len(small) != 2 || small[0] != MethodCholesky || small[1] != MethodLU {
+	if len(small) != 1 || small[0] != MethodCholesky {
 		t.Fatalf("small plan = %v (%s)", small, reason)
 	}
 	healthy := &Health{JacobiSpectralRadius: 0.9, ConditionProxy: 19}
 	large, _ := planAuto(healthy, 5000, 2048)
-	if len(large) != 3 || large[0] != MethodCG {
+	if len(large) != 2 || large[0] != MethodCG || large[1] != MethodCholesky {
 		t.Fatalf("large plan = %v", large)
 	}
 	sick := &Health{JacobiSpectralRadius: 1.0, ConditionProxy: math.Inf(1)}
@@ -349,12 +352,12 @@ func TestPlanAutoCapsDenseSize(t *testing.T) {
 		}
 	}
 	sick, _ := planAuto(&Health{JacobiSpectralRadius: 1, ConditionProxy: math.Inf(1)}, maxDenseUnknowns, 0)
-	if len(sick) != 2 || sick[0] != MethodCholesky {
-		t.Errorf("at the cap a near-singular system plans %v, want dense", sick)
+	if len(sick) != 1 || sick[0] != MethodCholesky {
+		t.Errorf("at the cap a near-singular system plans %v, want [cholesky]", sick)
 	}
 	healthy, _ := planAuto(&Health{JacobiSpectralRadius: 0.9, ConditionProxy: 19}, maxDenseUnknowns, 0)
-	if len(healthy) != 3 || healthy[1] != MethodCholesky {
-		t.Errorf("at the cap a healthy system plans %v, want [cg cholesky lu]", healthy)
+	if len(healthy) != 2 || healthy[0] != MethodCG || healthy[1] != MethodCholesky {
+		t.Errorf("at the cap a healthy system plans %v, want [cg cholesky]", healthy)
 	}
 }
 
@@ -491,7 +494,7 @@ func TestAutoFallbackChainCompletes(t *testing.T) {
 	if tr == nil {
 		t.Fatal("auto solve returned no trace")
 	}
-	if len(tr.Plan) != 3 || tr.Plan[0] != MethodCG {
+	if len(tr.Plan) != 2 || tr.Plan[0] != MethodCG || tr.Plan[1] != MethodCholesky {
 		t.Fatalf("plan = %v", tr.Plan)
 	}
 	if len(tr.Fallbacks) != 1 || tr.Fallbacks[0].From != MethodCG || tr.Fallbacks[0].To != MethodCholesky {
@@ -517,7 +520,7 @@ func TestAutoFallbackChainCompletes(t *testing.T) {
 }
 
 // TestAutoSmallSystemMatchesLegacyDense pins the compatibility contract:
-// below the cutoff, MethodAuto is still Cholesky-with-LU-fallback, bitwise.
+// below the cutoff, MethodAuto is dense Cholesky, bitwise.
 func TestAutoSmallSystemMatchesLegacyDense(t *testing.T) {
 	p := gaussProblem(t, 9, 12, 30)
 	auto, err := SolveHard(p)
@@ -574,7 +577,7 @@ func TestSolveCancellation(t *testing.T) {
 	p := gaussProblem(t, 31, 10, 40)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	for _, m := range []Method{MethodAuto, MethodCG, MethodPropagation} {
+	for _, m := range []Method{MethodAuto, MethodCholesky, MethodCG} {
 		if _, err := SolveHard(p, WithMethod(m), WithContext(ctx)); !errors.Is(err, context.Canceled) {
 			t.Fatalf("hard %v: err = %v, want context.Canceled", m, err)
 		}

@@ -70,8 +70,6 @@ func SolveSoft(p *Problem, lambda float64, opts ...SolveOption) (*Solution, erro
 	switch cfg.method {
 	case MethodAuto:
 		f, res, method, trace, err = runChain(cfg.ctx, a, rhs, cfg)
-	case MethodPropagation:
-		return nil, fmt.Errorf("core: propagation applies to the hard criterion only: %w", ErrParam)
 	default:
 		if err := explicitMethod(cfg.method); err != nil {
 			return nil, err

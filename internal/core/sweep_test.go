@@ -117,18 +117,18 @@ func TestSoftSweepZeroInterleaving(t *testing.T) {
 func TestSoftSweepExplicitMethodFallback(t *testing.T) {
 	p := softTestProblem(t, 29, 20, 6)
 	lambdas := []float64{0.1, 2}
-	path, err := SoftSweep(p, lambdas, WithMethod(MethodLU))
+	path, err := SoftSweep(p, lambdas, WithMethod(MethodCholesky))
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i, l := range lambdas {
-		ref, err := SolveSoft(p, l, WithMethod(MethodLU))
+		ref, err := SolveSoft(p, l, WithMethod(MethodCholesky))
 		if err != nil {
 			t.Fatal(err)
 		}
 		for j := range ref.F {
 			if path[i].Solution.F[j] != ref.F[j] {
-				t.Fatalf("λ=%v: LU fallback differs from SolveSoft", l)
+				t.Fatalf("λ=%v: Cholesky sweep differs from SolveSoft", l)
 			}
 		}
 	}

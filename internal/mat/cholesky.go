@@ -180,13 +180,13 @@ func (c *Cholesky) LogDet() float64 {
 	return 2 * s
 }
 
-// SolveSPD solves a x = b for symmetric positive definite a, falling back to
-// LU with partial pivoting when the Cholesky factorization fails (e.g. a is
-// only semidefinite up to rounding). This is the workhorse solver for the
-// hard criterion's D22−W22 system and the soft criterion's V+λL system.
+// SolveSPD factors the symmetric positive definite a with Cholesky and
+// solves a x = b. It returns ErrNotPositiveDefinite when the factorization
+// meets a non-positive pivot.
 func SolveSPD(a *Dense, b []float64) ([]float64, error) {
-	if c, err := NewCholesky(a); err == nil {
-		return c.Solve(b)
+	c, err := NewCholesky(a)
+	if err != nil {
+		return nil, err
 	}
-	return SolveLU(a, b)
+	return c.Solve(b)
 }

@@ -1,10 +1,10 @@
 // Package mat implements the dense and decompositional linear algebra used
 // throughout the reproduction: a row-major dense matrix type, BLAS-style
-// primitives, LU and Cholesky factorizations, and a symmetric eigensolver.
+// primitives, a Cholesky factorization, and a symmetric eigensolver.
 //
 // The package is deliberately small and stdlib-only. It favours clarity and
-// numerical robustness (partial pivoting, positive-pivot checks, scaled
-// norms) over peak throughput; matrices in the paper's experiments are at
+// numerical robustness (positive-pivot checks, scaled norms) over peak
+// throughput; matrices in the paper's experiments are at
 // most a few thousand rows.
 //
 // All routines return errors rather than panicking, except for element
@@ -115,14 +115,6 @@ func (m *Dense) Col(j int) []float64 {
 	return out
 }
 
-// SetRow copies v into row i. len(v) must equal Cols.
-func (m *Dense) SetRow(i int, v []float64) {
-	if i < 0 || i >= m.rows || len(v) != m.cols {
-		panic(ErrIndex)
-	}
-	copy(m.data[i*m.cols:(i+1)*m.cols], v)
-}
-
 // RawRow returns row i as a slice aliasing the matrix storage. Mutating the
 // returned slice mutates the matrix. Intended for hot loops; most callers
 // should prefer Row.
@@ -140,16 +132,6 @@ func (m *Dense) Clone() *Dense {
 	return &Dense{rows: m.rows, cols: m.cols, data: d}
 }
 
-// CopyFrom overwrites m with the contents of src, which must have the same
-// dimensions.
-func (m *Dense) CopyFrom(src *Dense) error {
-	if m.rows != src.rows || m.cols != src.cols {
-		return ErrShape
-	}
-	copy(m.data, src.data)
-	return nil
-}
-
 // T returns a newly allocated transpose.
 func (m *Dense) T() *Dense {
 	t := NewDense(m.cols, m.rows)
@@ -162,26 +144,6 @@ func (m *Dense) T() *Dense {
 	return t
 }
 
-// Submatrix returns a copy of the block with rows [r0,r1) and columns
-// [c0,c1).
-func (m *Dense) Submatrix(r0, r1, c0, c1 int) (*Dense, error) {
-	if r0 < 0 || c0 < 0 || r1 > m.rows || c1 > m.cols || r0 > r1 || c0 > c1 {
-		return nil, ErrIndex
-	}
-	s := NewDense(r1-r0, c1-c0)
-	for i := r0; i < r1; i++ {
-		copy(s.data[(i-r0)*s.cols:(i-r0+1)*s.cols], m.data[i*m.cols+c0:i*m.cols+c1])
-	}
-	return s, nil
-}
-
-// Fill sets every element to v.
-func (m *Dense) Fill(v float64) {
-	for i := range m.data {
-		m.data[i] = v
-	}
-}
-
 // Apply replaces each element x at (i, j) with fn(i, j, x).
 func (m *Dense) Apply(fn func(i, j int, v float64) float64) {
 	for i := 0; i < m.rows; i++ {
@@ -190,19 +152,6 @@ func (m *Dense) Apply(fn func(i, j int, v float64) float64) {
 			m.data[base+j] = fn(i, j, m.data[base+j])
 		}
 	}
-}
-
-// DiagVec returns a copy of the main diagonal.
-func (m *Dense) DiagVec() []float64 {
-	n := m.rows
-	if m.cols < n {
-		n = m.cols
-	}
-	out := make([]float64, n)
-	for i := 0; i < n; i++ {
-		out[i] = m.data[i*m.cols+i]
-	}
-	return out
 }
 
 // Trace returns the sum of diagonal elements of a square matrix.

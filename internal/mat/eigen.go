@@ -110,74 +110,3 @@ func sortEigen(w, v *Dense) *EigenSym {
 	}
 	return &EigenSym{Values: vals, Vectors: vecs}
 }
-
-// SpectralRadiusSym returns the largest absolute eigenvalue of a symmetric
-// matrix, via the Jacobi decomposition.
-func SpectralRadiusSym(a *Dense) (float64, error) {
-	eig, err := NewEigenSym(a, 0)
-	if err != nil {
-		return 0, err
-	}
-	var r float64
-	for _, v := range eig.Values {
-		if a := math.Abs(v); a > r {
-			r = a
-		}
-	}
-	return r, nil
-}
-
-// PowerIteration estimates the dominant eigenvalue (by magnitude) and
-// eigenvector of a general square matrix by power iteration starting from
-// x0 (pass nil for the all-ones vector). It returns ErrNotConverged when the
-// Rayleigh quotient has not stabilized within maxIter iterations.
-func PowerIteration(a *Dense, x0 []float64, tol float64, maxIter int) (float64, []float64, error) {
-	if !a.IsSquare() {
-		return 0, nil, ErrSquare
-	}
-	n := a.rows
-	if n == 0 {
-		return 0, nil, ErrShape
-	}
-	x := x0
-	if x == nil {
-		x = Ones(n)
-	} else {
-		if len(x) != n {
-			return 0, nil, ErrShape
-		}
-		x = CloneVec(x)
-	}
-	if tol <= 0 {
-		tol = 1e-12
-	}
-	if maxIter <= 0 {
-		maxIter = 10000
-	}
-	nrm := Norm2(x)
-	if nrm == 0 {
-		return 0, nil, ErrShape
-	}
-	ScaleVec(1/nrm, x)
-	y := make([]float64, n)
-	var lambda float64
-	for it := 0; it < maxIter; it++ {
-		if err := MulVecTo(y, a, x); err != nil {
-			return 0, nil, err
-		}
-		newLambda := Dot(x, y)
-		ny := Norm2(y)
-		if ny == 0 {
-			// x is in the kernel; dominant eigenvalue along this start is 0.
-			return 0, x, nil
-		}
-		for i := range x {
-			x[i] = y[i] / ny
-		}
-		if it > 0 && math.Abs(newLambda-lambda) <= tol*math.Max(1, math.Abs(newLambda)) {
-			return newLambda, x, nil
-		}
-		lambda = newLambda
-	}
-	return lambda, x, ErrNotConverged
-}

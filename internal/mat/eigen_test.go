@@ -70,14 +70,18 @@ func TestEigenSymTraceAndDetInvariants(t *testing.T) {
 	if math.Abs(SumVec(e.Values)-tr) > 1e-9*math.Abs(tr) {
 		t.Fatal("sum of eigenvalues != trace")
 	}
-	lu, _ := NewLU(a)
-	det := lu.Det()
-	prod := 1.0
-	for _, v := range e.Values {
-		prod *= v
+	ch, err := NewCholesky(a)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if math.Abs(prod-det) > 1e-7*math.Abs(det) {
-		t.Fatalf("product of eigenvalues %v != det %v", prod, det)
+	// log det = Σ log λ_i; an absolute gap of 1e-7 here is a relative gap
+	// of about 1e-7 between det and the eigenvalue product.
+	var logProd float64
+	for _, v := range e.Values {
+		logProd += math.Log(v)
+	}
+	if logDet := ch.LogDet(); math.Abs(logProd-logDet) > 1e-7 {
+		t.Fatalf("log product of eigenvalues %v != log det %v", logProd, logDet)
 	}
 }
 
@@ -88,70 +92,5 @@ func TestEigenSymRejectsAsymmetric(t *testing.T) {
 	}
 	if _, err := NewEigenSym(NewDense(2, 3), 0); !errors.Is(err, ErrSquare) {
 		t.Fatalf("want ErrSquare, got %v", err)
-	}
-}
-
-func TestSpectralRadiusSym(t *testing.T) {
-	a, _ := NewDenseData(2, 2, []float64{0, 2, 2, 0}) // eigenvalues ±2
-	r, err := SpectralRadiusSym(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(r-2) > 1e-12 {
-		t.Fatalf("SpectralRadiusSym = %v, want 2", r)
-	}
-}
-
-func TestPowerIterationDiagonal(t *testing.T) {
-	a := Diag([]float64{1, 5, 2})
-	lam, vec, err := PowerIteration(a, nil, 1e-13, 10000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(lam-5) > 1e-9 {
-		t.Fatalf("dominant eigenvalue = %v, want 5", lam)
-	}
-	// Eigenvector should concentrate on coordinate 1.
-	if math.Abs(math.Abs(vec[1])-1) > 1e-6 {
-		t.Fatalf("eigenvector = %v", vec)
-	}
-}
-
-func TestPowerIterationAgreesWithJacobi(t *testing.T) {
-	rng := rand.New(rand.NewSource(23))
-	a := randSPD(rng, 8)
-	lam, _, err := PowerIteration(a, nil, 1e-13, 50000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	e, err := NewEigenSym(a, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := e.Values[len(e.Values)-1] // SPD: largest magnitude = largest
-	if math.Abs(lam-want) > 1e-6*want {
-		t.Fatalf("power iteration %v vs Jacobi %v", lam, want)
-	}
-}
-
-func TestPowerIterationErrors(t *testing.T) {
-	if _, _, err := PowerIteration(NewDense(2, 3), nil, 0, 0); !errors.Is(err, ErrSquare) {
-		t.Fatalf("want ErrSquare, got %v", err)
-	}
-	if _, _, err := PowerIteration(Eye(2), []float64{1}, 0, 0); !errors.Is(err, ErrShape) {
-		t.Fatalf("want ErrShape for bad x0, got %v", err)
-	}
-	if _, _, err := PowerIteration(Eye(2), []float64{0, 0}, 0, 0); !errors.Is(err, ErrShape) {
-		t.Fatalf("want ErrShape for zero x0, got %v", err)
-	}
-}
-
-func TestPowerIterationZeroMatrix(t *testing.T) {
-	lam, _, err := PowerIteration(NewDense(3, 3), nil, 0, 100)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if lam != 0 {
-		t.Fatalf("zero matrix dominant eigenvalue = %v, want 0", lam)
 	}
 }

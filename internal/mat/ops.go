@@ -28,27 +28,6 @@ func Sub(a, b *Dense) (*Dense, error) {
 	return out, nil
 }
 
-// Scale returns alpha * a.
-func Scale(alpha float64, a *Dense) *Dense {
-	out := a.Clone()
-	for i := range out.data {
-		out.data[i] *= alpha
-	}
-	return out
-}
-
-// AddScaled returns a + alpha*b.
-func AddScaled(a *Dense, alpha float64, b *Dense) (*Dense, error) {
-	if a.rows != b.rows || a.cols != b.cols {
-		return nil, ErrShape
-	}
-	out := a.Clone()
-	for i, v := range b.data {
-		out.data[i] += alpha * v
-	}
-	return out, nil
-}
-
 // Mul returns the matrix product a*b.
 //
 // The inner loops run over contiguous rows of b (ikj ordering) so the access
@@ -111,36 +90,6 @@ func MulTVec(a *Dense, x []float64) ([]float64, error) {
 		row := a.data[i*a.cols : (i+1)*a.cols]
 		for j, v := range row {
 			out[j] += xv * v
-		}
-	}
-	return out, nil
-}
-
-// OuterProduct returns x yᵀ.
-func OuterProduct(x, y []float64) *Dense {
-	out := NewDense(len(x), len(y))
-	for i, xv := range x {
-		if xv == 0 {
-			continue
-		}
-		row := out.data[i*out.cols : (i+1)*out.cols]
-		for j, yv := range y {
-			row[j] = xv * yv
-		}
-	}
-	return out
-}
-
-// MulDiagLeft returns diag(d) * a, scaling row i of a by d[i].
-func MulDiagLeft(d []float64, a *Dense) (*Dense, error) {
-	if len(d) != a.rows {
-		return nil, ErrShape
-	}
-	out := a.Clone()
-	for i, s := range d {
-		row := out.data[i*out.cols : (i+1)*out.cols]
-		for j := range row {
-			row[j] *= s
 		}
 	}
 	return out, nil

@@ -76,18 +76,6 @@ func ScaleVec(alpha float64, x []float64) {
 	}
 }
 
-// AddVec returns x + y as a new slice.
-func AddVec(x, y []float64) []float64 {
-	if len(x) != len(y) {
-		panic(ErrShape)
-	}
-	out := make([]float64, len(x))
-	for i, v := range x {
-		out[i] = v + y[i]
-	}
-	return out
-}
-
 // SubVec returns x - y as a new slice.
 func SubVec(x, y []float64) []float64 {
 	if len(x) != len(y) {

@@ -63,8 +63,10 @@ func TestAXPYScale(t *testing.T) {
 
 func TestAddSubVec(t *testing.T) {
 	x, y := []float64{1, 2}, []float64{3, 5}
-	if s := AddVec(x, y); s[0] != 4 || s[1] != 7 {
-		t.Fatalf("AddVec = %v", s)
+	s := CloneVec(x)
+	AXPY(1, y, s)
+	if s[0] != 4 || s[1] != 7 {
+		t.Fatalf("x+y = %v", s)
 	}
 	if d := SubVec(y, x); d[0] != 2 || d[1] != 3 {
 		t.Fatalf("SubVec = %v", d)
@@ -173,7 +175,9 @@ func TestTriangleInequalityProperty(t *testing.T) {
 				return true
 			}
 		}
-		return Norm2(AddVec(x, y)) <= Norm2(x)+Norm2(y)+1e-9
+		s := CloneVec(x)
+		AXPY(1, y, s)
+		return Norm2(s) <= Norm2(x)+Norm2(y)+1e-9
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)

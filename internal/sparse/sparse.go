@@ -259,8 +259,7 @@ const (
 // goroutine handoff would cost more than it saves). Each row's dot product
 // is accumulated in the same left-to-right order as the serial path, so the
 // result is bitwise-identical for every worker count. dst must not alias x.
-// This is the inner loop of CG, label propagation, and the Lanczos spectral
-// routines.
+// This is the inner loop of CG and of the Lanczos spectral routines.
 func (m *CSR) MulVecToWorkers(dst, x []float64, workers int) error {
 	if len(x) != m.cols || len(dst) != m.rows {
 		return ErrShape

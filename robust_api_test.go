@@ -175,7 +175,7 @@ func TestFitFallbackRecordedInReport(t *testing.T) {
 	if res.Solver != SolverCholesky {
 		t.Fatalf("settled on %v, want cholesky", res.Solver)
 	}
-	if len(rep.Plan) != 3 || rep.Plan[0] != SolverCG {
+	if len(rep.Plan) != 2 || rep.Plan[0] != SolverCG || rep.Plan[1] != SolverCholesky {
 		t.Fatalf("plan = %v", rep.Plan)
 	}
 	if len(rep.Fallbacks) != 1 || rep.Fallbacks[0].From != SolverCG || rep.Fallbacks[0].To != SolverCholesky {

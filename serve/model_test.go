@@ -53,16 +53,19 @@ func fitSnapshot(t *testing.T, x [][]float64, y []float64, labeled []int, opts .
 // at every worker count, for every kernel family (and so every spatial
 // lookup path).
 func TestModelPredictMatchesNadarayaWatson(t *testing.T) {
+	// n/4 labeled points give 75–80 anchors, above nwMinIndexAnchors (64),
+	// so the compact kernels at d ≤ 16 serve from the KD-tree.
 	cases := []struct {
-		name   string
-		kernel graphssl.Kernel
-		h      float64
-		n, d   int
+		name    string
+		kernel  graphssl.Kernel
+		h       float64
+		n, d    int
+		pruning string
 	}{
-		{"gaussian-brute", graphssl.Gaussian, 1.2, 160, 7},
-		{"epanechnikov-grid", graphssl.Epanechnikov, 2.5, 150, 3},
-		{"tricube-kdtree", graphssl.Tricube, 6.5, 150, 9},
-		{"triangular-highdim", graphssl.Triangular, 9.0, 150, 18},
+		{"gaussian-brute", graphssl.Gaussian, 1.2, 320, 7, "brute"},
+		{"epanechnikov-kdtree", graphssl.Epanechnikov, 2.5, 300, 3, "kdtree"},
+		{"tricube-kdtree", graphssl.Tricube, 6.5, 300, 9, "kdtree"},
+		{"triangular-highdim", graphssl.Triangular, 9.0, 300, 18, "brute"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -81,6 +84,9 @@ func TestModelPredictMatchesNadarayaWatson(t *testing.T) {
 				}
 				if m.Dim() != tc.d || m.NumAnchors() != len(labeled) {
 					t.Fatalf("workers=%d: dim=%d anchors=%d", workers, m.Dim(), m.NumAnchors())
+				}
+				if p := m.Info().Pruning; p != tc.pruning {
+					t.Fatalf("workers=%d: pruning %q, want %q", workers, p, tc.pruning)
 				}
 				qs := make([][]float64, len(unl))
 				for i, u := range unl {
