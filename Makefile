@@ -99,12 +99,13 @@ cover:
 
 # Worker-parameterized microbenchmarks of the parallel compute layer, the
 # KD-tree k-NN build of the bench/ fit workload's points, the radius build
-# of the bench/ ingest workload's points, an 8-point anchor append onto
-# that workload's served predictor (2k and 20k anchors), and the hard solve
-# of the fit workload's problem under each CG preconditioner (Jacobi, the
-# default, and IC(0) after RCM).
+# of the bench/ ingest workload's points, that workload's streaming fit
+# snapshotted both ways (Fit then Snapshot, and HardSnapshot without the
+# solve), an 8-point anchor append onto its served predictor (2k and 20k
+# anchors), and the hard solve of the fit workload's problem under each CG
+# preconditioner (Jacobi, the default, and IC(0) after RCM).
 bench:
-	$(GO) test -run xxx -bench '^(BenchmarkPairwiseDist2|BenchmarkBuildKNN|BenchmarkBuildKNNKDTree|BenchmarkBuildRadius|BenchmarkNWAppendAnchors|BenchmarkCGMulVec|BenchmarkHardPrecond)$$' -benchmem .
+	$(GO) test -run xxx -bench '^(BenchmarkPairwiseDist2|BenchmarkBuildKNN|BenchmarkBuildKNNKDTree|BenchmarkBuildRadius|BenchmarkStreamFit|BenchmarkNWAppendAnchors|BenchmarkCGMulVec|BenchmarkHardPrecond)$$' -benchmem .
 
 # Builds the bench/ binary as bench/run.sh does (its -h run only prints the
 # usage) and prints the address of main.refLoop, the host-speed reference
@@ -132,7 +133,10 @@ serve-smoke:
 # order as one delta per batch, version bump, cache invalidation,
 # backpressure, admission refusing unlabeled and wrong-dimension points,
 # the worker's refit and close lifecycle, concurrent fits of one name),
-# and the registry hot-swap-under-load test.
+# the solve-free snapshot path of labeled-anchor hard fits against the
+# Fit path (TestIngestHardSnapshot*: statuses, Info and predictions bit
+# for bit, roll-forward, the all-anchors refusal), and the registry
+# hot-swap-under-load test.
 stream-smoke:
 	$(GO) test -count=1 -run 'TestRefresher' -v ./internal/core/
 	$(GO) test -count=1 -run 'TestStream|TestZeroAllocStream' -v ./stream/

@@ -410,6 +410,41 @@ func BenchmarkBuildRadius(b *testing.B) {
 	}
 }
 
+// BenchmarkStreamFit times the snapshot of the bench/ ingest workload's
+// streaming fit at seed 1 (20,000 jittered grid points, every 10th
+// labeled, Epanechnikov, h = 3.2/142, one worker, as the server fits it)
+// both ways: Fit then Result.Snapshot, which assembles and solves the hard
+// system, and HardSnapshot, which stops after the coverage check.
+func BenchmarkStreamFit(b *testing.B) {
+	x, all, h := ingestPoints(20000, 1)
+	var y []float64
+	var labeled []int
+	for i := 0; i < len(x); i += 10 {
+		labeled, y = append(labeled, i), append(y, all[i])
+	}
+	opts := []Option{WithKernel(Epanechnikov), WithBandwidth(h), WithWorkers(1)}
+	b.Run("fit+snapshot", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			res, err := Fit(x, y, labeled, opts...)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if _, err := res.Snapshot(x, y); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("hard-snapshot", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := HardSnapshot(x, y, labeled, opts...); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+}
+
 // BenchmarkNWAppendAnchors times one ingest roll-forward of a served
 // labeled-anchor model: an 8-point core.NWPredictor.AppendAnchors onto the
 // ingest fixture's 2,000 labeled anchors (every 10th point) and onto all

@@ -41,9 +41,13 @@
 // # Serving
 //
 // Result.Snapshot freezes a fit (scores, kernel, bandwidth and anchors)
-// into a ModelSnapshot; the serve subpackage turns snapshots into HTTP
-// prediction services with SIMD batch scoring, anchor pruning, a
-// prediction cache, and load shedding.
+// into a ModelSnapshot. HardSnapshot builds the snapshot of a hard-criterion
+// fit without the solve, for models anchored on the labeled points: Eq. 5
+// fixes their scores to the responses, and such a model reads no other
+// score. The serve subpackage turns snapshots into HTTP prediction services
+// with SIMD batch scoring, anchor pruning, a prediction cache, and load
+// shedding; it fits every labeled-anchor hard-criterion request through
+// HardSnapshot.
 //
 // The experiment harnesses that regenerate the paper's figures live in
 // internal/experiments and are driven by cmd/sslrepro; the bench module

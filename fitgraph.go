@@ -22,12 +22,8 @@ import (
 // the rest) apply, and a WithDiagnostics report is reset and filled as
 // Fit fills it, with graph, problem and solve stages.
 func FitGraph(w *sparse.CSR, y []float64, labeled []int, opts ...Option) (res *Result, err error) {
-	cfg := defaultConfig()
-	for _, o := range opts {
-		o.apply(&cfg)
-	}
+	cfg := newConfig(opts)
 	if r := cfg.report; r != nil {
-		*r = Report{}
 		defer func() {
 			if err != nil {
 				r.Err = err.Error()
@@ -49,7 +45,7 @@ func FitGraph(w *sparse.CSR, y []float64, labeled []int, opts ...Option) (res *R
 	graphStart := time.Now()
 	g, err := graph.FromWeights(w)
 	if err != nil {
-		return nil, fmt.Errorf("graphssl: %w: %v", ErrParam, err)
+		return nil, fmt.Errorf("%w: %v", ErrParam, err)
 	}
 	cfg.report.addStage("graph", time.Since(graphStart))
 	problemStart := time.Now()
@@ -64,7 +60,7 @@ func FitGraph(w *sparse.CSR, y []float64, labeled []int, opts ...Option) (res *R
 	}
 	p, err := core.NewProblem(g, labeled, y)
 	if err != nil {
-		return nil, fmt.Errorf("graphssl: %w: %v", ErrParam, err)
+		return nil, fmt.Errorf("%w: %v", ErrParam, err)
 	}
 	cfg.report.addStage("problem", time.Since(problemStart))
 	solveStart := time.Now()

@@ -14,7 +14,9 @@ import (
 // ErrIsolated). Each input is fitted twice, with the default solver and with
 // an explicit SolverCholesky: at these sizes (at most 24 points) the auto
 // plan is Cholesky alone, so both fail with the same sentinel or return
-// bitwise-equal scores. Run the full campaign with `make fuzz`.
+// bitwise-equal scores. A hard-criterion input (λ = 0) also goes through
+// HardSnapshot, which must fail as Fit fails or freeze Fit's snapshot
+// (checkHardSnapshot). Run the full campaign with `make fuzz`.
 func FuzzFit(f *testing.F) {
 	// Seed corpus: a healthy fit, degenerate shapes, duplicate points,
 	// pathological parameter values.
@@ -76,6 +78,9 @@ func FuzzFit(f *testing.F) {
 			opts = append(opts, WithBandwidth(bandwidth))
 		}
 		res, err := Fit(x, y, labeled, opts...)
+		if lambda == 0 {
+			checkHardSnapshot(t, x, y, labeled, opts, res, err)
+		}
 		chol, cholErr := Fit(x, y, labeled, append(opts, WithSolver(SolverCholesky))...)
 		if err != nil {
 			if !errors.Is(err, ErrParam) && !errors.Is(err, ErrIsolated) {

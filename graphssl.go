@@ -296,6 +296,7 @@ func (r *Result) Snapshot(x [][]float64, y []float64) (*ModelSnapshot, error) {
 		KNN:       r.KNN,
 		Lambda:    r.Lambda,
 	}
+	flat := make([]float64, len(x)*dim)
 	for i, xi := range x {
 		if len(xi) != dim {
 			return nil, fmt.Errorf("graphssl: snapshot point %d has dim %d, want %d: %w", i, len(xi), dim, ErrParam)
@@ -305,7 +306,7 @@ func (r *Result) Snapshot(x [][]float64, y []float64) (*ModelSnapshot, error) {
 				return nil, fmt.Errorf("graphssl: snapshot point %d coordinate %d is %v: %w", i, j, v, ErrParam)
 			}
 		}
-		snap.X[i] = append([]float64(nil), xi...)
+		snap.X[i] = copyRow(flat, i, xi)
 	}
 	seen := make([]bool, len(x))
 	for _, idx := range snap.Labeled {
@@ -316,6 +317,88 @@ func (r *Result) Snapshot(x [][]float64, y []float64) (*ModelSnapshot, error) {
 	}
 	countSnapshot()
 	return snap, nil
+}
+
+// HardSnapshot builds the ModelSnapshot of a hard-criterion fit without
+// solving for the unlabeled scores. Eq. 5 fixes the labeled scores to Y,
+// and a model anchored on the labeled points (serve.AnchorLabeled) reads no
+// other score: it is the Nadaraya–Watson estimator of Eq. 6 over (X_L, Y),
+// bit for bit what Fit followed by Result.Snapshot would serve. The
+// snapshot's Scores hold Y at the labeled points and NaN at the unlabeled
+// ones, so no all-points model can be built from it (serve.NewModel refuses
+// non-finite anchor values).
+//
+// HardSnapshot runs Fit's input validation, bandwidth, graph and problem
+// stages and Fit's coverage check, so it fails with ErrParam or ErrIsolated
+// where they fail Fit, checks the context between stages, and fills a
+// WithDiagnostics report with the bandwidth, graph and problem stages. A λ
+// other than 0 fails with ErrParam. Solver options do not apply, as no
+// solve runs. So one input class fails Fit and not HardSnapshot: a system
+// that passes the coverage check but that the solve finds numerically
+// singular, or on which the iterative solve stagnates.
+func HardSnapshot(x [][]float64, y []float64, labeled []int, opts ...Option) (*ModelSnapshot, error) {
+	snap, rep, err := hardSnapshot(x, y, labeled, opts)
+	// No solve ran, so the solver, preconditioner and fallback counters
+	// stay where they are.
+	countFit(nil, err)
+	if err != nil {
+		if rep != nil {
+			rep.Err = err.Error()
+		}
+		return nil, err
+	}
+	countSnapshot()
+	return snap, nil
+}
+
+// hardSnapshot is the HardSnapshot pipeline body.
+func hardSnapshot(x [][]float64, y []float64, labeled []int, opts []Option) (*ModelSnapshot, *Report, error) {
+	cfg := newConfig(opts)
+	if cfg.lambda != 0 {
+		return nil, cfg.report, fmt.Errorf("graphssl: hard snapshot with λ=%v: %w", cfg.lambda, ErrParam)
+	}
+	p, bw, _, err := prepare(x, y, labeled, cfg)
+	if err != nil {
+		return nil, cfg.report, err
+	}
+	if err := ctxErr(cfg.ctx); err != nil {
+		return nil, cfg.report, err
+	}
+	if err := p.CheckCoverage(); err != nil {
+		return nil, cfg.report, translateCoreErr(err)
+	}
+	if r := cfg.report; r != nil {
+		r.Bandwidth = bw
+	}
+	snap := &ModelSnapshot{
+		X:         make([][]float64, len(x)),
+		Y:         append([]float64(nil), y...),
+		Labeled:   p.Labeled(),
+		Scores:    make([]float64, len(x)),
+		Kernel:    cfg.kernel,
+		Bandwidth: bw,
+		KNN:       cfg.knn,
+		Lambda:    cfg.lambda,
+	}
+	flat := make([]float64, len(x)*len(x[0]))
+	for i, xi := range x {
+		snap.X[i] = copyRow(flat, i, xi)
+		snap.Scores[i] = math.NaN()
+	}
+	for k, l := range snap.Labeled {
+		snap.Scores[l] = y[k]
+	}
+	return snap, cfg.report, nil
+}
+
+// copyRow copies xi into row i of flat, rows of len(xi) values each, and
+// returns that row capped at its own end, so an append to it cannot reach
+// the next row. A snapshot keeps its points in one such backing array.
+func copyRow(flat []float64, i int, xi []float64) []float64 {
+	d := len(xi)
+	row := flat[i*d : (i+1)*d : (i+1)*d]
+	copy(row, xi)
+	return row
 }
 
 // Fit builds the similarity graph over x and solves the selected criterion.
@@ -335,7 +418,8 @@ func Fit(x [][]float64, y []float64, labeled []int, opts ...Option) (*Result, er
 // fit is the Fit pipeline body; Fit wraps it to update the expvar counters
 // and the diagnostics report exactly once per call.
 func fit(x [][]float64, y []float64, labeled []int, opts []Option) (*Result, *Report, error) {
-	p, cfg, bw, g, err := prepare(x, y, labeled, opts)
+	cfg := newConfig(opts)
+	p, bw, g, err := prepare(x, y, labeled, cfg)
 	if err != nil {
 		return nil, cfg.report, err
 	}
@@ -409,7 +493,7 @@ func ctxErr(ctx context.Context) error {
 // scores align with the ascending unlabeled index order (the second return
 // value).
 func NadarayaWatson(x [][]float64, y []float64, labeled []int, opts ...Option) ([]float64, []int, error) {
-	p, _, _, _, err := prepare(x, y, labeled, opts)
+	p, _, _, err := prepare(x, y, labeled, newConfig(opts))
 	if err != nil {
 		return nil, nil, err
 	}
@@ -420,9 +504,9 @@ func NadarayaWatson(x [][]float64, y []float64, labeled []int, opts ...Option) (
 	return nw, p.Unlabeled(), nil
 }
 
-// prepare validates inputs, resolves the bandwidth, builds the graph, and
-// assembles the core problem.
-func prepare(x [][]float64, y []float64, labeled []int, opts []Option) (*core.Problem, config, float64, *graph.Graph, error) {
+// newConfig applies opts over the defaults and resets the diagnostics
+// report, if one was requested.
+func newConfig(opts []Option) config {
 	cfg := defaultConfig()
 	for _, o := range opts {
 		o.apply(&cfg)
@@ -430,32 +514,38 @@ func prepare(x [][]float64, y []float64, labeled []int, opts []Option) (*core.Pr
 	if cfg.report != nil {
 		*cfg.report = Report{}
 	}
+	return cfg
+}
+
+// prepare validates inputs, resolves the bandwidth, builds the graph, and
+// assembles the core problem.
+func prepare(x [][]float64, y []float64, labeled []int, cfg config) (*core.Problem, float64, *graph.Graph, error) {
 	if err := ctxErr(cfg.ctx); err != nil {
-		return nil, cfg, 0, nil, err
+		return nil, 0, nil, err
 	}
 	if len(x) == 0 {
-		return nil, cfg, 0, nil, fmt.Errorf("graphssl: no input points: %w", ErrParam)
+		return nil, 0, nil, fmt.Errorf("graphssl: no input points: %w", ErrParam)
 	}
 	dim := len(x[0])
 	if dim == 0 {
-		return nil, cfg, 0, nil, fmt.Errorf("graphssl: zero-dimensional inputs: %w", ErrParam)
+		return nil, 0, nil, fmt.Errorf("graphssl: zero-dimensional inputs: %w", ErrParam)
 	}
 	for i, xi := range x {
 		if len(xi) != dim {
-			return nil, cfg, 0, nil, fmt.Errorf("graphssl: point %d has dim %d, want %d: %w", i, len(xi), dim, ErrParam)
+			return nil, 0, nil, fmt.Errorf("graphssl: point %d has dim %d, want %d: %w", i, len(xi), dim, ErrParam)
 		}
 		for j, v := range xi {
 			if math.IsNaN(v) || math.IsInf(v, 0) {
-				return nil, cfg, 0, nil, fmt.Errorf("graphssl: point %d coordinate %d is %v: %w", i, j, v, ErrParam)
+				return nil, 0, nil, fmt.Errorf("graphssl: point %d coordinate %d is %v: %w", i, j, v, ErrParam)
 			}
 		}
 	}
 	if err := checkResponses(y); err != nil {
-		return nil, cfg, 0, nil, err
+		return nil, 0, nil, err
 	}
 	if labeled == nil {
 		if len(y) >= len(x) {
-			return nil, cfg, 0, nil, fmt.Errorf("graphssl: %d responses for %d points leaves nothing unlabeled: %w", len(y), len(x), ErrParam)
+			return nil, 0, nil, fmt.Errorf("graphssl: %d responses for %d points leaves nothing unlabeled: %w", len(y), len(x), ErrParam)
 		}
 		labeled = make([]int, len(y))
 		for i := range labeled {
@@ -467,16 +557,16 @@ func prepare(x [][]float64, y []float64, labeled []int, opts []Option) (*core.Pr
 		seen := make([]bool, len(x))
 		for _, idx := range labeled {
 			if idx < 0 || idx >= len(x) {
-				return nil, cfg, 0, nil, fmt.Errorf("graphssl: labeled index %d outside [0,%d): %w", idx, len(x), ErrParam)
+				return nil, 0, nil, fmt.Errorf("graphssl: labeled index %d outside [0,%d): %w", idx, len(x), ErrParam)
 			}
 			if seen[idx] {
-				return nil, cfg, 0, nil, fmt.Errorf("graphssl: duplicate labeled index %d: %w", idx, ErrParam)
+				return nil, 0, nil, fmt.Errorf("graphssl: duplicate labeled index %d: %w", idx, ErrParam)
 			}
 			seen[idx] = true
 		}
 	}
 	if cfg.lambda < 0 || math.IsNaN(cfg.lambda) || math.IsInf(cfg.lambda, 0) {
-		return nil, cfg, 0, nil, fmt.Errorf("graphssl: λ=%v: %w", cfg.lambda, ErrParam)
+		return nil, 0, nil, fmt.Errorf("graphssl: λ=%v: %w", cfg.lambda, ErrParam)
 	}
 
 	bwStart := time.Now()
@@ -490,24 +580,24 @@ func prepare(x [][]float64, y []float64, labeled []int, opts []Option) (*core.Pr
 	case bwPaper:
 		bw, err = kernel.PaperBandwidth(len(labeled), dim)
 		if err != nil {
-			return nil, cfg, 0, nil, fmt.Errorf("graphssl: paper bandwidth: %w: %v", ErrParam, err)
+			return nil, 0, nil, fmt.Errorf("graphssl: paper bandwidth: %w: %v", ErrParam, err)
 		}
 	default:
 		bw, err = kernel.MedianHeuristic(x, 200000)
 		if err != nil {
-			return nil, cfg, 0, nil, fmt.Errorf("graphssl: median bandwidth: %w: %v", ErrParam, err)
+			return nil, 0, nil, fmt.Errorf("graphssl: median bandwidth: %w: %v", ErrParam, err)
 		}
 	}
 	if math.IsNaN(bw) || math.IsInf(bw, 0) {
-		return nil, cfg, 0, nil, fmt.Errorf("graphssl: bandwidth %v: %w", bw, ErrParam)
+		return nil, 0, nil, fmt.Errorf("graphssl: bandwidth %v: %w", bw, ErrParam)
 	}
 	k, err := kernel.New(cfg.kernel, bw)
 	if err != nil {
-		return nil, cfg, 0, nil, fmt.Errorf("graphssl: kernel: %w: %v", ErrParam, err)
+		return nil, 0, nil, fmt.Errorf("graphssl: kernel: %w: %v", ErrParam, err)
 	}
 	cfg.report.addStage("bandwidth", time.Since(bwStart))
 	if err := ctxErr(cfg.ctx); err != nil {
-		return nil, cfg, 0, nil, err
+		return nil, 0, nil, err
 	}
 
 	graphStart := time.Now()
@@ -517,24 +607,24 @@ func prepare(x [][]float64, y []float64, labeled []int, opts []Option) (*core.Pr
 	}
 	builder, err := graph.NewBuilder(k, builderOpts...)
 	if err != nil {
-		return nil, cfg, 0, nil, fmt.Errorf("graphssl: graph builder: %w: %v", ErrParam, err)
+		return nil, 0, nil, fmt.Errorf("graphssl: graph builder: %w: %v", ErrParam, err)
 	}
 	g, err := builder.Build(x)
 	if err != nil {
-		return nil, cfg, 0, nil, fmt.Errorf("graphssl: graph: %w: %v", ErrParam, err)
+		return nil, 0, nil, fmt.Errorf("graphssl: graph: %w: %v", ErrParam, err)
 	}
 	cfg.report.addStage("graph", time.Since(graphStart))
 	if err := ctxErr(cfg.ctx); err != nil {
-		return nil, cfg, 0, nil, err
+		return nil, 0, nil, err
 	}
 
 	problemStart := time.Now()
 	p, err := core.NewProblem(g, labeled, y)
 	if err != nil {
-		return nil, cfg, 0, nil, fmt.Errorf("graphssl: %w: %v", ErrParam, err)
+		return nil, 0, nil, fmt.Errorf("%w: %v", ErrParam, err)
 	}
 	cfg.report.addStage("problem", time.Since(problemStart))
-	return p, cfg, bw, g, nil
+	return p, bw, g, nil
 }
 
 // checkResponses rejects a NaN or infinite response with ErrParam.
@@ -551,16 +641,16 @@ func checkResponses(y []float64) error {
 func translateCoreErr(err error) error {
 	switch {
 	case errors.Is(err, core.ErrIsolated):
-		return fmt.Errorf("graphssl: %w: %v", ErrIsolated, err)
+		return fmt.Errorf("%w: %v", ErrIsolated, err)
 	case errors.Is(err, mat.ErrSingular), errors.Is(err, mat.ErrNotPositiveDefinite):
 		// With non-negative weights the hard system D22−W22 (and V + λL)
 		// is a positive definite M-matrix exactly when every unlabeled
 		// component carries labeled mass, so a singular or failed Cholesky
 		// factorization means some unlabeled point is numerically cut off
 		// from the labels (weights underflowed to ~0).
-		return fmt.Errorf("graphssl: %w: system numerically singular: %v", ErrIsolated, err)
+		return fmt.Errorf("%w: system numerically singular: %v", ErrIsolated, err)
 	case errors.Is(err, core.ErrParam):
-		return fmt.Errorf("graphssl: %w: %v", ErrParam, err)
+		return fmt.Errorf("%w: %v", ErrParam, err)
 	default:
 		return fmt.Errorf("graphssl: %w", err)
 	}

@@ -206,7 +206,7 @@ type hardSystem struct {
 // row's column order, and A's diagonal goes in at its sorted position; a
 // self-loop w_uu meets it there as the single entry deg[u] − w_uu.
 func buildHardSystem(p *Problem) (*hardSystem, error) {
-	if err := p.checkCoverage(); err != nil {
+	if err := p.CheckCoverage(); err != nil {
 		return nil, err
 	}
 	w := p.g.Weights()

@@ -365,7 +365,7 @@ func TestHardSelfLoopInvariance(t *testing.T) {
 // its differential oracle. Each coordinate gets at most two entries (a
 // self-loop meets the degree on the diagonal), so the COO sum is order-free.
 func buildHardSystemCOO(p *Problem) (*hardSystem, error) {
-	if err := p.checkCoverage(); err != nil {
+	if err := p.CheckCoverage(); err != nil {
 		return nil, err
 	}
 	w := p.g.Weights()

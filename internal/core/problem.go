@@ -125,11 +125,14 @@ func (p *Problem) IsLabeled(i int) bool {
 	return p.isLabeled[i]
 }
 
-// checkCoverage verifies that every connected component containing an
+// CheckCoverage verifies that every connected component containing an
 // unlabeled node also contains a labeled node; otherwise the hard system is
-// singular on that component. It reads the graph's shared component
-// labelling, and names the first uncovered component by its smallest node.
-func (p *Problem) checkCoverage() error {
+// singular on that component and it returns ErrIsolated. It reads the
+// graph's shared component labelling, and names the first uncovered
+// component by its smallest node. The hard solve runs it first; a caller
+// that needs only the labeled scores, which the hard criterion fixes to Y,
+// runs it alone.
+func (p *Problem) CheckCoverage() error {
 	label, count := p.g.ComponentLabels()
 	covered := make([]bool, count)
 	for _, l := range p.labeled {

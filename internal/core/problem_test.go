@@ -203,7 +203,7 @@ func TestCheckCoverageNamesFirstUncoveredComponent(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		err = p.checkCoverage()
+		err = p.CheckCoverage()
 		if c.want == "" {
 			if err != nil {
 				t.Fatalf("labeled %v: %v", c.labeled, err)

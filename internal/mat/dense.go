@@ -177,24 +177,6 @@ func (m *Dense) MaxAbs() float64 {
 	return mx
 }
 
-// Norm1 returns the induced 1-norm (maximum absolute column sum).
-func (m *Dense) Norm1() float64 {
-	sums := make([]float64, m.cols)
-	for i := 0; i < m.rows; i++ {
-		base := i * m.cols
-		for j := 0; j < m.cols; j++ {
-			sums[j] += math.Abs(m.data[base+j])
-		}
-	}
-	var mx float64
-	for _, s := range sums {
-		if s > mx {
-			mx = s
-		}
-	}
-	return mx
-}
-
 // NormInf returns the induced infinity-norm (maximum absolute row sum).
 func (m *Dense) NormInf() float64 {
 	var mx float64

@@ -95,15 +95,6 @@ func CloneVec(x []float64) []float64 {
 	return out
 }
 
-// Ones returns a length-n slice of ones.
-func Ones(n int) []float64 {
-	out := make([]float64, n)
-	for i := range out {
-		out[i] = 1
-	}
-	return out
-}
-
 // Constant returns a length-n slice filled with v.
 func Constant(n int, v float64) []float64 {
 	out := make([]float64, n)

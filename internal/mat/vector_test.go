@@ -83,12 +83,6 @@ func TestCloneVecIndependent(t *testing.T) {
 }
 
 func TestOnesConstant(t *testing.T) {
-	o := Ones(3)
-	for _, v := range o {
-		if v != 1 {
-			t.Fatalf("Ones = %v", o)
-		}
-	}
 	c := Constant(2, 7)
 	if c[0] != 7 || c[1] != 7 {
 		t.Fatalf("Constant = %v", c)

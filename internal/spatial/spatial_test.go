@@ -107,7 +107,9 @@ func TestCheckPoints(t *testing.T) {
 }
 
 // TestKDTreeKNNMatchesBrute compares a reused KNNQuery to brute-force
-// (d², index) selection across sizes, dimensions, k, and ε pre-filters.
+// (d², index) selection across sizes, dimensions, k, and ε pre-filters,
+// through Do and through DoDist2, whose k = 64 and k = 65 cases sit on
+// either side of its insertion-sort bound.
 func TestKDTreeKNNMatchesBrute(t *testing.T) {
 	cases := []struct {
 		n, d, k int
@@ -116,6 +118,7 @@ func TestKDTreeKNNMatchesBrute(t *testing.T) {
 		{1, 2, 3, -1}, {30, 1, 5, -1}, {200, 2, 8, -1}, {200, 2, 8, 2.0},
 		{300, 3, 1, -1}, {150, 8, 10, -1}, {100, 2, 150, -1}, {64, 4, 6, 0.5},
 		{400, 5, 10, -1}, {200, 17, 7, -1}, {120, 33, 5, 60},
+		{300, 2, insertionMax, -1}, {300, 2, insertionMax + 1, -1},
 	}
 	for _, tc := range cases {
 		x := randomPoints(int64(tc.n*10+tc.d+tc.k), tc.n, tc.d)
@@ -127,13 +130,23 @@ func TestKDTreeKNNMatchesBrute(t *testing.T) {
 			t.Fatalf("N=%d want %d", tr.N(), tc.n)
 		}
 		kq := tr.NewKNNQuery(tc.k)
-		var buf []int32
+		var buf, sel []int32
+		var d2 []float64
 		for i := range x {
 			buf = kq.Do(x[i], int32(i), tc.maxD2, buf[:0])
 			want := bruteKNN(x, x[i], i, tc.k, tc.maxD2)
 			if !sameInt32(buf, want) {
 				t.Fatalf("n=%d d=%d k=%d maxD2=%v query %d: got %v want %v",
 					tc.n, tc.d, tc.k, tc.maxD2, i, buf, want)
+			}
+			sel, d2 = kq.DoDist2(x[i], int32(i), tc.maxD2, sel[:0], d2[:0])
+			if !sameInt32(sel, want) {
+				t.Fatalf("n=%d d=%d k=%d query %d: DoDist2 got %v want %v", tc.n, tc.d, tc.k, i, sel, want)
+			}
+			for p, j := range sel {
+				if math.Float64bits(d2[p]) != math.Float64bits(kernel.Dist2(x[i], x[j])) {
+					t.Fatalf("n=%d d=%d k=%d query %d: d2 of %d = %v", tc.n, tc.d, tc.k, i, j, d2[p])
+				}
 			}
 		}
 		// Off-set query point, no exclusion.

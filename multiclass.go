@@ -35,7 +35,8 @@ type MulticlassResult struct {
 // stages.
 func FitMulticlass(x [][]float64, labels []int, labeled []int, normalize bool, opts ...Option) (*MulticlassResult, error) {
 	y := make([]float64, len(labels)) // placeholder responses for prepare
-	p, cfg, bw, _, err := prepare(x, y, labeled, opts)
+	cfg := newConfig(opts)
+	p, bw, _, err := prepare(x, y, labeled, cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -71,7 +72,7 @@ type Diagnostics = core.Diagnostics
 // bounds the g-term, and the empirical gap between the hard criterion and
 // the Nadaraya–Watson estimator.
 func Diagnose(x [][]float64, y []float64, labeled []int, opts ...Option) (*Diagnostics, error) {
-	p, _, _, _, err := prepare(x, y, labeled, opts)
+	p, _, _, err := prepare(x, y, labeled, newConfig(opts))
 	if err != nil {
 		return nil, err
 	}

@@ -251,11 +251,19 @@ func robustBlob(rng *rand.Rand, n int, center, spread float64) [][]float64 {
 	return x
 }
 
-// TestRobustPipelineContracts drives Fit through pathological inputs and
-// checks each documented contract: a clean result, a typed error, or a
-// recorded fallback. Every case runs twice, and the rerun must reproduce the
-// outcome, solver, fallback count and scores bit for bit.
-func TestRobustPipelineContracts(t *testing.T) {
+// robustCase is one pathological Fit input with the contract its outcome
+// must meet.
+type robustCase struct {
+	name  string
+	x     [][]float64
+	y     []float64
+	lab   []int
+	opts  []Option
+	check func(res *Result, rep *Report, err error) error
+}
+
+// robustCases are the pathological inputs of TestRobustPipelineContracts.
+func robustCases() []robustCase {
 	rng := rand.New(rand.NewSource(42))
 	base := robustBlob(rng, 120, 0, 1)
 	y := make([]float64, 30)
@@ -286,14 +294,7 @@ func TestRobustPipelineContracts(t *testing.T) {
 	canceled, cancel := context.WithCancel(context.Background())
 	cancel()
 
-	cases := []struct {
-		name  string
-		x     [][]float64
-		y     []float64
-		lab   []int
-		opts  []Option
-		check func(res *Result, rep *Report, err error) error
-	}{
+	return []robustCase{
 		{"duplicate_points", dup, y, labeled, []Option{WithBandwidth(1)},
 			func(_ *Result, _ *Report, err error) error { return err }},
 		{"zero_bandwidth", base, y, labeled, []Option{WithBandwidth(0)},
@@ -345,7 +346,14 @@ func TestRobustPipelineContracts(t *testing.T) {
 				return nil
 			}},
 	}
-	for _, tc := range cases {
+}
+
+// TestRobustPipelineContracts drives Fit through pathological inputs and
+// checks each documented contract: a clean result, a typed error, or a
+// recorded fallback. Every case runs twice, and the rerun must reproduce the
+// outcome, solver, fallback count and scores bit for bit.
+func TestRobustPipelineContracts(t *testing.T) {
+	for _, tc := range robustCases() {
 		t.Run(tc.name, func(t *testing.T) {
 			var rep, rep2 Report
 			res, err := Fit(tc.x, tc.y, tc.lab, append([]Option{WithDiagnostics(&rep)}, tc.opts...)...)

@@ -13,6 +13,39 @@ import (
 // models stay in place.
 var fuzzRoutes = []string{"/v1/predict", "/v1/ingest", "/v1/models/fz"}
 
+// Route bytes of FuzzServeHandlers' inputs, indexing fuzzRoutes.
+const routePredict, routeIngest, routeFit = 0, 1, 2
+
+const okPredictBody = `{"model":"m","points":[[0.5,0.25,1]]}`
+
+// handlerSeeds are FuzzServeHandlers' seed inputs, in the order it adds
+// them.
+var handlerSeeds = []struct {
+	route byte
+	body  string
+}{
+	// The bodies of TestServerErrorMapping.
+	{routePredict, `{`},
+	{routePredict, `{"nope":1}`},
+	{routePredict, `{"model":"m"}`},
+	{routePredict, `{"model":"m","points":[[],[],[],[],[]]}`},
+	{routePredict, `{"model":"ghost","points":[[0,0,0]]}`},
+	{routeFit, `{"x":[[0,0],[1,1]],"y":[1],"kernel":"nope"}`},
+	{routeFit, `{"x":[[0,0],[1,1]],"y":[1],"anchor_set":"some"}`},
+	{routeFit, `{"x":[[0,0],[1,1]],"y":[1,0],"labeled":[0,0]}`},
+	{routePredict, `{"model":"m","points":[[1e400,0,0]]}`},
+	{routePredict, `{"model":"m","points":[[01,0,0]]}`},
+	{routePredict, okPredictBody[:len(okPredictBody)-4]},
+	{routePredict, okPredictBody + `{"model":"x"}`},
+	{routePredict, `{"model":"m","points":[[0.5,0.25,1],[500,500,500],[0,0]]}`},
+	// The other routes, well formed.
+	{routeIngest, `{"model":"s","points":[[0.5,0.5]],"y":[1]}`},
+	{routeIngest, `{"model":"s","points":[[0.25,0.75]]}`},
+	{routeIngest, `{"model":"m","points":[[0,0,0]],"y":[1]}`},
+	{routeFit, `{"x":[[0,0],[0.5,0.5],[1,1]],"y":[1,0],"labeled":[0,2],"bandwidth":1}`},
+	{routeFit, `{"x":[[0,0],[0.5,0.5],[1,1]],"y":[1,0],"labeled":[0,2],"kernel":"epanechnikov","bandwidth":1,"stream":true}`},
+}
+
 // FuzzServeHandlers sends arbitrary bodies through the server's handler
 // to the predict, ingest and fit routes, against one plain model ("m",
 // 3-d) and one streaming model ("s", 2-d). Whatever the body, the server
@@ -46,33 +79,7 @@ func FuzzServeHandlers(f *testing.F) {
 		f.Fatalf("stream fit: %d %s", rec.Code, rec.Body)
 	}
 
-	const predict, ingest, fit = 0, 1, 2
-	okBody := `{"model":"m","points":[[0.5,0.25,1]]}`
-	for _, seed := range []struct {
-		route byte
-		body  string
-	}{
-		// The bodies of TestServerErrorMapping.
-		{predict, `{`},
-		{predict, `{"nope":1}`},
-		{predict, `{"model":"m"}`},
-		{predict, `{"model":"m","points":[[],[],[],[],[]]}`},
-		{predict, `{"model":"ghost","points":[[0,0,0]]}`},
-		{fit, `{"x":[[0,0],[1,1]],"y":[1],"kernel":"nope"}`},
-		{fit, `{"x":[[0,0],[1,1]],"y":[1],"anchor_set":"some"}`},
-		{fit, `{"x":[[0,0],[1,1]],"y":[1,0],"labeled":[0,0]}`},
-		{predict, `{"model":"m","points":[[1e400,0,0]]}`},
-		{predict, `{"model":"m","points":[[01,0,0]]}`},
-		{predict, okBody[:len(okBody)-4]},
-		{predict, okBody + `{"model":"x"}`},
-		{predict, `{"model":"m","points":[[0.5,0.25,1],[500,500,500],[0,0]]}`},
-		// The other routes, well formed.
-		{ingest, `{"model":"s","points":[[0.5,0.5]],"y":[1]}`},
-		{ingest, `{"model":"s","points":[[0.25,0.75]]}`},
-		{ingest, `{"model":"m","points":[[0,0,0]],"y":[1]}`},
-		{fit, `{"x":[[0,0],[0.5,0.5],[1,1]],"y":[1,0],"labeled":[0,2],"bandwidth":1}`},
-		{fit, `{"x":[[0,0],[0.5,0.5],[1,1]],"y":[1,0],"labeled":[0,2],"kernel":"epanechnikov","bandwidth":1,"stream":true}`},
-	} {
+	for _, seed := range handlerSeeds {
 		f.Add(seed.route, []byte(seed.body))
 	}
 
@@ -87,7 +94,7 @@ func FuzzServeHandlers(f *testing.F) {
 			}
 			return
 		}
-		if r != predict || code != http.StatusOK {
+		if r != routePredict || code != http.StatusOK {
 			return
 		}
 		var req predictRequest

@@ -87,7 +87,9 @@ func WithTopM(m int) ModelOption {
 
 // NewModel freezes a fitted snapshot into a servable model. The snapshot's
 // anchor points are deep-copied out, so the caller may keep mutating its
-// own data afterwards.
+// own data afterwards. Every anchor's score must be finite: a snapshot from
+// graphssl.HardSnapshot, whose unlabeled scores are NaN, builds only
+// AnchorLabeled models.
 func NewModel(snap *graphssl.ModelSnapshot, opts ...ModelOption) (*Model, error) {
 	if snap == nil {
 		return nil, fmt.Errorf("serve: nil snapshot: %w", ErrSnapshot)
@@ -136,8 +138,12 @@ func NewModel(snap *graphssl.ModelSnapshot, opts ...ModelOption) (*Model, error)
 		if len(snap.X[node]) != dim {
 			return nil, fmt.Errorf("serve: snapshot point %d has dim %d, want %d: %w", node, len(snap.X[node]), dim, ErrSnapshot)
 		}
+		v := snap.Scores[node]
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return nil, fmt.Errorf("serve: snapshot score of anchor %d is %v: %w", node, v, ErrSnapshot)
+		}
 		anchors[p] = append([]float64(nil), snap.X[node]...)
-		values[p] = snap.Scores[node]
+		values[p] = v
 	}
 	knn := snap.KNN
 	if cfg.topM > 0 {

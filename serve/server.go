@@ -149,7 +149,7 @@ func fail(w http.ResponseWriter, err error) {
 	switch {
 	case errors.Is(err, ErrNotFound):
 		code = http.StatusNotFound
-	case errors.Is(err, ErrIsolated):
+	case errors.Is(err, ErrIsolated), errors.Is(err, graphssl.ErrIsolated):
 		code = http.StatusUnprocessableEntity
 	case errors.Is(err, ErrOverloaded):
 		w.Header().Set("Retry-After", "1")
@@ -357,13 +357,14 @@ func (s *Server) modelCounter(name string) *atomic.Int64 {
 
 // fitRequest is the body of POST /v1/models/{name}: training data plus the
 // fit hyperparameters. Zero values select the library defaults (Gaussian
-// kernel, paper bandwidth, dense graph, hard criterion).
+// kernel, median-heuristic bandwidth, dense graph, hard criterion).
 type fitRequest struct {
 	X       [][]float64 `json:"x"`
 	Y       []float64   `json:"y"`
 	Labeled []int       `json:"labeled,omitempty"`
 	Kernel  string      `json:"kernel,omitempty"`
-	// Bandwidth > 0 fixes h; otherwise the paper rule is used.
+	// Bandwidth > 0 fixes h; 0 (or absent) uses the library default, the
+	// median heuristic; a negative value is rejected.
 	Bandwidth float64  `json:"bandwidth,omitempty"`
 	KNN       int      `json:"knn,omitempty"`
 	Lambda    *float64 `json:"lambda,omitempty"`
@@ -450,8 +451,10 @@ func (s *Server) publish(name string, m *Model, stream bool) (*Entry, error) {
 	return e, nil
 }
 
-// buildModel validates a fit request and runs the transductive fit, the
-// snapshot and the inductive model build, all under FitTimeout.
+// buildModel validates a fit request, builds its snapshot and the
+// inductive model, all under FitTimeout. A fit whose graph leaves an
+// unlabeled component without a label fails with graphssl.ErrIsolated
+// (422); any other fit failure is a bad request (ErrPoint, 400).
 func (s *Server) buildModel(ctx context.Context, req *fitRequest) (*Model, error) {
 	var anchorSet AnchorSet
 	switch req.AnchorSet {
@@ -487,22 +490,36 @@ func (s *Server) buildModel(ctx context.Context, req *fitRequest) (*Model, error
 	if req.Lambda != nil {
 		opts = append(opts, graphssl.WithLambda(*req.Lambda))
 	}
-	res, err := graphssl.Fit(req.X, req.Y, req.Labeled, opts...)
+	snap, err := requestSnapshot(req, anchorSet, opts)
 	if err != nil {
 		if ctx.Err() != nil {
 			return nil, context.DeadlineExceeded
 		}
+		if errors.Is(err, graphssl.ErrIsolated) {
+			return nil, fmt.Errorf("serve: fit: %w", err)
+		}
 		return nil, fmt.Errorf("serve: fit: %v: %w", err, ErrPoint)
-	}
-	snap, err := res.Snapshot(req.X, req.Y)
-	if err != nil {
-		return nil, fmt.Errorf("serve: snapshot: %v: %w", err, ErrPoint)
 	}
 	mopts := []ModelOption{WithAnchorSet(anchorSet), WithWorkers(s.cfg.Workers)}
 	if req.TopM > 0 {
 		mopts = append(mopts, WithTopM(req.TopM))
 	}
 	return NewModel(snap, mopts...)
+}
+
+// requestSnapshot builds the snapshot a fit request serves. A labeled-anchor
+// model under the hard criterion reads only the labeled scores, which Eq. 5
+// fixes to the responses, so it takes graphssl.HardSnapshot and no solve;
+// every other model takes graphssl.Fit and Result.Snapshot.
+func requestSnapshot(req *fitRequest, anchorSet AnchorSet, opts []graphssl.Option) (*graphssl.ModelSnapshot, error) {
+	if anchorSet == AnchorLabeled && (req.Lambda == nil || *req.Lambda == 0) {
+		return graphssl.HardSnapshot(req.X, req.Y, req.Labeled, opts...)
+	}
+	res, err := graphssl.Fit(req.X, req.Y, req.Labeled, opts...)
+	if err != nil {
+		return nil, err
+	}
+	return res.Snapshot(req.X, req.Y)
 }
 
 // checkStreamFit checks a "stream": true request, whose kernel parsed as

@@ -283,6 +283,25 @@ func TestServerErrorMapping(t *testing.T) {
 		})
 	}
 
+	// A fit whose graph leaves an unlabeled component without a label is a
+	// 422 carrying graphssl.ErrIsolated's message under one prefix, for a
+	// plain and a streaming fit alike: an Epanechnikov support below the
+	// grid spacing cuts every point off.
+	sx, sy, sl := streamData(43, 64, 16)
+	for name, stream := range map[string]bool{"isolated-fit": false, "isolated-stream-fit": true} {
+		t.Run(name, func(t *testing.T) {
+			resp, body := postJSON(t, ts.URL+"/v1/models/iso", fitRequest{
+				X: sx, Y: sy, Labeled: sl, Kernel: "epanechnikov", Bandwidth: 0.1, Stream: stream,
+			})
+			var he httpError
+			if resp.StatusCode != http.StatusUnprocessableEntity || json.Unmarshal(body, &he) != nil ||
+				!strings.Contains(he.Error, graphssl.ErrIsolated.Error()) || strings.Contains(he.Error, ErrPoint.Error()) ||
+				strings.Count(he.Error, "graphssl:") != 1 {
+				t.Fatalf("status %d, body %s: want 422 with one graphssl.ErrIsolated message", resp.StatusCode, body)
+			}
+		})
+	}
+
 	// Bodies at the edges of the decoder get a 400 with the ErrPoint
 	// envelope, except data after the object, which encoding/json ignores.
 	// A body over MaxBodyBytes is refused even when its object ends inside
