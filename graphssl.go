@@ -296,7 +296,6 @@ func (r *Result) Snapshot(x [][]float64, y []float64) (*ModelSnapshot, error) {
 		KNN:       r.KNN,
 		Lambda:    r.Lambda,
 	}
-	flat := make([]float64, len(x)*dim)
 	for i, xi := range x {
 		if len(xi) != dim {
 			return nil, fmt.Errorf("graphssl: snapshot point %d has dim %d, want %d: %w", i, len(xi), dim, ErrParam)
@@ -306,7 +305,7 @@ func (r *Result) Snapshot(x [][]float64, y []float64) (*ModelSnapshot, error) {
 				return nil, fmt.Errorf("graphssl: snapshot point %d coordinate %d is %v: %w", i, j, v, ErrParam)
 			}
 		}
-		snap.X[i] = copyRow(flat, i, xi)
+		snap.X[i] = append([]float64(nil), xi...)
 	}
 	seen := make([]bool, len(x))
 	for _, idx := range snap.Labeled {
@@ -329,15 +328,16 @@ func (r *Result) Snapshot(x [][]float64, y []float64) (*ModelSnapshot, error) {
 // non-finite anchor values).
 //
 // HardSnapshot runs Fit's input validation, bandwidth, graph and problem
-// stages and Fit's coverage check, so it fails with ErrParam or ErrIsolated
-// where they fail Fit, checks the context between stages, and fills a
+// stages and Fit's coverage check, then freezes its scores with
+// Result.Snapshot, so it fails with ErrParam or ErrIsolated where they fail
+// Fit or Snapshot. It checks the context between stages and fills a
 // WithDiagnostics report with the bandwidth, graph and problem stages. A λ
 // other than 0 fails with ErrParam. Solver options do not apply, as no
 // solve runs. So one input class fails Fit and not HardSnapshot: a system
 // that passes the coverage check but that the solve finds numerically
 // singular, or on which the iterative solve stagnates.
 func HardSnapshot(x [][]float64, y []float64, labeled []int, opts ...Option) (*ModelSnapshot, error) {
-	snap, rep, err := hardSnapshot(x, y, labeled, opts)
+	res, rep, err := hardFit(x, y, labeled, opts)
 	// No solve ran, so the solver, preconditioner and fallback counters
 	// stay where they are.
 	countFit(nil, err)
@@ -347,12 +347,12 @@ func HardSnapshot(x [][]float64, y []float64, labeled []int, opts ...Option) (*M
 		}
 		return nil, err
 	}
-	countSnapshot()
-	return snap, nil
+	return res.Snapshot(x, y)
 }
 
-// hardSnapshot is the HardSnapshot pipeline body.
-func hardSnapshot(x [][]float64, y []float64, labeled []int, opts []Option) (*ModelSnapshot, *Report, error) {
+// hardFit is the HardSnapshot pipeline body: a Result whose Scores hold Y
+// at the labeled points and NaN at the unlabeled ones.
+func hardFit(x [][]float64, y []float64, labeled []int, opts []Option) (*Result, *Report, error) {
 	cfg := newConfig(opts)
 	if cfg.lambda != 0 {
 		return nil, cfg.report, fmt.Errorf("graphssl: hard snapshot with λ=%v: %w", cfg.lambda, ErrParam)
@@ -370,35 +370,21 @@ func hardSnapshot(x [][]float64, y []float64, labeled []int, opts []Option) (*Mo
 	if r := cfg.report; r != nil {
 		r.Bandwidth = bw
 	}
-	snap := &ModelSnapshot{
-		X:         make([][]float64, len(x)),
-		Y:         append([]float64(nil), y...),
-		Labeled:   p.Labeled(),
+	res := &Result{
 		Scores:    make([]float64, len(x)),
-		Kernel:    cfg.kernel,
-		Bandwidth: bw,
-		KNN:       cfg.knn,
+		Labeled:   p.Labeled(),
 		Lambda:    cfg.lambda,
+		Bandwidth: bw,
+		Kernel:    cfg.kernel,
+		KNN:       cfg.knn,
 	}
-	flat := make([]float64, len(x)*len(x[0]))
-	for i, xi := range x {
-		snap.X[i] = copyRow(flat, i, xi)
-		snap.Scores[i] = math.NaN()
+	for i := range res.Scores {
+		res.Scores[i] = math.NaN()
 	}
-	for k, l := range snap.Labeled {
-		snap.Scores[l] = y[k]
+	for k, l := range res.Labeled {
+		res.Scores[l] = y[k]
 	}
-	return snap, cfg.report, nil
-}
-
-// copyRow copies xi into row i of flat, rows of len(xi) values each, and
-// returns that row capped at its own end, so an append to it cannot reach
-// the next row. A snapshot keeps its points in one such backing array.
-func copyRow(flat []float64, i int, xi []float64) []float64 {
-	d := len(xi)
-	row := flat[i*d : (i+1)*d : (i+1)*d]
-	copy(row, xi)
-	return row
+	return res, cfg.report, nil
 }
 
 // Fit builds the similarity graph over x and solves the selected criterion.

@@ -359,7 +359,7 @@ type KNNQuery struct {
 	// distance but costs one term instead of d.
 	gap2   []float64
 	d2     [kdLeafSize]float64 // leaf distances
-	sorted []kdCand            // DoDist2's copy of a large heap, by index
+	sorted []kdCand            // DoDist2's copy of the heap, by index
 }
 
 // NewKNNQuery prepares reusable query state selecting the k nearest points.
@@ -368,9 +368,10 @@ type KNNQuery struct {
 func (t *KDTree) NewKNNQuery(k int) *KNNQuery {
 	k = max(0, min(k, t.N()))
 	return &KNNQuery{
-		t:    t,
-		h:    kdHeap{cand: make([]kdCand, 0, k), cap: k},
-		gap2: make([]float64, t.dim),
+		t:      t,
+		h:      kdHeap{cand: make([]kdCand, 0, k), cap: k},
+		gap2:   make([]float64, t.dim),
+		sorted: make([]kdCand, 0, k),
 	}
 }
 
@@ -407,38 +408,18 @@ func (q *KNNQuery) Do(pt []float64, self int32, maxD2 float64, buf []int32) []in
 	return buf
 }
 
-// insertionMax is the largest selection DoDist2 insertion-sorts; above it
-// the quadratic moves would outweigh pdqsort's comparator calls.
-const insertionMax = 64
-
 // DoDist2 is Do that also appends to d2 the squared distance of each point
 // it appends to idx, in the same order, as the leaf scan computed it:
-// bitwise kernel.Dist2(pt, x[j]). Up to insertionMax candidates are
-// insertion-sorted by index straight into idx and d2; a larger selection
-// is sorted as a copy. Indices are unique, so both give Do's order, and
-// both leave the heap, and so WorstDist2, as Do leaves them. It does not
-// allocate beyond growing idx and d2 (and, once, the copy of a large
-// selection).
+// bitwise kernel.Dist2(pt, x[j]). Sorting a copy of the candidates leaves
+// the heap, and so WorstDist2, as Do leaves them. It does not allocate
+// beyond growing idx and d2.
 func (q *KNNQuery) DoDist2(pt []float64, self int32, maxD2 float64, idx []int32, d2 []float64) ([]int32, []float64) {
 	q.search(pt, self, maxD2)
-	if len(q.h.cand) > insertionMax {
-		q.sorted = append(q.sorted[:0], q.h.cand...)
-		slices.SortFunc(q.sorted, func(a, b kdCand) int { return cmp.Compare(a.idx, b.idx) })
-		for _, c := range q.sorted {
-			idx = append(idx, c.idx)
-			d2 = append(d2, c.d2)
-		}
-		return idx, d2
-	}
-	start := len(idx)
-	for _, c := range q.h.cand {
+	q.sorted = append(q.sorted[:0], q.h.cand...)
+	slices.SortFunc(q.sorted, func(a, b kdCand) int { return cmp.Compare(a.idx, b.idx) })
+	for _, c := range q.sorted {
 		idx = append(idx, c.idx)
 		d2 = append(d2, c.d2)
-		j := len(idx) - 1
-		for ; j > start && idx[j-1] > c.idx; j-- {
-			idx[j], d2[j] = idx[j-1], d2[j-1]
-		}
-		idx[j], d2[j] = c.idx, c.d2
 	}
 	return idx, d2
 }

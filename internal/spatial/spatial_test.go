@@ -108,8 +108,7 @@ func TestCheckPoints(t *testing.T) {
 
 // TestKDTreeKNNMatchesBrute compares a reused KNNQuery to brute-force
 // (d², index) selection across sizes, dimensions, k, and ε pre-filters,
-// through Do and through DoDist2, whose k = 64 and k = 65 cases sit on
-// either side of its insertion-sort bound.
+// through Do and through DoDist2.
 func TestKDTreeKNNMatchesBrute(t *testing.T) {
 	cases := []struct {
 		n, d, k int
@@ -118,7 +117,7 @@ func TestKDTreeKNNMatchesBrute(t *testing.T) {
 		{1, 2, 3, -1}, {30, 1, 5, -1}, {200, 2, 8, -1}, {200, 2, 8, 2.0},
 		{300, 3, 1, -1}, {150, 8, 10, -1}, {100, 2, 150, -1}, {64, 4, 6, 0.5},
 		{400, 5, 10, -1}, {200, 17, 7, -1}, {120, 33, 5, 60},
-		{300, 2, insertionMax, -1}, {300, 2, insertionMax + 1, -1},
+		{300, 2, 64, -1}, {300, 2, 65, -1},
 	}
 	for _, tc := range cases {
 		x := randomPoints(int64(tc.n*10+tc.d+tc.k), tc.n, tc.d)

@@ -10,32 +10,8 @@ import (
 	"testing"
 
 	graphssl "repro"
-	"repro/internal/kernel"
 	"repro/internal/randx"
 )
-
-// fitOptions are the library options buildModel passes for req, without
-// the context.
-func fitOptions(req fitRequest, workers int) ([]graphssl.Option, error) {
-	opts := []graphssl.Option{graphssl.WithWorkers(workers)}
-	if req.Kernel != "" {
-		kind, err := kernel.Parse(req.Kernel)
-		if err != nil {
-			return nil, err
-		}
-		opts = append(opts, graphssl.WithKernel(kind))
-	}
-	if req.Bandwidth != 0 {
-		opts = append(opts, graphssl.WithBandwidth(req.Bandwidth))
-	}
-	if req.KNN != 0 {
-		opts = append(opts, graphssl.WithKNN(req.KNN))
-	}
-	if req.Lambda != nil {
-		opts = append(opts, graphssl.WithLambda(*req.Lambda))
-	}
-	return opts, nil
-}
 
 // fitPathModel builds req's model through graphssl.Fit, Result.Snapshot
 // and NewModel, the path every fit took before graphssl.HardSnapshot.
@@ -51,7 +27,7 @@ func fitPathModel(req fitRequest, workers int) (*Model, error) {
 	if req.TopM > 0 {
 		mopts = append(mopts, WithTopM(req.TopM))
 	}
-	opts, err := fitOptions(req, workers)
+	opts, _, err := fitOptions(&req, workers)
 	if err != nil {
 		return nil, err
 	}
@@ -256,7 +232,7 @@ func TestIngestHardSnapshotMatchesFitPath(t *testing.T) {
 			if tc.req.AnchorSet == "all" || (tc.req.Lambda != nil && *tc.req.Lambda != 0) {
 				return // the Fit path serves these on both sides
 			}
-			opts, err := fitOptions(tc.req, 1)
+			opts, _, err := fitOptions(&tc.req, 1)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -320,7 +296,7 @@ func checkTrapModel(t *testing.T, req fitRequest, info Info, qs [][]float64, ser
 	if info.Anchors != len(req.Labeled) || info.TrainN != len(req.X) || info.LabeledN != len(req.Labeled) || info.Lambda != 0 {
 		t.Fatalf("trap model info %+v", info)
 	}
-	opts, err := fitOptions(req, 1)
+	opts, _, err := fitOptions(&req, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

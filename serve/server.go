@@ -465,31 +465,18 @@ func (s *Server) buildModel(ctx context.Context, req *fitRequest) (*Model, error
 	default:
 		return nil, fmt.Errorf("serve: anchor_set %q (want \"labeled\" or \"all\"): %w", req.AnchorSet, ErrPoint)
 	}
-	ctx, cancel := context.WithTimeout(ctx, s.cfg.FitTimeout)
-	defer cancel()
-	opts := []graphssl.Option{graphssl.WithContext(ctx), graphssl.WithWorkers(s.cfg.Workers)}
-	var kind kernel.Kind
-	if req.Kernel != "" {
-		var err error
-		if kind, err = kernel.Parse(req.Kernel); err != nil {
-			return nil, fmt.Errorf("serve: %v: %w", err, ErrPoint)
-		}
-		opts = append(opts, graphssl.WithKernel(kind))
+	opts, kind, err := fitOptions(req, s.cfg.Workers)
+	if err != nil {
+		return nil, err
 	}
 	if req.Stream {
 		if err := checkStreamFit(req, kind, anchorSet); err != nil {
 			return nil, err
 		}
 	}
-	if req.Bandwidth != 0 {
-		opts = append(opts, graphssl.WithBandwidth(req.Bandwidth))
-	}
-	if req.KNN != 0 {
-		opts = append(opts, graphssl.WithKNN(req.KNN))
-	}
-	if req.Lambda != nil {
-		opts = append(opts, graphssl.WithLambda(*req.Lambda))
-	}
+	ctx, cancel := context.WithTimeout(ctx, s.cfg.FitTimeout)
+	defer cancel()
+	opts = append(opts, graphssl.WithContext(ctx))
 	snap, err := requestSnapshot(req, anchorSet, opts)
 	if err != nil {
 		if ctx.Err() != nil {
@@ -505,6 +492,31 @@ func (s *Server) buildModel(ctx context.Context, req *fitRequest) (*Model, error
 		mopts = append(mopts, WithTopM(req.TopM))
 	}
 	return NewModel(snap, mopts...)
+}
+
+// fitOptions maps a fit request's hyperparameters (kernel, bandwidth, kNN,
+// λ) to library options on workers, without a context. It also returns the
+// parsed kernel, zero when the request names none.
+func fitOptions(req *fitRequest, workers int) ([]graphssl.Option, kernel.Kind, error) {
+	opts := []graphssl.Option{graphssl.WithWorkers(workers)}
+	var kind kernel.Kind
+	if req.Kernel != "" {
+		var err error
+		if kind, err = kernel.Parse(req.Kernel); err != nil {
+			return nil, 0, fmt.Errorf("serve: %v: %w", err, ErrPoint)
+		}
+		opts = append(opts, graphssl.WithKernel(kind))
+	}
+	if req.Bandwidth != 0 {
+		opts = append(opts, graphssl.WithBandwidth(req.Bandwidth))
+	}
+	if req.KNN != 0 {
+		opts = append(opts, graphssl.WithKNN(req.KNN))
+	}
+	if req.Lambda != nil {
+		opts = append(opts, graphssl.WithLambda(*req.Lambda))
+	}
+	return opts, kind, nil
 }
 
 // requestSnapshot builds the snapshot a fit request serves. A labeled-anchor
