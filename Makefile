@@ -65,7 +65,8 @@ fuzz-stream:
 # corpora (including the pinned streaming crashers) and fuzzes briefly,
 # including the sparse assembly (COO → CSR, transpose), the edge-list
 # parser, the KD-tree against brute force, the KD-tree k-NN and radius
-# graphs against the distance-matrix build (byte for byte), the health probe against the
+# graphs against the distance-matrix build (byte for byte) and a complete
+# Gaussian graph's matrix storage against its CSR, the health probe against the
 # dense eigensolver, the request-body decoder against encoding/json, the
 # predict, ingest and fit handlers (no 5xx, typed 4xx envelopes, one score
 # per point), snapshot deltas (ModelSnapshot.ApplyDelta against
@@ -101,21 +102,36 @@ cover:
 # KD-tree k-NN build of the bench/ fit workload's points, the radius build
 # of the bench/ ingest workload's points, that workload's streaming fit
 # snapshotted both ways (Fit then Snapshot, and HardSnapshot without the
-# solve), an 8-point anchor append onto its served predictor (2k and 20k
-# anchors), and the hard solve of the fit workload's problem under each CG
-# preconditioner (Jacobi, the default, and IC(0) after RCM).
+# solve), one bench/ predict workload model's COIL fit snapshotted both ways
+# (its complete graph kept as a matrix and its hard system factored dense),
+# an 8-point anchor append onto the ingest workload's served predictor (2k
+# and 20k anchors), and the hard solve of the fit workload's problem under
+# each CG preconditioner (Jacobi, the default, and IC(0) after RCM).
 bench:
-	$(GO) test -run xxx -bench '^(BenchmarkPairwiseDist2|BenchmarkBuildKNN|BenchmarkBuildKNNKDTree|BenchmarkBuildRadius|BenchmarkStreamFit|BenchmarkNWAppendAnchors|BenchmarkCGMulVec|BenchmarkHardPrecond)$$' -benchmem .
+	$(GO) test -run xxx -bench '^(BenchmarkPairwiseDist2|BenchmarkBuildKNN|BenchmarkBuildKNNKDTree|BenchmarkBuildRadius|BenchmarkStreamFit|BenchmarkCOILFit|BenchmarkNWAppendAnchors|BenchmarkCGMulVec|BenchmarkHardPrecond)$$' -benchmem .
 
 # Builds the bench/ binary as bench/run.sh does (its -h run only prints the
 # usage) and prints the address of main.refLoop, the host-speed reference
 # loop, with its offset mod 64. The loop's speed depends on its alignment,
-# so a comparison of two builds reports both offsets.
+# so a comparison of two builds reports both offsets: with BASE=<rev> it
+# also builds <rev> the same way from a git archive copy in a temporary
+# directory, prints that offset too and says whether the two match.
 bench-refloop:
 	@bash bench/run.sh -h >/dev/null 2>&1
-	@addr=$$($(GO) tool nm .bench_build/bench | awk '$$3 == "main.refLoop" { print $$1 }'); \
+	@refloop() { $(GO) tool nm "$$1" | awk '$$3 == "main.refLoop" { print $$1 }'; }; \
+	addr=$$(refloop .bench_build/bench); \
 	if [ -z "$$addr" ]; then echo "main.refLoop not found in .bench_build/bench"; exit 1; fi; \
-	echo "main.refLoop 0x$$addr, offset $$((0x$$addr % 64)) mod 64"
+	echo "main.refLoop 0x$$addr, offset $$((0x$$addr % 64)) mod 64"; \
+	if [ -n "$(BASE)" ]; then \
+		tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
+		git archive "$(BASE)" | tar -x -C "$$tmp" || exit 1; \
+		(cd "$$tmp" && bash bench/run.sh -h >/dev/null 2>&1); \
+		base=$$(refloop "$$tmp/.bench_build/bench"); \
+		if [ -z "$$base" ]; then echo "main.refLoop not found in the $(BASE) build"; exit 1; fi; \
+		echo "$(BASE): main.refLoop 0x$$base, offset $$((0x$$base % 64)) mod 64"; \
+		if [ $$((0x$$addr % 64)) -eq $$((0x$$base % 64)) ]; then echo "offsets match"; \
+		else echo "offsets differ: a normalized comparison of these builds is skewed"; fi; \
+	fi
 
 # End-to-end smoke of the serving subsystem: boots sslserve on a free port,
 # fits a model over HTTP, runs concurrent multi-point predicts, checks

@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"sort"
 	"testing"
 
 	"repro/internal/coil"
@@ -423,6 +424,53 @@ func BenchmarkStreamFit(b *testing.B) {
 		labeled, y = append(labeled, i), append(y, all[i])
 	}
 	opts := []Option{WithKernel(Epanechnikov), WithBandwidth(h), WithWorkers(1)}
+	b.Run("fit+snapshot", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			res, err := Fit(x, y, labeled, opts...)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if _, err := res.Snapshot(x, y); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("hard-snapshot", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := HardSnapshot(x, y, labeled, opts...); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+}
+
+// BenchmarkCOILFit times the fit of one bench/ predict workload model at
+// seed 1 (coil.GenerateSized(4, 250): 1,500 COIL-like images of 256
+// pixels, a random 10% labeled, Gaussian, the median-heuristic bandwidth
+// passed as a fixed h, one worker, as the server fits it): Fit then
+// Result.Snapshot, which builds the complete graph and factors its
+// 1,350-unknown hard system by dense Cholesky, and HardSnapshot, which stops
+// after the coverage check.
+func BenchmarkCOILFit(b *testing.B) {
+	const seed = 4
+	d, err := coil.GenerateSized(seed, 250)
+	if err != nil {
+		b.Fatal(err)
+	}
+	x, all := d.X(), d.YBinary()
+	labeled := randx.New(seed).Perm(len(x))[:len(x)/10]
+	sort.Ints(labeled)
+	y := make([]float64, len(labeled))
+	for j, l := range labeled {
+		y[j] = all[l]
+	}
+	h, err := kernel.MedianHeuristic(x, 200000)
+	if err != nil {
+		b.Fatal(err)
+	}
+	opts := []Option{WithKernel(Gaussian), WithBandwidth(h), WithWorkers(1)}
 	b.Run("fit+snapshot", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {

@@ -68,6 +68,7 @@ func FitGraph(w *sparse.CSR, y []float64, labeled []int, opts ...Option) (res *R
 	if err != nil {
 		return nil, translateCoreErr(err)
 	}
+	countSolve(sol)
 	cfg.report.addStage("solve", time.Since(solveStart))
 	cfg.report.fromSolution(sol)
 	return &Result{

@@ -5,6 +5,9 @@ import (
 	"errors"
 	"math"
 	"testing"
+
+	"repro/internal/graph"
+	"repro/internal/kernel"
 )
 
 // FuzzFit drives the full fit pipeline with arbitrary bytes decoded into
@@ -16,7 +19,9 @@ import (
 // plan is Cholesky alone, so both fail with the same sentinel or return
 // bitwise-equal scores. A hard-criterion input (λ = 0) also goes through
 // HardSnapshot, which must fail as Fit fails or freeze Fit's snapshot
-// (checkHardSnapshot). Run the full campaign with `make fuzz`.
+// (checkHardSnapshot), and one that Fit accepts is refitted through
+// FitGraph on the CSR of the same graph (checkFitGraph). Run the full
+// campaign with `make fuzz`.
 func FuzzFit(f *testing.F) {
 	// Seed corpus: a healthy fit, degenerate shapes, duplicate points,
 	// pathological parameter values.
@@ -113,5 +118,41 @@ func FuzzFit(f *testing.F) {
 				t.Fatalf("score %d: default %v, explicit Cholesky %v", i, s, chol.Scores[i])
 			}
 		}
+		if lambda == 0 {
+			checkFitGraph(t, x, y, labeled, res)
+		}
 	})
+}
+
+// checkFitGraph refits a hard-criterion fit that Fit accepted through
+// FitGraph, on the CSR of the same graph: the Weights of a Build with the
+// fit's kernel and resolved bandwidth. Fit writes its dense system from the
+// complete graph's matrix, FitGraph from CSR rows; both must give the same
+// score bits and the same GraphStats.
+func checkFitGraph(t *testing.T, x [][]float64, y []float64, labeled []int, res *Result) {
+	t.Helper()
+	k, err := kernel.New(res.Kernel, res.Bandwidth)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := graph.NewBuilder(k)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, err := b.Build(x)
+	if err != nil {
+		t.Fatal(err)
+	}
+	viaCSR, err := FitGraph(g.Weights(), y, labeled)
+	if err != nil {
+		t.Fatalf("Fit succeeded, FitGraph on its graph's CSR failed: %v", err)
+	}
+	if viaCSR.GraphStats != res.GraphStats {
+		t.Fatalf("GraphStats: Fit %+v, FitGraph %+v", res.GraphStats, viaCSR.GraphStats)
+	}
+	for i, s := range res.Scores {
+		if math.Float64bits(s) != math.Float64bits(viaCSR.Scores[i]) {
+			t.Fatalf("score %d: Fit %v, FitGraph %v", i, s, viaCSR.Scores[i])
+		}
+	}
 }

@@ -338,9 +338,8 @@ func (r *Result) Snapshot(x [][]float64, y []float64) (*ModelSnapshot, error) {
 // singular, or on which the iterative solve stagnates.
 func HardSnapshot(x [][]float64, y []float64, labeled []int, opts ...Option) (*ModelSnapshot, error) {
 	res, rep, err := hardFit(x, y, labeled, opts)
-	// No solve ran, so the solver, preconditioner and fallback counters
-	// stay where they are.
-	countFit(nil, err)
+	// No solve ran, so the solver counters stay where they are.
+	countFit(err)
 	if err != nil {
 		if rep != nil {
 			rep.Err = err.Error()
@@ -394,15 +393,16 @@ func hardFit(x [][]float64, y []float64, labeled []int, opts []Option) (*Result,
 // first len(y) points are labeled.
 func Fit(x [][]float64, y []float64, labeled []int, opts ...Option) (*Result, error) {
 	res, rep, err := fit(x, y, labeled, opts)
-	countFit(rep, err)
+	countFit(err)
 	if rep != nil && err != nil {
 		rep.Err = err.Error()
 	}
 	return res, err
 }
 
-// fit is the Fit pipeline body; Fit wraps it to update the expvar counters
-// and the diagnostics report exactly once per call.
+// fit is the Fit pipeline body; Fit wraps it to update the fit counters and
+// the diagnostics report exactly once per call, and it moves the solver
+// counters once its solve succeeds.
 func fit(x [][]float64, y []float64, labeled []int, opts []Option) (*Result, *Report, error) {
 	cfg := newConfig(opts)
 	p, bw, g, err := prepare(x, y, labeled, cfg)
@@ -415,6 +415,7 @@ func fit(x [][]float64, y []float64, labeled []int, opts []Option) (*Result, *Re
 	if err != nil {
 		return nil, cfg.report, translateCoreErr(err)
 	}
+	countSolve(sol)
 	cfg.report.addStage("solve", time.Since(solveStart))
 	if r := cfg.report; r != nil {
 		r.Bandwidth = bw

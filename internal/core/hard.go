@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"slices"
 	"time"
 
 	"repro/internal/mat"
@@ -292,6 +293,94 @@ func buildHardSystem(p *Problem) (*hardSystem, error) {
 	return &hardSystem{a: a, b: b, w22: w22, d22: d22, pos: pos}, nil
 }
 
+// denseHardSystem writes A = D22 − W22 and b = W21·Y straight into an m×m
+// mat.Dense from the graph's rows (Graph.DenseRow), for the solves that
+// factor A by Cholesky: no CSR of W, A or W22 is built. It runs the same
+// coverage check first and stores the entries buildHardSystem stores, with
+// the same bits, and +0 elsewhere; each b[k] is summed over the labeled
+// columns in ascending order, as buildHardSystem sums it. So A equals
+// buildHardSystem(p).a.ToDense() and b equals its b, bit for bit.
+func denseHardSystem(p *Problem) (*mat.Dense, []float64, error) {
+	if err := p.CheckCoverage(); err != nil {
+		return nil, nil, err
+	}
+	n := p.g.N()
+	deg := p.g.Degrees()
+	labeled := slices.Clone(p.labeled)
+	slices.Sort(labeled)
+	yAt := make([]float64, n)
+	for k, l := range p.labeled {
+		yAt[l] = p.y[k]
+	}
+	m := p.M()
+	a := mat.NewDense(m, m)
+	b := make([]float64, m)
+	buf := make([]float64, n)
+	for k, u := range p.unlabeled {
+		row, ak := p.g.DenseRow(u, buf), a.RawRow(k)
+		for q, j := range p.unlabeled {
+			if v := row[j]; v != 0 {
+				ak[q] = -v
+			}
+		}
+		// A self-loop w_uu meets the diagonal as deg[u] − w_uu.
+		ak[k] = deg[u]
+		if v := row[u]; v != 0 {
+			ak[k] = deg[u] - v
+		}
+		for _, l := range labeled {
+			if v := row[l]; v != 0 {
+				b[k] += v * yAt[l]
+			}
+		}
+	}
+	return a, b, nil
+}
+
+// denseHard reports whether a hard solve of m unknowns under cfg runs on a
+// dense factorization alone: an explicit Cholesky, or MethodAuto at or
+// below its cutoff, whose plan is Cholesky whatever the probe reads.
+func denseHard(cfg solveConfig, m int) bool {
+	switch cfg.method {
+	case MethodCholesky:
+		return true
+	case MethodAuto:
+		cutoff := cfg.autoCutoff
+		if cutoff <= 0 {
+			cutoff = defaultAutoCutoff
+		}
+		return m <= cutoff
+	default:
+		return false
+	}
+}
+
+// hardSolveSystem assembles the hard system in the form the solve reads.
+// Where Cholesky alone factors it (denseHard), A is written dense
+// (denseHardSystem), and the CSR A is built beside it only for the health
+// probe that WithHealthProbe forces on the auto chain, so the probe reads
+// the matrix it reads on every other route. Elsewhere A is the CSR that CG
+// and the probe read, and a chain's Cholesky fallback densifies it.
+func hardSolveSystem(p *Problem, cfg solveConfig) (system, error) {
+	dense := denseHard(cfg, p.M())
+	var s system
+	if !dense || (cfg.method == MethodAuto && cfg.probe) {
+		sys, err := buildHardSystem(p)
+		if err != nil {
+			return s, err
+		}
+		s.a, s.b = sys.a, sys.b
+	}
+	if dense {
+		a, b, err := denseHardSystem(p)
+		if err != nil {
+			return s, err
+		}
+		s.dense, s.b = a, b
+	}
+	return s, nil
+}
+
 // explicitMethod rejects a WithMethod value that runBackend cannot run:
 // anything but Cholesky and CG.
 func explicitMethod(m Method) error {
@@ -324,7 +413,7 @@ func SolveHard(p *Problem, opts ...SolveOption) (*Solution, error) {
 	if err := ctxErr(cfg.ctx); err != nil {
 		return nil, err
 	}
-	sys, err := buildHardSystem(p)
+	sys, err := hardSolveSystem(p, cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -337,12 +426,12 @@ func SolveHard(p *Problem, opts ...SolveOption) (*Solution, error) {
 	)
 	switch cfg.method {
 	case MethodAuto:
-		fu, res, method, trace, err = runChain(cfg.ctx, sys.a, sys.b, cfg)
+		fu, res, method, trace, err = runChain(cfg.ctx, sys, cfg)
 	default:
 		if err := explicitMethod(cfg.method); err != nil {
 			return nil, err
 		}
-		fu, res, cgOut, err = runBackend(cfg.ctx, cfg.method, sys.a, sys.b, cfg, 0)
+		fu, res, cgOut, err = runBackend(cfg.ctx, cfg.method, sys, cfg, 0)
 	}
 	if err == nil && !finiteVec(fu) {
 		err = fmt.Errorf("core: %v produced non-finite values: %w", method, mat.ErrSingular)

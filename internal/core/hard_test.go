@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"repro/internal/graph"
+	"repro/internal/kernel"
 	"repro/internal/mat"
 	"repro/internal/randx"
 	"repro/internal/sparse"
@@ -496,5 +497,164 @@ func TestBuildHardSystemMatchesCOOAssembly(t *testing.T) {
 			}
 		}
 		check(fmt.Sprintf("trial %d (n=%d)", trial, n), coo, labeled, y)
+	}
+}
+
+// TestDenseHardSystemMatchesCSR: the dense assembly that the Cholesky
+// solves read equals buildHardSystem's CSR system densified, entry for
+// entry and bit for bit (+0 where the CSR stores nothing), with the same
+// b, or fails with the same error. Graphs: matrix-stored complete Gaussian
+// builds (Build and BuildFromDist2), one whose weights underflow to
+// subnormals and zeros yet stay connected, and one they split so coverage
+// fails; the same graphs as CSRs through FromWeights; a k-NN graph; an
+// isolated compact-kernel input; the zero-degree and random self-loop
+// graphs of TestBuildHardSystemMatchesCOOAssembly.
+func TestDenseHardSystemMatchesCSR(t *testing.T) {
+	check := func(label string, g *graph.Graph, labeled []int, y []float64) {
+		t.Helper()
+		p, err := NewProblem(g, labeled, y)
+		if err != nil {
+			t.Fatalf("%s: %v", label, err)
+		}
+		a, b, err := denseHardSystem(p)
+		want, wantErr := buildHardSystem(p)
+		if err != nil || wantErr != nil {
+			if err == nil || wantErr == nil || err.Error() != wantErr.Error() {
+				t.Fatalf("%s: dense assembly error %v, CSR assembly error %v", label, err, wantErr)
+			}
+			return
+		}
+		wa := want.a.ToDense()
+		m := p.M()
+		if r, c := a.Dims(); r != m || c != m {
+			t.Fatalf("%s: dense A is %dx%d, want %dx%d", label, r, c, m, m)
+		}
+		for i := 0; i < m; i++ {
+			for j, v := range a.RawRow(i) {
+				if math.Float64bits(v) != math.Float64bits(wa.At(i, j)) {
+					t.Fatalf("%s: A[%d][%d] = %v (bits %x), want %v (bits %x)", label, i, j, v, math.Float64bits(v), wa.At(i, j), math.Float64bits(wa.At(i, j)))
+				}
+			}
+			if math.Float64bits(b[i]) != math.Float64bits(want.b[i]) {
+				t.Fatalf("%s: b[%d] = %v, want %v", label, i, b[i], want.b[i])
+			}
+		}
+	}
+	// Both storages of one graph: as built, and as a CSR.
+	both := func(label string, g *graph.Graph, labeled []int, y []float64) {
+		t.Helper()
+		check(label, g, labeled, y)
+		csr, err := graph.FromWeights(g.Weights())
+		if err != nil {
+			t.Fatal(err)
+		}
+		check(label+" as CSR", csr, labeled, y)
+	}
+
+	rng := randx.New(311)
+	x := make([][]float64, 70)
+	for i := range x {
+		x[i] = []float64{rng.Norm(), rng.Norm(), rng.Norm()}
+	}
+	var labeled []int
+	var y []float64
+	for i := 0; i < len(x); i += 7 {
+		labeled, y = append(labeled, 69-i), append(y, rng.Norm())
+	}
+	for _, h := range []float64{0.05, 0.3, 1, 4} {
+		b, err := graph.NewBuilder(kernelGaussian(t, h))
+		if err != nil {
+			t.Fatal(err)
+		}
+		g, err := b.Build(x)
+		if err != nil {
+			t.Fatal(err)
+		}
+		both(fmt.Sprintf("gaussian h=%v", h), g, labeled, y)
+		d2, err := kernel.PairwiseDist2(x)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if g, err = b.BuildFromDist2(len(x), d2); err != nil {
+			t.Fatal(err)
+		}
+		both(fmt.Sprintf("gaussian h=%v from d2", h), g, labeled, y)
+	}
+	kb, err := graph.NewBuilder(kernelGaussian(t, 1), graph.WithKNN(5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, err := kb.Build(x)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("knn 5", g, labeled, y)
+
+	// A line at spacing 0.5 under h = 0.15: neighbours 0.5 apart weigh
+	// e^-11.1, pairs 4 apart are subnormal, pairs farther apart underflow to
+	// +0. The first line is connected; the second has a gap of 5 with no
+	// label beyond it, so coverage fails.
+	line := func(gap float64) [][]float64 {
+		var pts [][]float64
+		for i := 0; i < 12; i++ {
+			v := 0.5 * float64(i)
+			if i >= 8 {
+				v += gap
+			}
+			pts = append(pts, []float64{v})
+		}
+		return pts
+	}
+	ub, err := graph.NewBuilder(kernelGaussian(t, 0.15))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, gap := range []float64{0, 5} {
+		g, err := ub.Build(line(gap))
+		if err != nil {
+			t.Fatal(err)
+		}
+		both(fmt.Sprintf("underflow gap %v", gap), g, []int{0, 5}, []float64{1, -2})
+	}
+	eb, err := graph.NewBuilder(kernel.MustNew(kernel.Epanechnikov, 0.6))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if g, err = eb.Build(line(5)); err != nil {
+		t.Fatal(err)
+	}
+	both("isolated compact", g, []int{0}, []float64{1})
+
+	zero := sparse.NewCOO(5, 5)
+	_ = zero.AddSym(0, 1, 1)
+	_ = zero.AddSym(1, 2, -1)
+	_ = zero.AddSym(2, 3, 3)
+	_ = zero.Add(3, 3, -3)
+	_ = zero.AddSym(2, 4, 1)
+	if g, err = graph.FromWeights(zero.ToCSR()); err != nil {
+		t.Fatal(err)
+	}
+	check("zero degrees", g, []int{0, 4}, []float64{1, 2})
+	for trial := 0; trial < 30; trial++ {
+		n := 8 + rng.Intn(25)
+		coo := sparse.NewCOO(n, n)
+		for i := 0; i+1 < n; i++ {
+			_ = coo.AddSym(i, i+1, rng.Float64()*math.Pow(10, float64(rng.Intn(7)-3)))
+		}
+		var labeled []int
+		var y []float64
+		for i := 0; i < n; i++ {
+			if i == 0 || rng.Intn(3) == 0 {
+				labeled = append(labeled, i)
+				y = append(y, rng.Norm())
+			}
+			if rng.Intn(3) == 0 {
+				_ = coo.Add(i, i, rng.Float64()*math.Pow(10, float64(rng.Intn(5)-2)))
+			}
+		}
+		if g, err = graph.FromWeights(coo.ToCSR()); err != nil {
+			t.Fatal(err)
+		}
+		check(fmt.Sprintf("self-loops trial %d", trial), g, labeled, y)
 	}
 }

@@ -224,21 +224,31 @@ func planAuto(h *Health, n, cutoff int) ([]Method, string) {
 	return []Method{MethodCG, MethodCholesky}, "large well-conditioned system: preconditioned CG first"
 }
 
+// system is a linear system A x = b as the backends read it. CG and the
+// health probe read the CSR a. Cholesky factors dense: the matrix dense
+// where A was assembled dense, a.ToDense() otherwise. A system assembled
+// dense carries a only where a forced health probe reads it.
+type system struct {
+	a     *sparse.CSR
+	dense *mat.Dense
+	b     []float64
+}
+
 // runChain executes the MethodAuto pipeline on A x = b: probe (where the
 // plan reads it: above the cutoff and at most maxDenseUnknowns, or under
 // WithHealthProbe), plan, then attempt each backend in order, escalating
 // on failure and recording everything in the returned trace.
 // Cancellation is never escalated: a done context aborts the chain
 // immediately.
-func runChain(ctx context.Context, a *sparse.CSR, b []float64, cfg solveConfig) ([]float64, sparse.SolveResult, Method, *SolveTrace, error) {
-	n := a.Rows()
+func runChain(ctx context.Context, s system, cfg solveConfig) ([]float64, sparse.SolveResult, Method, *SolveTrace, error) {
+	n := len(s.b)
 	cutoff := cfg.autoCutoff
 	if cutoff <= 0 {
 		cutoff = defaultAutoCutoff
 	}
 	trace := &SolveTrace{}
 	if (n > cutoff && n <= maxDenseUnknowns) || cfg.probe {
-		h, err := probeHealth(a, cfg.workers)
+		h, err := probeHealth(s.a, cfg.workers)
 		if err != nil {
 			return nil, sparse.SolveResult{}, MethodAuto, trace, err
 		}
@@ -259,7 +269,7 @@ func runChain(ctx context.Context, a *sparse.CSR, b []float64, cfg solveConfig) 
 			})
 		}
 		start := time.Now()
-		x, res, out, err := runBackend(ctx, m, a, b, cfg, chainStagnationWindow)
+		x, res, out, err := runBackend(ctx, m, s, cfg, chainStagnationWindow)
 		att := Attempt{
 			Method:       m,
 			Iterations:   res.Iterations,
@@ -295,17 +305,22 @@ func runChain(ctx context.Context, a *sparse.CSR, b []float64, cfg solveConfig) 
 // (Jacobi unless PrecondIC0 or PrecondNone is asked for) with the given
 // stagnation window — chainStagnationWindow in the chain, so pathological
 // systems fail fast and escalate, and 0 (off) for an explicit method;
-// direct backends densify and factorize.
-func runBackend(ctx context.Context, m Method, a *sparse.CSR, b []float64, cfg solveConfig, stagnationWindow int) ([]float64, sparse.SolveResult, cgOutcome, error) {
+// Cholesky factors the system's dense matrix, densifying the CSR where the
+// system was not assembled dense.
+func runBackend(ctx context.Context, m Method, s system, cfg solveConfig, stagnationWindow int) ([]float64, sparse.SolveResult, cgOutcome, error) {
 	switch m {
 	case MethodCG:
-		return solveCG(ctx, a, b, cfg, stagnationWindow)
+		return solveCG(ctx, s.a, s.b, cfg, stagnationWindow)
 	case MethodCholesky:
-		ch, err := mat.NewCholesky(a.ToDense())
+		a := s.dense
+		if a == nil {
+			a = s.a.ToDense()
+		}
+		ch, err := mat.NewCholesky(a)
 		if err != nil {
 			return nil, sparse.SolveResult{}, cgOutcome{}, err
 		}
-		x, err := ch.Solve(b)
+		x, err := ch.Solve(s.b)
 		return x, sparse.SolveResult{}, cgOutcome{}, err
 	default:
 		return nil, sparse.SolveResult{}, cgOutcome{}, fmt.Errorf("core: backend %v not usable in auto chain: %w", m, ErrParam)

@@ -183,23 +183,6 @@ func (m *MulticlassProblem) Solve(lambda float64, normalize bool, opts ...SolveO
 	}, nil
 }
 
-// denseHard reports whether a hard solve of m unknowns under cfg runs on a
-// dense factorization.
-func denseHard(cfg solveConfig, m int) bool {
-	switch cfg.method {
-	case MethodCholesky:
-		return true
-	case MethodAuto:
-		cutoff := cfg.autoCutoff
-		if cutoff <= 0 {
-			cutoff = defaultAutoCutoff
-		}
-		return m <= cutoff
-	default:
-		return false
-	}
-}
-
 // clampPrior keeps empirical priors inside (0,1) so CMN stays defined even
 // when a class has no or all labeled mass after splitting.
 func clampPrior(p float64) float64 {

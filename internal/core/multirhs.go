@@ -15,15 +15,15 @@ type HardFactorization struct {
 	chol *mat.Cholesky
 }
 
-// NewHardFactorization builds the system and factors it once with Cholesky:
-// D22−W22 is a symmetric M-matrix, positive definite whenever every
-// unlabeled component touches a label.
+// NewHardFactorization writes the system matrix dense (denseHardSystem) and
+// factors it once with Cholesky: D22−W22 is a symmetric M-matrix, positive
+// definite whenever every unlabeled component touches a label.
 func NewHardFactorization(p *Problem) (*HardFactorization, error) {
-	sys, err := buildHardSystem(p)
+	a, _, err := denseHardSystem(p)
 	if err != nil {
 		return nil, err
 	}
-	chol, err := mat.NewCholesky(sys.a.ToDense())
+	chol, err := mat.NewCholesky(a)
 	if err != nil {
 		return nil, fmt.Errorf("core: hard factorization: %w: %w", ErrSolver, err)
 	}

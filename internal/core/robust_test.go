@@ -413,7 +413,7 @@ func TestAutoChainStagnationAboveDenseCap(t *testing.T) {
 		t.Fatal(err)
 	}
 	start := time.Now()
-	x, _, _, tr, err := runChain(nil, a, b, cfg)
+	x, _, _, tr, err := runChain(nil, system{a: a, b: b}, cfg)
 	elapsed := time.Since(start)
 	if !errors.Is(err, sparse.ErrStagnated) || x != nil {
 		t.Fatalf("want an error wrapping ErrStagnated, got %v", err)
@@ -443,7 +443,7 @@ func TestAutoProbeAboveDenseCapOnRequest(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		x, _, m, tr, err := runChain(nil, a, b, cfg)
+		x, _, m, tr, err := runChain(nil, system{a: a, b: b}, cfg)
 		if err != nil || m != MethodCG {
 			t.Fatalf("chain settled on %v: %v", m, err)
 		}

@@ -69,12 +69,12 @@ func SolveSoft(p *Problem, lambda float64, opts ...SolveOption) (*Solution, erro
 	)
 	switch cfg.method {
 	case MethodAuto:
-		f, res, method, trace, err = runChain(cfg.ctx, a, rhs, cfg)
+		f, res, method, trace, err = runChain(cfg.ctx, system{a: a, b: rhs}, cfg)
 	default:
 		if err := explicitMethod(cfg.method); err != nil {
 			return nil, err
 		}
-		f, res, cgOut, err = runBackend(cfg.ctx, cfg.method, a, rhs, cfg, 0)
+		f, res, cgOut, err = runBackend(cfg.ctx, cfg.method, system{a: a, b: rhs}, cfg, 0)
 	}
 	if err == nil && !finiteVec(f) {
 		err = fmt.Errorf("core: %v produced non-finite values: %w", method, mat.ErrSingular)

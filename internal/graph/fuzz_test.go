@@ -51,13 +51,20 @@ func FuzzReadEdgeList(f *testing.F) {
 // distance-matrix build, byte for byte (row extents, columns and value
 // bits), at workers 1 and 2, and both against a naive construction: for
 // k-NN, a full sort of every row by (d², index) and an edge wherever either
-// endpoint selected the other and the weight is positive; for a radius
-// build, an edge between every pair of positive weight. Bytes decode as
+// endpoint selected the other and the weight is positive; for a build
+// without k-NN, an edge between every pair of positive weight. A Gaussian
+// build without k-NN, which only the distance matrix builds, is checked the
+// same way through Build at workers 1 and 2, and its matrix-stored
+// ComponentLabels, Summary and Degrees against those of the CSR graph
+// FromWeights(g.Weights()). Bytes decode as
 //
 //	data[0]    dimension, 1 + data[0]%9
 //	data[1]    k, 1 + data[1]%20
-//	data[2]    bit 0: a radius build instead (no k-NN), under bit 1's
-//	           kernel: set, Uniform, h = 1; clear, Epanechnikov, h = 1.5
+//	data[2]    bit 0: a build without k-NN instead; bit 2 set, a complete
+//	           Gaussian graph, h = 0.15, whose weights past distance 4.1
+//	           underflow to 0 (subnormal just inside); clear, a radius
+//	           build under bit 1's kernel: set, Uniform, h = 1; clear,
+//	           Epanechnikov, h = 1.5
 //	data[3]    k-NN builds' kernel: even, Gaussian, h = 1; odd,
 //	           Epanechnikov, h = 1.5, whose zero weights past h drop
 //	           selected edges
@@ -80,6 +87,14 @@ func FuzzKNNGraph(f *testing.F) {
 		}
 		f.Add(data)
 	}
+	// Complete Gaussian graphs over far-apart clusters. 1-D points at -3.5,
+	// -3, 0.5 and 1: the two pairs 4 apart join the clusters by subnormal
+	// weights, and the pair 4.5 apart underflows to 0. 2-D points at two
+	// opposite corners and the origin, at least 4.9 apart: three
+	// components.
+	f.Add([]byte{0, 0, 5, 0, 2, 0xf9, 2, 0xfa, 2, 1, 2, 2})
+	f.Add([]byte{1, 0, 5, 0, 2, 0xf9, 0xf9, 2, 0xf9, 0xfa, 2, 7, 7, 2, 7, 6, 2, 0, 0})
+
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < 5 {
 			return
@@ -90,7 +105,11 @@ func FuzzKNNGraph(f *testing.F) {
 		if data[3]%2 == 1 {
 			k = kernel.MustNew(kernel.Epanechnikov, 1.5)
 		}
-		if data[2]&1 != 0 {
+		complete := data[2]&1 != 0 && data[2]&4 != 0
+		switch {
+		case complete:
+			knn, k = 0, kernel.MustNew(kernel.Gaussian, 0.15)
+		case data[2]&1 != 0:
 			knn, k = 0, kernel.MustNew(kernel.Epanechnikov, 1.5)
 			if data[2]&2 != 0 {
 				k = kernel.MustNew(kernel.Uniform, 1)
@@ -117,7 +136,11 @@ func FuzzKNNGraph(f *testing.F) {
 			t.Fatalf("BuildFromDist2 (n=%d d=%d k=%d): %s", n, d, knn, msg)
 		}
 		for _, w := range []int{1, 2} {
-			b, err := NewBuilder(k, WithKNN(knn), WithIndex(IndexKDTree), WithWorkers(w))
+			opts := []Option{WithKNN(knn), WithWorkers(w)}
+			if !complete {
+				opts = append(opts, WithIndex(IndexKDTree))
+			}
+			b, err := NewBuilder(k, opts...)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -125,11 +148,45 @@ func FuzzKNNGraph(f *testing.F) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			if complete {
+				if msg := storageMismatch(g); msg != "" {
+					t.Fatalf("matrix-stored workers=%d (n=%d d=%d): %s", w, n, d, msg)
+				}
+			}
 			if msg := csrMismatch(g, ref); msg != "" {
-				t.Fatalf("kd-tree workers=%d (n=%d d=%d k=%d): %s", w, n, d, knn, msg)
+				t.Fatalf("build workers=%d (n=%d d=%d k=%d): %s", w, n, d, knn, msg)
 			}
 		}
 	})
+}
+
+// storageMismatch compares what a graph reads from its own storage, its
+// ComponentLabels, Summary and Degrees, with the same of the CSR graph over
+// its Weights, bit for bit, and describes the first difference.
+func storageMismatch(g *Graph) string {
+	label, count := g.ComponentLabels()
+	stats, deg := g.Summary(), g.Degrees()
+	csr, err := FromWeights(g.Weights())
+	if err != nil {
+		return err.Error()
+	}
+	wantLabel, wantCount := csr.ComponentLabels()
+	if count != wantCount || !slices.Equal(label, wantLabel) {
+		return fmt.Sprintf("%d components %v, want %d %v", count, label, wantCount, wantLabel)
+	}
+	bits := math.Float64bits
+	want := csr.Summary()
+	if stats.Nodes != want.Nodes || stats.Edges != want.Edges || stats.Components != want.Components ||
+		bits(stats.MinDegree) != bits(want.MinDegree) || bits(stats.MaxDegree) != bits(want.MaxDegree) ||
+		bits(stats.MeanDegree) != bits(want.MeanDegree) {
+		return fmt.Sprintf("summary %+v, want %+v", stats, want)
+	}
+	for i, v := range csr.Degrees() {
+		if bits(deg[i]) != bits(v) {
+			return fmt.Sprintf("degree %d = %v, want %v", i, deg[i], v)
+		}
+	}
+	return ""
 }
 
 // knnFuzzPoints decodes FuzzKNNGraph's point bytes.

@@ -30,8 +30,19 @@ var (
 // graphs have w_ii = 1, which cancels in all Laplacian quantities). A Graph
 // is immutable once built, which lets it label its connected components
 // once for every caller.
+//
+// A graph built from the distance matrix without a k-NN selection (a
+// complete graph under a non-compact kernel, and any brute-force build of a
+// compact one) keeps W as one n×n row-major matrix, with +0 wherever the
+// weight is not positive; every other graph stores W as a CSR. Weights
+// returns the CSR either way, building it from the matrix on first use.
 type Graph struct {
-	w *sparse.CSR
+	n     int
+	dense []float64 // n×n row-major W of a matrix-stored graph; nil for a CSR graph
+	deg   []float64 // a matrix-stored graph's degrees, summed as it was built
+
+	wOnce sync.Once
+	w     *sparse.CSR // the CSR of W; for a matrix-stored graph, set by Weights
 
 	compOnce  sync.Once
 	compLabel []int // compLabel[i] = component of node i (see ComponentLabels)
@@ -57,7 +68,7 @@ func FromWeights(w *sparse.CSR) (*Graph, error) {
 	if !w.IsSymmetric(1e-12 * maxAbs) {
 		return nil, fmt.Errorf("graph: weights not symmetric: %w", ErrParam)
 	}
-	return &Graph{w: w}, nil
+	return &Graph{n: r, w: w}, nil
 }
 
 // FromDenseWeights wraps a dense symmetric similarity matrix, dropping exact
@@ -67,22 +78,94 @@ func FromDenseWeights(w *mat.Dense) (*Graph, error) {
 }
 
 // N returns the node count.
-func (g *Graph) N() int { return g.w.Rows() }
+func (g *Graph) N() int { return g.n }
 
-// Weights returns the underlying CSR similarity matrix.
-func (g *Graph) Weights() *sparse.CSR { return g.w }
+// Weights returns the CSR similarity matrix. A matrix-stored graph builds it
+// on the first call, once for every caller, with the positive weights of
+// each row in ascending column order; the returned matrix must not be
+// modified.
+func (g *Graph) Weights() *sparse.CSR {
+	if g.dense != nil {
+		g.wOnce.Do(g.denseCSR)
+	}
+	return g.w
+}
+
+// denseCSR builds the CSR of a matrix-stored graph: a count pass sizing each
+// row, then a fill pass.
+func (g *Graph) denseCSR() {
+	n := g.n
+	indptr := make([]int, n+1)
+	for i := range n {
+		nz := 0
+		for _, v := range g.dense[i*n : (i+1)*n] {
+			if v != 0 {
+				nz++
+			}
+		}
+		indptr[i+1] = indptr[i] + nz
+	}
+	indices := make([]int, indptr[n])
+	data := make([]float64, indptr[n])
+	for i := range n {
+		k := indptr[i]
+		for j, v := range g.dense[i*n : (i+1)*n] {
+			if v != 0 {
+				indices[k], data[k] = j, v
+				k++
+			}
+		}
+	}
+	w, err := sparse.NewCSR(n, n, indptr, indices, data)
+	if err != nil {
+		panic(err) // unreachable: rows are ascending and in range by construction
+	}
+	g.w = w
+}
+
+// DenseRow returns row i of W as a slice of length N(). A matrix-stored graph
+// returns its own row, which the caller must not modify; a CSR graph
+// scatters its stored row into buf, which must have length N(), zeroed
+// elsewhere, and returns buf.
+func (g *Graph) DenseRow(i int, buf []float64) []float64 {
+	if g.dense != nil {
+		return g.dense[i*g.n : (i+1)*g.n]
+	}
+	clear(buf)
+	cols, vals := g.w.RowNNZ(i)
+	for k, j := range cols {
+		buf[j] = vals[k]
+	}
+	return buf
+}
 
 // Weight returns w_ij.
-func (g *Graph) Weight(i, j int) float64 { return g.w.At(i, j) }
+func (g *Graph) Weight(i, j int) float64 { return g.Weights().At(i, j) }
 
-// Degrees returns d_i = Σ_j w_ij.
-func (g *Graph) Degrees() []float64 { return g.w.RowSums() }
+// Degrees returns d_i = Σ_j w_ij, each summed in ascending column order. A
+// matrix-stored row adds its +0 entries too, which leaves every partial sum
+// as the CSR's stored entries alone leave it, so both storages give the same
+// bits.
+func (g *Graph) Degrees() []float64 {
+	if g.dense != nil {
+		return slices.Clone(g.deg)
+	}
+	return g.w.RowSums()
+}
 
 // EdgeCount returns the number of undirected edges with positive weight,
 // excluding self-loops.
 func (g *Graph) EdgeCount() int {
 	count := 0
 	for i := 0; i < g.N(); i++ {
+		if g.dense != nil {
+			for _, v := range g.dense[i*g.n+i+1 : (i+1)*g.n] {
+				if v != 0 {
+					count++
+				}
+			}
+			continue
+		}
 		cols, vals := g.w.RowNNZ(i)
 		for k, j := range cols {
 			if j > i && vals[k] != 0 {
@@ -152,8 +235,10 @@ func NewBuilder(k *kernel.K, opts ...Option) (*Builder, error) {
 // WithIndex): by default the KD-tree replaces the O(n²) distance matrix
 // whenever the build has a compactly supported kernel or a k-NN selection,
 // at least 512 points and at most 16 dimensions; otherwise the
-// dense-matrix path runs. Every path produces byte-identical CSR output
-// for the same input.
+// dense-matrix path runs. A k-NN build and a KD-tree build store W as a
+// CSR; the dense-matrix path without k-NN turns its own distance matrix
+// into the weight matrix in place and keeps it (see Graph). Every path
+// gives the same Weights, byte for byte, for the same input.
 func (b *Builder) Build(x [][]float64) (*Graph, error) {
 	if len(x) == 0 {
 		return nil, ErrEmpty
@@ -178,17 +263,21 @@ func (b *Builder) Build(x [][]float64) (*Graph, error) {
 	if err != nil {
 		return nil, err
 	}
-	return b.BuildFromDist2(len(x), d2)
+	if b.knn > 0 {
+		return b.knnGraph(b.knnRows(len(x), d2))
+	}
+	return b.denseGraph(len(x), d2, d2), nil
 }
 
 // BuildFromDist2 constructs the graph from a precomputed n×n row-major
-// squared-distance matrix (symmetric; only the upper triangle is read).
-// This is the fast path for experiments that sweep λ or kernels over a
-// fixed dataset.
+// squared-distance matrix (symmetric; only the upper triangle is read),
+// which it leaves unchanged. This is the fast path for experiments that
+// sweep λ or kernels over a fixed dataset.
 //
-// Rows of the weight matrix are computed independently in parallel and
-// assembled directly into CSR form with sorted per-row neighbour lists, so
-// the output is byte-identical for every worker count and across runs.
+// Without k-NN the graph keeps its weights in an n×n matrix of its own
+// (see Graph). A k-NN selection runs per row in parallel and is assembled
+// straight into CSR form with sorted neighbour lists. Either way the graph
+// is byte-identical for every worker count and across runs.
 func (b *Builder) BuildFromDist2(n int, d2 []float64) (*Graph, error) {
 	if n <= 0 || len(d2) != n*n {
 		return nil, fmt.Errorf("graph: need n*n=%d distances, got %d: %w", n*n, len(d2), ErrParam)
@@ -196,8 +285,7 @@ func (b *Builder) BuildFromDist2(n int, d2 []float64) (*Graph, error) {
 	if b.knn > 0 {
 		return b.knnGraph(b.knnRows(n, d2))
 	}
-	cols, vals := b.fullRows(n, d2)
-	return assembleGraph(n, cols, vals, b.workers)
+	return b.denseGraph(n, d2, make([]float64, n*n)), nil
 }
 
 // at returns the canonical (upper-triangle) squared distance between i and
@@ -210,28 +298,44 @@ func at(d2 []float64, n, i, j int) float64 {
 	return d2[i*n+j]
 }
 
-// fullRows computes the dense-kernel rows: every pair with positive
-// weight.
-func (b *Builder) fullRows(n int, d2 []float64) (cols [][]int, vals [][]float64) {
-	cols = make([][]int, n)
-	vals = make([][]float64, n)
+// denseGraph writes the weights of the graph over the squared distances d2
+// into w, which may be d2 itself, and keeps w as the graph's matrix. Each
+// weight is computed once per pair, from the upper-triangle distance; a
+// weight that is not positive is stored as +0, and so is the diagonal. The
+// upper pass reads each distance before it overwrites it and reads no lower
+// entry, so it may run in place. The second pass mirrors each row's lower
+// triangle from the weights above the diagonal and sums the row's degree in
+// ascending column order as it goes (see Degrees).
+func (b *Builder) denseGraph(n int, d2, w []float64) *Graph {
 	parallel.For(b.workers, n, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
-			ci := make([]int, 0, n)
-			vi := make([]float64, 0, n)
-			for j := 0; j < n; j++ {
-				if j == i {
-					continue
-				}
-				if w := b.kernel.WeightDist2(at(d2, n, i, j)); w > 0 {
-					ci = append(ci, j)
-					vi = append(vi, w)
+			w[i*n+i] = 0
+			out := w[i*n+i+1 : (i+1)*n]
+			for j, v := range d2[i*n+i+1 : (i+1)*n] {
+				if wt := b.kernel.WeightDist2(v); wt > 0 {
+					out[j] = wt
+				} else {
+					out[j] = 0
 				}
 			}
-			cols[i], vals[i] = ci, vi
 		}
 	})
-	return cols, vals
+	deg := make([]float64, n)
+	parallel.For(b.workers, n, func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			row := w[i*n : (i+1)*n]
+			var s float64
+			for j := range row[:i] {
+				row[j] = w[j*n+i]
+				s += row[j]
+			}
+			for _, v := range row[i:] {
+				s += v
+			}
+			deg[i] = s
+		}
+	})
+	return &Graph{n: n, dense: w, deg: deg}
 }
 
 // knnRows selects each row's k nearest neighbours from the matrix. Per row
@@ -371,7 +475,7 @@ func (b *Builder) knnGraph(s *knnSel) (*Graph, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Graph{w: w}, nil
+	return &Graph{n: n, w: w}, nil
 }
 
 // mergeRow merges a row's own selection a (weights aw) with the rows c
@@ -441,12 +545,13 @@ const (
 // normalized variants.
 func (g *Graph) Laplacian(kind LaplacianKind) (*sparse.CSR, error) {
 	n := g.N()
+	w := g.Weights()
 	deg := g.Degrees()
 	coo := sparse.NewCOO(n, n)
 	switch kind {
 	case Unnormalized:
 		for i := 0; i < n; i++ {
-			cols, vals := g.w.RowNNZ(i)
+			cols, vals := w.RowNNZ(i)
 			diag := deg[i]
 			for k, j := range cols {
 				if j == i {
@@ -469,7 +574,7 @@ func (g *Graph) Laplacian(kind LaplacianKind) (*sparse.CSR, error) {
 			if deg[i] == 0 {
 				continue
 			}
-			cols, vals := g.w.RowNNZ(i)
+			cols, vals := w.RowNNZ(i)
 			for k, j := range cols {
 				if deg[j] == 0 {
 					continue
@@ -506,6 +611,14 @@ func (g *Graph) labelComponents() {
 	n := g.N()
 	uf := newUnionFind(n)
 	for i := 0; i < n; i++ {
+		if g.dense != nil {
+			for j, v := range g.dense[i*n+i+1 : (i+1)*n] {
+				if v > 0 {
+					uf.union(i, i+1+j)
+				}
+			}
+			continue
+		}
 		cols, vals := g.w.RowNNZ(i)
 		for k, j := range cols {
 			if vals[k] > 0 && j != i {
@@ -598,10 +711,9 @@ type Stats struct {
 	MeanDegree float64
 }
 
-// Summary computes the graph statistics in a single traversal of the CSR,
-// which accumulates edge counts and degrees together instead of re-walking
-// the matrix per statistic; the component count comes from the graph's
-// shared labelling (ComponentLabels).
+// Summary computes the graph statistics from the stored weights, the
+// matrix of a matrix-stored graph without building its CSR; the component
+// count comes from the graph's shared labelling (ComponentLabels).
 func (g *Graph) Summary() Stats {
 	n := g.N()
 	s := Stats{Nodes: n}
@@ -609,18 +721,8 @@ func (g *Graph) Summary() Stats {
 		return s
 	}
 	_, s.Components = g.ComponentLabels()
-	deg := make([]float64, n)
-	for i := 0; i < n; i++ {
-		cols, vals := g.w.RowNNZ(i)
-		var d float64
-		for k, j := range cols {
-			d += vals[k]
-			if j > i && vals[k] != 0 {
-				s.Edges++
-			}
-		}
-		deg[i] = d
-	}
+	s.Edges = g.EdgeCount()
+	deg := g.Degrees()
 	s.MinDegree, _ = mat.MinVec(deg)
 	s.MaxDegree, _ = mat.MaxVec(deg)
 	s.MeanDegree = mat.MeanVec(deg)

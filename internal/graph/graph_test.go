@@ -564,3 +564,48 @@ func TestComponentLabelsMatchSearch(t *testing.T) {
 		}
 	}
 }
+
+// TestMatrixGraphConcurrentWeights: a complete build keeps its weights as a
+// matrix and builds no CSR for the readers that read the matrix
+// (ComponentLabels, Summary, Degrees, EdgeCount, DenseRow). Weights
+// read from several goroutines at once (make race-concurrency runs this
+// under -race) returns one CSR, built once, byte for byte the naive
+// construction's.
+func TestMatrixGraphConcurrentWeights(t *testing.T) {
+	x := randomPoints(5, 60, 3)
+	k := kernel.MustNew(kernel.Gaussian, 1)
+	b, err := NewBuilder(k)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, err := b.Build(x)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g.ComponentLabels()
+	g.Summary()
+	g.Degrees()
+	g.EdgeCount()
+	g.DenseRow(3, nil)
+	if g.dense == nil || g.w != nil {
+		t.Fatal("a complete build must keep its matrix and build no CSR until Weights")
+	}
+	got := make([]*sparse.CSR, 8)
+	var wg sync.WaitGroup
+	for i := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[i] = g.Weights()
+		}()
+	}
+	wg.Wait()
+	for i, w := range got {
+		if w == nil || w != got[0] {
+			t.Fatalf("reader %d got a different CSR", i)
+		}
+	}
+	if msg := naiveMismatch(g, x, k, 0); msg != "" {
+		t.Fatal(msg)
+	}
+}

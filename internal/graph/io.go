@@ -19,8 +19,9 @@ func (g *Graph) WriteEdgeList(w io.Writer) error {
 	if _, err := fmt.Fprintf(bw, "nodes %d\n", g.N()); err != nil {
 		return err
 	}
+	wt := g.Weights()
 	for i := 0; i < g.N(); i++ {
-		cols, vals := g.w.RowNNZ(i)
+		cols, vals := wt.RowNNZ(i)
 		for k, j := range cols {
 			if vals[k] == 0 {
 				continue

@@ -97,8 +97,8 @@ func (b *Builder) resolveIndex(n, dim int) (IndexKind, error) {
 
 // buildRadiusKDTree is the KD-tree radius build of a compact kernel: each
 // row takes the points of its ball of radius h, sorted, and keeps those of
-// positive weight exactly like the dense path's fullRows, so the assembled
-// CSR matches it byte for byte.
+// positive weight exactly like the dense path's weight matrix, so the
+// assembled CSR matches that graph's Weights byte for byte.
 func (b *Builder) buildRadiusKDTree(x [][]float64) (*Graph, error) {
 	t, err := spatial.NewKDTree(x, b.workers)
 	if err != nil {
@@ -166,5 +166,5 @@ func assembleGraph(n int, cols [][]int, vals [][]float64, workers int) (*Graph, 
 	if err != nil {
 		return nil, err
 	}
-	return &Graph{w: w}, nil
+	return &Graph{n: n, w: w}, nil
 }

@@ -179,20 +179,27 @@ func countSnapshot() {
 	snapshotsTotal.Add(1)
 }
 
-// countFit updates the expvar counters from one finished fit.
-func countFit(rep *Report, err error) {
-	fitsTotal.Add(1)
-	if rep != nil {
-		fallbacksTotal.Add(int64(len(rep.Fallbacks)))
-		healthWarningsTotal.Add(int64(len(rep.Warnings)))
-		if err == nil {
-			solverChosen.Add(rep.Solver.String(), 1)
-			if rep.Precond != "" {
-				precondChosen.Add(rep.Precond, 1)
-				precondSetupNanos.Add(rep.PrecondSetup.Nanoseconds())
-			}
+// countSolve updates the solver counters from one successful solve of Fit
+// or FitGraph, with or without diagnostics: the backend chosen, the
+// preconditioner and its set-up time for CG-backed solves, the fallbacks
+// taken and, when the health probe ran, its warnings.
+func countSolve(sol *core.Solution) {
+	solverChosen.Add(sol.Method.String(), 1)
+	if sol.Precond != "" {
+		precondChosen.Add(sol.Precond, 1)
+		precondSetupNanos.Add(sol.PrecondSetup.Nanoseconds())
+	}
+	if tr := sol.Trace; tr != nil {
+		fallbacksTotal.Add(int64(len(tr.Fallbacks)))
+		if tr.Health != nil {
+			healthWarningsTotal.Add(int64(len(tr.Health.Warnings)))
 		}
 	}
+}
+
+// countFit updates the fit counters from one finished Fit or HardSnapshot.
+func countFit(err error) {
+	fitsTotal.Add(1)
 	if err != nil {
 		fitErrorsTotal.Add(1)
 		if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {

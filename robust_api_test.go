@@ -11,6 +11,8 @@ import (
 	"strconv"
 	"testing"
 	"time"
+
+	"repro/internal/sparse"
 )
 
 func robustTestData(seed int64, n, labels int) ([][]float64, []float64, []int) {
@@ -227,6 +229,98 @@ func TestFitCountersMove(t *testing.T) {
 	}
 	if got := expvarInt(t, "graphssl.fit_errors_total"); got != errsBefore+1 {
 		t.Fatalf("fit_errors_total %d -> %d, want +1", errsBefore, got)
+	}
+}
+
+// expvarMapInt reads one key of a published expvar map, 0 when unset.
+func expvarMapInt(t *testing.T, name, key string) int64 {
+	t.Helper()
+	m, ok := expvar.Get(name).(*expvar.Map)
+	if !ok {
+		t.Fatalf("expvar %q is not a published map", name)
+	}
+	v := m.Get(key)
+	if v == nil {
+		return 0
+	}
+	n, err := strconv.ParseInt(v.String(), 10, 64)
+	if err != nil {
+		t.Fatalf("expvar %s[%q] = %q: %v", name, key, v.String(), err)
+	}
+	return n
+}
+
+// TestSolverCountersMoveWithoutDiagnostics: the solver counters move on
+// every successful Fit and FitGraph, not only under WithDiagnostics. A
+// plain Fit of a complete graph moves solver_chosen["cholesky"] by one; a
+// CG fit moves solver_chosen["cg"] and precond_chosen["jacobi"]; a FitGraph
+// moves solver_chosen too; a failed fit moves none of them; a probe's
+// warnings move health_warnings_total.
+func TestSolverCountersMoveWithoutDiagnostics(t *testing.T) {
+	x, y, labeled := robustTestData(7, 40, 10)
+	chol := expvarMapInt(t, "graphssl.solver_chosen", "cholesky")
+	res, err := Fit(x, y, labeled)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.GraphStats.Edges != len(x)*(len(x)-1)/2 {
+		t.Fatalf("%d edges: the default graph is not complete", res.GraphStats.Edges)
+	}
+	if got := expvarMapInt(t, "graphssl.solver_chosen", "cholesky"); got != chol+1 {
+		t.Fatalf("solver_chosen[cholesky] %d -> %d, want +1", chol, got)
+	}
+
+	cg, jacobi := expvarMapInt(t, "graphssl.solver_chosen", "cg"), expvarMapInt(t, "graphssl.precond_chosen", "jacobi")
+	if _, err := Fit(x, y, labeled, WithSolver(SolverCG)); err != nil {
+		t.Fatal(err)
+	}
+	if expvarMapInt(t, "graphssl.solver_chosen", "cg") != cg+1 || expvarMapInt(t, "graphssl.precond_chosen", "jacobi") != jacobi+1 {
+		t.Fatal("a CG fit must move solver_chosen[cg] and precond_chosen[jacobi] by one")
+	}
+
+	path := sparse.NewCOO(3, 3)
+	if err := path.AddSym(0, 1, 1); err != nil {
+		t.Fatal(err)
+	}
+	if err := path.AddSym(1, 2, 1); err != nil {
+		t.Fatal(err)
+	}
+	w := path.ToCSR()
+	chol = expvarMapInt(t, "graphssl.solver_chosen", "cholesky")
+	if _, err := FitGraph(w, []float64{1}, []int{0}); err != nil {
+		t.Fatal(err)
+	}
+	if got := expvarMapInt(t, "graphssl.solver_chosen", "cholesky"); got != chol+1 {
+		t.Fatalf("FitGraph: solver_chosen[cholesky] %d -> %d, want +1", chol, got)
+	}
+
+	chol = expvarMapInt(t, "graphssl.solver_chosen", "cholesky")
+	fallbacks := expvarInt(t, "graphssl.fallbacks_total")
+	if _, err := Fit(x, y, labeled, WithBandwidth(-1)); err == nil {
+		t.Fatal("negative bandwidth accepted")
+	}
+	if expvarMapInt(t, "graphssl.solver_chosen", "cholesky") != chol || expvarInt(t, "graphssl.fallbacks_total") != fallbacks {
+		t.Fatal("a failed fit moved a solver counter")
+	}
+
+	// A forced fallback and the probe's warnings move their counters
+	// without diagnostics too: CG starved of iterations above a cutoff of
+	// 1 falls back to Cholesky after the probe ran. The same fit with
+	// diagnostics reports what the counters should have moved by.
+	warnings := expvarInt(t, "graphssl.health_warnings_total")
+	opts := []Option{WithAutoCutoff(1), WithMaxIter(1), WithTolerance(1e-14)}
+	if _, err := Fit(x, y, labeled, opts...); err != nil {
+		t.Fatal(err)
+	}
+	df := expvarInt(t, "graphssl.fallbacks_total") - fallbacks
+	dw := expvarInt(t, "graphssl.health_warnings_total") - warnings
+	var rep Report
+	if _, err := Fit(x, y, labeled, append(opts, WithDiagnostics(&rep))...); err != nil {
+		t.Fatal(err)
+	}
+	if rep.Health == nil || len(rep.Fallbacks) == 0 || df != int64(len(rep.Fallbacks)) || dw != int64(len(rep.Warnings)) {
+		t.Fatalf("plain fit moved fallbacks_total by %d and health_warnings_total by %d; the report has %d fallbacks and %d warnings (health %v)",
+			df, dw, len(rep.Fallbacks), len(rep.Warnings), rep.Health != nil)
 	}
 }
 

@@ -22,7 +22,7 @@ func fitPathModel(req fitRequest, workers int) (*Model, error) {
 	case "all":
 		mopts = append(mopts, WithAnchorSet(AnchorAll))
 	default:
-		return nil, fmt.Errorf("anchor_set %q: %w", req.AnchorSet, ErrPoint)
+		return nil, fmt.Errorf("anchor_set %q: %w", req.AnchorSet, ErrFitRequest)
 	}
 	if req.TopM > 0 {
 		mopts = append(mopts, WithTopM(req.TopM))

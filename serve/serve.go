@@ -36,6 +36,11 @@ var (
 	// ErrPoint is returned for malformed query points (wrong dimension or
 	// non-finite coordinates).
 	ErrPoint = errors.New("serve: invalid query point")
+	// ErrFitRequest is returned for a fit request the library cannot fit:
+	// an unknown kernel or anchor set, a request outside the streaming
+	// contract, or inputs Fit rejects (a duplicate labeled index, a
+	// non-finite coordinate). It answers 400.
+	ErrFitRequest = errors.New("serve: invalid fit request")
 	// ErrIsolated is returned when a query point has zero similarity mass
 	// to every anchor, leaving the estimator undefined there. Enlarging
 	// the bandwidth usually fixes it.

@@ -454,7 +454,7 @@ func (s *Server) publish(name string, m *Model, stream bool) (*Entry, error) {
 // buildModel validates a fit request, builds its snapshot and the
 // inductive model, all under FitTimeout. A fit whose graph leaves an
 // unlabeled component without a label fails with graphssl.ErrIsolated
-// (422); any other fit failure is a bad request (ErrPoint, 400).
+// (422); any other fit failure is a bad request (ErrFitRequest, 400).
 func (s *Server) buildModel(ctx context.Context, req *fitRequest) (*Model, error) {
 	var anchorSet AnchorSet
 	switch req.AnchorSet {
@@ -463,7 +463,7 @@ func (s *Server) buildModel(ctx context.Context, req *fitRequest) (*Model, error
 	case "all":
 		anchorSet = AnchorAll
 	default:
-		return nil, fmt.Errorf("serve: anchor_set %q (want \"labeled\" or \"all\"): %w", req.AnchorSet, ErrPoint)
+		return nil, fmt.Errorf("serve: anchor_set %q (want \"labeled\" or \"all\"): %w", req.AnchorSet, ErrFitRequest)
 	}
 	opts, kind, err := fitOptions(req, s.cfg.Workers)
 	if err != nil {
@@ -485,7 +485,7 @@ func (s *Server) buildModel(ctx context.Context, req *fitRequest) (*Model, error
 		if errors.Is(err, graphssl.ErrIsolated) {
 			return nil, fmt.Errorf("serve: fit: %w", err)
 		}
-		return nil, fmt.Errorf("serve: fit: %v: %w", err, ErrPoint)
+		return nil, fmt.Errorf("serve: fit: %v: %w", err, ErrFitRequest)
 	}
 	mopts := []ModelOption{WithAnchorSet(anchorSet), WithWorkers(s.cfg.Workers)}
 	if req.TopM > 0 {
@@ -503,7 +503,7 @@ func fitOptions(req *fitRequest, workers int) ([]graphssl.Option, kernel.Kind, e
 	if req.Kernel != "" {
 		var err error
 		if kind, err = kernel.Parse(req.Kernel); err != nil {
-			return nil, 0, fmt.Errorf("serve: %v: %w", err, ErrPoint)
+			return nil, 0, fmt.Errorf("serve: %v: %w", err, ErrFitRequest)
 		}
 		opts = append(opts, graphssl.WithKernel(kind))
 	}
@@ -540,15 +540,15 @@ func requestSnapshot(req *fitRequest, anchorSet AnchorSet, opts []graphssl.Optio
 func checkStreamFit(req *fitRequest, kind kernel.Kind, anchorSet AnchorSet) error {
 	switch {
 	case anchorSet != AnchorLabeled:
-		return fmt.Errorf("serve: streaming fits require labeled anchors: %w", ErrPoint)
+		return fmt.Errorf("serve: streaming fits require labeled anchors: %w", ErrFitRequest)
 	case req.TopM > 0 || req.KNN != 0:
-		return fmt.Errorf("serve: streaming fits take no knn or top_m truncation: %w", ErrPoint)
+		return fmt.Errorf("serve: streaming fits take no knn or top_m truncation: %w", ErrFitRequest)
 	case req.Lambda != nil && *req.Lambda != 0:
-		return fmt.Errorf("serve: streaming fits require the hard criterion (lambda 0): %w", ErrPoint)
+		return fmt.Errorf("serve: streaming fits require the hard criterion (lambda 0): %w", ErrFitRequest)
 	case req.Bandwidth <= 0:
-		return fmt.Errorf("serve: streaming fits require a fixed bandwidth: %w", ErrPoint)
+		return fmt.Errorf("serve: streaming fits require a fixed bandwidth: %w", ErrFitRequest)
 	case req.Kernel == "" || !kind.CompactSupport():
-		return fmt.Errorf("serve: streaming fits require an explicit compact-support kernel: %w", ErrPoint)
+		return fmt.Errorf("serve: streaming fits require an explicit compact-support kernel: %w", ErrFitRequest)
 	}
 	return nil
 }

@@ -224,6 +224,17 @@ func TestServerErrorMapping(t *testing.T) {
 		t.Fatalf("fit: %d %s", resp.StatusCode, body)
 	}
 
+	// A bad fit request's envelope ends in ErrFitRequest and does not name
+	// ErrPoint, the sentinel of malformed query points: its cases keep
+	// their bodies here.
+	fitBodies := map[string][]byte{}
+	fitCase := func(name string, req fitRequest) func() *http.Response {
+		return func() *http.Response {
+			r, body := postJSON(t, ts.URL+"/v1/models/k", req)
+			fitBodies[name] = body
+			return r
+		}
+	}
 	cases := []struct {
 		name string
 		do   func() *http.Response
@@ -253,18 +264,9 @@ func TestServerErrorMapping(t *testing.T) {
 			r, _ := postJSON(t, ts.URL+"/v1/models/bad%20name", fitRequest{X: x, Y: y, Labeled: labeled})
 			return r
 		}, http.StatusBadRequest},
-		{"bad-kernel", func() *http.Response {
-			r, _ := postJSON(t, ts.URL+"/v1/models/k", fitRequest{X: x, Y: y, Labeled: labeled, Kernel: "nope"})
-			return r
-		}, http.StatusBadRequest},
-		{"bad-anchor-set", func() *http.Response {
-			r, _ := postJSON(t, ts.URL+"/v1/models/k", fitRequest{X: x, Y: y, Labeled: labeled, AnchorSet: "some"})
-			return r
-		}, http.StatusBadRequest},
-		{"bad-fit-data", func() *http.Response {
-			r, _ := postJSON(t, ts.URL+"/v1/models/k", fitRequest{X: x, Y: y, Labeled: []int{0, 0}})
-			return r
-		}, http.StatusBadRequest},
+		{"bad-kernel", fitCase("bad-kernel", fitRequest{X: x, Y: y, Labeled: labeled, Kernel: "nope"}), http.StatusBadRequest},
+		{"bad-anchor-set", fitCase("bad-anchor-set", fitRequest{X: x, Y: y, Labeled: labeled, AnchorSet: "some"}), http.StatusBadRequest},
+		{"bad-fit-data", fitCase("bad-fit-data", fitRequest{X: x, Y: y, Labeled: []int{0, 0}}), http.StatusBadRequest},
 		{"get-missing", func() *http.Response {
 			r, _ := getJSON(t, ts.URL+"/v1/models/ghost")
 			return r
@@ -279,6 +281,11 @@ func TestServerErrorMapping(t *testing.T) {
 			resp.Body.Close()
 			if resp.StatusCode != tc.code {
 				t.Fatalf("status = %d, want %d", resp.StatusCode, tc.code)
+			}
+			var he httpError
+			if body, ok := fitBodies[tc.name]; ok && (json.Unmarshal(body, &he) != nil ||
+				!strings.HasSuffix(he.Error, ErrFitRequest.Error()) || strings.Contains(he.Error, ErrPoint.Error())) {
+				t.Fatalf("error envelope %s, want one ending in %q that does not name %q", body, ErrFitRequest, ErrPoint)
 			}
 		})
 	}
