@@ -414,15 +414,21 @@ func BenchmarkBuildRadius(b *testing.B) {
 // BenchmarkStreamFit times the snapshot of the bench/ ingest workload's
 // streaming fit at seed 1 (20,000 jittered grid points, every 10th
 // labeled, Epanechnikov, h = 3.2/142, one worker, as the server fits it)
-// both ways: Fit then Result.Snapshot, which assembles and solves the hard
-// system, and HardSnapshot, which stops after the coverage check.
+// both ways: Fit then Result.Snapshot, which builds the graph and assembles
+// and solves the hard system, and HardSnapshot, which decides coverage
+// without the graph: a 1-NN query per unlabeled point on a KD-tree over
+// the labeled points. hard-snapshot-every50 labels every 50th point
+// instead, so about 7,000 unlabeled points have no labeled neighbour and
+// the decision's search runs radius queries on a tree over all points.
 func BenchmarkStreamFit(b *testing.B) {
 	x, all, h := ingestPoints(20000, 1)
-	var y []float64
-	var labeled []int
-	for i := 0; i < len(x); i += 10 {
-		labeled, y = append(labeled, i), append(y, all[i])
+	labelEvery := func(step int) (labeled []int, y []float64) {
+		for i := 0; i < len(x); i += step {
+			labeled, y = append(labeled, i), append(y, all[i])
+		}
+		return labeled, y
 	}
+	labeled, y := labelEvery(10)
 	opts := []Option{WithKernel(Epanechnikov), WithBandwidth(h), WithWorkers(1)}
 	b.Run("fit+snapshot", func(b *testing.B) {
 		b.ReportAllocs()
@@ -444,6 +450,15 @@ func BenchmarkStreamFit(b *testing.B) {
 			}
 		}
 	})
+	sparseLabeled, sparseY := labelEvery(50)
+	b.Run("hard-snapshot-every50", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := HardSnapshot(x, sparseY, sparseLabeled, opts...); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }
 
 // BenchmarkCOILFit times the fit of one bench/ predict workload model at
@@ -451,8 +466,9 @@ func BenchmarkStreamFit(b *testing.B) {
 // pixels, a random 10% labeled, Gaussian, the median-heuristic bandwidth
 // passed as a fixed h, one worker, as the server fits it): Fit then
 // Result.Snapshot, which builds the complete graph and factors its
-// 1,350-unknown hard system by dense Cholesky, and HardSnapshot, which stops
-// after the coverage check.
+// 1,350-unknown hard system by dense Cholesky, and HardSnapshot, which
+// builds no graph: each unlabeled point scans the labeled points until its
+// first positive Gaussian weight, about one distance per point.
 func BenchmarkCOILFit(b *testing.B) {
 	const seed = 4
 	d, err := coil.GenerateSized(seed, 250)

@@ -44,7 +44,10 @@
 // into a ModelSnapshot. HardSnapshot builds the snapshot of a hard-criterion
 // fit without the solve, for models anchored on the labeled points: Eq. 5
 // fixes their scores to the responses, and such a model reads no other
-// score. The serve subpackage turns snapshots into HTTP prediction services
+// score. Without k-NN it builds no graph either when coverage holds: its
+// coverage stage finds each unlabeled point a labeled neighbour of positive
+// weight, or a path to one, and only a fit it cannot show covered builds
+// the graph, to fail as Fit fails. The serve subpackage turns snapshots into HTTP prediction services
 // with SIMD batch scoring, anchor pruning, a prediction cache, and load
 // shedding; it fits every labeled-anchor hard-criterion request through
 // HardSnapshot.

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"time"
 
 	"repro/internal/core"
@@ -327,12 +328,18 @@ func (r *Result) Snapshot(x [][]float64, y []float64) (*ModelSnapshot, error) {
 // ones, so no all-points model can be built from it (serve.NewModel refuses
 // non-finite anchor values).
 //
-// HardSnapshot runs Fit's input validation, bandwidth, graph and problem
-// stages and Fit's coverage check, then freezes its scores with
-// Result.Snapshot, so it fails with ErrParam or ErrIsolated where they fail
-// Fit or Snapshot. It checks the context between stages and fills a
-// WithDiagnostics report with the bandwidth, graph and problem stages. A λ
-// other than 0 fails with ErrParam. Solver options do not apply, as no
+// HardSnapshot runs Fit's input validation and bandwidth stage. Without
+// kNN it then decides Fit's coverage check without building the graph (the
+// coverage stage, graph.Builder.Covered: a labeled neighbour of positive
+// weight for each unlabeled point, or a path of positive-weight edges to
+// one). A fit that decision does not find covered, and every kNN fit, runs
+// Fit's graph and problem stages and coverage check instead, so
+// HardSnapshot fails with ErrParam or ErrIsolated, message and all, where
+// they fail Fit or Snapshot, and only a failing fit pays for both. It
+// freezes the scores with Result.Snapshot, checks the context between
+// stages and fills a WithDiagnostics report with the stages it ran:
+// bandwidth and coverage, then graph and problem where the fallback runs.
+// A λ other than 0 fails with ErrParam. Solver options do not apply, as no
 // solve runs. So one input class fails Fit and not HardSnapshot: a system
 // that passes the coverage check but that the solve finds numerically
 // singular, or on which the iterative solve stagnates.
@@ -356,22 +363,38 @@ func hardFit(x [][]float64, y []float64, labeled []int, opts []Option) (*Result,
 	if cfg.lambda != 0 {
 		return nil, cfg.report, fmt.Errorf("graphssl: hard snapshot with λ=%v: %w", cfg.lambda, ErrParam)
 	}
-	p, bw, _, err := prepare(x, y, labeled, cfg)
+	labeled, k, err := resolveKernel(x, y, labeled, cfg)
 	if err != nil {
 		return nil, cfg.report, err
 	}
-	if err := ctxErr(cfg.ctx); err != nil {
-		return nil, cfg.report, err
+	covered := false
+	if cfg.knn == 0 {
+		start := time.Now()
+		covered = decideCoverage(x, y, labeled, k, cfg)
+		cfg.report.addStage("coverage", time.Since(start))
+		if err := ctxErr(cfg.ctx); err != nil {
+			return nil, cfg.report, err
+		}
 	}
-	if err := p.CheckCoverage(); err != nil {
-		return nil, cfg.report, translateCoreErr(err)
+	if !covered {
+		p, _, err := buildProblem(x, y, labeled, k, cfg)
+		if err != nil {
+			return nil, cfg.report, err
+		}
+		if err := ctxErr(cfg.ctx); err != nil {
+			return nil, cfg.report, err
+		}
+		if err := p.CheckCoverage(); err != nil {
+			return nil, cfg.report, translateCoreErr(err)
+		}
 	}
+	bw := k.Bandwidth()
 	if r := cfg.report; r != nil {
 		r.Bandwidth = bw
 	}
 	res := &Result{
 		Scores:    make([]float64, len(x)),
-		Labeled:   p.Labeled(),
+		Labeled:   slices.Clone(labeled),
 		Lambda:    cfg.lambda,
 		Bandwidth: bw,
 		Kernel:    cfg.kernel,
@@ -380,10 +403,27 @@ func hardFit(x [][]float64, y []float64, labeled []int, opts []Option) (*Result,
 	for i := range res.Scores {
 		res.Scores[i] = math.NaN()
 	}
-	for k, l := range res.Labeled {
-		res.Scores[l] = y[k]
+	for j, l := range res.Labeled {
+		res.Scores[l] = y[j]
 	}
 	return res, cfg.report, nil
+}
+
+// decideCoverage reports whether the fit passes core.NewProblem's label
+// checks and every component of its graph holds a labeled point, decided
+// without building the graph (graph.Builder.Covered). It answers false on
+// any error, which the fallback through the graph then reports.
+func decideCoverage(x [][]float64, y []float64, labeled []int, k *kernel.K, cfg config) bool {
+	isLabeled, err := core.LabelMask(len(x), labeled, y)
+	if err != nil {
+		return false
+	}
+	b, err := newBuilder(k, cfg)
+	if err != nil {
+		return false
+	}
+	covered, err := b.Covered(x, isLabeled)
+	return covered && err == nil
 }
 
 // Fit builds the similarity graph over x and solves the selected criterion.
@@ -507,32 +547,47 @@ func newConfig(opts []Option) config {
 // prepare validates inputs, resolves the bandwidth, builds the graph, and
 // assembles the core problem.
 func prepare(x [][]float64, y []float64, labeled []int, cfg config) (*core.Problem, float64, *graph.Graph, error) {
-	if err := ctxErr(cfg.ctx); err != nil {
+	labeled, k, err := resolveKernel(x, y, labeled, cfg)
+	if err != nil {
 		return nil, 0, nil, err
 	}
+	p, g, err := buildProblem(x, y, labeled, k, cfg)
+	if err != nil {
+		return nil, 0, nil, err
+	}
+	return p, k.Bandwidth(), g, nil
+}
+
+// resolveKernel is prepare's first half: it validates the inputs, defaults
+// a nil labeled to the first len(y) points, and resolves the bandwidth
+// stage's kernel.
+func resolveKernel(x [][]float64, y []float64, labeled []int, cfg config) ([]int, *kernel.K, error) {
+	if err := ctxErr(cfg.ctx); err != nil {
+		return nil, nil, err
+	}
 	if len(x) == 0 {
-		return nil, 0, nil, fmt.Errorf("graphssl: no input points: %w", ErrParam)
+		return nil, nil, fmt.Errorf("graphssl: no input points: %w", ErrParam)
 	}
 	dim := len(x[0])
 	if dim == 0 {
-		return nil, 0, nil, fmt.Errorf("graphssl: zero-dimensional inputs: %w", ErrParam)
+		return nil, nil, fmt.Errorf("graphssl: zero-dimensional inputs: %w", ErrParam)
 	}
 	for i, xi := range x {
 		if len(xi) != dim {
-			return nil, 0, nil, fmt.Errorf("graphssl: point %d has dim %d, want %d: %w", i, len(xi), dim, ErrParam)
+			return nil, nil, fmt.Errorf("graphssl: point %d has dim %d, want %d: %w", i, len(xi), dim, ErrParam)
 		}
 		for j, v := range xi {
 			if math.IsNaN(v) || math.IsInf(v, 0) {
-				return nil, 0, nil, fmt.Errorf("graphssl: point %d coordinate %d is %v: %w", i, j, v, ErrParam)
+				return nil, nil, fmt.Errorf("graphssl: point %d coordinate %d is %v: %w", i, j, v, ErrParam)
 			}
 		}
 	}
 	if err := checkResponses(y); err != nil {
-		return nil, 0, nil, err
+		return nil, nil, err
 	}
 	if labeled == nil {
 		if len(y) >= len(x) {
-			return nil, 0, nil, fmt.Errorf("graphssl: %d responses for %d points leaves nothing unlabeled: %w", len(y), len(x), ErrParam)
+			return nil, nil, fmt.Errorf("graphssl: %d responses for %d points leaves nothing unlabeled: %w", len(y), len(x), ErrParam)
 		}
 		labeled = make([]int, len(y))
 		for i := range labeled {
@@ -544,16 +599,16 @@ func prepare(x [][]float64, y []float64, labeled []int, cfg config) (*core.Probl
 		seen := make([]bool, len(x))
 		for _, idx := range labeled {
 			if idx < 0 || idx >= len(x) {
-				return nil, 0, nil, fmt.Errorf("graphssl: labeled index %d outside [0,%d): %w", idx, len(x), ErrParam)
+				return nil, nil, fmt.Errorf("graphssl: labeled index %d outside [0,%d): %w", idx, len(x), ErrParam)
 			}
 			if seen[idx] {
-				return nil, 0, nil, fmt.Errorf("graphssl: duplicate labeled index %d: %w", idx, ErrParam)
+				return nil, nil, fmt.Errorf("graphssl: duplicate labeled index %d: %w", idx, ErrParam)
 			}
 			seen[idx] = true
 		}
 	}
 	if cfg.lambda < 0 || math.IsNaN(cfg.lambda) || math.IsInf(cfg.lambda, 0) {
-		return nil, 0, nil, fmt.Errorf("graphssl: λ=%v: %w", cfg.lambda, ErrParam)
+		return nil, nil, fmt.Errorf("graphssl: λ=%v: %w", cfg.lambda, ErrParam)
 	}
 
 	bwStart := time.Now()
@@ -567,51 +622,64 @@ func prepare(x [][]float64, y []float64, labeled []int, cfg config) (*core.Probl
 	case bwPaper:
 		bw, err = kernel.PaperBandwidth(len(labeled), dim)
 		if err != nil {
-			return nil, 0, nil, fmt.Errorf("graphssl: paper bandwidth: %w: %v", ErrParam, err)
+			return nil, nil, fmt.Errorf("graphssl: paper bandwidth: %w: %v", ErrParam, err)
 		}
 	default:
 		bw, err = kernel.MedianHeuristic(x, 200000)
 		if err != nil {
-			return nil, 0, nil, fmt.Errorf("graphssl: median bandwidth: %w: %v", ErrParam, err)
+			return nil, nil, fmt.Errorf("graphssl: median bandwidth: %w: %v", ErrParam, err)
 		}
 	}
 	if math.IsNaN(bw) || math.IsInf(bw, 0) {
-		return nil, 0, nil, fmt.Errorf("graphssl: bandwidth %v: %w", bw, ErrParam)
+		return nil, nil, fmt.Errorf("graphssl: bandwidth %v: %w", bw, ErrParam)
 	}
 	k, err := kernel.New(cfg.kernel, bw)
 	if err != nil {
-		return nil, 0, nil, fmt.Errorf("graphssl: kernel: %w: %v", ErrParam, err)
+		return nil, nil, fmt.Errorf("graphssl: kernel: %w: %v", ErrParam, err)
 	}
 	cfg.report.addStage("bandwidth", time.Since(bwStart))
 	if err := ctxErr(cfg.ctx); err != nil {
-		return nil, 0, nil, err
+		return nil, nil, err
+	}
+	return labeled, k, nil
+}
+
+// buildProblem is prepare's second half: the graph and problem stages.
+func buildProblem(x [][]float64, y []float64, labeled []int, k *kernel.K, cfg config) (*core.Problem, *graph.Graph, error) {
+	graphStart := time.Now()
+	builder, err := newBuilder(k, cfg)
+	if err != nil {
+		return nil, nil, err
+	}
+	g, err := builder.Build(x)
+	if err != nil {
+		return nil, nil, fmt.Errorf("graphssl: graph: %w: %v", ErrParam, err)
+	}
+	cfg.report.addStage("graph", time.Since(graphStart))
+	if err := ctxErr(cfg.ctx); err != nil {
+		return nil, nil, err
 	}
 
-	graphStart := time.Now()
+	problemStart := time.Now()
+	p, err := core.NewProblem(g, labeled, y)
+	if err != nil {
+		return nil, nil, fmt.Errorf("%w: %v", ErrParam, err)
+	}
+	cfg.report.addStage("problem", time.Since(problemStart))
+	return p, g, nil
+}
+
+// newBuilder returns the fit's graph builder over kernel k.
+func newBuilder(k *kernel.K, cfg config) (*graph.Builder, error) {
 	builderOpts := []graph.Option{graph.WithWorkers(cfg.workers)}
 	if cfg.knn > 0 {
 		builderOpts = append(builderOpts, graph.WithKNN(cfg.knn))
 	}
 	builder, err := graph.NewBuilder(k, builderOpts...)
 	if err != nil {
-		return nil, 0, nil, fmt.Errorf("graphssl: graph builder: %w: %v", ErrParam, err)
+		return nil, fmt.Errorf("graphssl: graph builder: %w: %v", ErrParam, err)
 	}
-	g, err := builder.Build(x)
-	if err != nil {
-		return nil, 0, nil, fmt.Errorf("graphssl: graph: %w: %v", ErrParam, err)
-	}
-	cfg.report.addStage("graph", time.Since(graphStart))
-	if err := ctxErr(cfg.ctx); err != nil {
-		return nil, 0, nil, err
-	}
-
-	problemStart := time.Now()
-	p, err := core.NewProblem(g, labeled, y)
-	if err != nil {
-		return nil, 0, nil, fmt.Errorf("%w: %v", ErrParam, err)
-	}
-	cfg.report.addStage("problem", time.Since(problemStart))
-	return p, bw, g, nil
+	return builder, nil
 }
 
 // checkResponses rejects a NaN or infinite response with ErrParam.

@@ -39,8 +39,10 @@ func outcome(err error) string {
 // both succeed with snapshots that agree bit for bit on every field a
 // labeled-anchor model reads: all points, the responses, the labeled set
 // and its scores, the kernel, bandwidth, kNN and λ; the hard snapshot's
-// unlabeled scores are NaN. The one allowed difference is a Fit that fails
-// in its solve (solveFailed), on which HardSnapshot succeeds.
+// unlabeled scores are NaN. Where Fit fails with ErrIsolated outside its
+// solve, that is in its coverage check, HardSnapshot's message must be
+// Fit's, byte for byte. The one allowed difference is a Fit that fails in
+// its solve (solveFailed), on which HardSnapshot succeeds.
 func checkHardSnapshot(t testing.TB, x [][]float64, y []float64, labeled []int, opts []Option, res *Result, fitErr error) {
 	t.Helper()
 	snap, err := HardSnapshot(x, y, labeled, opts...)
@@ -53,6 +55,9 @@ func checkHardSnapshot(t testing.TB, x [][]float64, y []float64, labeled []int, 
 	if fitErr != nil && !solveFailed(fitErr) {
 		if outcome(err) != outcome(fitErr) {
 			t.Fatalf("Fit failed with %v, HardSnapshot with %v", fitErr, err)
+		}
+		if errors.Is(fitErr, ErrIsolated) && err.Error() != fitErr.Error() {
+			t.Fatalf("HardSnapshot failed with %q, Fit with %q", err, fitErr)
 		}
 		return
 	}
@@ -117,7 +122,10 @@ func sameLabeledSnapshot(got, want *ModelSnapshot) error {
 
 // TestHardSnapshotMatchesFit runs the robust inputs and the ingest
 // fixture (5,000 points of the 20,000-point grid, Epanechnikov) through
-// both paths. FuzzFit does the same for its seeds and corpus.
+// both paths, labeled at every 10th point as the ingest workload labels
+// it and at every 50th, where many unlabeled points have no labeled
+// neighbour and the coverage decision searches. FuzzFit does the same for
+// its seeds and corpus.
 func TestHardSnapshotMatchesFit(t *testing.T) {
 	for _, tc := range robustCases() {
 		t.Run(tc.name, func(t *testing.T) {
@@ -125,26 +133,31 @@ func TestHardSnapshotMatchesFit(t *testing.T) {
 			checkHardSnapshot(t, tc.x, tc.y, tc.lab, tc.opts, res, err)
 		})
 	}
-	t.Run("ingest-5k", func(t *testing.T) {
-		x, all, h := ingestPoints(5000, 1)
-		var y []float64
-		var labeled []int
-		for i := 0; i < len(x); i += 10 {
-			labeled = append(labeled, i)
-			y = append(y, all[i])
-		}
-		opts := []Option{WithKernel(Epanechnikov), WithBandwidth(h), WithWorkers(1)}
-		res, err := Fit(x, y, labeled, opts...)
-		if err != nil {
-			t.Fatal(err)
-		}
-		checkHardSnapshot(t, x, y, labeled, opts, res, err)
-	})
+	x, all, h := ingestPoints(5000, 1)
+	for _, tc := range []struct {
+		name string
+		step int
+	}{{"ingest-5k", 10}, {"ingest-5k-every50", 50}} {
+		t.Run(tc.name, func(t *testing.T) {
+			var y []float64
+			var labeled []int
+			for i := 0; i < len(x); i += tc.step {
+				labeled = append(labeled, i)
+				y = append(y, all[i])
+			}
+			opts := []Option{WithKernel(Epanechnikov), WithBandwidth(h), WithWorkers(1)}
+			res, err := Fit(x, y, labeled, opts...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			checkHardSnapshot(t, x, y, labeled, opts, res, err)
+		})
+	}
 }
 
 // TestHardSnapshotRunsNoSolve checks the stages and counters of the
-// snapshot path: a diagnostics report with the bandwidth, graph and
-// problem stages and no solve, graphssl.solver_chosen unmoved, and
+// snapshot path: a diagnostics report with the bandwidth and coverage
+// stages, no graph and no solve, graphssl.solver_chosen unmoved, and
 // fits_total, fit_errors_total and snapshots_total moved as Fit plus
 // Snapshot move them.
 func TestHardSnapshotRunsNoSolve(t *testing.T) {
@@ -156,12 +169,8 @@ func TestHardSnapshotRunsNoSolve(t *testing.T) {
 	if _, err := HardSnapshot(x, y, labeled, WithDiagnostics(&rep)); err != nil {
 		t.Fatal(err)
 	}
-	var names []string
-	for _, s := range rep.Stages {
-		names = append(names, s.Name)
-	}
-	if got := strings.Join(names, ","); got != "bandwidth,graph,problem" {
-		t.Fatalf("stages = %s, want bandwidth,graph,problem", got)
+	if got := stageNames(&rep); got != "bandwidth,coverage" {
+		t.Fatalf("stages = %s, want bandwidth,coverage", got)
 	}
 	if rep.Bandwidth <= 0 || rep.Solver != 0 || rep.Err != "" {
 		t.Fatalf("report: bandwidth %v, solver %v, err %q", rep.Bandwidth, rep.Solver, rep.Err)
@@ -182,6 +191,56 @@ func TestHardSnapshotRunsNoSolve(t *testing.T) {
 	if rep.Err == "" || expvarInt(t, "graphssl.fits_total") != fits+2 ||
 		expvarInt(t, "graphssl.fit_errors_total") != fitErrs+1 || expvarInt(t, "graphssl.snapshots_total") != snaps+1 {
 		t.Fatalf("failed snapshot: report err %q, counters not moved as one failed fit", rep.Err)
+	}
+}
+
+// stageNames joins the names of a report's stages with commas.
+func stageNames(rep *Report) string {
+	var names []string
+	for _, s := range rep.Stages {
+		names = append(names, s.Name)
+	}
+	return strings.Join(names, ",")
+}
+
+// TestHardSnapshotFallsBackToGraph: where the coverage decision does not
+// find the fit covered, HardSnapshot builds the graph as Fit does and
+// fails with Fit's error, byte for byte. An Epanechnikov support below the
+// spacing of a 1-D lattice isolates every unlabeled point; labeling every
+// point fails NewProblem's checks before any decision.
+func TestHardSnapshotFallsBackToGraph(t *testing.T) {
+	x := make([][]float64, 40)
+	for i := range x {
+		x[i] = []float64{float64(i)}
+	}
+	ally := make([]float64, len(x))
+	all := make([]int, len(x))
+	for i := range all {
+		all[i] = i
+	}
+	for _, tc := range []struct {
+		name    string
+		y       []float64
+		labeled []int
+		want    error
+		stages  string
+	}{
+		{"isolated", ally[:4], []int{0, 10, 20, 30}, ErrIsolated, "bandwidth,coverage,graph,problem"},
+		// The problem stage fails, so the report holds no problem stage.
+		{"all-labeled", ally, all, ErrParam, "bandwidth,coverage,graph"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			opts := []Option{WithKernel(Epanechnikov), WithBandwidth(0.5)}
+			_, fitErr := Fit(x, tc.y, tc.labeled, opts...)
+			var rep Report
+			_, err := HardSnapshot(x, tc.y, tc.labeled, append(opts, WithDiagnostics(&rep))...)
+			if !errors.Is(err, tc.want) || fitErr == nil || err.Error() != fitErr.Error() {
+				t.Fatalf("HardSnapshot: %v; Fit: %v; want both %v with one message", err, fitErr, tc.want)
+			}
+			if got := stageNames(&rep); got != tc.stages || rep.Err != err.Error() {
+				t.Fatalf("stages %s, report err %q; want %s and %q", got, rep.Err, tc.stages, err)
+			}
+		})
 	}
 }
 

@@ -45,6 +45,27 @@ func NewProblem(g *graph.Graph, labeled []int, y []float64) (*Problem, error) {
 		return nil, fmt.Errorf("core: nil graph: %w", ErrParam)
 	}
 	n := g.N()
+	isLabeled, err := LabelMask(n, labeled, y)
+	if err != nil {
+		return nil, err
+	}
+	unlabeled := make([]int, 0, n-len(labeled))
+	for i := 0; i < n; i++ {
+		if !isLabeled[i] {
+			unlabeled = append(unlabeled, i)
+		}
+	}
+	lab := make([]int, len(labeled))
+	copy(lab, labeled)
+	resp := make([]float64, len(y))
+	copy(resp, y)
+	return &Problem{g: g, y: resp, labeled: lab, unlabeled: unlabeled, isLabeled: isLabeled}, nil
+}
+
+// LabelMask makes NewProblem's checks of labeled and y against n nodes and
+// returns the mask of the labeled nodes: labeled must hold distinct indices
+// in [0, n), at least one and fewer than n, and y one response per index.
+func LabelMask(n int, labeled []int, y []float64) ([]bool, error) {
 	if len(labeled) == 0 {
 		return nil, fmt.Errorf("core: no labeled nodes: %w", ErrParam)
 	}
@@ -64,17 +85,7 @@ func NewProblem(g *graph.Graph, labeled []int, y []float64) (*Problem, error) {
 		}
 		isLabeled[idx] = true
 	}
-	unlabeled := make([]int, 0, n-len(labeled))
-	for i := 0; i < n; i++ {
-		if !isLabeled[i] {
-			unlabeled = append(unlabeled, i)
-		}
-	}
-	lab := make([]int, len(labeled))
-	copy(lab, labeled)
-	resp := make([]float64, len(y))
-	copy(resp, y)
-	return &Problem{g: g, y: resp, labeled: lab, unlabeled: unlabeled, isLabeled: isLabeled}, nil
+	return isLabeled, nil
 }
 
 // NewProblemLabeledFirst is the paper's layout: the first n nodes are

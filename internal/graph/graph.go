@@ -240,14 +240,9 @@ func NewBuilder(k *kernel.K, opts ...Option) (*Builder, error) {
 // into the weight matrix in place and keeps it (see Graph). Every path
 // gives the same Weights, byte for byte, for the same input.
 func (b *Builder) Build(x [][]float64) (*Graph, error) {
-	if len(x) == 0 {
-		return nil, ErrEmpty
-	}
-	dim := len(x[0])
-	for _, xi := range x {
-		if len(xi) != dim {
-			return nil, fmt.Errorf("graph: point dimensions differ (%d vs %d): %w", len(xi), dim, ErrParam)
-		}
+	dim, err := checkDims(x)
+	if err != nil {
+		return nil, err
 	}
 	kind, err := b.resolveIndex(len(x), dim)
 	if err != nil {
@@ -267,6 +262,21 @@ func (b *Builder) Build(x [][]float64) (*Graph, error) {
 		return b.knnGraph(b.knnRows(len(x), d2))
 	}
 	return b.denseGraph(len(x), d2, d2), nil
+}
+
+// checkDims returns the dimension of the points x, rejecting an empty set
+// and ragged rows.
+func checkDims(x [][]float64) (int, error) {
+	if len(x) == 0 {
+		return 0, ErrEmpty
+	}
+	dim := len(x[0])
+	for _, xi := range x {
+		if len(xi) != dim {
+			return 0, fmt.Errorf("graph: point dimensions differ (%d vs %d): %w", len(xi), dim, ErrParam)
+		}
+	}
+	return dim, nil
 }
 
 // BuildFromDist2 constructs the graph from a precomputed n×n row-major
@@ -598,27 +608,25 @@ func (g *Graph) Laplacian(kind LaplacianKind) (*sparse.CSR, error) {
 
 // ComponentLabels returns each node's connected component (by
 // positive-weight edges), numbered 0, 1, … in order of the components'
-// smallest nodes, and the component count. One union-find pass computes the
-// labelling the first time it is asked for; every later call, and every
-// caller (Components, IsConnected, Summary, a hard problem's coverage
-// check), shares it, so the returned slice must not be modified.
+// smallest nodes, and the component count. One pass computes the labelling
+// the first time it is asked for: a union-find over a CSR's stored entries,
+// or a search over a matrix-stored graph's rows (see labelDense). Every
+// later call, and every caller (Components, IsConnected, Summary, a hard
+// problem's coverage check), shares it, so the returned slice must not be
+// modified.
 func (g *Graph) ComponentLabels() ([]int, int) {
 	g.compOnce.Do(g.labelComponents)
 	return g.compLabel, g.compCount
 }
 
 func (g *Graph) labelComponents() {
+	if g.dense != nil {
+		g.labelDense()
+		return
+	}
 	n := g.N()
 	uf := newUnionFind(n)
 	for i := 0; i < n; i++ {
-		if g.dense != nil {
-			for j, v := range g.dense[i*n+i+1 : (i+1)*n] {
-				if v > 0 {
-					uf.union(i, i+1+j)
-				}
-			}
-			continue
-		}
 		cols, vals := g.w.RowNNZ(i)
 		for k, j := range cols {
 			if vals[k] > 0 && j != i {
@@ -641,6 +649,43 @@ func (g *Graph) labelComponents() {
 			num[r] = count
 		}
 		label[i] = num[r] - 1
+	}
+	g.compLabel, g.compCount = label, count
+}
+
+// labelDense labels a matrix-stored graph's components by a breadth-first
+// search from the smallest node not yet labelled, so the components are
+// numbered in order of their smallest nodes. Each expansion scans only the
+// nodes still unlabelled, in ascending order, and keeps the ones it does
+// not reach, so a connected graph is labelled by one scan of one row.
+func (g *Graph) labelDense() {
+	n := g.n
+	label := make([]int, n)
+	rest := make([]int32, n) // the nodes not yet labelled, ascending
+	for i := range rest {
+		rest[i] = int32(i)
+	}
+	queue := make([]int32, 0, n)
+	count := 0
+	for len(rest) > 0 {
+		label[rest[0]] = count
+		queue = append(queue[:0], rest[0])
+		rest = rest[1:]
+		for h := 0; h < len(queue) && len(rest) > 0; h++ {
+			row := g.dense[int(queue[h])*n : (int(queue[h])+1)*n]
+			m := 0
+			for _, v := range rest {
+				if row[v] > 0 {
+					label[v] = count
+					queue = append(queue, v)
+				} else {
+					rest[m] = v
+					m++
+				}
+			}
+			rest = rest[:m]
+		}
+		count++
 	}
 	g.compLabel, g.compCount = label, count
 }

@@ -11,7 +11,8 @@ import (
 
 // Stage is one timed phase of a fit.
 type Stage struct {
-	// Name identifies the phase ("bandwidth", "graph", "problem", "solve").
+	// Name identifies the phase ("bandwidth", "graph", "problem", "solve";
+	// HardSnapshot's "coverage", its coverage decision without the graph).
 	Name string
 	// Duration is the phase's wall time.
 	Duration time.Duration

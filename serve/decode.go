@@ -36,15 +36,16 @@ type canonicalBody interface {
 
 // decodeBody reads the size-capped body of r whole into d and decodes it
 // into v, a zero request body. Reading whole rejects a body over the cap
-// even when its first JSON value ends inside it.
-func (s *Server) decodeBody(w http.ResponseWriter, r *http.Request, d *bodyDecoder, v canonicalBody) error {
+// even when its first JSON value ends inside it. A failure wraps sentinel:
+// ErrFitRequest for a fit body, ErrPoint for predict and ingest bodies.
+func (s *Server) decodeBody(w http.ResponseWriter, r *http.Request, d *bodyDecoder, v canonicalBody, sentinel error) error {
 	d.body.Reset()
 	_, err := d.body.ReadFrom(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
 	if err == nil {
 		err = d.decode(v)
 	}
 	if err != nil {
-		return fmt.Errorf("serve: bad request body: %v: %w", err, ErrPoint)
+		return fmt.Errorf("serve: bad request body: %v: %w", err, sentinel)
 	}
 	return nil
 }

@@ -232,7 +232,7 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	}
 	// A fresh decoder: the queued job reads the points after we return.
 	var req ingestRequest
-	if err := s.decodeBody(w, r, new(bodyDecoder), &req); err != nil {
+	if err := s.decodeBody(w, r, new(bodyDecoder), &req, ErrPoint); err != nil {
 		fail(w, err)
 		return
 	}

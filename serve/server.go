@@ -237,7 +237,7 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 	sc := reqPool.Get().(*reqScratch)
 	defer sc.release()
 	req := &sc.req
-	if err := s.decodeBody(w, r, &sc.dec, req); err != nil {
+	if err := s.decodeBody(w, r, &sc.dec, req, ErrPoint); err != nil {
 		fail(w, err)
 		return
 	}
@@ -411,7 +411,7 @@ func (s *Server) fit(w http.ResponseWriter, r *http.Request) (fitResponse, error
 		return fitResponse{}, fmt.Errorf("serve: model name %q: %w", name, ErrName)
 	}
 	var req fitRequest
-	if err := s.decodeBody(w, r, new(bodyDecoder), &req); err != nil {
+	if err := s.decodeBody(w, r, new(bodyDecoder), &req, ErrFitRequest); err != nil {
 		return fitResponse{}, err
 	}
 	start := time.Now()

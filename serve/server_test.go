@@ -235,6 +235,14 @@ func TestServerErrorMapping(t *testing.T) {
 			return r
 		}
 	}
+	// A fit body the decoder rejects is a bad fit request too.
+	rawFitCase := func(name, raw string) func() *http.Response {
+		return func() *http.Response {
+			r, body := postRaw(t, ts.URL+"/v1/models/k", []byte(raw))
+			fitBodies[name] = body
+			return r
+		}
+	}
 	cases := []struct {
 		name string
 		do   func() *http.Response
@@ -267,6 +275,8 @@ func TestServerErrorMapping(t *testing.T) {
 		{"bad-kernel", fitCase("bad-kernel", fitRequest{X: x, Y: y, Labeled: labeled, Kernel: "nope"}), http.StatusBadRequest},
 		{"bad-anchor-set", fitCase("bad-anchor-set", fitRequest{X: x, Y: y, Labeled: labeled, AnchorSet: "some"}), http.StatusBadRequest},
 		{"bad-fit-data", fitCase("bad-fit-data", fitRequest{X: x, Y: y, Labeled: []int{0, 0}}), http.StatusBadRequest},
+		{"fit-bad-type", rawFitCase("fit-bad-type", `{"x":1}`), http.StatusBadRequest},
+		{"fit-unknown-field", rawFitCase("fit-unknown-field", `{"x":[[0]],"y":[1],"nope":1}`), http.StatusBadRequest},
 		{"get-missing", func() *http.Response {
 			r, _ := getJSON(t, ts.URL+"/v1/models/ghost")
 			return r
